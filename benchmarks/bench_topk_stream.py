@@ -1,16 +1,17 @@
 """Streamed top-k bench — ordered browsing vs full-join-then-sort.
 
-Not a figure from the paper: this bench motivates the streaming engine
-layer (:mod:`repro.engine.streaming`).  The tourist-recommendation
-application wants the ``k`` smallest-diameter pairs; before PR 5 the
+Not a figure from the paper: this bench motivates the top-k RCJ
+pipeline (the ``rcj`` family with ``k`` in
+:mod:`repro.engine.families`).  The tourist-recommendation application
+wants the ``k`` smallest-diameter pairs; without the pipeline the
 array engine could only materialize the whole join and sort it.  The
-streamed route enumerates candidate pairs in expanding radius bands and
-stops at the ``k``-th verified pair.
+pipeline enumerates candidate pairs in expanding radius bands and
+stops after the band that completes the ``k``-th verified pair.
 
 Assertions: the streamed prefix is byte-identical (canonical order key)
 to the sorted full join for every measured ``k``, and — at full-size
 runs (``REPRO_BENCH_N=20000``) — ``k=100`` beats full-join-then-sort by
-at least 10x, the PR's acceptance floor.  The series is also archived
+at least 10x, the asserted floor.  The series is also archived
 as ``benchmarks/results/BENCH_topk.json`` (``mode="topk"`` rows of the
 standard scaling document).
 """

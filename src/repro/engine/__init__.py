@@ -9,26 +9,27 @@ algorithms in :mod:`repro.core`:
 - :mod:`repro.engine.kernels` — the vectorized batch kernels of the RCJ
   hot path (KD-tree candidate generation, blocked Ψ−half-plane pruning,
   batch ring-emptiness verification);
+- :mod:`repro.engine.operators` — the operator algebra the kernels
+  factor into: columnar candidate sources, filter/verify stages and
+  sinks, chained by :class:`~repro.engine.operators.Pipeline`, whose
+  ``run`` is the engine's one columnar executor;
+- :mod:`repro.engine.families` — every join declared as such a
+  pipeline: the bulk RCJ, the top-k RCJ and the paper's other join
+  families (ε-join, kNN-join, k-closest-pairs, common influence),
+  behind :func:`run_family_join` (and ``run_join(family=...)``), with
+  the pointwise implementations in :mod:`repro.joins` kept as
+  reference oracles;
 - :mod:`repro.engine.planner` — :func:`run_join`, the unified planner
   entry point dispatching across every join implementation (``inj``,
   ``bij``, ``obj``, ``brute``, ``gabriel`` and the vectorized
-  ``array`` engine) and returning the ordinary
+  ``array`` / ``array-parallel`` engines, which run the bulk RCJ
+  pipeline) and returning the ordinary
   :class:`~repro.core.pairs.JoinReport`; :func:`run_topk` (ordered
   browsing, ``run_join(mode="topk")``) and :func:`make_dynamic` (the
   shared dynamic-backend factory) ride the same planner;
-- :mod:`repro.engine.streaming` — the columnar streaming layer:
-  :func:`stream_pairs_by_diameter` (lazy ascending-diameter
-  enumeration behind top-k) and :class:`DynamicArrayRCJ` (incremental
-  maintenance with batched kernels);
-- :mod:`repro.engine.operators` — the composable operator algebra the
-  kernels factor into: columnar candidate sources, filter/verify
-  stages and sinks, chained by :class:`~repro.engine.operators.Pipeline`
-  with per-stage wall-time measurement;
-- :mod:`repro.engine.families` — the paper's other join families
-  (ε-join, kNN-join, k-closest-pairs, common influence) declared as
-  such pipelines, behind :func:`run_family_join` (and
-  ``run_join(family=...)``), with the pointwise implementations in
-  :mod:`repro.joins` kept as reference oracles.
+- :mod:`repro.engine.streaming` — the canonical ascending-diameter
+  order (:func:`sort_pairs_by_diameter`) and :class:`DynamicArrayRCJ`
+  (incremental maintenance with batched kernels).
 
 The ``array`` engine produces results identical to the pointwise
 algorithms (the kernels evaluate the exact same IEEE dot-product
@@ -54,11 +55,7 @@ from repro.engine.planner import (
     run_join,
     run_topk,
 )
-from repro.engine.streaming import (
-    DynamicArrayRCJ,
-    sort_pairs_by_diameter,
-    stream_pairs_by_diameter,
-)
+from repro.engine.streaming import DynamicArrayRCJ, sort_pairs_by_diameter
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -78,5 +75,4 @@ __all__ = [
     "run_join",
     "run_topk",
     "sort_pairs_by_diameter",
-    "stream_pairs_by_diameter",
 ]

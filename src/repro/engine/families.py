@@ -4,32 +4,35 @@ The paper compares the RCJ against the other pointset joins of its
 Table 1 — the ε-join, the kNN-join, k-closest-pairs and the common
 influence join (Figures 10–12).  Their reference implementations in
 :mod:`repro.joins` are pointwise object code; this module re-expresses
-each family as a short :class:`~repro.engine.operators.Pipeline` over
-the engine's operator stages, so every family inherits vectorization,
-Hilbert-sharded parallel execution (where its probe loop shards),
-streaming enumeration and cost-based engine choice from the same
-substrate the RCJ runs on:
+each family, and the RCJ itself, as a short
+:class:`~repro.engine.operators.Pipeline` over the engine's operator
+stages.  Every columnar join therefore runs through one executor,
+``Pipeline.run`` — in-process, or sharded over the worker pool
+(:func:`repro.parallel.pool.run_sharded`) when its source can restrict
+its probes:
 
 =========== ========================================================
 family      pipeline
 =========== ========================================================
 ``epsilon`` ``range(eps) -> distance(d<=eps) -> collect``
 ``knn``     ``knn(k) -> collect``
-``kcp``     ``band(k) -> take-smallest(k)`` (the PR 5
-            expanding-radius cursor as a source; stops at the first
-            completed band holding ``k`` pairs)
+``kcp``     ``band(k) -> take-smallest(k)`` (the expanding-radius
+            cursor as a source; stops at the first completed band
+            holding ``k`` pairs)
 ``cij``     ``cell-overlap -> sat-verify -> collect``
-``rcj``     ``band(k) -> prune -> verify -> take-smallest(k)``
-            (the streamed top-k RCJ, composed from the same stages —
-            the bulk RCJ keeps its dedicated kernels behind
-            :func:`repro.engine.planner.run_join`)
+``rcj``     bulk: ``knn-window(k0) -> verify -> collect``
+            (:func:`rcj_pipeline`, behind
+            :func:`repro.engine.planner.run_join`); with ``k``:
+            ``band(k) -> prune -> verify -> take-smallest(k)`` (the
+            top-k RCJ behind :func:`repro.engine.planner.run_topk`)
 =========== ========================================================
 
 Every pipeline's pair set is identical to its pointwise oracle's
 (:mod:`repro.joins.epsilon`, :mod:`repro.joins.knn`,
-:mod:`repro.joins.closest_pairs`, :mod:`repro.joins.common_influence`)
-— the cross-family equivalence suite pins this — and every run records
-measured per-stage wall times on ``JoinReport.stage_seconds``.
+:mod:`repro.joins.closest_pairs`, :mod:`repro.joins.common_influence`,
+and the paper's RCJ algorithms) — the equivalence suites pin this —
+and every run records measured per-stage wall times on
+``JoinReport.stage_seconds``.
 
 :func:`run_family_join` is the execution entry point;
 :func:`repro.engine.planner.run_join` dispatches to it for
@@ -39,21 +42,26 @@ measured per-stage wall times on ``JoinReport.stage_seconds``.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Sequence
 
 from repro.core.pairs import JoinReport, RCJPair
 from repro.engine.arrays import PointArray
+from repro.engine.kernels import DEFAULT_K0
 from repro.engine.operators import (
     BandSource,
     CellOverlapSource,
     CollectAll,
+    CollectCanonical,
     DistanceFilter,
     JoinContext,
     KnnSource,
+    KnnWindowSource,
     Pipeline,
     PolygonIntersectVerify,
     PsiPruneFilter,
     RangeSource,
+    RingBandSource,
     TakeSmallest,
     VerifyRings,
 )
@@ -92,6 +100,23 @@ def _check_family_params(
         _require(k is not None, f"family={family!r} requires k")
     elif family == "cij":
         _require(eps is None and k is None, "family='cij' takes no parameter")
+    else:  # rcj
+        _require(eps is None, "eps applies to family='epsilon' only")
+
+
+def rcj_pipeline(
+    k0: int = DEFAULT_K0,
+    exclude_same_oid: bool = False,
+    probes=None,
+) -> Pipeline:
+    """The bulk RCJ: kNN-window candidates (Ψ− pruning, cone-cover
+    escalation and the self-join filter inside the source) -> batch
+    ring verification -> every pair in canonical index order."""
+    return Pipeline(
+        KnnWindowSource(k0, exclude_same_oid=exclude_same_oid, probes=probes),
+        [VerifyRings()],
+        CollectCanonical(),
+    )
 
 
 def build_family_pipeline(
@@ -105,11 +130,12 @@ def build_family_pipeline(
 ) -> Pipeline:
     """The declared operator pipeline of one join family.
 
-    ``probes`` restricts the probe rows of the shardable sources (the
-    parallel workers' seam); ``bounds`` overrides the CIJ clipping
-    region.  ``family="rcj"`` composes the *streamed top-k* RCJ from
-    the generic stages — the demonstration that the RCJ's kernels
-    factor into the same algebra the other families are declared in.
+    ``probes`` restricts the probe rows of the sources that shard (the
+    worker pool's seam); the band and cell sources see all rows at
+    once, so asking them for a restriction raises ``ValueError``.
+    ``bounds`` overrides the CIJ clipping region.  ``family="rcj"`` is
+    the bulk RCJ (:func:`rcj_pipeline`), or with ``k`` the top-k RCJ
+    composed from the generic band, prune and verify stages.
     """
     _check_family_params(family, eps, k)
     if family == "epsilon":
@@ -120,6 +146,13 @@ def build_family_pipeline(
         )
     if family == "knn":
         return Pipeline(KnnSource(k, probes=probes), [], CollectAll())
+    if family == "rcj" and k is None:
+        return rcj_pipeline(exclude_same_oid=exclude_same_oid, probes=probes)
+    _require(
+        probes is None,
+        f"the {family!r} pipeline cannot be restricted to probe rows"
+        " (its source needs every row at once)",
+    )
     if family == "kcp":
         return Pipeline(
             BandSource(k_hint=k, exclude_same_oid=exclude_same_oid),
@@ -127,9 +160,8 @@ def build_family_pipeline(
             TakeSmallest(k),
         )
     if family == "rcj":
-        _require(k is not None, "the streamed RCJ pipeline requires k")
         return Pipeline(
-            BandSource(k_hint=k, exclude_same_oid=exclude_same_oid),
+            RingBandSource(k_hint=k, exclude_same_oid=exclude_same_oid),
             [PsiPruneFilter(), VerifyRings()],
             TakeSmallest(k),
         )
@@ -145,13 +177,54 @@ def describe_family_pipeline(
     k: int | None = None,
 ) -> str:
     """The pipeline's operator chain as a string, without running it."""
-    if family == "rcj":
-        # The bulk RCJ runs the dedicated kernels, not a declared
-        # pipeline; describe what actually executes.
-        return "candidate(knn-window) -> prune -> verify -> collect"
     if family in ("knn", "kcp") and k is None:
         k = 1
     return build_family_pipeline(family, eps=eps, k=k).describe()
+
+
+def run_array_pipeline(
+    build,
+    points_p: Sequence[Point],
+    points_q: Sequence[Point],
+    *,
+    workers: int | None = 1,
+    min_shard: int | None = None,
+    stage_seconds: dict | None = None,
+    exec_info: dict | None = None,
+) -> tuple[list[RCJPair], int]:
+    """Run one pipeline over two point lists on the columnar engine.
+
+    ``build(probes=None)`` returns a fresh pipeline; it must pickle
+    (a module-level function or a ``functools.partial`` of one), since
+    pool workers call it per shard.  With ``workers > 1`` (``None``:
+    every core) the pipeline is sharded over the worker pool
+    (:func:`repro.parallel.pool.run_sharded`), otherwise it runs
+    in-process.  Pairs are materialized over the *original*
+    :class:`Point` objects (identity preserved, not reconstructed).
+
+    Returns ``(pairs, candidate_count)``.
+    """
+    # Imported lazily: repro.parallel builds on the engine package.
+    from repro.parallel.pool import run_sharded
+
+    points_p = list(points_p)
+    points_q = list(points_q)
+    ctx = JoinContext(
+        PointArray.from_points(points_p),
+        PointArray.from_points(points_q),
+        stage_seconds=stage_seconds,
+        points_p=points_p,
+        points_q=points_q,
+    )
+    kwargs = {} if min_shard is None else {"min_shard": min_shard}
+    result = run_sharded(
+        build, ctx, workers=workers, exec_info=exec_info, **kwargs
+    )
+    pairs = [
+        RCJPair(points_p[pi], points_q[qi])
+        for pi, qi in zip(result.p_idx.tolist(), result.q_idx.tolist())
+    ]
+    return pairs, int(ctx.counters.get("candidates", 0))
 
 
 def _canonical_pairs(pairs: list[tuple[Point, Point]]) -> list[RCJPair]:
@@ -237,7 +310,8 @@ def run_family_join(
         family's oracle for its orientation).
     family:
         One of :data:`FAMILY_NAMES` (``"rcj"`` delegates to the bulk
-        RCJ planner, :func:`repro.engine.planner.run_join`).
+        RCJ planner, :func:`repro.engine.planner.run_join`; it takes no
+        ``k`` — the top-k RCJ is :func:`repro.engine.planner.run_topk`).
     engine:
         ``"pointwise"`` (the reference oracle), ``"array"`` (the serial
         pipeline), ``"array-parallel"`` (sharded pool, shardable
@@ -266,14 +340,28 @@ def run_family_join(
     if family == "rcj":
         from repro.engine.planner import run_join
 
+        _require(
+            k is None,
+            "family='rcj' is the full join and takes no k; for the k"
+            " smallest-diameter pairs use run_topk(...) or"
+            " run_join(..., mode='topk', k=...)",
+        )
         # engine="pointwise" keeps run_join's default algorithm (the
         # paper's OBJ on the R-tree backend) — the RCJ reference oracle.
+        # min_shard only shapes pools, so only pool-capable engines
+        # see it.
+        kwargs = (
+            {"min_shard": min_shard}
+            if min_shard is not None and engine in ("array-parallel", "auto")
+            else {}
+        )
         return run_join(
             points_p,
             points_q,
             engine=engine,
             workers=workers,
             buffer_budget_bytes=buffer_budget_bytes,
+            **kwargs,
         )
 
     plan = None
@@ -322,15 +410,11 @@ def run_family_join(
         _record_observation(plan, report, "family", family=family)
         return report
 
-    points_p = list(points_p)
-    points_q = list(points_q)
     if family in ("knn", "kcp") and k <= 0:
         report.pairs = []
         report.cpu_seconds = time.perf_counter() - t0
         return report
 
-    parr = PointArray.from_points(points_p)
-    qarr = PointArray.from_points(points_q)
     with obs_trace(
         "family-join",
         family=family,
@@ -338,39 +422,18 @@ def run_family_join(
         n_p=len(points_p),
         n_q=len(points_q),
     ) as root:
-        if engine == "array-parallel":
-            from repro.parallel.pool import parallel_family_pair_indices
+        report.pairs, candidates = run_array_pipeline(
+            partial(
+                build_family_pipeline, family, eps=eps, k=k, bounds=bounds
+            ),
+            points_p,
+            points_q,
+            workers=workers if engine == "array-parallel" else 1,
+            min_shard=min_shard,
+            stage_seconds=stages,
+            exec_info=exec_info,
+        )
 
-            kwargs = {} if min_shard is None else {"min_shard": min_shard}
-            p_idx, q_idx, stages, candidates = parallel_family_pair_indices(
-                family,
-                parr,
-                qarr,
-                eps=eps,
-                k=k,
-                workers=workers,
-                exec_info=exec_info,
-                **kwargs,
-            )
-        else:
-            pipeline = build_family_pipeline(
-                family, eps=eps, k=k, bounds=bounds
-            )
-            ctx = JoinContext(
-                parr,
-                qarr,
-                stage_seconds=stages,
-                points_p=points_p,
-                points_q=points_q,
-            )
-            result = pipeline.run(ctx)
-            p_idx, q_idx = result.p_idx, result.q_idx
-            candidates = int(ctx.counters.get("candidates", 0))
-
-    report.pairs = [
-        RCJPair(points_p[pi], points_q[qi])
-        for pi, qi in zip(p_idx.tolist(), q_idx.tolist())
-    ]
     report.candidate_count = candidates
     report.cpu_seconds = time.perf_counter() - t0
     report.workers_used = exec_info.get("workers", 1)

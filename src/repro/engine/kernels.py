@@ -60,7 +60,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from repro.core.gabriel import recover_cocircular_pairs, recoverable_radius_bound
 from repro.engine.arrays import PointArray
-from repro.obs.trace import add_counter, stage_timer  # noqa: F401  (re-export)
+from repro.obs.trace import stage_timer  # noqa: F401  (re-export)
 
 #: Neighbour window of the first candidate-generation stage.
 DEFAULT_K0 = 16
@@ -98,6 +98,30 @@ _BALL_INFLATION = 1e-7
 # dual-writes each measurement into the accumulator dict and, when a
 # trace is active, a ``kind="stage"`` span) and is re-exported from
 # this module for its long-standing importers.
+
+
+def _coord_scale(*arrays: np.ndarray) -> float:
+    """Magnitude scale of the input coordinates (>= 1), the basis of
+    every absolute inflation margin."""
+    scale = 1.0
+    for arr in arrays:
+        if len(arr):
+            scale = max(scale, float(np.abs(arr).max()))
+    return scale
+
+
+def _flatten_ball_lists(lists, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR-flatten ``query_ball_point`` output into ``(flat, counts)``."""
+    counts = np.fromiter((len(lst) for lst in lists), np.int64, count=count)
+    total = int(counts.sum())
+    flat = np.empty(total, dtype=np.int64)
+    pos = 0
+    for lst in lists:
+        n = len(lst)
+        if n:
+            flat[pos : pos + n] = lst
+            pos += n
+    return flat, counts
 
 
 def halfplane_prune_window(
@@ -337,11 +361,7 @@ def knn_candidate_blocks(
         with stage_timer(stage_seconds, "candidate"):
             tree_p = cKDTree(parr.coords())
 
-    scale = 1.0
-    for arr in (parr.x, parr.y, qarr.x, qarr.y):
-        if len(arr):
-            scale = max(scale, float(np.abs(arr).max()))
-    r_floor = 1e-12 * scale
+    r_floor = 1e-12 * _coord_scale(parr.x, parr.y, qarr.x, qarr.y)
 
     out_q: list[np.ndarray] = []
     out_p: list[np.ndarray] = []
@@ -691,19 +711,9 @@ def verify_rings_batch(
     neighbor_lists = union_tree.query_ball_point(
         np.column_stack((mx, my)), radii, return_sorted=False
     )
-    counts = np.fromiter(
-        (len(lst) for lst in neighbor_lists), dtype=np.int64, count=m
-    )
-    total = int(counts.sum())
-    if total == 0:
+    flat, counts = _flatten_ball_lists(neighbor_lists, m)
+    if not flat.size:
         return alive
-    flat = np.empty(total, dtype=np.int64)
-    pos = 0
-    for lst in neighbor_lists:
-        n = len(lst)
-        if n:
-            flat[pos : pos + n] = lst
-            pos += n
     rows = np.repeat(np.arange(m), counts)
     if blocker_alive is not None:
         keep = blocker_alive[flat]
@@ -738,46 +748,21 @@ def rcj_pair_indices(
     exclude_same_oid: bool = False,
     stage_seconds: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The full vectorized RCJ pipeline over columnar inputs.
+    """The full vectorized RCJ over columnar inputs.
 
-    Returns ``(p_index, q_index, candidate_count)``: aligned index
-    arrays of the result pairs into ``parr``/``qarr`` in canonical
-    order (:func:`canonical_pair_order`), plus the number of candidate
-    pairs that entered verification (the engine's ``candidate_count``
+    Runs the bulk RCJ pipeline
+    (:func:`repro.engine.families.rcj_pipeline`: kNN-window candidates
+    -> ring verification -> canonical collect) in-process.  Returns
+    ``(p_index, q_index, candidate_count)``: aligned index arrays of
+    the result pairs into ``parr``/``qarr`` in canonical order
+    (:func:`canonical_pair_order`), plus the number of candidate pairs
+    that entered verification (the engine's ``candidate_count``
     accounting figure).
     """
-    if len(parr) == 0 or len(qarr) == 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), 0)
+    # Imported lazily: the operator algebra builds on these kernels.
+    from repro.engine.families import rcj_pipeline
+    from repro.engine.operators import JoinContext
 
-    q_idx, p_idx = knn_candidate_blocks(
-        parr, qarr, k0=k0, stage_seconds=stage_seconds
-    )
-    if exclude_same_oid:
-        keep = parr.oid[p_idx] != qarr.oid[q_idx]
-        q_idx, p_idx = q_idx[keep], p_idx[keep]
-    candidate_count = int(len(q_idx))
-    add_counter("candidates", candidate_count)
-    if candidate_count == 0:
-        return (p_idx, q_idx, 0)
-
-    with stage_timer(stage_seconds, "verify"):
-        ux = np.concatenate((parr.x, qarr.x))
-        uy = np.concatenate((parr.y, qarr.y))
-        union_tree = cKDTree(np.column_stack((ux, uy)))
-        alive = verify_rings_batch(
-            parr.x[p_idx],
-            parr.y[p_idx],
-            qarr.x[q_idx],
-            qarr.y[q_idx],
-            union_tree,
-            ux,
-            uy,
-        )
-    p_idx, q_idx = p_idx[alive], q_idx[alive]
-    add_counter("verified", int(len(p_idx)))
-    add_counter("pruned", candidate_count - int(len(p_idx)))
-    # The dedup above already left the pairs keyed by (q, p); the
-    # explicit canonical sort makes the ordering a contract rather than
-    # an accident of np.unique.
-    order = canonical_pair_order(p_idx, q_idx)
-    return (p_idx[order], q_idx[order], candidate_count)
+    ctx = JoinContext(parr, qarr, stage_seconds=stage_seconds)
+    result = rcj_pipeline(k0=k0, exclude_same_oid=exclude_same_oid).run(ctx)
+    return result.p_idx, result.q_idx, int(ctx.counters.get("candidates", 0))

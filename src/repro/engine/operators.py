@@ -1,30 +1,33 @@
 """Composable columnar operator stages: the engine's join algebra.
 
-The batch kernels of :mod:`repro.engine.kernels` run the RCJ as one
-monolithic call.  This module factors the same execution substrate —
-KD-tree candidate generation, blocked exact filters, Ψ− pruning, batch
-verification — into *operator stages* that consume and produce columnar
-candidate blocks, so a join family is a declared
-``Pipeline(source, stages, sink)`` rather than a bespoke traversal:
+Every columnar join in the engine — the bulk RCJ, the top-k RCJ and
+the other join families — is a declared
+``Pipeline(source, stages, sink)`` over *operator stages* that consume
+and produce columnar candidate blocks.  The operators wrap the batch
+kernels of :mod:`repro.engine.kernels` (KD-tree candidate generation,
+blocked Ψ− pruning, batch verification):
 
-========================= ============================================
-operator                  role
-========================= ============================================
-:class:`RangeSource`      candidates within a radius (ε-join)
-:class:`KnnSource`        tie-canonical k-NN candidates (kNN-join)
-:class:`BandSource`       expanding-radius bands in ascending distance
-                          (k-closest-pairs / streamed RCJ; the PR 5
-                          resume-cursor enumeration as a source stage)
+========================== ===========================================
+operator                   role
+========================== ===========================================
+:class:`KnnWindowSource`   Ψ−-pruned kNN windows with cone-cover
+                           escalation (bulk RCJ)
+:class:`RangeSource`       candidates within a radius (ε-join)
+:class:`KnnSource`         tie-canonical k-NN candidates (kNN-join)
+:class:`BandSource`        expanding-radius bands in ascending distance
+                           (k-closest-pairs; :class:`RingBandSource`
+                           for the top-k RCJ)
 :class:`CellOverlapSource` Voronoi-cell bbox overlaps (common
-                          influence join)
-:class:`DistanceFilter`   exact ``d² <= ε²`` cut over a block
-:class:`SameOidFilter`    self-join identity filter
-:class:`PsiPruneFilter`   blocked Ψ− half-plane pruning
-:class:`VerifyRings`      batch ring-emptiness verification
+                           influence join)
+:class:`DistanceFilter`    exact ``d² <= ε²`` cut over a block
+:class:`PsiPruneFilter`    blocked Ψ− half-plane pruning
+:class:`VerifyRings`       batch ring-emptiness verification
 :class:`PolygonIntersectVerify` exact convex-SAT verification (CIJ)
-:class:`CollectAll`       sink: all pairs, canonical ``(p.oid, q.oid)``
-:class:`TakeSmallest`     sink: ``k`` smallest distances, early stop
-========================= ============================================
+:class:`CollectAll`        sink: all pairs, canonical ``(p.oid, q.oid)``
+:class:`CollectCanonical`  sink: all pairs, canonical index order
+                           (bulk RCJ)
+:class:`TakeSmallest`      sink: ``k`` smallest distances, early stop
+========================== ===========================================
 
 Exactness contract (inherited from the kernels): sources over-enumerate
 but never miss — every ball query and escalation carries a margin
@@ -41,7 +44,9 @@ time, and sinks may stop the source early (``TakeSmallest`` closes the
 band enumeration after the ``k``-th completed band).  Each stage's wall
 time accumulates under its name in ``JoinContext.stage_seconds`` — the
 per-stage measurement record the planner attaches to
-:attr:`~repro.core.pairs.JoinReport.stage_seconds`.
+:attr:`~repro.core.pairs.JoinReport.stage_seconds`.  Sources with a
+``probe_side`` accept a ``probes=`` restriction, which is how the
+worker pool (:mod:`repro.parallel.pool`) shards any such pipeline.
 """
 
 from __future__ import annotations
@@ -54,7 +59,12 @@ from scipy.spatial import cKDTree
 
 from repro.engine.arrays import PointArray
 from repro.engine.kernels import (
+    DEFAULT_K0,
+    _coord_scale,
+    _flatten_ball_lists,
+    canonical_pair_order,
     halfplane_prune_pairs,
+    knn_candidate_blocks,
     stage_timer,
     verify_rings_batch,
 )
@@ -82,30 +92,6 @@ _BAND_GROWTH = 2.0
 #: exactly-tied distances cannot be split, so the shrink is best-effort
 #: and an over-full band is processed whole rather than dropped.
 _MAX_BAND_SHRINKS = 24
-
-
-def _coord_scale(*arrays: np.ndarray) -> float:
-    """Magnitude scale of the input coordinates (>= 1), the basis of
-    every absolute inflation margin."""
-    scale = 1.0
-    for arr in arrays:
-        if len(arr):
-            scale = max(scale, float(np.abs(arr).max()))
-    return scale
-
-
-def _flatten_ball_lists(lists, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-flatten ``query_ball_point`` output into ``(flat, counts)``."""
-    counts = np.fromiter((len(lst) for lst in lists), np.int64, count=count)
-    total = int(counts.sum())
-    flat = np.empty(total, dtype=np.int64)
-    pos = 0
-    for lst in lists:
-        n = len(lst)
-        if n:
-            flat[pos : pos + n] = lst
-            pos += n
-    return flat, counts
 
 
 @dataclass
@@ -138,11 +124,13 @@ class CandidateBlock:
 
 
 class JoinContext:
-    """Shared execution state of one pipeline run.
+    """Shared execution state of pipeline runs over two pointsets.
 
     Holds the two columnar pointsets, lazily built (and cached) query
     structures, the per-stage wall-time accumulator and the candidate
-    counters.  For the common-influence pipeline it also carries the
+    counters.  A pool worker keeps one per process, so its query
+    structures outlive the shards, and resets the accounting per
+    shard.  For the common-influence pipeline it also carries the
     object-level pointsets (Voronoi construction is geometric, not
     columnar) and the computed cells.
     """
@@ -179,15 +167,6 @@ class JoinContext:
             self._tree_q = cKDTree(self.qarr.coords())
         return self._tree_q
 
-    def set_tree_p(self, tree: cKDTree) -> None:
-        """Adopt a prebuilt KD-tree over ``parr`` (parallel workers
-        build it once per process)."""
-        self._tree_p = tree
-
-    def set_tree_q(self, tree: cKDTree) -> None:
-        """Adopt a prebuilt KD-tree over ``qarr``."""
-        self._tree_q = tree
-
     def union(self) -> tuple[cKDTree, np.ndarray, np.ndarray]:
         """``(union_tree, ux, uy)`` over both pointsets (verification)."""
         if self._union is None:
@@ -222,7 +201,15 @@ class Operator:
 
 
 class Source(Operator):
-    """Produces candidate blocks from the context's pointsets."""
+    """Produces candidate blocks from the context's pointsets.
+
+    ``probe_side`` names the pointset whose rows a ``probes=``
+    restriction selects (``"p"`` or ``"q"``) — the seam the worker pool
+    shards along.  ``None`` marks a source whose output depends on all
+    rows at once (distance bands, Voronoi cells): it cannot shard.
+    """
+
+    probe_side: str | None = None
 
     def blocks(self, ctx: JoinContext) -> Iterator[CandidateBlock]:
         raise NotImplementedError
@@ -271,6 +258,7 @@ class RangeSource(Source):
     """
 
     name = "range"
+    probe_side = "q"
 
     def __init__(self, eps: float, probes: np.ndarray | None = None):
         if eps < 0:
@@ -326,6 +314,7 @@ class KnnSource(Source):
     """
 
     name = "knn"
+    probe_side = "p"
 
     def __init__(self, k: int, probes: np.ndarray | None = None):
         if k < 1:
@@ -424,9 +413,63 @@ class KnnSource(Source):
         )
 
 
+class KnnWindowSource(Source):
+    """The bulk RCJ's candidate generator: every probe's Ψ−-pruned
+    ``k0``-NN window, escalated by cone-cover certificates to a wider
+    window and finally to a scan or the Delaunay backstop
+    (:func:`repro.engine.kernels.knn_candidate_blocks`), followed by
+    the self-join identity filter.
+
+    Emits a single block: the stage-3 escalation (scan or Delaunay) is
+    chosen from the total uncovered-probe count, so splitting the
+    probes would change the candidate set.  ``probes`` restricts the
+    ``qarr`` probe rows (a pool shard's seam); the escalation is then
+    decided per shard, which is why a pooled join's candidate count
+    may differ from the serial one while its pairs never do.  Timed as
+    the ``candidate`` stage, with the window pruning as ``prune``.
+    """
+
+    name = "candidate"
+    probe_side = "q"
+
+    def __init__(
+        self,
+        k0: int = DEFAULT_K0,
+        exclude_same_oid: bool = False,
+        probes: np.ndarray | None = None,
+    ):
+        self.k0 = int(k0)
+        self.exclude_same_oid = exclude_same_oid
+        self.probes = probes
+
+    def describe(self) -> str:
+        return f"knn-window(k0={self.k0})"
+
+    def blocks(self, ctx: JoinContext) -> Iterator[CandidateBlock]:
+        parr, qarr = ctx.parr, ctx.qarr
+        if len(parr) == 0 or len(qarr) == 0:
+            return
+        with stage_timer(ctx.stage_seconds, self.name):
+            tree_p = ctx.tree_p()
+        probes = self.probes
+        if probes is not None:
+            probes = np.asarray(probes, dtype=np.int64)
+            qarr = PointArray(qarr.x[probes], qarr.y[probes], qarr.oid[probes])
+        q_idx, p_idx = knn_candidate_blocks(
+            parr, qarr, k0=self.k0, tree_p=tree_p,
+            stage_seconds=ctx.stage_seconds,
+        )
+        if probes is not None:
+            q_idx = probes[q_idx]
+        if self.exclude_same_oid:
+            keep = parr.oid[p_idx] != ctx.qarr.oid[q_idx]
+            p_idx, q_idx = p_idx[keep], q_idx[keep]
+        yield CandidateBlock(p_idx, q_idx)
+
+
 class BandSource(Source):
-    """Expanding-radius candidate bands in ascending pair distance —
-    the PR 5 resume-cursor enumeration as a pipeline source.
+    """Expanding-radius candidate bands in ascending pair distance,
+    enumerated with a resume cursor on the squared pair distance.
 
     Each yielded block carries the band's pairs (exact ``d_sq``) and a
     ``complete_to`` certificate equal to the band's squared outer
@@ -490,6 +533,7 @@ class BandSource(Source):
                     within = int(tree_p.count_neighbors(tree_q, r))
                     shrinks += 1
                 block = self._enumerate_band(ctx, tree_p, r, cursor_sq)
+            add_counter("bands")
             yield block
             if r >= diag:
                 return
@@ -538,6 +582,13 @@ class BandSource(Source):
             np.concatenate(band_d),
             complete_to=r_sq,
         )
+
+
+class RingBandSource(BandSource):
+    """The band source as the top-k RCJ's candidate stage: timed as
+    ``candidate``, like the bulk join's :class:`KnnWindowSource`."""
+
+    name = "candidate"
 
 
 class CellOverlapSource(Source):
@@ -672,21 +723,6 @@ class DistanceFilter(Stage):
         )
 
 
-class SameOidFilter(Stage):
-    """Self-join identity filter: drop rows pairing an oid with itself."""
-
-    name = "self-filter"
-
-    def apply(self, ctx: JoinContext, block: CandidateBlock) -> CandidateBlock:
-        keep = ctx.parr.oid[block.p_idx] != ctx.qarr.oid[block.q_idx]
-        return CandidateBlock(
-            block.p_idx[keep],
-            block.q_idx[keep],
-            None if block.d_sq is None else block.d_sq[keep],
-            complete_to=block.complete_to,
-        )
-
-
 class PsiPruneFilter(Stage):
     """Blocked Ψ− half-plane pruning against each probe's nearest
     inner-side neighbours — the oracle's own blocker predicate
@@ -814,14 +850,30 @@ class CollectAll(Sink):
             p_idx = np.concatenate(self._p)
             q_idx = np.concatenate(self._q)
             d_sq = np.concatenate(self._d) if self._has_d and self._d else None
-            order = np.lexsort(
-                (ctx.qarr.oid[q_idx], ctx.parr.oid[p_idx])
-            )
+            order = self._order(ctx, p_idx, q_idx)
             return CandidateBlock(
                 p_idx[order],
                 q_idx[order],
                 None if d_sq is None else d_sq[order],
             )
+
+
+    def _order(
+        self, ctx: JoinContext, p_idx: np.ndarray, q_idx: np.ndarray
+    ) -> np.ndarray:
+        return np.lexsort((ctx.qarr.oid[q_idx], ctx.parr.oid[p_idx]))
+
+
+class CollectCanonical(CollectAll):
+    """Every surviving pair in the bulk RCJ's result order,
+    :func:`repro.engine.kernels.canonical_pair_order` (probe row, then
+    partner row) — the order that makes pooled output byte-identical
+    for every sharding."""
+
+    def _order(
+        self, ctx: JoinContext, p_idx: np.ndarray, q_idx: np.ndarray
+    ) -> np.ndarray:
+        return canonical_pair_order(p_idx, q_idx)
 
 
 class TakeSmallest(Sink):
@@ -887,10 +939,18 @@ class Pipeline:
 
     ``run`` drives source blocks through the stages one at a time
     (bounded memory, no barrier between blocks), feeds the sink, and
-    honours the sink's early stop.  ``ctx.counters["candidates"]``
-    accumulates the pairs the source emitted (the family's
-    ``candidate_count`` accounting figure).  Sinks hold state: build a
-    fresh ``Pipeline`` per run.
+    honours the sink's early stop.  Sinks hold state: build a fresh
+    ``Pipeline`` per run.
+
+    Accounting follows the paper's filter-then-verify reading.  With a
+    ``verify`` stage, *candidates* are the pairs that reach it (the
+    RCJ's ``candidate_count`` figure), ``pruned`` the ones it rejects
+    and ``verified`` the ones it passes — every band a top-k run
+    finished, not only the ``k`` pairs it returns.  Without one, the
+    candidates are everything the source emits, ``pruned`` what the
+    filters drop and ``verified`` the sink's result.
+    ``ctx.counters["candidates"]`` accumulates the candidates; the
+    trace gets all three counters.
     """
 
     def __init__(
@@ -907,20 +967,25 @@ class Pipeline:
         return " -> ".join(op.describe() for op in ops)
 
     def run(self, ctx: JoinContext) -> CandidateBlock:
+        names = [stage.name for stage in self.stages]
+        verify = names.index("verify") if "verify" in names else None
         source_blocks = self.source.blocks(ctx)
         try:
             for block in source_blocks:
-                ctx.counters["candidates"] = ctx.counters.get(
-                    "candidates", 0
-                ) + len(block)
-                add_counter("candidates", len(block))
-                for stage in self.stages:
+                if verify is None:
+                    _count_candidates(ctx, len(block))
+                for i, stage in enumerate(self.stages):
                     if not len(block):
                         break
+                    if i == verify:
+                        _count_candidates(ctx, len(block))
                     n_in = len(block)
                     with stage_timer(ctx.stage_seconds, stage.name):
                         block = stage.apply(ctx, block)
-                    add_counter("pruned", n_in - len(block))
+                    if verify is None or i == verify:
+                        add_counter("pruned", n_in - len(block))
+                    if i == verify:
+                        add_counter("verified", len(block))
                 self.sink.collect(ctx, block)
                 if self.sink.done():
                     break
@@ -929,5 +994,11 @@ class Pipeline:
             if close is not None:
                 close()
         result = self.sink.finish(ctx)
-        add_counter("verified", len(result))
+        if verify is None:
+            add_counter("verified", len(result))
         return result
+
+
+def _count_candidates(ctx: JoinContext, n: int) -> None:
+    ctx.counters["candidates"] = ctx.counters.get("candidates", 0) + n
+    add_counter("candidates", n)

@@ -18,9 +18,10 @@ algorithm          backend    implementation
 ``obj``            ``rtree``  :func:`repro.core.bij.bij` (symmetric)
 ``brute``          ``memory`` :func:`repro.core.brute.brute_force_rcj`
 ``gabriel``        ``memory`` :func:`repro.core.gabriel.gabriel_rcj`
-``array``          ``memory`` :func:`array_rcj` (vectorized kernels)
-``array-parallel`` ``memory`` :func:`array_parallel_rcj`
-                              (sharded worker pool, :mod:`repro.parallel`)
+``array``          ``memory`` :func:`array_rcj` (the bulk RCJ pipeline)
+``array-parallel`` ``memory`` :func:`array_parallel_rcj` (the same
+                              pipeline on the worker pool,
+                              :mod:`repro.parallel`)
 ``auto``           (planned)  cost-based choice among ``array-parallel``,
                               ``array`` and ``obj``
 ================== ========== ==========================================
@@ -36,10 +37,13 @@ and the decision — an
 :class:`~repro.parallel.costmodel.ExecutionPlan` — is attached to the
 returned report as ``report.plan`` (the CLI's ``--explain``).
 
-Beyond the bulk join, the planner fronts the other two workloads of the
-paper's applications: :func:`run_topk` (ordered browsing — also
-reachable as ``run_join(mode="topk", k=...)``) dispatches between the
-streamed array enumeration and the R-tree incremental distance join,
+Both array engines, like every columnar join, execute one declared
+pipeline through ``Pipeline.run``
+(:func:`repro.engine.families.run_array_pipeline`).  Beyond the bulk
+join, the planner fronts the other two workloads of the paper's
+applications: :func:`run_topk` (ordered browsing — also reachable as
+``run_join(mode="topk", k=...)``) dispatches between the ``rcj``
+family's top-k pipeline and the R-tree incremental distance join,
 and :func:`make_dynamic` builds an incremental-maintenance backend
 (columnar or R*-tree) behind the shared
 :class:`~repro.core.dynamic.DynamicBackend` protocol.  Memory-engine
@@ -51,6 +55,7 @@ runs) for later cost-model calibration.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Sequence
 
 from repro.core.bij import bij
@@ -58,8 +63,6 @@ from repro.core.brute import brute_candidate_count, brute_force_rcj
 from repro.core.gabriel import gabriel_rcj
 from repro.core.inj import inj
 from repro.core.pairs import JoinReport, RCJPair
-from repro.engine.arrays import PointArray
-from repro.engine.kernels import rcj_pair_indices
 from repro.geometry.point import Point
 from repro.obs.trace import stage_totals
 from repro.obs.trace import trace as obs_trace
@@ -102,30 +105,23 @@ def array_rcj(
 ) -> tuple[list[RCJPair], int]:
     """Compute the RCJ with the vectorized array engine.
 
-    Converts both pointsets to :class:`PointArray`, runs the batch
-    kernels, and materialises result pairs over the *original*
-    :class:`Point` objects (identity is preserved, not reconstructed).
-    ``stage_seconds`` (when given) accumulates the measured
-    candidate/prune/verify wall times.
+    Runs the bulk RCJ pipeline
+    (:func:`repro.engine.families.rcj_pipeline`) in-process over
+    :class:`~repro.engine.arrays.PointArray` columns and materialises
+    result pairs over the *original* :class:`Point` objects (identity
+    is preserved, not reconstructed).  ``stage_seconds`` (when given)
+    accumulates the measured candidate/prune/verify wall times.
 
     Returns ``(pairs, candidate_count)``.
     """
-    parr = PointArray.from_points(points_p)
-    qarr = PointArray.from_points(points_q)
-    p_idx, q_idx, candidate_count = rcj_pair_indices(
-        parr,
-        qarr,
-        k0=k0,
+    return array_parallel_rcj(
+        points_p,
+        points_q,
         exclude_same_oid=exclude_same_oid,
+        k0=k0,
+        workers=1,
         stage_seconds=stage_seconds,
     )
-    points_p = list(points_p)
-    points_q = list(points_q)
-    pairs = [
-        RCJPair(points_p[pi], points_q[qi])
-        for pi, qi in zip(p_idx.tolist(), q_idx.tolist())
-    ]
-    return pairs, candidate_count
 
 
 def array_parallel_rcj(
@@ -141,39 +137,27 @@ def array_parallel_rcj(
     """Compute the RCJ with the sharded multi-process engine.
 
     Same contract as :func:`array_rcj` — identical pair sets, original
-    :class:`Point` identity preserved — with the probe pipeline fanned
-    over a worker pool (:func:`repro.parallel.parallel_rcj_pair_indices`).
+    :class:`Point` identity preserved — with the bulk RCJ pipeline
+    sharded over a worker pool (:func:`repro.parallel.pool.run_sharded`).
     ``workers=None`` uses all cores; small inputs fall back to the
-    serial kernels in-process.  ``stage_seconds`` (when given)
-    accumulates worker-measured per-stage times summed over shards;
-    ``exec_info`` (when given) receives how the run actually executed
-    (effective ``workers``, ``shards``, ``pooled``, ``bytes_shipped``).
+    in-process run.  ``stage_seconds`` (when given) accumulates
+    worker-measured per-stage times summed over shards; ``exec_info``
+    (when given) receives how the run actually executed (effective
+    ``workers``, ``shards``, ``pooled``, ``bytes_shipped``).
 
     Returns ``(pairs, candidate_count)``.
     """
-    # Imported lazily: repro.parallel builds on the engine's kernels.
-    from repro.parallel.pool import parallel_rcj_pair_indices
+    from repro.engine.families import rcj_pipeline, run_array_pipeline
 
-    parr = PointArray.from_points(points_p)
-    qarr = PointArray.from_points(points_q)
-    kwargs = {} if min_shard is None else {"min_shard": min_shard}
-    p_idx, q_idx, candidate_count = parallel_rcj_pair_indices(
-        parr,
-        qarr,
+    return run_array_pipeline(
+        partial(rcj_pipeline, k0=k0, exclude_same_oid=exclude_same_oid),
+        points_p,
+        points_q,
         workers=workers,
-        k0=k0,
-        exclude_same_oid=exclude_same_oid,
+        min_shard=min_shard,
         stage_seconds=stage_seconds,
         exec_info=exec_info,
-        **kwargs,
     )
-    points_p = list(points_p)
-    points_q = list(points_q)
-    pairs = [
-        RCJPair(points_p[pi], points_q[qi])
-        for pi, qi in zip(p_idx.tolist(), q_idx.tolist())
-    ]
-    return pairs, candidate_count
 
 
 def run_join(
@@ -324,12 +308,13 @@ def run_join(
         )
         name = plan.engine
         workers = plan.workers
+        # Engine tuning hints the planned engine cannot use are
+        # dropped rather than crashing it: under auto they are hints,
+        # not commands.
+        if name != "array-parallel":
+            algorithm_kwargs.pop("min_shard", None)
         if name == "obj":
-            # Array-engine tuning hints are meaningless on the planned
-            # R-tree path; under auto they are hints, not commands, so
-            # they are dropped rather than crashing the fallback.
-            for hint in ("k0", "min_shard"):
-                algorithm_kwargs.pop(hint, None)
+            algorithm_kwargs.pop("k0", None)
 
     if name not in _ALGORITHM_BACKEND:
         raise ValueError(
@@ -491,8 +476,8 @@ def _record_observation(
 
 #: ``engine=`` values :func:`run_topk` accepts.  ``"pointwise"`` and
 #: ``"obj"`` are the lazy R-tree route; ``"array-parallel"`` coerces to
-#: the (serial) streamed array route — the stream's bands are too small
-#: to amortize a process pool.
+#: the (serial) array pipeline — its distance bands are globally
+#: ordered, so they do not shard.
 TOPK_ENGINE_NAMES = ("auto", "array", "array-parallel", "obj", "pointwise")
 
 
@@ -518,10 +503,11 @@ def run_topk(
     Engines
     -------
     ``"array"``
-        The streamed columnar enumerator
-        (:func:`repro.engine.streaming.stream_pairs_by_diameter`):
+        The ``rcj`` family pipeline with ``k``
+        (:func:`repro.engine.families.build_family_pipeline`):
         expanding-radius candidate bands with a resume cursor, Ψ−
-        pruning, batch ring verification.
+        pruning, batch ring verification, and a sink that stops the
+        bands once ``k`` verified pairs are certified smallest.
     ``"obj"`` / ``"pointwise"``
         The R-tree incremental distance join
         (:func:`repro.core.topk.top_k_rcj`) — work proportional to the
@@ -535,8 +521,6 @@ def run_topk(
         ``k``, the sizes and the density sample; the decision rides on
         ``report.plan``.
     """
-    from repro.engine.streaming import topk_array
-
     if engine not in TOPK_ENGINE_NAMES:
         raise ValueError(
             f"unknown top-k engine {engine!r}; "
@@ -566,13 +550,23 @@ def run_topk(
         "topk", engine=name, k=k, n_p=len(points_p), n_q=len(points_q)
     ) as root:
         if name == "array":
-            report.pairs, report.candidate_count = topk_array(
-                points_p,
-                points_q,
-                k,
-                exclude_same_oid=exclude_same_oid,
-                stage_seconds=stages,
+            from repro.engine.families import (
+                build_family_pipeline,
+                run_array_pipeline,
             )
+
+            if k > 0:
+                report.pairs, report.candidate_count = run_array_pipeline(
+                    partial(
+                        build_family_pipeline,
+                        "rcj",
+                        k=k,
+                        exclude_same_oid=exclude_same_oid,
+                    ),
+                    points_p,
+                    points_q,
+                    stage_seconds=stages,
+                )
         else:  # obj: the R-tree incremental route
             from repro.bench.runner import build_workload
             from repro.core.topk import top_k_rcj

@@ -1,28 +1,19 @@
-"""Columnar streaming layer: ordered browsing and dynamic RCJ over
-:class:`~repro.engine.arrays.PointArray`.
+"""Columnar streaming layer: the canonical ascending-diameter order
+and the dynamic RCJ over :class:`~repro.engine.arrays.PointArray`.
 
 The paper's two headline applications beyond the one-shot join are
 *ordered browsing* of RCJ results (top-k by ring diameter) and
-*decision support over changing data* (insertions and deletions).  This
-module gives both an array-engine execution path so they dispatch
-through the unified planner like the bulk join does:
+*decision support over changing data* (insertions and deletions).
+Ordered browsing on the array engine is the ``rcj`` family's top-k
+pipeline (:mod:`repro.engine.families`, behind
+:func:`repro.engine.planner.run_topk`); this module keeps the order it
+is judged by and the dynamic backend:
 
-:func:`stream_pairs_by_diameter`
-    A lazy generator of **verified** RCJ pairs in ascending
-    ring-diameter order.  Candidates are enumerated in blocked radius
-    bands — one KD-tree ball query per probe block, with a *resume
-    cursor* on the squared pair distance so each band picks up exactly
-    where the previous one stopped — then Ψ−-pruned against each
-    probe's nearest neighbours and batch-verified against the union
-    KD-tree (:func:`~repro.engine.kernels.verify_rings_batch`).  All
-    pairs of a band are sorted before emission and every pair with a
-    smaller distance lives in the current or an earlier band, so the
-    output order is globally correct without materializing the join.
-    When a band would enumerate more candidates than the full
-    vectorized join costs, the stream falls back to the full pipeline
-    (Ψ−-prune, cone-cover certificates, Delaunay backstop and all) and
-    emits the sorted tail — enumeration by radius is a small-k tool,
-    and the fallback caps its worst case near one bulk join.
+:func:`pair_order_key` / :func:`sort_pairs_by_diameter`
+    The one canonical ascending-diameter order every top-k route
+    sorts by: the *squared* pair distance ``dx*dx + dy*dy`` (the same
+    IEEE expression the R-tree distance-join heap and the distance
+    bands order by), ties broken by ``(p.oid, q.oid)``.
 
 :class:`DynamicArrayRCJ`
     The columnar twin of :class:`repro.core.dynamic.DynamicRCJ`: the
@@ -44,17 +35,10 @@ through the unified planner like the bulk join does:
 
 Exactness
 ---------
-Both paths keep the engine's contract: *filter conservative, verify
-exact*.  The streamed candidates are a superset of the true pairs per
-band (a ball query can only over-enumerate), Ψ− pruning evaluates the
-oracle's own blocker predicate, and every emitted pair passed the exact
-batch ring verification against the full union — so the stream's k-pair
-prefix equals the first k entries of the sorted bulk-join result, and
-the dynamic backend's state equals the from-scratch join after every
-update.  Ordering uses the *squared* pair distance ``dx*dx + dy*dy``
-(the same IEEE expression the R-tree distance-join heap orders by), so
-the two top-k routes agree bit-for-bit about which pair is smaller;
-ties are broken canonically by ``(p.oid, q.oid)``.
+The dynamic backend keeps the engine's contract: *filter conservative,
+verify exact* — every candidate batch is settled by the exact batch
+ring verification against the live union, so its state equals the
+from-scratch join after every update.
 """
 
 from __future__ import annotations
@@ -70,7 +54,6 @@ from repro.core.dynamic import Side, validate_batch
 from repro.core.pairs import RCJPair
 from repro.engine.arrays import PointArray
 from repro.engine.kernels import (
-    halfplane_prune_pairs,
     knn_candidate_blocks,
     rcj_pair_indices,
     stage_timer,
@@ -79,27 +62,7 @@ from repro.engine.kernels import (
 from repro.geometry.point import Point
 from repro.geometry.polygon import box_polygon, clip_halfplane
 from repro.geometry.rect import Rect
-from repro.obs.trace import add_counter, set_attr, trace as obs_trace
-
-#: Probe points per ball-query block of the band enumerator.
-_STREAM_Q_BLOCK = 8192
-
-#: Ψ− pruners per candidate in the streamed bands (the probe's nearest
-#: ``P`` neighbours).
-_STREAM_PRUNERS = 8
-
-#: Growth factor of the expanding radius.
-_RADIUS_GROWTH = 2.0
-
-#: When the pairs enumerated by the next band would exceed this many
-#: beyond what previous bands already covered, enumeration-by-radius
-#: has lost to the full vectorized join: fall back to it for the tail.
-_FALLBACK_BAND_PAIRS = 262_144
-
-#: Relative inflation of the ball-query radius; band membership is
-#: decided by the exact squared-distance cursor, the query only has to
-#: never *miss* a band member to rounding.
-_BAND_INFLATION = 1e-9
+from repro.obs.trace import add_counter, trace as obs_trace
 
 
 def pair_order_key(pair: RCJPair) -> tuple[float, int, int]:
@@ -120,241 +83,6 @@ def pair_order_key(pair: RCJPair) -> tuple[float, int, int]:
 def sort_pairs_by_diameter(pairs: list[RCJPair]) -> list[RCJPair]:
     """Result pairs in canonical ascending-diameter order."""
     return sorted(pairs, key=pair_order_key)
-
-
-# ----------------------------------------------------------------------
-# streamed ordered enumeration (top-k)
-# ----------------------------------------------------------------------
-
-def _flatten_ball_lists(lists, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-flatten ``query_ball_point`` output: ``(flat, counts)``."""
-    counts = np.fromiter((len(lst) for lst in lists), np.int64, count=count)
-    total = int(counts.sum())
-    flat = np.empty(total, dtype=np.int64)
-    pos = 0
-    for lst in lists:
-        n = len(lst)
-        if n:
-            flat[pos : pos + n] = lst
-            pos += n
-    return flat, counts
-
-
-def stream_pairs_by_diameter(
-    parr: PointArray,
-    qarr: PointArray,
-    k_hint: int = 1,
-    exclude_same_oid: bool = False,
-    stage_seconds: dict | None = None,
-    counters: dict | None = None,
-):
-    """Yield verified ``(d_sq, p_index, q_index)`` in ascending order.
-
-    ``k_hint`` sizes the first radius band (the distance within which at
-    least ``min(k_hint, |Q|)`` candidate pairs are guaranteed); the
-    stream itself is unbounded — consume as much of it as needed and
-    drop it.  ``counters`` (when given) accumulates ``"candidates"``,
-    the number of pairs that entered batch verification, and
-    ``"bands"`` / ``"fallback"`` describing how the enumeration went.
-    """
-    n_p, n_q = len(parr), len(qarr)
-    if n_p == 0 or n_q == 0:
-        return
-    if counters is None:
-        counters = {}
-
-    with stage_timer(stage_seconds, "candidate"):
-        tree_p = cKDTree(parr.coords())
-        tree_q = cKDTree(qarr.coords())
-        # First band: the min(k, |Q|)-th smallest 1-NN distance — at
-        # least that many candidate pairs land inside it.
-        d1, _ = tree_p.query(qarr.coords(), k=1)
-        take = min(max(k_hint, 1), n_q) - 1
-        r = float(np.partition(d1, take)[take])
-    scale = 1.0
-    for arr in (parr.x, parr.y, qarr.x, qarr.y):
-        if len(arr):
-            scale = max(scale, float(np.abs(arr).max()))
-    if r <= 0.0:
-        r = 1e-9 * scale  # duplicate-riddled probes: start tiny, grow
-    # No pair is farther apart than the union bounding-box diagonal.
-    span_x = max(float(parr.x.max()), float(qarr.x.max())) - min(
-        float(parr.x.min()), float(qarr.x.min())
-    )
-    span_y = max(float(parr.y.max()), float(qarr.y.max())) - min(
-        float(parr.y.min()), float(qarr.y.min())
-    )
-    diag = float(np.hypot(span_x, span_y)) * (1.0 + 1e-9) + 1e-9 * scale
-
-    with stage_timer(stage_seconds, "verify"):
-        ux = np.concatenate((parr.x, qarr.x))
-        uy = np.concatenate((parr.y, qarr.y))
-        union_tree = cKDTree(np.column_stack((ux, uy)))
-
-    cursor_sq = -np.inf  # resume cursor: pairs at or below it are done
-    pairs_done = 0  # |pairs| (KD metric) inside the cursor radius
-    while True:
-        r = min(r, diag)
-        with stage_timer(stage_seconds, "candidate"):
-            within = int(tree_p.count_neighbors(tree_q, r))
-        if within - pairs_done > _FALLBACK_BAND_PAIRS:
-            # The band is denser than a whole vectorized join: run the
-            # full pipeline once and emit the not-yet-streamed tail.
-            counters["fallback"] = True
-            set_attr(fallback=True)
-            # (the kernel itself counts "candidates" on the trace)
-            p_idx, q_idx, cand = rcj_pair_indices(
-                parr,
-                qarr,
-                exclude_same_oid=exclude_same_oid,
-                stage_seconds=stage_seconds,
-            )
-            counters["candidates"] = counters.get("candidates", 0) + cand
-            dx = parr.x[p_idx] - qarr.x[q_idx]
-            dy = parr.y[p_idx] - qarr.y[q_idx]
-            d_sq = dx * dx + dy * dy
-            fresh = d_sq > cursor_sq
-            p_idx, q_idx, d_sq = p_idx[fresh], q_idx[fresh], d_sq[fresh]
-            order = np.lexsort((qarr.oid[q_idx], parr.oid[p_idx], d_sq))
-            for j in order:
-                yield float(d_sq[j]), int(p_idx[j]), int(q_idx[j])
-            return
-
-        counters["bands"] = counters.get("bands", 0) + 1
-        add_counter("bands")
-        r_sq = r * r
-        band_p: list[np.ndarray] = []
-        band_q: list[np.ndarray] = []
-        band_d: list[np.ndarray] = []
-        with stage_timer(stage_seconds, "candidate"):
-            r_query = r * (1.0 + _BAND_INFLATION)
-            for bstart in range(0, n_q, _STREAM_Q_BLOCK):
-                bend = min(bstart + _STREAM_Q_BLOCK, n_q)
-                lists = tree_p.query_ball_point(
-                    np.column_stack(
-                        (qarr.x[bstart:bend], qarr.y[bstart:bend])
-                    ),
-                    r_query,
-                    return_sorted=False,
-                )
-                flat, cnt = _flatten_ball_lists(lists, bend - bstart)
-                if not flat.size:
-                    continue
-                rows = np.repeat(
-                    np.arange(bstart, bend, dtype=np.int64), cnt
-                )
-                dx = parr.x[flat] - qarr.x[rows]
-                dy = parr.y[flat] - qarr.y[rows]
-                d_sq = dx * dx + dy * dy
-                # The resume cursor: strictly new, within this band.
-                mask = (d_sq > cursor_sq) & (d_sq <= r_sq)
-                if exclude_same_oid:
-                    mask &= parr.oid[flat] != qarr.oid[rows]
-                band_p.append(flat[mask])
-                band_q.append(rows[mask])
-                band_d.append(d_sq[mask])
-
-        if band_p:
-            p_idx = np.concatenate(band_p)
-            q_idx = np.concatenate(band_q)
-            d_sq = np.concatenate(band_d)
-        else:
-            p_idx = np.empty(0, np.int64)
-            q_idx = np.empty(0, np.int64)
-            d_sq = np.empty(0, np.float64)
-
-        if p_idx.size:
-            with stage_timer(stage_seconds, "prune"):
-                # Ψ− against each probe's nearest P neighbours — the
-                # oracle's own blocker predicate, so a pruned pair is
-                # certainly dead; survivors go to exact verification.
-                k_pr = min(_STREAM_PRUNERS, n_p)
-                probes = np.unique(q_idx)
-                nd, ni = tree_p.query(
-                    np.column_stack((qarr.x[probes], qarr.y[probes])),
-                    k=k_pr,
-                )
-                if k_pr == 1:
-                    ni = ni[:, None]
-                pos = np.searchsorted(probes, q_idx)
-                pruned = halfplane_prune_pairs(
-                    parr.x[p_idx],
-                    parr.y[p_idx],
-                    parr.x[ni[pos]],
-                    parr.y[ni[pos]],
-                    qarr.x[q_idx],
-                    qarr.y[q_idx],
-                )
-                keep = ~pruned
-                p_idx, q_idx, d_sq = p_idx[keep], q_idx[keep], d_sq[keep]
-
-        if p_idx.size:
-            counters["candidates"] = counters.get("candidates", 0) + int(
-                p_idx.size
-            )
-            add_counter("candidates", int(p_idx.size))
-            with stage_timer(stage_seconds, "verify"):
-                alive = verify_rings_batch(
-                    parr.x[p_idx],
-                    parr.y[p_idx],
-                    qarr.x[q_idx],
-                    qarr.y[q_idx],
-                    union_tree,
-                    ux,
-                    uy,
-                )
-            n_alive = int(alive.sum())
-            add_counter("verified", n_alive)
-            add_counter("pruned", int(p_idx.size) - n_alive)
-            p_idx, q_idx, d_sq = p_idx[alive], q_idx[alive], d_sq[alive]
-            order = np.lexsort((qarr.oid[q_idx], parr.oid[p_idx], d_sq))
-            for j in order:
-                yield float(d_sq[j]), int(p_idx[j]), int(q_idx[j])
-
-        if r >= diag:
-            return  # every pair enumerated
-        cursor_sq = r_sq
-        pairs_done = within
-        r *= _RADIUS_GROWTH
-
-
-def topk_array(
-    points_p,
-    points_q,
-    k: int,
-    exclude_same_oid: bool = False,
-    stage_seconds: dict | None = None,
-) -> tuple[list[RCJPair], int]:
-    """The ``k`` smallest-diameter RCJ pairs via the streamed engine.
-
-    Same contract as :func:`repro.core.topk.top_k_rcj` — at most ``k``
-    pairs, ascending diameter, original :class:`Point` identity
-    preserved — computed by :func:`stream_pairs_by_diameter`.
-
-    Returns ``(pairs, candidate_count)``.
-    """
-    if k <= 0:
-        return [], 0
-    points_p = list(points_p)
-    points_q = list(points_q)
-    parr = PointArray.from_points(points_p)
-    qarr = PointArray.from_points(points_q)
-    counters: dict = {}
-    out: list[RCJPair] = []
-    stream = stream_pairs_by_diameter(
-        parr,
-        qarr,
-        k_hint=k,
-        exclude_same_oid=exclude_same_oid,
-        stage_seconds=stage_seconds,
-        counters=counters,
-    )
-    for _d_sq, pi, qi in stream:
-        out.append(RCJPair(points_p[pi], points_q[qi]))
-        if len(out) == k:
-            stream.close()  # stop enumerating: no band past the k-th
-            break
-    return out, int(counters.get("candidates", 0))
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,11 @@ engine automatically:
   probe set (deterministic, spatially coherent ranges);
 - :mod:`repro.parallel.sharedmem` — one shared-memory block carrying
   the join columns to every worker, exception-safe cleanup included;
-- :mod:`repro.parallel.pool` — the persistent worker pool running the
-  per-shard candidate → prune → verify pipeline and the canonical
-  merge (:func:`parallel_rcj_pair_indices`);
+- :mod:`repro.parallel.pool` — one persistent worker stack and one
+  driver (:func:`~repro.parallel.pool.run_sharded`) running any
+  shardable engine pipeline per shard — the bulk RCJ
+  (:func:`parallel_rcj_pair_indices`), the ε-join and the kNN join —
+  and merging shard results with the pipeline's own sink;
 - :mod:`repro.parallel.costmodel` — the cost-based planner behind
   ``run_join(..., engine="auto")``: chooses ``array-parallel`` /
   ``array`` / ``obj`` from dataset sizes, a density sample and the

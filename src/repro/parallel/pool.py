@@ -1,32 +1,36 @@
-"""The sharded worker pool: fan the RCJ pipeline over processes.
+"""The sharded worker pool: fan any shardable pipeline over processes.
 
 Execution shape
 ---------------
-The parent serializes both join columns (and the shard permutation)
-into one shared-memory block (:mod:`repro.parallel.sharedmem`), then
-starts a **persistent** pool: each worker attaches the block and builds
-its read-only query structures — the ``P`` KD-tree and the union
-verification KD-tree — exactly once in its initializer, after which
-every shard task is just two integers (a range of the Hilbert-ordered
-probe permutation, :mod:`repro.parallel.shards`).  A worker runs the
-full per-shard pipeline from :mod:`repro.engine.kernels` — candidate
-generation, Ψ− pruning, cone-cover certificates, batch ring
-verification — and ships back only the surviving pair indices.
+One worker stack and one driver, :func:`run_sharded`, serve every
+pooled join — the bulk RCJ, the ε-join and the kNN join alike.  A
+request is a pipeline *builder* (``build(probes=None) -> Pipeline``):
+the coordinator asks it for the pipeline's probe side, serializes both
+join columns (and the shard permutation of that side) into one
+shared-memory block (:mod:`repro.parallel.sharedmem`) and starts a
+**persistent** pool.  Each worker attaches the block and wraps it in
+one :class:`~repro.engine.operators.JoinContext`, so the query
+structures the pipeline asks for — KD-trees, the union verification
+tree — are built once per worker, not per shard.  Every shard task is
+just two integers (a range of the Hilbert-ordered probe permutation,
+:mod:`repro.parallel.shards`); the worker runs ``build(probes=...)``
+through ``Pipeline.run`` and ships back only the surviving pair
+indices, which the coordinator merges with the pipeline's own sink.
 
 Shards outnumber workers (:data:`SHARDS_PER_WORKER`) so a dense patch
 of the plane cannot serialize the join behind one straggler.
 
 Determinism
 -----------
-Shard probe sets are disjoint, the kernels are exact (every shard
+Shard probe sets are disjoint, the operators are exact (every shard
 returns precisely its probes' true pairs), and the merged result is
-re-ordered by the canonical pair order
-(:func:`repro.engine.kernels.canonical_pair_order`) — so the output is
-byte-identical for every worker count, every shard granularity and
+re-ordered by the pipeline's sink (for the bulk RCJ the canonical pair
+order, :func:`repro.engine.kernels.canonical_pair_order`) — so the
+output is byte-identical for every worker count, every shard granularity and
 every task completion order.  ``candidate_count`` is summed over shards
-deterministically, but (like the serial engine's) its value reflects
-how the escalation heuristics partitioned the work, so it may differ
-*between* worker counts while pairs never do.
+deterministically, but for the bulk RCJ its value reflects how the
+escalation heuristics partitioned the work, so it may differ *between*
+worker counts while pairs never do.
 
 Cleanup
 -------
@@ -42,21 +46,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.engine.arrays import PointArray
-from repro.engine.kernels import (
-    DEFAULT_K0,
-    canonical_pair_order,
-    knn_candidate_blocks,
-    rcj_pair_indices,
-    stage_timer,
-    verify_rings_batch,
-)
-from repro.obs.trace import add_counter, span, trace
+from repro.engine.kernels import DEFAULT_K0
+from repro.engine.operators import CandidateBlock, JoinContext
+from repro.obs.trace import set_attr, span, trace
 from repro.obs.trace import reset as _reset_trace
 from repro.parallel.sharedmem import SharedArrays, Spec
 from repro.parallel.shards import DEFAULT_MIN_SHARD, plan_shards
@@ -64,6 +61,7 @@ from repro.parallel.shards import DEFAULT_MIN_SHARD, plan_shards
 #: Shards per worker: enough slack for load balancing across uneven
 #: spatial density without drowning in per-task fixed costs.
 SHARDS_PER_WORKER = 4
+
 
 def serial_fallback_threshold(min_shard: int) -> int:
     """Probe count below which the join runs in-process: fewer than two
@@ -84,54 +82,30 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-@dataclass
-class _WorkerState:
-    """Per-process structures built once in the pool initializer."""
-
-    shared: SharedArrays
-    parr: PointArray
-    qarr: PointArray
-    order: np.ndarray
-    tree_p: cKDTree
-    union_tree: cKDTree
-    ux: np.ndarray
-    uy: np.ndarray
-    k0: int
-    exclude_same_oid: bool
+#: Per-process worker state, set by :func:`_init_worker`:
+#: ``(shared block, JoinContext, probe order, pipeline builder)``.  The
+#: block stays referenced because the context's columns are views into
+#: its mapping.
+_STATE: tuple | None = None
 
 
-_STATE: _WorkerState | None = None
-
-
-def _init_worker(spec: Spec, k0: int, exclude_same_oid: bool) -> None:
-    """Pool initializer: attach shared columns, build query structures."""
+def _init_worker(spec: Spec, build) -> None:
+    """Pool initializer: attach the shared columns and wrap them in one
+    :class:`JoinContext` per process, so the query structures the
+    pipeline asks for (KD-trees, the union tree) are built once per
+    worker and reused by every shard it runs."""
     global _STATE
     _reset_trace()  # fork copies the coordinator's active-trace stack
     shared = SharedArrays.attach(spec)
     parr = PointArray._wrap(shared["px"], shared["py"], shared["poid"])
     qarr = PointArray._wrap(shared["qx"], shared["qy"], shared["qoid"])
-    tree_p = cKDTree(np.column_stack((parr.x, parr.y)))
-    ux = np.concatenate((parr.x, qarr.x))
-    uy = np.concatenate((parr.y, qarr.y))
-    union_tree = cKDTree(np.column_stack((ux, uy)))
-    _STATE = _WorkerState(
-        shared,
-        parr,
-        qarr,
-        shared["order"],
-        tree_p,
-        union_tree,
-        ux,
-        uy,
-        k0,
-        exclude_same_oid,
-    )
+    _STATE = (shared, JoinContext(parr, qarr), shared["order"], build)
 
 
 def _run_shard(
     lo: int, hi: int, traced: bool = False
 ) -> tuple[np.ndarray, np.ndarray, dict, int, dict | None]:
-    """One shard: candidates → prune → verify for probes
+    """One shard: the request's pipeline restricted to the probes
     ``order[lo:hi]``.  Returns ``(p_idx, q_idx, stage_seconds,
     candidate_count, span_tree)`` — per-stage wall times measured in
     the worker so the parent can sum them across shards onto the
@@ -139,122 +113,18 @@ def _run_shard(
     serial ones).  With ``traced`` the shard roots its own trace and
     ships the serialized span tree home for the coordinator to
     re-parent (:meth:`repro.obs.trace.Span.adopt`)."""
-    st = _STATE
-    assert st is not None, "worker used before initialization"
-    probes = st.order[lo:hi]
-    empty = np.empty(0, dtype=np.int64)
+    assert _STATE is not None, "worker used before initialization"
+    _shared, ctx, order, build = _STATE
+    probes = order[lo:hi]
     if probes.size == 0:  # zero-point shard: nothing to do
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty, {}, 0, None
-    stages: dict = {}
+    # Fresh accounting per shard; the cached query structures stay.
+    ctx.stage_seconds = {}
+    ctx.counters = {}
     with trace("shard", lo=lo, hi=hi) if traced else nullcontext(None) as root:
-        qsub = PointArray(
-            st.qarr.x[probes], st.qarr.y[probes], st.qarr.oid[probes]
-        )
-        q_local, p_idx = knn_candidate_blocks(
-            st.parr, qsub, k0=st.k0, tree_p=st.tree_p, stage_seconds=stages
-        )
-        q_idx = probes[q_local]
-        if st.exclude_same_oid:
-            keep = st.parr.oid[p_idx] != st.qarr.oid[q_idx]
-            p_idx, q_idx = p_idx[keep], q_idx[keep]
-        candidate_count = int(len(q_idx))
-        add_counter("candidates", candidate_count)
-        if candidate_count:
-            with stage_timer(stages, "verify"):
-                alive = verify_rings_batch(
-                    st.parr.x[p_idx],
-                    st.parr.y[p_idx],
-                    st.qarr.x[q_idx],
-                    st.qarr.y[q_idx],
-                    st.union_tree,
-                    st.ux,
-                    st.uy,
-                )
-            p_idx, q_idx = p_idx[alive], q_idx[alive]
-        add_counter("verified", int(len(p_idx)))
-        add_counter("pruned", candidate_count - int(len(p_idx)))
+        block = build(probes=probes).run(ctx)
     # root.seconds is final only once the trace context has closed.
-    tree = root.to_dict() if root is not None else None
-    return p_idx, q_idx, stages, candidate_count, tree
-
-
-def _make_executor(
-    workers: int, spec: Spec, k0: int, exclude_same_oid: bool
-) -> ProcessPoolExecutor:
-    """Pool construction seam (monkeypatched by the crash-safety
-    tests)."""
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(spec, k0, exclude_same_oid),
-    )
-
-
-@dataclass
-class _FamilyWorkerState:
-    """Per-process structures of a family-join pool."""
-
-    shared: SharedArrays
-    parr: PointArray
-    qarr: PointArray
-    order: np.ndarray
-    family: str
-    eps: float | None
-    k: int | None
-    tree: cKDTree
-
-
-_FAMILY_STATE: _FamilyWorkerState | None = None
-
-
-def _init_family_worker(
-    spec: Spec, family: str, eps: float | None, k: int | None
-) -> None:
-    """Family-pool initializer: attach shared columns, prebuild the
-    probe tree the family's source queries (once per process, not per
-    shard)."""
-    global _FAMILY_STATE
-    _reset_trace()  # fork copies the coordinator's active-trace stack
-    shared = SharedArrays.attach(spec)
-    parr = PointArray._wrap(shared["px"], shared["py"], shared["poid"])
-    qarr = PointArray._wrap(shared["qx"], shared["qy"], shared["qoid"])
-    # The ε-join probes Q against the tree over P; the kNN join the
-    # other way around.
-    if family == "epsilon":
-        tree = cKDTree(np.column_stack((parr.x, parr.y)))
-    else:  # knn
-        tree = cKDTree(np.column_stack((qarr.x, qarr.y)))
-    _FAMILY_STATE = _FamilyWorkerState(
-        shared, parr, qarr, shared["order"], family, eps, k, tree
-    )
-
-
-def _run_family_shard(
-    lo: int, hi: int, traced: bool = False
-) -> tuple[np.ndarray, np.ndarray, dict, int, dict | None]:
-    """One family shard: the declared pipeline over probes
-    ``order[lo:hi]``.  Returns ``(p_idx, q_idx, stage_seconds,
-    candidate_count, span_tree)`` (see :func:`_run_shard` for the
-    span-tree transport)."""
-    from repro.engine.families import build_family_pipeline
-    from repro.engine.operators import JoinContext
-
-    st = _FAMILY_STATE
-    assert st is not None, "worker used before initialization"
-    probes = st.order[lo:hi]
-    empty = np.empty(0, dtype=np.int64)
-    if probes.size == 0:
-        return empty, empty, {}, 0, None
-    with trace("shard", lo=lo, hi=hi) if traced else nullcontext(None) as root:
-        pipeline = build_family_pipeline(
-            st.family, eps=st.eps, k=st.k, probes=probes
-        )
-        ctx = JoinContext(st.parr, st.qarr)
-        if st.family == "epsilon":
-            ctx.set_tree_p(st.tree)
-        else:
-            ctx.set_tree_q(st.tree)
-        block = pipeline.run(ctx)
     tree = root.to_dict() if root is not None else None
     return (
         block.p_idx,
@@ -265,76 +135,68 @@ def _run_family_shard(
     )
 
 
-def parallel_family_pair_indices(
-    family: str,
-    parr: PointArray,
-    qarr: PointArray,
+def _make_executor(workers: int, spec: Spec, build) -> ProcessPoolExecutor:
+    """Pool construction seam (monkeypatched by the crash-safety
+    tests)."""
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(spec, build)
+    )
+
+
+def run_sharded(
+    build,
+    ctx: JoinContext,
     *,
-    eps: float | None = None,
-    k: int | None = None,
     workers: int | None = None,
     min_shard: int = DEFAULT_MIN_SHARD,
     exec_info: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, dict, int]:
-    """Shard one shardable join family over the worker pool.
+) -> CandidateBlock:
+    """Run one pipeline over ``ctx``, sharded over a worker pool.
 
-    The ε-join shards its ``Q`` probe loop, the kNN join its ``P``
-    probe loop (each probe's result depends only on the full opposite
-    pointset, which every worker holds via shared memory), both along
-    the Hilbert order of :func:`repro.parallel.shards.plan_shards`.
-    Workers run the *same* pipeline stages as the serial engine with a
-    ``probes`` restriction, so shard unions are exact; the merge
-    re-sorts into the canonical ``(p.oid, q.oid)`` order of
-    :class:`repro.engine.operators.CollectAll`, making output identical
-    across worker counts.  Returns ``(p_idx, q_idx, stage_seconds,
-    candidate_count)`` with per-stage times summed over shards.
+    ``build(probes=None)`` returns a fresh
+    :class:`~repro.engine.operators.Pipeline`; it must pickle (a
+    module-level function or a ``functools.partial`` of one).  The
+    probes of the pipeline's source (``source.probe_side``) are cut
+    into Hilbert-ordered shards (:func:`repro.parallel.shards.plan_shards`);
+    every worker runs ``build(probes=shard)`` and the coordinator feeds
+    the shard results to a fresh pipeline's own sink, so the merged
+    result is in the sink's order and byte-identical for every worker
+    count.  ``ctx.counters["candidates"]`` receives the shard sum and
+    ``ctx.stage_seconds`` the per-stage times **summed over shards**
+    (aggregate CPU seconds, which can exceed wall time).
+
+    The pipeline runs in-process on ``ctx`` itself when ``workers`` is
+    1, when its source cannot shard, or when the probes are too few to
+    amortize a pool (:func:`serial_fallback_threshold`).
 
     ``exec_info`` (when given) receives how the run actually executed:
-    ``workers`` (effective — 1 on the serial fallback), ``shards``,
-    ``pooled`` and, on the pool path, ``bytes_shipped``.
+    ``workers`` (effective — 1 on every in-process run), ``shards``,
+    ``pooled`` and, on the pool path, ``bytes_shipped`` (the
+    shared-memory block size).  The planner records these so
+    calibration never learns from phantom pools.
     """
-    from repro.engine.families import SHARDABLE_FAMILIES, build_family_pipeline
-    from repro.engine.operators import JoinContext
-
-    if family not in SHARDABLE_FAMILIES:
-        raise ValueError(
-            f"family {family!r} does not shard; expected one of "
-            f"{SHARDABLE_FAMILIES}"
-        )
     if workers is None:
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-
-    def serial() -> tuple[np.ndarray, np.ndarray, dict, int]:
-        if exec_info is not None:
-            exec_info.update(workers=1, shards=1, pooled=False)
-        pipeline = build_family_pipeline(family, eps=eps, k=k)
-        ctx = JoinContext(parr, qarr)
-        block = pipeline.run(ctx)
-        return (
-            block.p_idx,
-            block.q_idx,
-            ctx.stage_seconds,
-            int(ctx.counters.get("candidates", 0)),
-        )
-
-    probe_x, probe_y = (
-        (qarr.x, qarr.y) if family == "epsilon" else (parr.x, parr.y)
-    )
-    n_probe = len(probe_x)
-    if len(parr) == 0 or len(qarr) == 0:
-        if exec_info is not None:
-            exec_info.update(workers=1, shards=0, pooled=False)
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, {}, 0
-    if workers == 1 or n_probe < serial_fallback_threshold(min_shard):
-        return serial()
-    plan = plan_shards(
-        probe_x, probe_y, workers * SHARDS_PER_WORKER, min_shard=min_shard
-    )
-    if len(plan) <= 1:
-        return serial()
+    if exec_info is None:
+        exec_info = {}
+    parr, qarr = ctx.parr, ctx.qarr
+    pipeline = build()
+    set_attr(pipeline=pipeline.describe())  # what --explain shows
+    side = pipeline.source.probe_side
+    plan = None
+    if workers > 1 and side is not None and len(parr) and len(qarr):
+        probe = qarr if side == "q" else parr
+        if len(probe) >= serial_fallback_threshold(min_shard):
+            plan = plan_shards(
+                probe.x, probe.y, workers * SHARDS_PER_WORKER,
+                min_shard=min_shard,
+            )
+    if plan is None or len(plan) <= 1:
+        shards = 1 if len(parr) and len(qarr) else 0
+        exec_info.update(workers=1, shards=shards, pooled=False)
+        return pipeline.run(ctx)
 
     shared = SharedArrays.create(
         {
@@ -355,14 +217,10 @@ def parallel_family_pair_indices(
             if traced:
                 psp.add("bytes-shipped", bytes_shipped)
             with span("pool-startup"):
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_family_worker,
-                    initargs=(shared.spec(), family, eps, k),
-                )
+                pool = _make_executor(workers, shared.spec(), build)
             with pool:
                 futures = [
-                    pool.submit(_run_family_shard, lo, hi, traced)
+                    pool.submit(_run_shard, lo, hi, traced)
                     for lo, hi in plan.ranges()
                 ]
                 parts = [f.result() for f in futures]
@@ -372,23 +230,21 @@ def parallel_family_pair_indices(
                         psp.adopt(part[4])
     finally:
         shared.destroy()
-    if exec_info is not None:
-        exec_info.update(
-            workers=workers,
-            shards=len(plan),
-            pooled=True,
-            bytes_shipped=bytes_shipped,
-        )
+    exec_info.update(
+        workers=workers,
+        shards=len(plan),
+        pooled=True,
+        bytes_shipped=bytes_shipped,
+    )
 
-    p_idx = np.concatenate([p for p, _q, _s, _c, _t in parts])
-    q_idx = np.concatenate([q for _p, q, _s, _c, _t in parts])
-    stages: dict = {}
-    for _p, _q, shard_stages, _c, _t in parts:
+    for p_idx, q_idx, shard_stages, candidates, _tree in parts:
         for key, seconds in shard_stages.items():
-            stages[key] = stages.get(key, 0.0) + seconds
-    candidate_count = sum(c for _p, _q, _s, c, _t in parts)
-    merged = np.lexsort((qarr.oid[q_idx], parr.oid[p_idx]))
-    return p_idx[merged], q_idx[merged], stages, candidate_count
+            ctx.stage_seconds[key] = ctx.stage_seconds.get(key, 0.0) + seconds
+        ctx.counters["candidates"] = (
+            ctx.counters.get("candidates", 0) + candidates
+        )
+        pipeline.sink.collect(ctx, CandidateBlock(p_idx, q_idx))
+    return pipeline.sink.finish(ctx)
 
 
 def parallel_rcj_pair_indices(
@@ -402,110 +258,25 @@ def parallel_rcj_pair_indices(
     exec_info: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The sharded parallel counterpart of
-    :func:`repro.engine.kernels.rcj_pair_indices`.
+    :func:`repro.engine.kernels.rcj_pair_indices`: the bulk RCJ
+    pipeline (:func:`repro.engine.families.rcj_pipeline`) through
+    :func:`run_sharded`.
 
     Returns ``(p_index, q_index, candidate_count)`` in canonical pair
     order; the index arrays are byte-identical to the serial engine's
-    for every worker count.
-
-    Parameters
-    ----------
-    workers:
-        Process count; defaults to the machine's CPU count.  ``1``
-        (or a probe set too small to amortize a pool) runs the serial
-        kernels in-process.
-    min_shard:
-        Smallest useful shard, forwarded to the shard planner (tests
-        lower it to force multi-shard plans on small datasets).
-    stage_seconds:
-        Optional accumulator for per-stage wall times.  On the pool
-        path each stage is the **sum over shards** of worker-measured
-        time (aggregate CPU seconds, which can exceed wall time); the
-        serial fallbacks forward it to the kernels unchanged.
-    exec_info:
-        Optional dict receiving how the run actually executed:
-        ``workers`` (effective — 1 on every serial fallback),
-        ``shards``, ``pooled`` and, on the pool path,
-        ``bytes_shipped`` (the shared-memory block size).  The planner
-        records these so calibration never learns from phantom pools.
+    for every worker count.  ``workers`` defaults to the machine's CPU
+    count; ``min_shard``, ``stage_seconds`` and ``exec_info`` are as in
+    :func:`run_sharded` (tests lower ``min_shard`` to force multi-shard
+    plans on small datasets).
     """
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    from repro.engine.families import rcj_pipeline
 
-    def serial() -> tuple[np.ndarray, np.ndarray, int]:
-        if exec_info is not None:
-            exec_info.update(workers=1, shards=1, pooled=False)
-        return rcj_pair_indices(
-            parr,
-            qarr,
-            k0=k0,
-            exclude_same_oid=exclude_same_oid,
-            stage_seconds=stage_seconds,
-        )
-
-    n_p, n_q = len(parr), len(qarr)
-    if n_p == 0 or n_q == 0:
-        if exec_info is not None:
-            exec_info.update(workers=1, shards=0, pooled=False)
-        return (np.empty(0, np.int64), np.empty(0, np.int64), 0)
-    if workers == 1 or n_q < serial_fallback_threshold(min_shard):
-        return serial()
-    plan = plan_shards(
-        qarr.x, qarr.y, workers * SHARDS_PER_WORKER, min_shard=min_shard
+    ctx = JoinContext(parr, qarr, stage_seconds=stage_seconds)
+    result = run_sharded(
+        partial(rcj_pipeline, k0=k0, exclude_same_oid=exclude_same_oid),
+        ctx,
+        workers=workers,
+        min_shard=min_shard,
+        exec_info=exec_info,
     )
-    if len(plan) <= 1:
-        return serial()
-
-    shared = SharedArrays.create(
-        {
-            "px": parr.x,
-            "py": parr.y,
-            "poid": parr.oid,
-            "qx": qarr.x,
-            "qy": qarr.y,
-            "qoid": qarr.oid,
-            "order": plan.order,
-        }
-    )
-    bytes_shipped = shared.nbytes
-    try:
-        workers = min(workers, len(plan))
-        with span("pool", workers=workers, shards=len(plan)) as psp:
-            traced = psp is not None
-            if traced:
-                psp.add("bytes-shipped", bytes_shipped)
-            with span("pool-startup"):
-                pool = _make_executor(
-                    workers, shared.spec(), k0, exclude_same_oid
-                )
-            with pool:
-                futures = [
-                    pool.submit(_run_shard, lo, hi, traced)
-                    for lo, hi in plan.ranges()
-                ]
-                parts = [f.result() for f in futures]
-            if traced:
-                for part in parts:
-                    if part[4] is not None:
-                        psp.adopt(part[4])
-    finally:
-        shared.destroy()
-    if exec_info is not None:
-        exec_info.update(
-            workers=workers,
-            shards=len(plan),
-            pooled=True,
-            bytes_shipped=bytes_shipped,
-        )
-
-    p_idx = np.concatenate([p for p, _q, _s, _c, _t in parts])
-    q_idx = np.concatenate([q for _p, q, _s, _c, _t in parts])
-    if stage_seconds is not None:
-        for _p, _q, shard_stages, _c, _t in parts:
-            for key, seconds in shard_stages.items():
-                stage_seconds[key] = stage_seconds.get(key, 0.0) + seconds
-    candidate_count = sum(c for _p, _q, _s, c, _t in parts)
-    merged = canonical_pair_order(p_idx, q_idx)
-    return p_idx[merged], q_idx[merged], candidate_count
+    return result.p_idx, result.q_idx, int(ctx.counters.get("candidates", 0))

@@ -1,0 +1,105 @@
+"""The ``rcj`` family: one declared pipeline per RCJ route.
+
+The bulk join is ``knn-window -> verify -> collect``; with ``k`` the
+family is the top-k pipeline ``band -> prune -> verify ->
+take-smallest``.  Both run through ``Pipeline.run`` — the planner's
+array engines, ``run_topk`` and the worker pool alike — so what
+``describe_family_pipeline`` prints is what executes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.datasets.fixtures import uniform_pair
+from repro.engine import run_family_join, run_join, run_topk
+from repro.engine.arrays import PointArray
+from repro.engine.families import (
+    build_family_pipeline,
+    describe_family_pipeline,
+    explain_family,
+)
+from repro.engine.kernels import rcj_pair_indices
+from repro.engine.operators import JoinContext
+
+
+@pytest.fixture(scope="module")
+def points():
+    return uniform_pair(200, 220, seed=3)
+
+
+def test_bulk_pipeline_is_rcj_pair_indices(points):
+    parr = PointArray.from_points(points[0])
+    qarr = PointArray.from_points(points[1])
+    ctx = JoinContext(parr, qarr)
+    block = build_family_pipeline("rcj").run(ctx)
+    p_idx, q_idx, candidates = rcj_pair_indices(parr, qarr)
+    assert np.array_equal(block.p_idx, p_idx)
+    assert np.array_equal(block.q_idx, q_idx)
+    assert ctx.counters["candidates"] == candidates
+
+
+def test_describe_prints_the_pipelines_that_run():
+    assert (
+        describe_family_pipeline("rcj")
+        == "knn-window(k0=16) -> verify -> collect"
+    )
+    assert describe_family_pipeline("rcj", k=7) == (
+        "band(k_hint=7) -> prune -> verify -> take-smallest(k=7)"
+    )
+
+
+def test_explain_rcj_names_the_bulk_pipeline(points):
+    text = explain_family(*points, "rcj")
+    assert "pipeline: knn-window(k0=16) -> verify -> collect" in text
+
+
+def test_traced_runs_carry_their_pipeline(points):
+    bulk = run_join(*points, engine="array")
+    assert bulk.trace.attrs["pipeline"] == describe_family_pipeline("rcj")
+    topk = run_topk(*points, 9, engine="array")
+    assert topk.trace.attrs["pipeline"] == describe_family_pipeline(
+        "rcj", k=9
+    )
+
+
+def test_rcj_family_rejects_k_and_eps(points):
+    with pytest.raises(ValueError, match="run_topk"):
+        run_family_join(*points, "rcj", k=5)
+    with pytest.raises(ValueError, match="eps"):
+        run_family_join(*points, "rcj", eps=10.0)
+
+
+def test_rcj_family_forwards_min_shard(points):
+    serial = run_family_join(*points, "rcj", engine="array")
+    pooled = run_family_join(
+        *points, "rcj", engine="array-parallel", workers=2, min_shard=16
+    )
+    assert pooled.workers_used == 2
+    assert [p.key() for p in pooled.pairs] == [p.key() for p in serial.pairs]
+    # A pool hint is dropped, not fatal, on engines without a pool.
+    assert run_family_join(
+        *points, "rcj", engine="array", min_shard=16
+    ).pair_keys() == serial.pair_keys()
+    assert run_join(
+        *points, engine="auto", workers=1, min_shard=16
+    ).pair_keys() == serial.pair_keys()
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("kcp", {"k": 3}), ("cij", {}), ("rcj", {"k": 3})],
+)
+def test_unshardable_sources_refuse_probes(family, params):
+    with pytest.raises(ValueError, match="probe rows"):
+        build_family_pipeline(family, probes=np.arange(4), **params)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("epsilon", {"eps": 5.0}), ("knn", {"k": 2}), ("rcj", {})],
+)
+def test_shardable_sources_take_probes(family, params):
+    pipeline = build_family_pipeline(family, probes=np.arange(4), **params)
+    assert pipeline.source.probe_side in ("p", "q")

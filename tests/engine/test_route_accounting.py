@@ -1,0 +1,141 @@
+"""Pins what each columnar execution route measures.
+
+The benchmark's per-layer breakdown and the calibration log read the
+same figures off every run: ``report.candidate_count``, the trace's
+``candidates`` / ``verified`` / ``pruned`` / ``bands`` counter totals
+and the stage names.  Their meaning differs per route on purpose — the
+RCJ routes count the pairs that reach exact ring verification, the
+families count what their source emitted — so this suite fixes each
+route's figures on small fixed inputs.  Any rewiring of the execution
+path has to reproduce them exactly.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.engine.kernels as kernels
+from repro.datasets.fixtures import clustered_pair, uniform_pair
+from repro.engine import run_family_join, run_join, run_topk
+from repro.obs.trace import counter_totals, stage_totals
+
+COUNTERS = ("candidates", "verified", "pruned", "bands")
+
+#: Forces real two-worker pools on these input sizes.
+MIN_SHARD = 32
+
+
+@pytest.fixture(scope="module")
+def uniform():
+    return uniform_pair(300, 340, seed=5)
+
+
+@pytest.fixture(scope="module")
+def clustered():
+    return clustered_pair(320, 300, seed=6)
+
+
+def _totals(report) -> tuple[int, ...]:
+    assert report.trace is not None, "the suite needs tracing enabled"
+    totals = counter_totals(report.trace)
+    return tuple(totals.get(c, 0) for c in COUNTERS)
+
+
+def _stages(report) -> set[str]:
+    return set(stage_totals(report.trace))
+
+
+#: route -> trace totals of (candidates, verified, pruned, bands); the
+#: report's ``candidate_count`` equals the ``candidates`` total.  The
+#: RCJ routes count the pairs that reach ring verification (``pruned``
+#: = the ones it rejects; top-k counts every pair of the bands it
+#: finished, not just the k it returns); the families count what their
+#: source emitted.
+PINNED = {
+    "bulk-array-uniform": (1208, 572, 636, 0),
+    "bulk-array-clustered": (1260, 282, 978, 0),
+    "bulk-parallel-uniform": (1208, 572, 636, 0),
+    "bulk-parallel-clustered": (1260, 282, 978, 0),
+    "bulk-array-delaunay": (969, 282, 687, 0),
+    "bulk-parallel-delaunay": (1023, 282, 741, 0),
+    "topk-array-uniform": (93, 90, 3, 2),
+    "topk-array-clustered": (208, 163, 45, 2),
+    "epsilon-array": (520, 520, 0, 0),
+    "epsilon-parallel": (520, 520, 0, 0),
+    "knn-array": (960, 960, 0, 0),
+    "knn-parallel": (960, 960, 0, 0),
+    "kcp-array": (43, 40, 0, 0),
+    "cij-array": (1616, 1077, 539, 0),
+}
+
+
+def _bulk(engine, **kw):
+    return lambda pts: run_join(*pts, engine=engine, **kw)
+
+
+def _family(family, engine="array", **params):
+    if engine == "array-parallel":
+        params.update(workers=2, min_shard=MIN_SHARD)
+    return lambda pts: run_family_join(*pts, family, engine=engine, **params)
+
+
+#: route -> (dataset, report factory)
+ROUTES = {
+    "bulk-array-uniform": ("uniform", _bulk("array")),
+    "bulk-array-clustered": ("clustered", _bulk("array")),
+    "bulk-parallel-uniform": (
+        "uniform", _bulk("array-parallel", workers=2, min_shard=MIN_SHARD)
+    ),
+    "bulk-parallel-clustered": (
+        "clustered", _bulk("array-parallel", workers=2, min_shard=MIN_SHARD)
+    ),
+    # Stage 3 forced onto the Delaunay backstop: the pool escalates per
+    # shard, so its candidate count departs from the serial join's.
+    "bulk-array-delaunay": ("clustered", _bulk("array")),
+    "bulk-parallel-delaunay": (
+        "clustered", _bulk("array-parallel", workers=2, min_shard=MIN_SHARD)
+    ),
+    "topk-array-uniform": (
+        "uniform", lambda pts: run_topk(*pts, 25, engine="array")
+    ),
+    "topk-array-clustered": (
+        "clustered", lambda pts: run_topk(*pts, 60, engine="array")
+    ),
+    "epsilon-array": ("uniform", _family("epsilon", eps=400.0)),
+    "epsilon-parallel": (
+        "uniform", _family("epsilon", "array-parallel", eps=400.0)
+    ),
+    "knn-array": ("clustered", _family("knn", k=3)),
+    "knn-parallel": ("clustered", _family("knn", "array-parallel", k=3)),
+    "kcp-array": ("uniform", _family("kcp", k=40)),
+    "cij-array": ("clustered", _family("cij")),
+}
+
+#: Stage names the benchmark's per-layer breakdown and the calibration
+#: refit read off each route.
+STAGES = {
+    "bulk": {"candidate", "prune", "verify"},
+    "topk": {"candidate", "prune", "verify"},
+    "epsilon": {"range", "collect"},
+    "knn": {"knn", "collect"},
+    "kcp": {"band"},
+    "cij": {"cells", "verify", "collect"},
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_route_figures_and_stage_names(route, uniform, clustered, monkeypatch):
+    if route.endswith("-delaunay"):
+        monkeypatch.setattr(kernels, "_SCAN_WORK_LIMIT", 0)
+    dataset, make = ROUTES[route]
+    report = make({"uniform": uniform, "clustered": clustered}[dataset])
+    want = PINNED[route]
+    got = _totals(report)
+    assert report.candidate_count == got[0]
+    if route.startswith("kcp"):
+        # k-closest-pairs may count the bands of its band source.
+        want, got = want[:3], got[:3]
+    assert got == want
+    assert STAGES[route.split("-")[0]] <= _stages(report)
+    if "-parallel" in route:
+        assert report.workers_used == 2  # a real pool ran

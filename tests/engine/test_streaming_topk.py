@@ -24,14 +24,10 @@ from repro.datasets.fixtures import (
     uniform_pair,
 )
 from repro.datasets.synthetic import uniform
-from repro.engine import run_join, run_topk
-from repro.engine.streaming import (
-    pair_order_key,
-    sort_pairs_by_diameter,
-    stream_pairs_by_diameter,
-    topk_array,
-)
-from repro.engine.arrays import PointArray
+from repro.core.pairs import RCJPair
+from repro.engine import operators, run_family_join, run_join, run_topk
+from repro.engine.streaming import pair_order_key, sort_pairs_by_diameter
+from repro.obs.trace import counter_totals
 
 ENGINES = ("array", "obj", "auto")
 
@@ -199,56 +195,80 @@ class TestLaziness:
         # verified-candidate volume must be far under the bulk join's.
         assert small.candidate_count < full.candidate_count / 20
 
-    def test_stream_is_sorted_and_resumable(self):
+    def test_bands_are_sorted_and_resumable(self):
+        # The whole join through the top-k pipeline: emitted in
+        # canonical order, over several cursor-resumed bands, and
+        # exactly the bulk join's pair set.
         points_p, points_q = uniform_pair(400, 400, seed=43)
-        parr = PointArray.from_points(points_p)
-        qarr = PointArray.from_points(points_q)
-        counters: dict = {}
-        got = list(
-            stream_pairs_by_diameter(parr, qarr, k_hint=4, counters=counters)
-        )
-        d_sqs = [t[0] for t in got]
-        assert d_sqs == sorted(d_sqs)
-        assert counters["bands"] >= 2  # the cursor actually resumed
         ref = run_join(points_p, points_q, engine="array")
-        assert {
-            (parr.oid[pi], qarr.oid[qi]) for _d, pi, qi in got
-        } == ref.pair_keys()
-
-    def test_fallback_band_matches_full_join(self, monkeypatch):
-        import repro.engine.streaming as streaming
-
-        # Force the dense-band fallback on a modest input and check the
-        # stream still emits the exact sorted join.
-        monkeypatch.setattr(streaming, "_FALLBACK_BAND_PAIRS", 50)
-        points_p, points_q = uniform_pair(300, 300, seed=47)
-        counters: dict = {}
-        parr = PointArray.from_points(points_p)
-        qarr = PointArray.from_points(points_q)
-        got = list(
-            stream_pairs_by_diameter(
-                parr, qarr, k_hint=1000, counters=counters
-            )
+        report = run_topk(points_p, points_q, len(ref.pairs), engine="array")
+        assert keys_in_order(report.pairs) == sorted(
+            keys_in_order(report.pairs)
         )
-        assert counters.get("fallback")
+        assert counter_totals(report.trace)["bands"] >= 2
+        assert report.pair_keys() == ref.pair_keys()
+
+
+def _bands(report) -> int:
+    return counter_totals(report.trace)["bands"]
+
+
+class TestOverfullBandBisection:
+    """A band predicted to hold more than ``operators._MAX_BAND_PAIRS``
+    pairs is bisected toward the cursor; the results must not move."""
+
+    @pytest.fixture
+    def tiny_bands(self, monkeypatch):
+        monkeypatch.setattr(operators, "_MAX_BAND_PAIRS", 50)
+
+    def test_topk_equals_sorted_full_join(self, monkeypatch):
+        points_p, points_q = uniform_pair(300, 300, seed=47)
         ref = sort_pairs_by_diameter(
             run_join(points_p, points_q, engine="array").pairs
         )
-        assert [
-            (parr.oid[pi], qarr.oid[qi]) for _d, pi, qi in got
-        ] == [pr.key() for pr in ref]
-        d_sqs = [t[0] for t in got]
-        assert d_sqs == sorted(d_sqs)
+        whole = run_topk(points_p, points_q, 1000, engine="array")
+        monkeypatch.setattr(operators, "_MAX_BAND_PAIRS", 50)
+        split = run_topk(points_p, points_q, 1000, engine="array")
+        assert _bands(split) > _bands(whole)  # the bisection ran
+        for report in (whole, split):
+            assert [pr.key() for pr in report.pairs] == [
+                pr.key() for pr in ref
+            ]
+            assert keys_in_order(report.pairs) == keys_in_order(ref)
 
-    def test_topk_array_duplicate_riddled_start_radius(self):
+    @pytest.mark.usefixtures("tiny_bands")
+    def test_kcp_equals_sorted_cross_product(self):
+        points_p, points_q = uniform_pair(120, 130, seed=49)
+        k = 400
+        report = run_family_join(
+            points_p, points_q, "kcp", engine="array", k=k
+        )
+        ref = sort_pairs_by_diameter(
+            [RCJPair(p, q) for p in points_p for q in points_q]
+        )[:k]
+        assert keys_in_order(report.pairs) == keys_in_order(ref)
+
+    @pytest.mark.usefixtures("tiny_bands")
+    def test_duplicate_riddled_start_radius(self):
         # Coincident P/Q points give a zero k-th NN distance; the
-        # stream must still start and find the radius-zero pairs first.
+        # bands must still start, and find the radius-zero pairs
+        # first, even with every band over-full.
         points_p, points_q = duplicate_pair(30, 30, seed=3, lattice=4)
-        pairs, _ = topk_array(points_p, points_q, 5)
-        assert len(pairs) == 5
-        diams = [pr.diameter for pr in pairs]
+        report = run_topk(points_p, points_q, 5, engine="array")
+        assert len(report.pairs) == 5
+        diams = [pr.diameter for pr in report.pairs]
         assert diams == sorted(diams)
         assert diams[0] == 0.0
+        full = sort_pairs_by_diameter(
+            run_join(points_p, points_q, algorithm="brute").pairs
+        )
+        deep = run_topk(points_p, points_q, len(full), engine="array")
+        assert keys_in_order(deep.pairs) == keys_in_order(full)
+        kcp = run_family_join(points_p, points_q, "kcp", engine="array", k=60)
+        cross = sort_pairs_by_diameter(
+            [RCJPair(p, q) for p in points_p for q in points_q]
+        )
+        assert keys_in_order(kcp.pairs) == keys_in_order(cross[:60])
 
 
 class TestBenchRows:

@@ -17,10 +17,32 @@ import repro.parallel.pool as pool_mod
 from repro.datasets.fixtures import clustered_pair, duplicate_pair, uniform_pair
 from repro.engine.arrays import PointArray
 from repro.engine.kernels import rcj_pair_indices
+from repro.engine.families import run_family_join
 from repro.parallel.pool import parallel_rcj_pair_indices
 from repro.parallel.sharedmem import SharedArrays
 
 MIN_SHARD = 64  # force multi-shard plans at test sizes
+
+
+def _rcj_join(points_pair):
+    parr, qarr = _arrays(points_pair)
+    parallel_rcj_pair_indices(parr, qarr, workers=2, min_shard=MIN_SHARD)
+
+
+def _epsilon_join(points_pair):
+    run_family_join(
+        *points_pair,
+        "epsilon",
+        eps=300.0,
+        engine="array-parallel",
+        workers=2,
+        min_shard=MIN_SHARD,
+    )
+
+
+#: Pooled joins of different families share one worker stack and one
+#: driver; the crash-safety contract is checked on each.
+POOLED_JOINS = {"rcj": _rcj_join, "epsilon": _epsilon_join}
 
 
 def _arrays(points_pair):
@@ -138,16 +160,16 @@ class TestPoolCorrectness:
         assert set(stages) & {"candidate", "verify"}
 
 
+@pytest.mark.parametrize("join", sorted(POOLED_JOINS))
 class TestPoolCleanup:
-    def test_shared_memory_released_after_success(self, monkeypatch):
+    def test_shared_memory_released_after_success(self, monkeypatch, join):
         names = _record_created_specs(monkeypatch)
-        parr, qarr = _arrays(uniform_pair(600, 700, seed=27))
-        parallel_rcj_pair_indices(parr, qarr, workers=2, min_shard=MIN_SHARD)
+        POOLED_JOINS[join](uniform_pair(600, 700, seed=27))
         assert names, "expected a real pooled run"
         assert _all_unlinked(names)
 
     def test_shared_memory_released_when_pool_creation_fails(
-        self, monkeypatch
+        self, monkeypatch, join
     ):
         names = _record_created_specs(monkeypatch)
 
@@ -155,15 +177,14 @@ class TestPoolCleanup:
             raise RuntimeError("simulated pool crash")
 
         monkeypatch.setattr(pool_mod, "_make_executor", exploding_executor)
-        parr, qarr = _arrays(uniform_pair(600, 700, seed=28))
         with pytest.raises(RuntimeError, match="simulated pool crash"):
-            parallel_rcj_pair_indices(
-                parr, qarr, workers=2, min_shard=MIN_SHARD
-            )
+            POOLED_JOINS[join](uniform_pair(600, 700, seed=28))
         assert names, "expected shared memory to have been created"
         assert _all_unlinked(names)
 
-    def test_shared_memory_released_when_a_task_fails(self, monkeypatch):
+    def test_shared_memory_released_when_a_task_fails(
+        self, monkeypatch, join
+    ):
         names = _record_created_specs(monkeypatch)
 
         class ExplodingFuture:
@@ -183,9 +204,7 @@ class TestPoolCleanup:
         monkeypatch.setattr(
             pool_mod, "_make_executor", lambda *a, **k: ExplodingPool()
         )
-        parr, qarr = _arrays(uniform_pair(600, 700, seed=29))
         with pytest.raises(RuntimeError, match="simulated worker death"):
-            parallel_rcj_pair_indices(
-                parr, qarr, workers=2, min_shard=MIN_SHARD
-            )
+            POOLED_JOINS[join](uniform_pair(600, 700, seed=29))
+        assert names, "expected shared memory to have been created"
         assert _all_unlinked(names)

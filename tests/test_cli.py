@@ -224,6 +224,21 @@ class TestTraceCLI:
             int(p_oid), int(q_oid)
             float(cx), float(cy), float(r)
 
+    def test_explain_names_the_pipeline_that_ran(self, files, capsys):
+        p, q = files
+        assert main(["join", p, q, "--engine", "array", "--explain"]) == 0
+        assert (
+            "pipeline=knn-window(k0=16) -> verify -> collect"
+            in capsys.readouterr().err
+        )
+        assert main(
+            ["topk", p, q, "-k", "4", "--engine", "array", "--explain"]
+        ) == 0
+        assert (
+            "pipeline=band(k_hint=4) -> prune -> verify -> take-smallest(k=4)"
+            in capsys.readouterr().err
+        )
+
     def test_trace_file_and_show_round_trip(self, files, tmp_path, capsys):
         p, q = files
         sink = str(tmp_path / "run.trace.jsonl")
