@@ -5,8 +5,9 @@ pipeline (the ``rcj`` family with ``k`` in
 :mod:`repro.engine.families`).  The tourist-recommendation application
 wants the ``k`` smallest-diameter pairs; without the pipeline the
 array engine could only materialize the whole join and sort it.  The
-pipeline enumerates candidate pairs in expanding radius bands and
-stops after the band that completes the ``k``-th verified pair.
+pipeline enumerates candidate pairs in expanding radius bands, streams
+each band in canonical-order chunks and stops at the chunk that brings
+the ``k``-th verified pair.
 
 Assertions: the streamed prefix is byte-identical (canonical order key)
 to the sorted full join for every measured ``k``, and — at full-size

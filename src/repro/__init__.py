@@ -32,6 +32,7 @@ from repro.core.gabriel import gabriel_rcj
 from repro.core.inj import inj
 from repro.engine import (
     DynamicArrayRCJ,
+    NonFiniteCoordinateError,
     PointArray,
     array_parallel_rcj,
     array_rcj,
@@ -120,6 +121,7 @@ __all__ = [
     "DynamicBackend",
     "DynamicRCJ",
     "JoinReport",
+    "NonFiniteCoordinateError",
     "Point",
     "PointArray",
     "RCJPair",

@@ -50,6 +50,11 @@ def gaussian_clusters(
 
     Cluster centres are uniform in the domain; points are Gaussian with
     per-dimension ``std`` around their centre, clamped to the domain.
+    The clamping piles a cluster's tails onto the domain edges, and
+    tails past two edges onto the shared corner as exactly coincident
+    points: ``clustered_pair(20000, 25000, seed=1, w=10)`` puts 138 P
+    and 119 Q points on ``(0, 0)``, so 16,422 cross pairs tie at
+    distance 0.
     """
     if n < 0:
         raise ValueError(f"negative dataset size {n}")

@@ -37,7 +37,7 @@ predicates), so all accounting, evaluation and resemblance tooling keeps
 working unchanged on its reports.
 """
 
-from repro.engine.arrays import PointArray
+from repro.engine.arrays import NonFiniteCoordinateError, PointArray
 from repro.engine.families import (
     FAMILY_NAMES,
     build_family_pipeline,
@@ -64,6 +64,7 @@ __all__ = [
     "TOPK_ENGINE_NAMES",
     "DynamicArrayRCJ",
     "JoinContext",
+    "NonFiniteCoordinateError",
     "Pipeline",
     "PointArray",
     "array_parallel_rcj",

@@ -5,7 +5,9 @@ A :class:`PointArray` stores one pointset as three aligned numpy arrays
 kernel in :mod:`repro.engine.kernels` operates on.  Conversion to and
 from the object representation (:class:`~repro.geometry.point.Point`
 lists) happens only at the engine boundary, so the hot path never touches
-Python objects.
+Python objects.  The boundary also rejects NaN and infinite coordinates
+(:class:`NonFiniteCoordinateError`): distances, KD-trees and the ring
+predicate are undefined on them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.geometry.point import Point
+
+
+class NonFiniteCoordinateError(ValueError):
+    """A pointset coordinate is NaN or infinite; the message names the
+    first offending row."""
 
 
 def _owned(data, dtype) -> np.ndarray:
@@ -41,6 +48,9 @@ class PointArray:
     oid:
         Object-identifier array (coerced to ``int64``); generated
         sequentially from ``start_oid`` when omitted.
+
+    Raises :class:`NonFiniteCoordinateError` on a NaN or infinite
+    coordinate, as do :meth:`from_points` and :meth:`from_coords`.
     """
 
     __slots__ = ("x", "y", "oid")
@@ -59,6 +69,13 @@ class PointArray:
         if x_arr.shape != y_arr.shape:
             raise ValueError(
                 f"coordinate arrays disagree: {x_arr.shape} vs {y_arr.shape}"
+            )
+        finite = np.isfinite(x_arr) & np.isfinite(y_arr)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteCoordinateError(
+                f"non-finite coordinate at index {i}:"
+                f" ({float(x_arr[i])}, {float(y_arr[i])})"
             )
         if oid is None:
             oid_arr = np.arange(start_oid, start_oid + len(x_arr), dtype=np.int64)
@@ -117,9 +134,10 @@ class PointArray:
 
         Used by :mod:`repro.parallel` to view columns living in shared
         memory without duplicating them per worker process.  The caller
-        guarantees dtype (``float64``/``int64``), contiguity and aligned
-        lengths; the views are frozen read-only here, which only affects
-        this process's view objects, never the backing block.
+        guarantees dtype (``float64``/``int64``), contiguity, aligned
+        lengths and finite coordinates (nothing is checked); the views
+        are frozen read-only here, which only affects this process's
+        view objects, never the backing block.
         """
         arr = cls.__new__(cls)
         for name, col in (("x", x), ("y", y), ("oid", oid)):

@@ -17,8 +17,8 @@ family      pipeline
 ``epsilon`` ``range(eps) -> distance(d<=eps) -> collect``
 ``knn``     ``knn(k) -> collect``
 ``kcp``     ``band(k) -> take-smallest(k)`` (the expanding-radius
-            cursor as a source; stops at the first completed band
-            holding ``k`` pairs)
+            cursor as an ordered source; stops at the chunk holding
+            the ``k``-th pair)
 ``cij``     ``cell-overlap -> sat-verify -> collect``
 ``rcj``     bulk: ``knn-window(k0) -> verify -> collect``
             (:func:`rcj_pipeline`, behind
@@ -499,7 +499,6 @@ def explain_family(
         )
     elif family == "kcp":
         lines.append(
-            f"  sink:    stop at the first completed band holding"
-            f" {k} pairs"
+            f"  sink:    stop at the ordered chunk holding pair {k}"
         )
     return "\n".join(lines)

@@ -14,9 +14,9 @@ operator                   role
                            escalation (bulk RCJ)
 :class:`RangeSource`       candidates within a radius (ε-join)
 :class:`KnnSource`         tie-canonical k-NN candidates (kNN-join)
-:class:`BandSource`        expanding-radius bands in ascending distance
-                           (k-closest-pairs; :class:`RingBandSource`
-                           for the top-k RCJ)
+:class:`BandSource`        every pair in canonical ascending-distance
+                           order, chunked (k-closest-pairs;
+                           :class:`RingBandSource` for the top-k RCJ)
 :class:`CellOverlapSource` Voronoi-cell bbox overlaps (common
                            influence join)
 :class:`DistanceFilter`    exact ``d² <= ε²`` cut over a block
@@ -26,7 +26,8 @@ operator                   role
 :class:`CollectAll`        sink: all pairs, canonical ``(p.oid, q.oid)``
 :class:`CollectCanonical`  sink: all pairs, canonical index order
                            (bulk RCJ)
-:class:`TakeSmallest`      sink: ``k`` smallest distances, early stop
+:class:`TakeSmallest`      sink: the first ``k`` pairs of an ordered
+                           stream, early stop
 ========================== ===========================================
 
 Exactness contract (inherited from the kernels): sources over-enumerate
@@ -40,8 +41,13 @@ this.
 
 Blocks flow lazily: a source yields bounded
 :class:`CandidateBlock`\\ s, every stage transforms one block at a
-time, and sinks may stop the source early (``TakeSmallest`` closes the
-band enumeration after the ``k``-th completed band).  Each stage's wall
+time, and sinks may stop the source early.  An *ordered* source
+(:attr:`Source.ordered`, the band source) emits a stream whose
+concatenation is sorted by the canonical key ``(d_sq, p.oid, q.oid)``;
+the filter and verify stages only drop pairs, so the order survives
+them and ``TakeSmallest`` closes the source at the chunk that brings
+its ``k``-th surviving pair — the rest of that band is never pruned or
+verified.  Each stage's wall
 time accumulates under its name in ``JoinContext.stage_seconds`` — the
 per-stage measurement record the planner attaches to
 :attr:`~repro.core.pairs.JoinReport.stage_seconds`.  Sources with a
@@ -101,19 +107,22 @@ class CandidateBlock:
     ``p_idx`` / ``q_idx`` are aligned row indices into the context's
     ``parr`` / ``qarr``.  ``d_sq`` (optional) carries the exact squared
     pair distances ``dx*dx + dy*dy`` when a stage has computed them.
-    ``complete_to`` (optional, sources that enumerate in ascending
-    distance) asserts that *every* pair with ``d_sq <= complete_to``
-    has been emitted in this or an earlier block — the completeness
-    certificate :class:`TakeSmallest` needs to stop early.
     """
 
     p_idx: np.ndarray
     q_idx: np.ndarray
     d_sq: np.ndarray | None = None
-    complete_to: float | None = None
 
     def __len__(self) -> int:
         return len(self.p_idx)
+
+    def __getitem__(self, rows) -> "CandidateBlock":
+        """The block restricted to ``rows`` (a slice or a mask)."""
+        return CandidateBlock(
+            self.p_idx[rows],
+            self.q_idx[rows],
+            None if self.d_sq is None else self.d_sq[rows],
+        )
 
     @staticmethod
     def empty() -> "CandidateBlock":
@@ -207,9 +216,15 @@ class Source(Operator):
     restriction selects (``"p"`` or ``"q"``) — the seam the worker pool
     shards along.  ``None`` marks a source whose output depends on all
     rows at once (distance bands, Voronoi cells): it cannot shard.
+
+    ``ordered`` marks the ordered-stream contract: every block carries
+    exact ``d_sq`` and the blocks, concatenated, are sorted by the
+    canonical key ``(d_sq, p.oid, q.oid)``.  Stages filter by mask, so
+    they keep that order.
     """
 
     probe_side: str | None = None
+    ordered: bool = False
 
     def blocks(self, ctx: JoinContext) -> Iterator[CandidateBlock]:
         raise NotImplementedError
@@ -227,6 +242,10 @@ class Sink(Operator):
     construct a fresh pipeline (hence a fresh sink) per run."""
 
     name = "collect"
+
+    def check_source(self, source: Source) -> None:
+        """Reject a source whose stream this sink cannot consume
+        (called when a pipeline is declared)."""
 
     def collect(self, ctx: JoinContext, block: CandidateBlock) -> None:
         raise NotImplementedError
@@ -468,21 +487,27 @@ class KnnWindowSource(Source):
 
 
 class BandSource(Source):
-    """Expanding-radius candidate bands in ascending pair distance,
-    enumerated with a resume cursor on the squared pair distance.
+    """Every candidate pair in canonical ascending-distance order — an
+    ordered source (:attr:`Source.ordered`).
 
-    Each yielded block carries the band's pairs (exact ``d_sq``) and a
-    ``complete_to`` certificate equal to the band's squared outer
-    radius: every pair at or below it has been emitted.  Band
-    membership is decided by the exact squared-distance cursor, so
-    bands are disjoint and exhaustive regardless of query rounding.
-    A band predicted to exceed :data:`_MAX_BAND_PAIRS` is bisected
-    toward the cursor (best effort — a run of exactly tied distances
-    cannot be split and is processed whole), which bounds memory
+    Pairs are enumerated in expanding-radius bands with a resume cursor
+    on the squared pair distance.  Each band is one dual-tree range
+    query (``cKDTree.sparse_distance_matrix``) cut by the exact squared
+    distance to ``cursor < d_sq <= r²``, so bands are disjoint and
+    exhaustive regardless of query rounding.  The band is then sorted
+    by ``(d_sq, p.oid, q.oid)`` and yielded in chunks of ``k_hint``,
+    ``2·k_hint``, ``4·k_hint``, … pairs, which makes the whole block
+    stream canonically ordered: a sink that wants the smallest pairs
+    stops at a chunk boundary, and the stages downstream see only the
+    prefix it consumed.  A band predicted to exceed
+    :data:`_MAX_BAND_PAIRS` is bisected toward the cursor (best effort
+    — a run of exactly tied distances cannot be split and is enumerated
+    whole, though still consumed chunk by chunk), which bounds memory
     without a fallback join.
     """
 
     name = "band"
+    ordered = True
 
     def __init__(self, k_hint: int = 1, exclude_same_oid: bool = False):
         self.k_hint = max(int(k_hint), 1)
@@ -532,9 +557,13 @@ class BandSource(Source):
                     r = r_lo + (r - r_lo) * 0.5
                     within = int(tree_p.count_neighbors(tree_q, r))
                     shrinks += 1
-                block = self._enumerate_band(ctx, tree_p, r, cursor_sq)
+                band = self._enumerate_band(ctx, tree_p, tree_q, r, cursor_sq)
             add_counter("bands")
-            yield block
+            start, size = 0, self.k_hint
+            while start < len(band):
+                yield band[start : start + size]
+                start += size
+                size *= 2
             if r >= diag:
                 return
             cursor_sq = r * r
@@ -542,46 +571,29 @@ class BandSource(Source):
             r *= _BAND_GROWTH
 
     def _enumerate_band(
-        self, ctx: JoinContext, tree_p: cKDTree, r: float, cursor_sq: float
+        self,
+        ctx: JoinContext,
+        tree_p: cKDTree,
+        tree_q: cKDTree,
+        r: float,
+        cursor_sq: float,
     ) -> CandidateBlock:
+        """The pairs with ``cursor_sq < d_sq <= r²``, canonically sorted."""
         parr, qarr = ctx.parr, ctx.qarr
-        n_q = len(qarr)
-        r_sq = r * r
-        r_query = r * (1.0 + _QUERY_INFLATION)
-        band_p: list[np.ndarray] = []
-        band_q: list[np.ndarray] = []
-        band_d: list[np.ndarray] = []
-        for bstart in range(0, n_q, _PROBE_BLOCK):
-            bend = min(bstart + _PROBE_BLOCK, n_q)
-            lists = tree_p.query_ball_point(
-                np.column_stack((qarr.x[bstart:bend], qarr.y[bstart:bend])),
-                r_query,
-                return_sorted=False,
-            )
-            flat, counts = _flatten_ball_lists(lists, bend - bstart)
-            if not flat.size:
-                continue
-            rows = np.repeat(np.arange(bstart, bend, dtype=np.int64), counts)
-            dx = parr.x[flat] - qarr.x[rows]
-            dy = parr.y[flat] - qarr.y[rows]
-            d_sq = dx * dx + dy * dy
-            mask = (d_sq > cursor_sq) & (d_sq <= r_sq)
-            if self.exclude_same_oid:
-                mask &= parr.oid[flat] != qarr.oid[rows]
-            band_p.append(flat[mask])
-            band_q.append(rows[mask])
-            band_d.append(d_sq[mask])
-        if not band_p:
-            return CandidateBlock(
-                np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.float64), complete_to=r_sq,
-            )
-        return CandidateBlock(
-            np.concatenate(band_p),
-            np.concatenate(band_q),
-            np.concatenate(band_d),
-            complete_to=r_sq,
+        entries = tree_p.sparse_distance_matrix(
+            tree_q, r * (1.0 + _QUERY_INFLATION), output_type="ndarray"
         )
+        p_idx = entries["i"].astype(np.int64)
+        q_idx = entries["j"].astype(np.int64)
+        dx = parr.x[p_idx] - qarr.x[q_idx]
+        dy = parr.y[p_idx] - qarr.y[q_idx]
+        d_sq = dx * dx + dy * dy
+        mask = (d_sq > cursor_sq) & (d_sq <= r * r)
+        if self.exclude_same_oid:
+            mask &= parr.oid[p_idx] != qarr.oid[q_idx]
+        p_idx, q_idx, d_sq = p_idx[mask], q_idx[mask], d_sq[mask]
+        order = np.lexsort((qarr.oid[q_idx], parr.oid[p_idx], d_sq))
+        return CandidateBlock(p_idx[order], q_idx[order], d_sq[order])
 
 
 class RingBandSource(BandSource):
@@ -717,10 +729,7 @@ class DistanceFilter(Stage):
         dy = ctx.parr.y[block.p_idx] - ctx.qarr.y[block.q_idx]
         d_sq = dx * dx + dy * dy
         keep = d_sq <= self.eps * self.eps
-        return CandidateBlock(
-            block.p_idx[keep], block.q_idx[keep], d_sq[keep],
-            complete_to=block.complete_to,
-        )
+        return CandidateBlock(block.p_idx[keep], block.q_idx[keep], d_sq[keep])
 
 
 class PsiPruneFilter(Stage):
@@ -751,13 +760,7 @@ class PsiPruneFilter(Stage):
             qarr.x[block.q_idx],
             qarr.y[block.q_idx],
         )
-        keep = ~pruned
-        return CandidateBlock(
-            block.p_idx[keep],
-            block.q_idx[keep],
-            None if block.d_sq is None else block.d_sq[keep],
-            complete_to=block.complete_to,
-        )
+        return block[~pruned]
 
 
 class VerifyRings(Stage):
@@ -780,12 +783,7 @@ class VerifyRings(Stage):
             ux,
             uy,
         )
-        return CandidateBlock(
-            block.p_idx[alive],
-            block.q_idx[alive],
-            None if block.d_sq is None else block.d_sq[alive],
-            complete_to=block.complete_to,
-        )
+        return block[alive]
 
 
 class PolygonIntersectVerify(Stage):
@@ -814,9 +812,7 @@ class PolygonIntersectVerify(Stage):
             bool,
             count=len(block),
         )
-        return CandidateBlock(
-            block.p_idx[keep], block.q_idx[keep], None, block.complete_to
-        )
+        return CandidateBlock(block.p_idx[keep], block.q_idx[keep])
 
 
 # ----------------------------------------------------------------------
@@ -877,57 +873,52 @@ class CollectCanonical(CollectAll):
 
 
 class TakeSmallest(Sink):
-    """The ``k`` smallest-distance pairs, ascending, ties canonical.
+    """The first ``k`` pairs of an ordered stream: the ``k`` smallest
+    distances, ascending, ties canonical.
 
-    Requires blocks with ``d_sq`` and a ``complete_to`` certificate
-    (i.e. a :class:`BandSource` upstream).  Stops the source as soon as
-    ``k`` pairs are complete — every uncollected pair is certified
-    farther than the band edge, hence farther than all ``k`` winners —
-    and finishes sorted by ``(d_sq, p.oid, q.oid)``, the canonical
-    ascending-diameter order shared with
-    :func:`repro.engine.streaming.pair_order_key`.
+    Needs an ordered source (:attr:`Source.ordered`, i.e. a
+    :class:`BandSource` upstream), checked when the pipeline is
+    declared.  Its blocks arrive sorted by ``(d_sq, p.oid, q.oid)`` —
+    the canonical ascending-diameter order shared with
+    :func:`repro.engine.streaming.pair_order_key` — and the stages only
+    drop pairs, so the first ``k`` pairs that reach the sink are the
+    answer.  The sink stops the source at the chunk that brings its
+    ``k``-th pair and finishes with a slice, no sort.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.k = int(k)
-        self._p: list[np.ndarray] = []
-        self._q: list[np.ndarray] = []
-        self._d: list[np.ndarray] = []
-        self._complete = 0
+        self._blocks: list[CandidateBlock] = []
+        self._taken = 0
 
     def describe(self) -> str:
         return f"take-smallest(k={self.k})"
 
-    def collect(self, ctx: JoinContext, block: CandidateBlock) -> None:
-        if block.d_sq is None or block.complete_to is None:
+    def check_source(self, source: Source) -> None:
+        if not source.ordered:
             raise ValueError(
-                "TakeSmallest needs d_sq blocks with a completeness"
-                " certificate (a BandSource upstream)"
+                "TakeSmallest needs an ordered source (a BandSource"
+                f" upstream), got {source.describe()}"
             )
-        self._p.append(block.p_idx)
-        self._q.append(block.q_idx)
-        self._d.append(block.d_sq)
-        # Every collected pair has d_sq <= the band edge, so after a
-        # completed band the running total counts exactly the pairs at
-        # or below complete_to.
-        self._complete += len(block)
+
+    def collect(self, ctx: JoinContext, block: CandidateBlock) -> None:
+        self._blocks.append(block)
+        self._taken += len(block)
 
     def done(self) -> bool:
-        return self._complete >= self.k
+        return self._taken >= self.k
 
     def finish(self, ctx: JoinContext) -> CandidateBlock:
         with stage_timer(ctx.stage_seconds, self.name):
-            if not self._p:
+            if not self._blocks:
                 return CandidateBlock.empty()
-            p_idx = np.concatenate(self._p)
-            q_idx = np.concatenate(self._q)
-            d_sq = np.concatenate(self._d)
-            order = np.lexsort(
-                (ctx.qarr.oid[q_idx], ctx.parr.oid[p_idx], d_sq)
-            )[: self.k]
-            return CandidateBlock(p_idx[order], q_idx[order], d_sq[order])
+            return CandidateBlock(
+                np.concatenate([b.p_idx for b in self._blocks])[: self.k],
+                np.concatenate([b.q_idx for b in self._blocks])[: self.k],
+                np.concatenate([b.d_sq for b in self._blocks])[: self.k],
+            )
 
 
 # ----------------------------------------------------------------------
@@ -945,9 +936,10 @@ class Pipeline:
     Accounting follows the paper's filter-then-verify reading.  With a
     ``verify`` stage, *candidates* are the pairs that reach it (the
     RCJ's ``candidate_count`` figure), ``pruned`` the ones it rejects
-    and ``verified`` the ones it passes — every band a top-k run
-    finished, not only the ``k`` pairs it returns.  Without one, the
-    candidates are everything the source emits, ``pruned`` what the
+    and ``verified`` the ones it passes — for a top-k run, every pair
+    of the chunks it consumed, not only the ``k`` pairs it returns.
+    Without one, the candidates are everything the source emits (the
+    consumed chunks, for an early-stopping sink), ``pruned`` what the
     filters drop and ``verified`` the sink's result.
     ``ctx.counters["candidates"]`` accumulates the candidates; the
     trace gets all three counters.
@@ -959,6 +951,7 @@ class Pipeline:
         self.source = source
         self.stages = tuple(stages)
         self.sink = sink if sink is not None else CollectAll()
+        self.sink.check_source(source)
 
     def describe(self) -> str:
         """The declared operator chain, e.g.

@@ -505,9 +505,12 @@ def run_topk(
     ``"array"``
         The ``rcj`` family pipeline with ``k``
         (:func:`repro.engine.families.build_family_pipeline`):
-        expanding-radius candidate bands with a resume cursor, Ψ−
-        pruning, batch ring verification, and a sink that stops the
-        bands once ``k`` verified pairs are certified smallest.
+        expanding-radius candidate bands with a resume cursor, each
+        sorted canonically and streamed in growing chunks (``k``,
+        ``2k``, ``4k``, … pairs), Ψ− pruning, batch ring verification,
+        and a sink that stops the stream at the chunk bringing the
+        ``k``-th verified pair.  The trace's ``candidates`` /
+        ``verified`` count that consumed prefix, not whole bands.
     ``"obj"`` / ``"pointwise"``
         The R-tree incremental distance join
         (:func:`repro.core.topk.top_k_rcj`) — work proportional to the

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from functools import partial
 
 import numpy as np
@@ -216,12 +216,19 @@ def run_sharded(
             traced = psp is not None
             if traced:
                 psp.add("bytes-shipped", bytes_shipped)
-            with span("pool-startup"):
-                pool = _make_executor(workers, shared.spec(), build)
-            with pool:
-                futures = [
+            ranges = plan.ranges()
+            with ExitStack() as stack:
+                with span("pool-startup"):
+                    pool = stack.enter_context(
+                        _make_executor(workers, shared.spec(), build)
+                    )
+                    # Under fork the executor launches its workers at
+                    # the first submit, so the first shard goes out
+                    # inside the span to time the launch.
+                    futures = [pool.submit(_run_shard, *ranges[0], traced)]
+                futures += [
                     pool.submit(_run_shard, lo, hi, traced)
-                    for lo, hi in plan.ranges()
+                    for lo, hi in ranges[1:]
                 ]
                 parts = [f.result() for f in futures]
             if traced:

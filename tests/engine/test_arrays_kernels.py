@@ -7,7 +7,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.datasets.fixtures import uniform_pair
-from repro.engine.arrays import PointArray
+from repro.engine import run_join, run_topk
+from repro.engine.arrays import NonFiniteCoordinateError, PointArray
 from repro.engine.kernels import (
     cone_cover,
     halfplane_prune_pairs,
@@ -51,6 +52,42 @@ class TestPointArray:
             PointArray([0.0], [0.0], oid=[1, 2])
         with pytest.raises(ValueError):
             PointArray.from_coords(np.zeros((2, 3)))
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+class TestNonFiniteCoordinates:
+    """NaN and infinite coordinates are rejected where points enter the
+    columnar engine, naming the first offending row."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_constructors_name_the_first_offending_index(self, bad):
+        with pytest.raises(NonFiniteCoordinateError, match="index 2"):
+            PointArray([0.0, 1.0, bad, bad], [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteCoordinateError, match="index 1"):
+            PointArray.from_coords([(0.0, 0.0), (1.0, bad)])
+        points = [Point(0.0, 0.0, 0), Point(1.0, 1.0, 1), Point(bad, 2.0, 2)]
+        with pytest.raises(NonFiniteCoordinateError, match="index 2"):
+            PointArray.from_points(points)
+        assert issubclass(NonFiniteCoordinateError, ValueError)
+
+    def test_wrap_stays_unchecked(self):
+        col = np.array([np.nan, 1.0])
+        arr = PointArray._wrap(col, col, np.arange(2, dtype=np.int64))
+        assert np.isnan(arr.x[0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("side", ("p", "q"))
+    def test_run_join_and_run_topk_reject(self, bad, side):
+        points_p, points_q = uniform_pair(40, 50, seed=3)
+        points = points_p if side == "p" else points_q
+        victim = points[7]
+        points[7] = Point(victim.x, bad, victim.oid)
+        with pytest.raises(NonFiniteCoordinateError, match="index 7"):
+            run_join(points_p, points_q, engine="array")
+        with pytest.raises(NonFiniteCoordinateError, match="index 7"):
+            run_topk(points_p, points_q, 5, engine="array")
 
 
 class TestHalfplaneKernels:

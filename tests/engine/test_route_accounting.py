@@ -48,9 +48,9 @@ def _stages(report) -> set[str]:
 #: route -> trace totals of (candidates, verified, pruned, bands); the
 #: report's ``candidate_count`` equals the ``candidates`` total.  The
 #: RCJ routes count the pairs that reach ring verification (``pruned``
-#: = the ones it rejects; top-k counts every pair of the bands it
-#: finished, not just the k it returns); the families count what their
-#: source emitted.
+#: = the ones it rejects; top-k counts every pair of the ordered chunks
+#: it consumed, not just the k it returns); the families count what
+#: their source emitted (kcp: the chunks its sink consumed).
 PINNED = {
     "bulk-array-uniform": (1208, 572, 636, 0),
     "bulk-array-clustered": (1260, 282, 978, 0),
@@ -58,13 +58,13 @@ PINNED = {
     "bulk-parallel-clustered": (1260, 282, 978, 0),
     "bulk-array-delaunay": (969, 282, 687, 0),
     "bulk-parallel-delaunay": (1023, 282, 741, 0),
-    "topk-array-uniform": (93, 90, 3, 2),
-    "topk-array-clustered": (208, 163, 45, 2),
+    "topk-array-uniform": (48, 46, 2, 2),
+    "topk-array-clustered": (123, 101, 22, 2),
     "epsilon-array": (520, 520, 0, 0),
     "epsilon-parallel": (520, 520, 0, 0),
     "knn-array": (960, 960, 0, 0),
     "knn-parallel": (960, 960, 0, 0),
-    "kcp-array": (43, 40, 0, 0),
+    "kcp-array": (40, 40, 0, 0),
     "cij-array": (1616, 1077, 539, 0),
 }
 

@@ -25,6 +25,7 @@ from repro.datasets.fixtures import (
 )
 from repro.datasets.synthetic import uniform
 from repro.core.pairs import RCJPair
+from repro.geometry.point import Point
 from repro.engine import operators, run_family_join, run_join, run_topk
 from repro.engine.streaming import pair_order_key, sort_pairs_by_diameter
 from repro.obs.trace import counter_totals
@@ -269,6 +270,91 @@ class TestOverfullBandBisection:
             [RCJPair(p, q) for p in points_p for q in points_q]
         )
         assert keys_in_order(kcp.pairs) == keys_in_order(cross[:60])
+
+
+class TestTiedRuns:
+    """Long runs of exactly tied distances, cut by the band source's
+    canonical-order chunks: the ``k``-th pair may land anywhere inside
+    a run, and the sink consumes only the chunks it needs."""
+
+    @pytest.fixture(scope="class")
+    def shared_spot(self):
+        # 40 P x 49 Q points on one spot on a uniform background: 1960
+        # pairs tie at diameter 0, and all are RCJ pairs (a zero-radius
+        # ring holds no point strictly inside).
+        spot = (5000.5, 5000.5)
+        points_p = uniform(150, seed=61) + [
+            Point(*spot, 1000 + i) for i in range(40)
+        ]
+        points_q = uniform(160, seed=62, start_oid=2000) + [
+            Point(*spot, 3000 + i) for i in range(49)
+        ]
+        ref = sort_pairs_by_diameter(
+            run_join(points_p, points_q, algorithm="gabriel").pairs
+        )
+        return points_p, points_q, ref
+
+    @pytest.mark.parametrize("max_band", (None, 50), ids=("bands", "tiny"))
+    @pytest.mark.parametrize("k", (1, 7, 100, 2000))
+    def test_shared_spot_prefix_and_consumed_work(
+        self, shared_spot, k, max_band, monkeypatch
+    ):
+        if max_band is not None:
+            # Over-full bands bisect down to the unsplittable tied run,
+            # so k=2000 has to open the bands beyond it.
+            monkeypatch.setattr(operators, "_MAX_BAND_PAIRS", max_band)
+        points_p, points_q, ref = shared_spot
+        report = run_topk(points_p, points_q, k, engine="array")
+        assert keys_in_order(report.pairs) == keys_in_order(ref[:k])
+        totals = counter_totals(report.trace)
+        assert totals["verified"] <= 3 * k
+        if max_band is not None and k > 1960:
+            assert totals["bands"] >= 2
+
+    @pytest.mark.parametrize("max_band", (None, 50), ids=("bands", "tiny"))
+    def test_kcp_cut_inside_a_tied_run(self, max_band, monkeypatch):
+        if max_band is not None:
+            monkeypatch.setattr(operators, "_MAX_BAND_PAIRS", max_band)
+        points_p, points_q = duplicate_pair(60, 70, seed=5)
+        cross = sort_pairs_by_diameter(
+            [RCJPair(p, q) for p in points_p for q in points_q]
+        )
+        k = 150
+        # Pairs 66..368 all tie at distance 1, so the k-th pair and its
+        # successor tie, and the first chunk (k pairs) ends mid-run.
+        assert cross[k - 1].diameter == cross[k].diameter
+        report = run_family_join(
+            points_p, points_q, "kcp", engine="array", k=k
+        )
+        assert keys_in_order(report.pairs) == keys_in_order(cross[:k])
+
+    def test_selfjoin_answer_spans_several_chunks(self, monkeypatch):
+        points = uniform(300, seed=63)
+        full = run_join(points, points, engine="array", exclude_same_oid=True)
+        ref = sort_pairs_by_diameter(full.pairs)
+        chunks = []
+        collect = operators.TakeSmallest.collect
+
+        def spy(sink, ctx, block):
+            chunks.append(len(block))
+            collect(sink, ctx, block)
+
+        monkeypatch.setattr(operators.TakeSmallest, "collect", spy)
+        k = 60
+        report = run_topk(
+            points, points, k, engine="array", exclude_same_oid=True
+        )
+        assert len([n for n in chunks if n]) >= 3
+        assert keys_in_order(report.pairs) == keys_in_order(ref[:k])
+        assert all(pr.p.oid != pr.q.oid for pr in report.pairs)
+
+    def test_take_smallest_rejects_an_unordered_source(self):
+        # Without the ordered-stream contract the first k pairs that
+        # reach the sink are not the k smallest.
+        with pytest.raises(ValueError, match="ordered source"):
+            operators.Pipeline(
+                operators.RangeSource(1.0), [], operators.TakeSmallest(3)
+            )
 
 
 class TestBenchRows:

@@ -8,6 +8,8 @@ inputs.
 
 from __future__ import annotations
 
+import multiprocessing
+from contextlib import contextmanager
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.engine.arrays import PointArray
 from repro.engine.kernels import rcj_pair_indices
 from repro.engine.families import run_family_join
 from repro.parallel.pool import parallel_rcj_pair_indices
+from repro.obs.trace import trace
 from repro.parallel.sharedmem import SharedArrays
 
 MIN_SHARD = 64  # force multi-shard plans at test sizes
@@ -150,6 +153,33 @@ class TestPoolCorrectness:
             parr, qarr, workers=2, min_shard=MIN_SHARD, stage_seconds=stages
         )
         assert stages["verify"] > 100.0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only fork launches every worker at the first submit",
+    )
+    def test_workers_alive_when_startup_span_closes(self, monkeypatch):
+        # The pool-startup span must time the worker launch, not just
+        # the executor object's construction.
+        alive_at_close: list[int] = []
+        real_span = pool_mod.span
+
+        @contextmanager
+        def spying_span(name, **attrs):
+            with real_span(name, **attrs) as node:
+                yield node
+            if name == "pool-startup":
+                alive_at_close.append(len(multiprocessing.active_children()))
+
+        monkeypatch.setattr(pool_mod, "span", spying_span)
+        before = len(multiprocessing.active_children())
+        parr, qarr = _arrays(uniform_pair(700, 800, seed=30))
+        with trace("test") as root:
+            parallel_rcj_pair_indices(
+                parr, qarr, workers=2, min_shard=MIN_SHARD
+            )
+        assert alive_at_close == [before + 2]
+        assert root.find("pool-startup")
 
     def test_stage_seconds_on_serial_fallback(self):
         # Below the shard threshold the serial kernel runs in-process;
