@@ -74,17 +74,12 @@ def _method_for(args: argparse.Namespace) -> str:
     return args.method if engine == "pointwise" else engine
 
 
-def _explain_hypothetical(points_p, points_q, args) -> None:
-    """Print what ``--engine auto`` *would* have picked.
-
-    Used only for non-auto engine choices, where no plan runs; an auto
-    run prints ``report.plan`` — the plan that actually executed —
-    instead of planning a second time.
-    """
-    from repro.parallel.costmodel import choose_plan
-
-    plan = choose_plan(points_p, points_q, workers=args.workers)
-    print(plan.describe(), file=sys.stderr)
+def _write_output(pairs, args: argparse.Namespace) -> None:
+    if args.output:
+        with open(args.output, "w") as f:
+            _write_pairs(pairs, f)
+    else:
+        _write_pairs(pairs, sys.stdout)
 
 
 def _emit_trace_diagnostics(report, args: argparse.Namespace) -> None:
@@ -114,122 +109,106 @@ def _emit_trace_diagnostics(report, args: argparse.Namespace) -> None:
         print(render_tree(root), file=sys.stderr)
 
 
-def _family_param(args: argparse.Namespace) -> tuple[float | None, int | None]:
-    """``(eps, k)`` parsed from ``--param`` for the selected family."""
-    if args.family == "epsilon":
-        if args.param is None:
-            raise SystemExit("--family epsilon requires --param EPS")
-        return float(args.param), None
-    if args.family in ("knn", "kcp"):
-        if args.param is None:
-            raise SystemExit(f"--family {args.family} requires --param K")
-        return None, int(args.param)
-    if args.param is not None:
-        raise SystemExit(f"--family {args.family} takes no --param")
-    return None, None
+def _join_and_emit(
+    args: argparse.Namespace, request, label: str, **selection
+) -> int:
+    """Run one join through :func:`run_join` and write everything the
+    CLI shows of it.
 
-
-def _cmd_family_join(args: argparse.Namespace) -> int:
-    """A non-RCJ family join: pipeline dispatch through the planner."""
-    from repro.engine import explain_family
+    ``selection`` is the ``algorithm=`` (RCJ) or ``engine=`` (other
+    families) the command asked for.  With ``--explain``, the plan goes
+    to stderr: the one ``--engine auto`` *would* pick before a
+    pinned-engine run, the one that ran (with its measurements) after
+    an auto run — never planned twice.  Then the trace diagnostics, the
+    pair lines (``-o`` or stdout) and the one-line stderr summary.
+    """
+    from repro.engine.families import explain_family, explain_plan
 
     points_p = load_points(args.pointset_p)
     points_q = load_points(args.pointset_q)
-    eps, k = _family_param(args)
-    # Families default to cost-based planning; an explicit --engine
-    # (including 'pointwise', the reference oracle) pins the path.
-    engine = args.engine or "auto"
-    if args.explain:
+    params = dict(eps=request.eps, k=request.k)
+    if args.explain and "auto" not in selection.values():
         print(
             explain_family(
-                points_p,
-                points_q,
-                args.family,
-                eps=eps,
-                k=k,
-                workers=args.workers,
+                points_p, points_q, request.family, workers=request.workers,
+                **params,
             ),
             file=sys.stderr,
         )
     report = run_join(
         points_p,
         points_q,
-        family=args.family,
-        engine=engine,
-        eps=eps,
-        k=k,
-        workers=args.workers,
+        family=request.family,
+        mode="topk" if request.kind == "topk" else "join",
+        workers=request.workers,
+        **params,
+        **selection,
     )
+    if args.explain and report.plan is not None:
+        print(
+            explain_plan(report.plan, request.family, **params),
+            file=sys.stderr,
+        )
     _emit_trace_diagnostics(report, args)
-    pairs = report.pairs
-    if args.output:
-        with open(args.output, "w") as f:
-            _write_pairs(pairs, f)
-    else:
-        _write_pairs(pairs, sys.stdout)
+    _write_output(report.pairs, args)
     print(
-        f"{args.family}({args.pointset_p} x {args.pointset_q}) via "
-        f"{report.algorithm.lower()}: {len(pairs)} pairs",
+        f"{label}({args.pointset_p} x {args.pointset_q}) via "
+        f"{report.algorithm.lower()}: {len(report.pairs)} pairs",
         file=sys.stderr,
     )
     return 0
+
+
+def _family_param(args: argparse.Namespace) -> tuple[float | None, int | None]:
+    """``(eps, k)`` parsed from ``--param`` for the selected family (the
+    request validates them)."""
+    if args.param is None:
+        return None, None
+    if args.family == "epsilon":
+        return float(args.param), None
+    if args.family in ("knn", "kcp"):
+        try:
+            return None, int(args.param)
+        except ValueError:
+            return None, float(args.param)
+    raise ValueError(f"--family {args.family} takes no --param")
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    if args.family != "rcj":
-        if args.mode == "topk" or args.top_k is not None:
-            print(
-                "--mode topk applies to --family rcj only "
-                "(use --family kcp for ordered closest pairs)",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_family_join(args)
-    if args.param is not None:
-        print("--param applies to non-rcj families only", file=sys.stderr)
+    from repro.engine.request import JoinRequest
+
+    topk = args.mode == "topk" or args.top_k is not None
+    if topk and args.family != "rcj":
+        print(
+            "--mode topk applies to --family rcj only "
+            "(use --family kcp for ordered closest pairs)",
+            file=sys.stderr,
+        )
         return 2
-    points_p = load_points(args.pointset_p)
-    points_q = load_points(args.pointset_q)
-    method = _method_for(args)
-    mode = args.mode if args.top_k is None else "topk"
-    if mode == "topk":
-        if args.top_k is None:
-            print("--mode topk requires --top-k K", file=sys.stderr)
-            return 2
+    if topk and args.top_k is None:
+        print("--mode topk requires --top-k K", file=sys.stderr)
+        return 2
+    try:
+        eps, k = _family_param(args)
+        if topk:
+            k = args.top_k
+        request = JoinRequest(args.family, k=k, eps=eps, workers=args.workers)
+    except ValueError as exc:
+        print(f"repro join: {exc}", file=sys.stderr)
+        return 2
+    if args.family == "rcj":
+        method = _method_for(args)
         # The pointwise top-k algorithm is the R-tree incremental
         # distance join, whatever --method says about the bulk join.
-        engine = method if method in ("array", "array-parallel", "auto") else "obj"
-        report = run_join(
-            points_p,
-            points_q,
-            algorithm=engine,
-            mode="topk",
-            k=args.top_k,
-            workers=args.workers,
-        )
-    else:
-        if args.explain and method != "auto":
-            _explain_hypothetical(points_p, points_q, args)
-        report = run_join(
-            points_p, points_q, algorithm=method, workers=args.workers
-        )
-    if args.explain and report.plan is not None:
-        print(report.plan.describe(), file=sys.stderr)
-    _emit_trace_diagnostics(report, args)
-    pairs = report.pairs
-    if args.output:
-        with open(args.output, "w") as f:
-            _write_pairs(pairs, f)
-    else:
-        _write_pairs(pairs, sys.stdout)
-    ran = report.algorithm.lower()
-    what = f"top-{args.top_k} RCJ" if mode == "topk" else "RCJ"
-    print(
-        f"{what}({args.pointset_p} x {args.pointset_q}) via {ran}: "
-        f"{len(pairs)} pairs",
-        file=sys.stderr,
+        if topk and method not in ("array", "array-parallel", "auto"):
+            method = "obj"
+        label = f"top-{k} RCJ" if topk else "RCJ"
+        return _join_and_emit(args, request, label, algorithm=method)
+    # Families default to cost-based planning; an explicit --engine
+    # (including 'pointwise', the reference oracle) pins the path.
+    return _join_and_emit(
+        args, request, args.family, engine=args.engine or "auto"
     )
-    return 0
 
 
 def _cmd_selfjoin(args: argparse.Namespace) -> int:
@@ -240,13 +219,14 @@ def _cmd_selfjoin(args: argparse.Namespace) -> int:
         # so the plan is always computed here — for "auto" it is the
         # exact plan the run will use (the planner is deterministic and
         # self_rcj forwards the same workers value).
-        _explain_hypothetical(points, points, args)
+        from repro.engine.families import explain_family
+
+        print(
+            explain_family(points, points, "rcj", workers=args.workers),
+            file=sys.stderr,
+        )
     pairs = self_rcj(points, algorithm=method, workers=args.workers)
-    if args.output:
-        with open(args.output, "w") as f:
-            _write_pairs(pairs, f)
-    else:
-        _write_pairs(pairs, sys.stdout)
+    _write_output(pairs, args)
     print(
         f"self-RCJ({args.pointset}) via {method}: {len(pairs)} pairs",
         file=sys.stderr,
@@ -255,28 +235,12 @@ def _cmd_selfjoin(args: argparse.Namespace) -> int:
 
 
 def _cmd_topk(args: argparse.Namespace) -> int:
-    from repro.engine import run_topk
+    from repro.engine.request import JoinRequest
 
-    points_p = load_points(args.pointset_p)
-    points_q = load_points(args.pointset_q)
-    report = run_topk(
-        points_p, points_q, args.k, engine=args.engine, workers=args.workers
+    request = JoinRequest(k=args.k, workers=args.workers)
+    return _join_and_emit(
+        args, request, f"top-{args.k} RCJ", algorithm=args.engine
     )
-    if args.explain and report.plan is not None:
-        print(report.plan.describe(), file=sys.stderr)
-    _emit_trace_diagnostics(report, args)
-    pairs = report.pairs
-    if args.output:
-        with open(args.output, "w") as f:
-            _write_pairs(pairs, f)
-    else:
-        _write_pairs(pairs, sys.stdout)
-    print(
-        f"top-{args.k} RCJ pairs by ring diameter via "
-        f"{report.algorithm.lower()}: {len(pairs)} reported",
-        file=sys.stderr,
-    )
-    return 0
 
 
 def _cmd_resemblance(args: argparse.Namespace) -> int:

@@ -19,14 +19,18 @@ algorithms in :mod:`repro.core`:
   behind :func:`run_family_join` (and ``run_join(family=...)``), with
   the pointwise implementations in :mod:`repro.joins` kept as
   reference oracles;
+- :mod:`repro.engine.request` — :class:`JoinRequest`, the one
+  validated request shape (family, ``k``, ``eps``, self-join mode,
+  worker and memory budgets) every front door and planner name builds;
 - :mod:`repro.engine.planner` — :func:`run_join`, the unified planner
   entry point dispatching across every join implementation (``inj``,
   ``bij``, ``obj``, ``brute``, ``gabriel`` and the vectorized
   ``array`` / ``array-parallel`` engines, which run the bulk RCJ
   pipeline) and returning the ordinary
-  :class:`~repro.core.pairs.JoinReport`; :func:`run_topk` (ordered
-  browsing, ``run_join(mode="topk")``) and :func:`make_dynamic` (the
-  shared dynamic-backend factory) ride the same planner;
+  :class:`~repro.core.pairs.JoinReport`; :func:`run_join`,
+  :func:`run_topk` (ordered browsing, ``run_join(mode="topk")``) and
+  :func:`run_family_join` all run on its one executor, and
+  :func:`make_dynamic` builds the shared dynamic backend;
 - :mod:`repro.engine.streaming` — the canonical ascending-diameter
   order (:func:`sort_pairs_by_diameter`) and :class:`DynamicArrayRCJ`
   (incremental maintenance with batched kernels).
@@ -39,7 +43,6 @@ working unchanged on its reports.
 
 from repro.engine.arrays import NonFiniteCoordinateError, PointArray
 from repro.engine.families import (
-    FAMILY_NAMES,
     build_family_pipeline,
     explain_family,
     run_family_join,
@@ -55,6 +58,7 @@ from repro.engine.planner import (
     run_join,
     run_topk,
 )
+from repro.engine.request import FAMILY_NAMES, JoinRequest
 from repro.engine.streaming import DynamicArrayRCJ, sort_pairs_by_diameter
 
 __all__ = [
@@ -64,6 +68,7 @@ __all__ = [
     "TOPK_ENGINE_NAMES",
     "DynamicArrayRCJ",
     "JoinContext",
+    "JoinRequest",
     "NonFiniteCoordinateError",
     "Pipeline",
     "PointArray",

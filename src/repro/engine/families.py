@@ -34,15 +34,14 @@ and the paper's RCJ algorithms) — the equivalence suites pin this —
 and every run records measured per-stage wall times on
 ``JoinReport.stage_seconds``.
 
-:func:`run_family_join` is the execution entry point;
-:func:`repro.engine.planner.run_join` dispatches to it for
-``family != "rcj"`` so callers keep one front door.
+:func:`run_family_join` is the family-first front door; it and
+:func:`repro.engine.planner.run_join` (``family=...``) build the same
+:class:`~repro.engine.request.JoinRequest` and run it on the planner's
+one executor.
 """
 
 from __future__ import annotations
 
-import time
-from functools import partial
 from typing import Sequence
 
 from repro.core.pairs import JoinReport, RCJPair
@@ -65,43 +64,14 @@ from repro.engine.operators import (
     TakeSmallest,
     VerifyRings,
 )
+from repro.engine.request import FAMILY_NAMES, JoinRequest  # noqa: F401
 from repro.geometry.point import Point
-from repro.obs.trace import trace as obs_trace
-
-#: The join families :func:`run_family_join` dispatches.
-FAMILY_NAMES = ("rcj", "epsilon", "knn", "kcp", "cij")
-
-#: ``engine=`` values a family join accepts (mirrors the planner's).
-FAMILY_ENGINE_NAMES = ("pointwise", "array", "array-parallel", "auto")
 
 #: Families whose probe loop shards across processes.  k-closest-pairs
 #: streams globally ordered bands (no probe-disjoint decomposition) and
 #: the CIJ's cost is dominated by the serial geometric step, so both
 #: coerce ``array-parallel`` to ``array``.
 SHARDABLE_FAMILIES = ("epsilon", "knn")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _check_family_params(
-    family: str, eps: float | None, k: int | None
-) -> None:
-    _require(
-        family in FAMILY_NAMES,
-        f"unknown join family {family!r}; expected one of {FAMILY_NAMES}",
-    )
-    if family == "epsilon":
-        _require(eps is not None, "family='epsilon' requires eps")
-        _require(eps >= 0, f"negative epsilon {eps}")
-    elif family in ("knn", "kcp"):
-        _require(k is not None, f"family={family!r} requires k")
-    elif family == "cij":
-        _require(eps is None and k is None, "family='cij' takes no parameter")
-    else:  # rcj
-        _require(eps is None, "eps applies to family='epsilon' only")
 
 
 def rcj_pipeline(
@@ -137,7 +107,7 @@ def build_family_pipeline(
     the bulk RCJ (:func:`rcj_pipeline`), or with ``k`` the top-k RCJ
     composed from the generic band, prune and verify stages.
     """
-    _check_family_params(family, eps, k)
+    JoinRequest(family, k=k, eps=eps, exclude_same_oid=exclude_same_oid)
     if family == "epsilon":
         return Pipeline(
             RangeSource(eps, probes=probes),
@@ -148,11 +118,11 @@ def build_family_pipeline(
         return Pipeline(KnnSource(k, probes=probes), [], CollectAll())
     if family == "rcj" and k is None:
         return rcj_pipeline(exclude_same_oid=exclude_same_oid, probes=probes)
-    _require(
-        probes is None,
-        f"the {family!r} pipeline cannot be restricted to probe rows"
-        " (its source needs every row at once)",
-    )
+    if probes is not None:
+        raise ValueError(
+            f"the {family!r} pipeline cannot be restricted to probe rows"
+            " (its source needs every row at once)"
+        )
     if family == "kcp":
         return Pipeline(
             BandSource(k_hint=k, exclude_same_oid=exclude_same_oid),
@@ -309,15 +279,16 @@ def run_family_join(
         kNN join: pairs are ``<p, q among p's k NNs in Q>``... see each
         family's oracle for its orientation).
     family:
-        One of :data:`FAMILY_NAMES` (``"rcj"`` delegates to the bulk
-        RCJ planner, :func:`repro.engine.planner.run_join`; it takes no
+        One of :data:`FAMILY_NAMES` (``"rcj"`` is the bulk RCJ, the
+        same run as :func:`repro.engine.planner.run_join`; it takes no
         ``k`` — the top-k RCJ is :func:`repro.engine.planner.run_topk`).
     engine:
-        ``"pointwise"`` (the reference oracle), ``"array"`` (the serial
-        pipeline), ``"array-parallel"`` (sharded pool, shardable
-        families only — others coerce to ``"array"``) or ``"auto"``
-        (default: :func:`repro.parallel.costmodel.choose_family_plan`,
-        whose decision rides on ``report.plan``).
+        ``"pointwise"`` (the reference oracle; the paper's OBJ for the
+        RCJ), ``"array"`` (the serial pipeline), ``"array-parallel"``
+        (sharded pool, shardable families only — others coerce to
+        ``"array"``) or ``"auto"`` (default: the planner,
+        :func:`repro.parallel.costmodel.plan_join`, whose decision
+        rides on ``report.plan``).
     eps, k:
         The family parameter (ε radius / result bound).
     bounds:
@@ -329,122 +300,25 @@ def run_family_join(
         Shard-granularity override for the parallel engine (tests force
         real pools on small data with it).
     """
-    _check_family_params(family, eps, k)
-    if engine is None:
-        engine = "auto"
-    if engine not in FAMILY_ENGINE_NAMES:
+    from repro.engine.planner import _engine_for, _execute
+
+    if family == "rcj" and k is not None:
         raise ValueError(
-            f"unknown engine {engine!r}; expected one of {FAMILY_ENGINE_NAMES}"
-        )
-
-    if family == "rcj":
-        from repro.engine.planner import run_join
-
-        _require(
-            k is None,
             "family='rcj' is the full join and takes no k; for the k"
             " smallest-diameter pairs use run_topk(...) or"
-            " run_join(..., mode='topk', k=...)",
+            " run_join(..., mode='topk', k=...)"
         )
-        # engine="pointwise" keeps run_join's default algorithm (the
-        # paper's OBJ on the R-tree backend) — the RCJ reference oracle.
-        # min_shard only shapes pools, so only pool-capable engines
-        # see it.
-        kwargs = (
-            {"min_shard": min_shard}
-            if min_shard is not None and engine in ("array-parallel", "auto")
-            else {}
-        )
-        return run_join(
-            points_p,
-            points_q,
-            engine=engine,
-            workers=workers,
-            buffer_budget_bytes=buffer_budget_bytes,
-            **kwargs,
-        )
-
-    plan = None
-    if engine == "auto":
-        from repro.parallel.costmodel import choose_family_plan
-
-        plan = choose_family_plan(
-            family,
-            points_p,
-            points_q,
-            eps=eps,
-            k=k,
-            workers=workers,
-            budget_bytes=buffer_budget_bytes,
-        )
-        engine = plan.engine
-        workers = plan.workers
-    if engine == "array-parallel" and family not in SHARDABLE_FAMILIES:
-        engine = "array"
-
-    report = JoinReport(f"{family.upper()}-{engine.upper()}")
-    report.plan = plan
-    stages: dict = {}
-    exec_info: dict = {}
-    t0 = time.perf_counter()
-
-    if engine == "pointwise":
-        with obs_trace(
-            "family-join",
-            family=family,
-            engine="pointwise",
-            n_p=len(points_p),
-            n_q=len(points_q),
-        ) as root:
-            _pointwise_family(
-                points_p, points_q, family, eps, k, bounds, report
-            )
-        report.cpu_seconds = time.perf_counter() - t0
-        report.workers_used = 1
-        if root is not None:
-            root.add("node-accesses", report.node_accesses)
-            root.add("pairs", len(report.pairs))
-        report.trace = root
-        from repro.engine.planner import _record_observation
-
-        _record_observation(plan, report, "family", family=family)
-        return report
-
-    if family in ("knn", "kcp") and k <= 0:
-        report.pairs = []
-        report.cpu_seconds = time.perf_counter() - t0
-        return report
-
-    with obs_trace(
-        "family-join",
-        family=family,
-        engine=engine,
-        n_p=len(points_p),
-        n_q=len(points_q),
-    ) as root:
-        report.pairs, candidates = run_array_pipeline(
-            partial(
-                build_family_pipeline, family, eps=eps, k=k, bounds=bounds
-            ),
-            points_p,
-            points_q,
-            workers=workers if engine == "array-parallel" else 1,
-            min_shard=min_shard,
-            stage_seconds=stages,
-            exec_info=exec_info,
-        )
-
-    report.candidate_count = candidates
-    report.cpu_seconds = time.perf_counter() - t0
-    report.workers_used = exec_info.get("workers", 1)
-    if root is not None:
-        root.set(workers=report.workers_used)
-        root.add("pairs", len(report.pairs))
-    from repro.engine.planner import _attach_measurements, _record_observation
-
-    _attach_measurements(report, stages, root)
-    _record_observation(plan, report, "family", family=family)
-    return report
+    request = JoinRequest(
+        family, k=k, eps=eps, workers=workers, budget_bytes=buffer_budget_bytes
+    )
+    engine = _engine_for(family, "auto" if engine is None else engine)
+    options = {"bounds": bounds}
+    # min_shard only shapes pools; the RCJ's other engines do not take it.
+    if min_shard is not None and (
+        family != "rcj" or engine in ("array-parallel", "auto")
+    ):
+        options["min_shard"] = min_shard
+    return _execute(request, points_p, points_q, engine, options=options)
 
 
 def explain_family(
@@ -457,48 +331,37 @@ def explain_family(
     workers: int | None = None,
     budget_bytes: int | None = None,
 ) -> str:
-    """Explain block for one family join: the chosen plan plus the
+    """Explain block for one family join: the plan
+    :func:`repro.parallel.costmodel.plan_join` makes for it plus the
     declared pipeline with its per-stage estimates (the CLI's
     ``join --family ... --explain``)."""
-    _check_family_params(family, eps, k)
-    if family == "rcj":
-        from repro.parallel.costmodel import choose_plan
+    from repro.parallel.costmodel import plan_join
 
-        plan = choose_plan(
-            points_p, points_q, workers=workers, budget_bytes=budget_bytes
-        )
-    else:
-        from repro.parallel.costmodel import choose_family_plan
-
-        plan = choose_family_plan(
-            family,
-            points_p,
-            points_q,
-            eps=eps,
-            k=k,
-            workers=workers,
-            budget_bytes=budget_bytes,
-        )
-    lines = [plan.describe()]
-    lines.append(
-        "pipeline: " + describe_family_pipeline(family, eps=eps, k=k)
+    request = JoinRequest(
+        family, k=k, eps=eps, workers=workers, budget_bytes=budget_bytes
     )
-    n_p, n_q = len(points_p), len(points_q)
-    probe = n_p if family == "knn" else n_q
-    lines.append(
+    return explain_plan(
+        plan_join(request, points_p, points_q), family, eps=eps, k=k
+    )
+
+
+def explain_plan(
+    plan, family: str, *, eps: float | None = None, k: int | None = None
+) -> str:
+    """Explain block of one plan — made for, or attached to the report
+    of, a ``family`` join: the plan, the declared pipeline and its
+    per-stage estimates."""
+    probe = plan.n_p if family == "knn" else plan.n_q
+    lines = [
+        plan.describe(),
+        "pipeline: " + describe_family_pipeline(family, eps=eps, k=k),
         f"  source:  ~{probe} probes -> ~{plan.est_candidates} candidate"
-        " pairs"
-    )
+        " pairs",
+    ]
     if family == "epsilon":
-        lines.append(
-            "  filter:  exact d<=eps cut over each candidate block"
-        )
+        lines.append("  filter:  exact d<=eps cut over each candidate block")
     elif family == "cij":
-        lines.append(
-            "  verify:  convex SAT per overlapping cell-bbox pair"
-        )
-    elif family == "kcp":
-        lines.append(
-            f"  sink:    stop at the ordered chunk holding pair {k}"
-        )
+        lines.append("  verify:  convex SAT per overlapping cell-bbox pair")
+    elif k is not None and family in ("kcp", "rcj"):
+        lines.append(f"  sink:    stop at the ordered chunk holding pair {k}")
     return "\n".join(lines)

@@ -60,7 +60,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from repro.core.gabriel import recover_cocircular_pairs, recoverable_radius_bound
 from repro.engine.arrays import PointArray
-from repro.obs.trace import stage_timer  # noqa: F401  (re-export)
+from repro.obs.trace import stage_timer
 
 #: Neighbour window of the first candidate-generation stage.
 DEFAULT_K0 = 16
@@ -92,12 +92,6 @@ _SCAN_WORK_LIMIT = 4_000_000
 #: rounding of midpoint/radius while the exact dot predicate keeps the
 #: final say (same convention as :func:`repro.core.gabriel.gabriel_rcj`).
 _BALL_INFLATION = 1e-7
-
-
-# NOTE: ``stage_timer`` now lives in :mod:`repro.obs.trace` (it
-# dual-writes each measurement into the accumulator dict and, when a
-# trace is active, a ``kind="stage"`` span) and is re-exported from
-# this module for its long-standing importers.
 
 
 def _coord_scale(*arrays: np.ndarray) -> float:

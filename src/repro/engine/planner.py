@@ -1,4 +1,4 @@
-"""The unified join planner.
+"""The unified join planner: one request, one planner, one executor.
 
 :func:`run_join` is the single entry point every caller (CLI, bench
 harness, tests, applications) can dispatch through: it takes the two
@@ -30,26 +30,23 @@ algorithm          backend    implementation
 passing an explicit backend that the algorithm cannot run on raises
 ``ValueError`` rather than silently substituting an implementation.
 
-``algorithm="auto"`` (equivalently ``engine="auto"``) consults the
-cost-based planner (:mod:`repro.parallel.costmodel`): dataset sizes, a
-density sample and the memory budget pick the engine and worker count,
-and the decision — an
-:class:`~repro.parallel.costmodel.ExecutionPlan` — is attached to the
-returned report as ``report.plan`` (the CLI's ``--explain``).
-
-Both array engines, like every columnar join, execute one declared
-pipeline through ``Pipeline.run``
-(:func:`repro.engine.families.run_array_pipeline`).  Beyond the bulk
-join, the planner fronts the other two workloads of the paper's
-applications: :func:`run_topk` (ordered browsing — also reachable as
-``run_join(mode="topk", k=...)``) dispatches between the ``rcj``
-family's top-k pipeline and the R-tree incremental distance join,
-and :func:`make_dynamic` builds an incremental-maintenance backend
+The front doors — :func:`run_join` (any family, ``mode="join"`` or
+``"topk"``), :func:`run_topk` and
+:func:`repro.engine.families.run_family_join` — each build one
+validated :class:`~repro.engine.request.JoinRequest` and hand it to one
+executor.  ``engine="auto"`` consults the cost-based planner
+(:func:`repro.parallel.costmodel.plan_join`), whose decision — an
+:class:`~repro.parallel.costmodel.ExecutionPlan` — rides on
+``report.plan`` (the CLI's ``--explain``).  The columnar engines run
+one declared pipeline (:func:`repro.engine.families.run_array_pipeline`);
+the R-tree algorithms, the main-memory comparators, the R-tree top-k
+heap and the families' pointwise oracles fill the same report, and one
+epilogue records wall time, the workers that ran, the trace and the
+measured per-stage times (``report.stage_seconds``; also
+``report.plan.measured`` for planned runs) for cost-model calibration.
+:func:`make_dynamic` builds an incremental-maintenance backend
 (columnar or R*-tree) behind the shared
-:class:`~repro.core.dynamic.DynamicBackend` protocol.  Memory-engine
-executions record measured per-stage wall times on
-``report.stage_seconds`` (and on ``report.plan.measured`` for planned
-runs) for later cost-model calibration.
+:class:`~repro.core.dynamic.DynamicBackend` protocol.
 """
 
 from __future__ import annotations
@@ -63,8 +60,17 @@ from repro.core.brute import brute_candidate_count, brute_force_rcj
 from repro.core.gabriel import gabriel_rcj
 from repro.core.inj import inj
 from repro.core.pairs import JoinReport, RCJPair
+from repro.engine.families import (
+    SHARDABLE_FAMILIES,
+    _pointwise_family,
+    build_family_pipeline,
+    rcj_pipeline,
+    run_array_pipeline,
+)
+from repro.engine.kernels import DEFAULT_K0
+from repro.engine.request import JoinRequest
 from repro.geometry.point import Point
-from repro.obs.trace import stage_totals
+from repro.obs.trace import add_counter, stage_totals
 from repro.obs.trace import trace as obs_trace
 from repro.storage.stats import CostModel
 
@@ -91,9 +97,20 @@ _ALGORITHM_BACKEND = {
     "array-parallel": "memory",
 }
 
-#: ``engine=`` values accepted as an execution-strategy override of
-#: ``algorithm`` (``"pointwise"`` keeps the algorithm as given).
+#: ``engine=`` values accepted by every front door (``"pointwise"`` keeps
+#: the RCJ's ``algorithm`` as given and runs the other families'
+#: reference oracles).
 ENGINE_NAMES = ("pointwise", "array", "array-parallel", "auto")
+
+#: ``engine=`` values :func:`run_topk` accepts: the front-door names plus
+#: ``"obj"``.  ``"pointwise"`` and ``"obj"`` are the lazy R-tree route;
+#: ``"array-parallel"`` coerces to the (serial) array pipeline — its
+#: distance bands are globally ordered, so they do not shard.
+TOPK_ENGINE_NAMES = ENGINE_NAMES + ("obj",)
+
+_TOPK_ALIASES = {"pointwise": "obj", "array-parallel": "array"}
+
+_RTREE_ALGORITHMS = ("inj", "bij", "obj")
 
 
 def array_rcj(
@@ -147,8 +164,6 @@ def array_parallel_rcj(
 
     Returns ``(pairs, candidate_count)``.
     """
-    from repro.engine.families import rcj_pipeline, run_array_pipeline
-
     return run_array_pipeline(
         partial(rcj_pipeline, k0=k0, exclude_same_oid=exclude_same_oid),
         points_p,
@@ -179,7 +194,7 @@ def run_join(
     workload=None,
     **algorithm_kwargs,
 ) -> JoinReport:
-    """Run one RCJ algorithm end to end and return its report.
+    """Run one join end to end and return its report.
 
     Parameters
     ----------
@@ -197,23 +212,22 @@ def run_join(
     engine:
         Execution-strategy override of ``algorithm``: ``"array"``,
         ``"array-parallel"``, ``"auto"`` (cost-based planning) or
-        ``"pointwise"`` (keep ``algorithm`` as given).  Mirrors the
-        CLI's ``--engine`` flag.
+        ``"pointwise"`` (keep ``algorithm`` as given; for the other
+        families, the reference oracle).  Mirrors the CLI's
+        ``--engine`` flag.
     family:
         The join family (:data:`repro.engine.families.FAMILY_NAMES`).
-        ``"rcj"`` (default) runs this planner's own algorithms; any
-        other family dispatches to
-        :func:`repro.engine.families.run_family_join` with the same
-        engine selection — ε-joins need ``eps``, kNN and
-        k-closest-pairs need ``k``.
+        ``"rcj"`` (default) runs this planner's own algorithms; the
+        other families run their pipelines or oracles with the same
+        engine selection (default ``"auto"``) — ε-joins need ``eps``,
+        kNN and k-closest-pairs need ``k``.
     mode:
         ``"join"`` (the full result; default) or ``"topk"`` (the ``k``
         smallest-diameter pairs in ascending order — the CLI's
-        ``--mode topk``); top-k requests delegate to :func:`run_topk`
-        with the same engine selection.
+        ``--mode topk``, the same run as :func:`run_topk`).
     k:
-        Result-size bound for ``mode="topk"`` (required there, ignored
-        otherwise).
+        Result-size bound for ``mode="topk"`` and the kNN /
+        k-closest-pairs families (ignored by the full RCJ).
     workers:
         Worker-process budget for the parallel engine and the planner
         (``None`` = all cores; ignored by serial engines).
@@ -228,15 +242,15 @@ def run_join(
         I/O and CPU charging model for the R-tree backend.
     workload:
         Optional prebuilt :class:`repro.bench.runner.Workload` to reuse
-        existing indexes (R-tree backend only); its counters are reset.
+        existing indexes (R-tree routes only); its counters are reset.
     algorithm_kwargs:
         Passed through to the underlying algorithm (e.g. ``verify``,
-        ``search_order`` for INJ, ``k0`` for the array engine).
+        ``search_order`` for INJ, ``k0`` for the array engine,
+        ``bounds`` / ``min_shard`` for the families).
     """
+    if mode not in ("join", "topk"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'join' or 'topk'")
     if family != "rcj":
-        # Imported lazily: families builds on this planner.
-        from repro.engine.families import run_family_join
-
         if mode != "join":
             raise ValueError(
                 f"family={family!r} supports mode='join' only"
@@ -246,50 +260,118 @@ def run_join(
             raise ValueError(
                 "family joins take engine=..., not algorithm/backend"
             )
-        if exclude_same_oid:
-            raise ValueError(
-                f"exclude_same_oid is not defined for family={family!r}"
-            )
-        return run_family_join(
-            points_p,
-            points_q,
-            family,
-            engine=engine,
-            eps=eps,
-            k=k,
-            workers=workers,
-            buffer_budget_bytes=buffer_budget_bytes,
-            **algorithm_kwargs,
+    elif mode == "join":
+        k = None  # the full RCJ has no result bound
+    elif k is None:
+        raise ValueError("mode='topk' requires k")
+    request = JoinRequest(
+        family,
+        k=k,
+        eps=eps,
+        exclude_same_oid=exclude_same_oid,
+        workers=workers,
+        budget_bytes=buffer_budget_bytes,
+    )
+    return _execute(
+        request,
+        points_p,
+        points_q,
+        _engine_for(family, engine, algorithm),
+        backend=backend,
+        workload=workload,
+        buffer_fraction=buffer_fraction,
+        cost_model=cost_model,
+        options=algorithm_kwargs,
+    )
+
+
+def run_topk(
+    points_p: Sequence[Point],
+    points_q: Sequence[Point],
+    k: int,
+    engine: str = "auto",
+    *,
+    exclude_same_oid: bool = False,
+    workers: int | None = None,
+    buffer_budget_bytes: int | None = None,
+    workload=None,
+) -> JoinReport:
+    """The ``k`` smallest-diameter RCJ pairs, through the planner.
+
+    The ordered-browsing entry point (the paper's tourist
+    recommendation): returns a :class:`JoinReport` whose ``pairs`` are
+    the first ``k`` entries of the canonically sorted join result
+    (ascending ring diameter, ties by ``(p.oid, q.oid)``), computed
+    lazily — neither route materialises the full join for small ``k``.
+
+    Engines
+    -------
+    ``"array"`` (``"array-parallel"`` coerces to it: the bands are
+    globally ordered, so they do not shard)
+        The ``rcj`` family pipeline with ``k``
+        (:func:`repro.engine.families.build_family_pipeline`):
+        expanding-radius candidate bands with a resume cursor, each
+        sorted canonically and streamed in growing chunks (``k``,
+        ``2k``, ``4k``, … pairs), Ψ− pruning, batch ring verification,
+        and a sink that stops the stream at the chunk bringing the
+        ``k``-th verified pair.  The trace's ``candidates`` /
+        ``verified`` count that consumed prefix, not whole bands.
+    ``"obj"`` / ``"pointwise"``
+        The R-tree incremental distance join
+        (:func:`repro.core.topk.top_k_rcj`) — work proportional to the
+        answer's neighbourhood; reuses ``workload``'s indexes when
+        given.  Note the heap's tie order is arrival order, so on
+        datasets with exactly tied pair distances the tail of a tied
+        run may differ from the canonical order (the array route sorts
+        ties canonically).
+    ``"auto"``
+        :func:`repro.parallel.costmodel.choose_topk_plan` picks from
+        ``k``, the sizes and the density sample; the decision rides on
+        ``report.plan``.
+    """
+    request = JoinRequest(
+        k=k,
+        exclude_same_oid=exclude_same_oid,
+        workers=workers,
+        budget_bytes=buffer_budget_bytes,
+    )
+    return _execute(request, points_p, points_q, engine, workload=workload)
+
+
+def _engine_for(
+    family: str, engine: str | None, algorithm: str = "obj"
+) -> str:
+    """The engine name one front-door call asks for: ``engine``
+    overrides the RCJ's ``algorithm`` unless it is ``"pointwise"``
+    (keep the algorithm); the other families default to ``"auto"``."""
+    if engine is not None and engine not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
         )
-    if eps is not None:
-        raise ValueError("eps applies to family='epsilon' only")
+    if family != "rcj":
+        return engine or "auto"
+    return algorithm.lower() if engine in (None, "pointwise") else engine
 
-    name = algorithm.lower()
-    if engine is not None:
-        if engine not in ENGINE_NAMES:
+
+def _resolve(
+    request: JoinRequest,
+    points_p,
+    points_q,
+    name: str,
+    backend: str,
+    trees_prebuilt: bool,
+):
+    """``(engine, plan)`` for one request: aliases resolved, ``"auto"``
+    planned (:func:`repro.parallel.costmodel.plan_join`), the backend
+    checked against the engine that will run."""
+    kind = request.kind
+    if kind == "topk":
+        if name not in TOPK_ENGINE_NAMES:
             raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
+                f"unknown top-k engine {name!r}; "
+                f"expected one of {TOPK_ENGINE_NAMES}"
             )
-        if engine != "pointwise":
-            name = engine
-
-    if mode not in ("join", "topk"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'join' or 'topk'")
-    if mode == "topk":
-        if k is None:
-            raise ValueError("mode='topk' requires k")
-        return run_topk(
-            points_p,
-            points_q,
-            k,
-            engine=name,
-            exclude_same_oid=exclude_same_oid,
-            workers=workers,
-            buffer_budget_bytes=buffer_budget_bytes,
-            workload=workload,
-            **algorithm_kwargs,
-        )
-
+        name = _TOPK_ALIASES.get(name, name)
     plan = None
     if name == "auto":
         if backend != "auto":
@@ -298,133 +380,246 @@ def run_join(
                 f"cannot force backend={backend!r}"
             )
         # Imported lazily: repro.parallel builds on the engine package.
-        from repro.parallel.costmodel import choose_plan
+        from repro.parallel import costmodel
 
-        plan = choose_plan(
-            points_p,
-            points_q,
-            workers=workers,
-            budget_bytes=buffer_budget_bytes,
-        )
+        # One planner body; the bulk RCJ enters it through its
+        # historical name, the hook callers and tests patch.
+        if kind == "join":
+            plan = costmodel.choose_plan(
+                points_p,
+                points_q,
+                workers=request.workers,
+                budget_bytes=request.budget_bytes,
+            )
+        else:
+            plan = costmodel.plan_join(
+                request, points_p, points_q, trees_prebuilt=trees_prebuilt
+            )
         name = plan.engine
-        workers = plan.workers
+    if kind == "family":
+        if (
+            name == "array-parallel"
+            and request.family not in SHARDABLE_FAMILIES
+        ):
+            name = "array"
+        return name, plan
+    if name not in _ALGORITHM_BACKEND:
+        raise ValueError(
+            f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}"
+        )
+    implied = _ALGORITHM_BACKEND[name]
+    if backend not in ("auto", implied):
+        raise ValueError(
+            f"algorithm {name!r} runs on the {implied!r} backend, not {backend!r}"
+        )
+    return name, plan
+
+
+#: Trace root of each request kind.
+_ROOT_SPANS = {"join": "join", "topk": "topk", "family": "family-join"}
+
+
+def _execute(
+    request: JoinRequest,
+    points_p: Sequence[Point],
+    points_q: Sequence[Point],
+    engine: str,
+    *,
+    backend: str = "auto",
+    workload=None,
+    buffer_fraction: float | None = None,
+    cost_model: CostModel | None = None,
+    options: dict | None = None,
+) -> JoinReport:
+    """Plan (under ``"auto"``), run and account one join request.
+
+    Every front door ends here.  The columnar engines run one declared
+    pipeline (:func:`repro.engine.families.run_array_pipeline`); the
+    oracle routes — the paper's R-tree algorithms, the main-memory
+    comparators, the R-tree top-k heap and each family's pointwise
+    reference — fill the same report.  Then one epilogue measures the
+    wall time, the workers that ran, the trace counters and stages,
+    and feeds planned runs to the calibration log.
+    """
+    options = dict(options or {})
+    kind = request.kind
+    bounds = options.pop("bounds", None)  # the CIJ's clipping region
+    name, plan = _resolve(
+        request, points_p, points_q, engine, backend, workload is not None
+    )
+    workers = request.workers if plan is None else plan.workers
+    if plan is not None and kind == "join":
         # Engine tuning hints the planned engine cannot use are
         # dropped rather than crashing it: under auto they are hints,
         # not commands.
         if name != "array-parallel":
-            algorithm_kwargs.pop("min_shard", None)
+            options.pop("min_shard", None)
         if name == "obj":
-            algorithm_kwargs.pop("k0", None)
+            options.pop("k0", None)
 
-    if name not in _ALGORITHM_BACKEND:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_NAMES}"
-        )
-    implied = _ALGORITHM_BACKEND[name]
-    if backend == "auto":
-        backend = implied
-    if backend != implied:
-        raise ValueError(
-            f"algorithm {name!r} runs on the {implied!r} backend, not {backend!r}"
-        )
-
-    if backend == "rtree":
-        # Imported lazily: repro.bench.runner dispatches back into this
-        # planner for the array engine.
-        from repro.bench.runner import DEFAULT_BUFFER_FRACTION, build_workload
-
-        if workload is None:
-            workload = build_workload(
-                points_q,
-                points_p,
-                buffer_fraction=(
-                    DEFAULT_BUFFER_FRACTION
-                    if buffer_fraction is None
-                    else buffer_fraction
-                ),
-            )
-        else:
-            workload.reset()
-        common = dict(
-            exclude_same_oid=exclude_same_oid,
-            cost_model=cost_model,
-            **algorithm_kwargs,
-        )
-        with obs_trace(
-            "join",
-            engine=name,
-            backend="rtree",
-            n_p=len(points_p),
-            n_q=len(points_q),
-        ) as root:
-            if name == "inj":
-                report = inj(workload.tree_q, workload.tree_p, **common)
-            elif name == "bij":
-                report = bij(
-                    workload.tree_q, workload.tree_p, symmetric=False, **common
-                )
-            else:
-                report = bij(
-                    workload.tree_q, workload.tree_p, symmetric=True, **common
-                )
-        if root is not None:
-            root.add("node-accesses", report.node_accesses)
-            root.add("page-faults", report.page_faults)
-            root.add("buffer-hits", report.buffer_hits)
-            root.add("candidates", report.candidate_count)
-            root.add("pairs", len(report.pairs))
-        report.trace = root
-        report.workers_used = 1
-        report.plan = plan
-        _record_observation(plan, report, "join")
-        return report
-
-    # -- main-memory backends ------------------------------------------
-    report = JoinReport(name.upper())
-    report.plan = plan
+    attrs = {"family": request.family} if kind == "family" else {}
+    attrs["engine"] = name
+    if kind == "topk":
+        attrs["k"] = request.k
+    elif kind == "join" and name in _RTREE_ALGORITHMS:
+        attrs["backend"] = "rtree"
     stages: dict = {}
     exec_info: dict = {}
     t0 = time.perf_counter()
     with obs_trace(
-        "join", engine=name, n_p=len(points_p), n_q=len(points_q)
+        _ROOT_SPANS[kind], **attrs, n_p=len(points_p), n_q=len(points_q)
     ) as root:
-        if name == "brute":
-            report.pairs = brute_force_rcj(
-                points_p, points_q, exclude_same_oid=exclude_same_oid
+        if name in ("array", "array-parallel"):
+            report = JoinReport(_report_name(request, name))
+            if not request.is_empty:
+                report.pairs, report.candidate_count = _run_columnar(
+                    request, points_p, points_q, name, workers, bounds,
+                    stages, exec_info, options,
+                )
+        else:
+            report = _run_oracle(
+                request, points_p, points_q, name, workload, bounds,
+                buffer_fraction, cost_model, options,
             )
-            report.candidate_count = brute_candidate_count(
-                len(points_p), len(points_q)
-            )
-        elif name == "gabriel":
-            report.pairs = gabriel_rcj(
-                points_p, points_q, exclude_same_oid=exclude_same_oid
-            )
-            report.candidate_count = len(report.pairs)
-        elif name == "array-parallel":
-            report.pairs, report.candidate_count = array_parallel_rcj(
-                points_p,
-                points_q,
-                exclude_same_oid=exclude_same_oid,
-                workers=workers,
-                stage_seconds=stages,
-                exec_info=exec_info,
-                **algorithm_kwargs,
-            )
-        else:  # array
-            report.pairs, report.candidate_count = array_rcj(
-                points_p,
-                points_q,
-                exclude_same_oid=exclude_same_oid,
-                stage_seconds=stages,
-                **algorithm_kwargs,
-            )
-    report.cpu_seconds = time.perf_counter() - t0
+    if not (kind == "join" and name in _RTREE_ALGORITHMS):
+        # The R-tree algorithms account their own CPU time (the
+        # paper's cost model); everything else is measured here.
+        report.cpu_seconds = time.perf_counter() - t0
     report.workers_used = exec_info.get("workers", 1)
+    report.plan = plan
     if root is not None:
         root.set(workers=report.workers_used)
         root.add("pairs", len(report.pairs))
     _attach_measurements(report, stages, root)
-    _record_observation(plan, report, "join")
+    _record_observation(
+        plan, report, kind,
+        family=request.family if kind == "family" else None,
+    )
+    return report
+
+
+def _report_name(request: JoinRequest, engine: str) -> str:
+    if request.kind == "family":
+        return f"{request.family.upper()}-{engine.upper()}"
+    if request.kind == "topk":
+        return f"TOPK-{engine.upper()}"
+    return engine.upper()
+
+
+def _run_columnar(
+    request, points_p, points_q, engine, workers, bounds, stages,
+    exec_info, options,
+) -> tuple[list[RCJPair], int]:
+    """One pipeline on the columnar engine: the bulk RCJ, the top-k
+    RCJ or a family, in-process or sharded over the pool."""
+    if request.kind == "join":
+        build = partial(
+            rcj_pipeline,
+            k0=options.pop("k0", DEFAULT_K0),
+            exclude_same_oid=request.exclude_same_oid,
+        )
+    else:
+        build = partial(
+            build_family_pipeline,
+            request.family,
+            eps=request.eps,
+            k=request.k,
+            bounds=bounds,
+            exclude_same_oid=request.exclude_same_oid,
+        )
+    return run_array_pipeline(
+        build,
+        points_p,
+        points_q,
+        workers=workers if engine == "array-parallel" else 1,
+        stage_seconds=stages,
+        exec_info=exec_info,
+        **options,
+    )
+
+
+def _run_oracle(
+    request, points_p, points_q, name, workload, bounds, buffer_fraction,
+    cost_model, options,
+) -> JoinReport:
+    """The object-code routes: the R-tree RCJ algorithms, the
+    main-memory comparators, the R-tree top-k heap and the families'
+    pointwise references."""
+    kind = request.kind
+    if kind == "family":
+        report = JoinReport(_report_name(request, name))
+        _pointwise_family(
+            points_p, points_q, request.family, request.eps, request.k,
+            bounds, report,
+        )
+        add_counter("node-accesses", report.node_accesses)
+        return report
+    if name in ("brute", "gabriel"):
+        report = JoinReport(name.upper())
+        if name == "brute":
+            report.pairs = brute_force_rcj(
+                points_p, points_q, exclude_same_oid=request.exclude_same_oid
+            )
+            report.candidate_count = brute_candidate_count(
+                len(points_p), len(points_q)
+            )
+        else:
+            report.pairs = gabriel_rcj(
+                points_p, points_q, exclude_same_oid=request.exclude_same_oid
+            )
+            report.candidate_count = len(report.pairs)
+        return report
+
+    # The R-tree routes.  Imported lazily: repro.bench.runner
+    # dispatches back into this planner for the array engine.
+    from repro.bench.runner import DEFAULT_BUFFER_FRACTION, build_workload
+
+    if workload is None:
+        workload = build_workload(
+            points_q,
+            points_p,
+            buffer_fraction=(
+                DEFAULT_BUFFER_FRACTION
+                if buffer_fraction is None
+                else buffer_fraction
+            ),
+        )
+    else:
+        workload.reset()
+    if kind == "topk":
+        from repro.core.topk import top_k_rcj
+
+        report = JoinReport(_report_name(request, name))
+        report.pairs = top_k_rcj(
+            workload.tree_p,
+            workload.tree_q,
+            request.k,
+            exclude_same_oid=request.exclude_same_oid,
+        )
+        report.candidate_count = len(report.pairs)
+        report.node_accesses = (
+            workload.tree_p.node_accesses + workload.tree_q.node_accesses
+        )
+        report.page_faults = workload.buffer.stats.page_faults
+        report.buffer_hits = workload.buffer.stats.buffer_hits
+        add_counter("node-accesses", report.node_accesses)
+        add_counter("page-faults", report.page_faults)
+        return report
+    common = dict(
+        exclude_same_oid=request.exclude_same_oid,
+        cost_model=cost_model,
+        **options,
+    )
+    if name == "inj":
+        report = inj(workload.tree_q, workload.tree_p, **common)
+    else:
+        report = bij(
+            workload.tree_q, workload.tree_p, symmetric=name == "obj", **common
+        )
+    add_counter("node-accesses", report.node_accesses)
+    add_counter("page-faults", report.page_faults)
+    add_counter("buffer-hits", report.buffer_hits)
+    add_counter("candidates", report.candidate_count)
     return report
 
 
@@ -472,134 +667,6 @@ def _record_observation(
         record_planned_run(plan, report, kind, family=family)
     except Exception:
         pass
-
-
-#: ``engine=`` values :func:`run_topk` accepts.  ``"pointwise"`` and
-#: ``"obj"`` are the lazy R-tree route; ``"array-parallel"`` coerces to
-#: the (serial) array pipeline — its distance bands are globally
-#: ordered, so they do not shard.
-TOPK_ENGINE_NAMES = ("auto", "array", "array-parallel", "obj", "pointwise")
-
-
-def run_topk(
-    points_p: Sequence[Point],
-    points_q: Sequence[Point],
-    k: int,
-    engine: str = "auto",
-    *,
-    exclude_same_oid: bool = False,
-    workers: int | None = None,
-    buffer_budget_bytes: int | None = None,
-    workload=None,
-) -> JoinReport:
-    """The ``k`` smallest-diameter RCJ pairs, through the planner.
-
-    The ordered-browsing entry point (the paper's tourist
-    recommendation): returns a :class:`JoinReport` whose ``pairs`` are
-    the first ``k`` entries of the canonically sorted join result
-    (ascending ring diameter, ties by ``(p.oid, q.oid)``), computed
-    lazily — neither route materialises the full join for small ``k``.
-
-    Engines
-    -------
-    ``"array"``
-        The ``rcj`` family pipeline with ``k``
-        (:func:`repro.engine.families.build_family_pipeline`):
-        expanding-radius candidate bands with a resume cursor, each
-        sorted canonically and streamed in growing chunks (``k``,
-        ``2k``, ``4k``, … pairs), Ψ− pruning, batch ring verification,
-        and a sink that stops the stream at the chunk bringing the
-        ``k``-th verified pair.  The trace's ``candidates`` /
-        ``verified`` count that consumed prefix, not whole bands.
-    ``"obj"`` / ``"pointwise"``
-        The R-tree incremental distance join
-        (:func:`repro.core.topk.top_k_rcj`) — work proportional to the
-        answer's neighbourhood; reuses ``workload``'s indexes when
-        given.  Note the heap's tie order is arrival order, so on
-        datasets with exactly tied pair distances the tail of a tied
-        run may differ from the canonical order (the array route sorts
-        ties canonically).
-    ``"auto"``
-        :func:`repro.parallel.costmodel.choose_topk_plan` picks from
-        ``k``, the sizes and the density sample; the decision rides on
-        ``report.plan``.
-    """
-    if engine not in TOPK_ENGINE_NAMES:
-        raise ValueError(
-            f"unknown top-k engine {engine!r}; "
-            f"expected one of {TOPK_ENGINE_NAMES}"
-        )
-    name = {"pointwise": "obj", "array-parallel": "array"}.get(engine, engine)
-
-    plan = None
-    if name == "auto":
-        from repro.parallel.costmodel import choose_topk_plan
-
-        plan = choose_topk_plan(
-            points_p,
-            points_q,
-            k,
-            workers=workers,
-            budget_bytes=buffer_budget_bytes,
-            trees_prebuilt=workload is not None,
-        )
-        name = plan.engine
-
-    report = JoinReport(f"TOPK-{name.upper()}")
-    report.plan = plan
-    stages: dict = {}
-    t0 = time.perf_counter()
-    with obs_trace(
-        "topk", engine=name, k=k, n_p=len(points_p), n_q=len(points_q)
-    ) as root:
-        if name == "array":
-            from repro.engine.families import (
-                build_family_pipeline,
-                run_array_pipeline,
-            )
-
-            if k > 0:
-                report.pairs, report.candidate_count = run_array_pipeline(
-                    partial(
-                        build_family_pipeline,
-                        "rcj",
-                        k=k,
-                        exclude_same_oid=exclude_same_oid,
-                    ),
-                    points_p,
-                    points_q,
-                    stage_seconds=stages,
-                )
-        else:  # obj: the R-tree incremental route
-            from repro.bench.runner import build_workload
-            from repro.core.topk import top_k_rcj
-
-            if workload is None:
-                workload = build_workload(points_q, points_p)
-            else:
-                workload.reset()
-            report.pairs = top_k_rcj(
-                workload.tree_p,
-                workload.tree_q,
-                k,
-                exclude_same_oid=exclude_same_oid,
-            )
-            report.candidate_count = len(report.pairs)
-            report.node_accesses = (
-                workload.tree_p.node_accesses + workload.tree_q.node_accesses
-            )
-            report.page_faults = workload.buffer.stats.page_faults
-            report.buffer_hits = workload.buffer.stats.buffer_hits
-    report.cpu_seconds = time.perf_counter() - t0
-    report.workers_used = 1
-    if root is not None:
-        root.add("pairs", len(report.pairs))
-        if name != "array":
-            root.add("node-accesses", report.node_accesses)
-            root.add("page-faults", report.page_faults)
-    _attach_measurements(report, stages, root)
-    _record_observation(plan, report, "topk")
-    return report
 
 
 def make_dynamic(

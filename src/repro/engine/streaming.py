@@ -56,13 +56,12 @@ from repro.engine.arrays import PointArray
 from repro.engine.kernels import (
     knn_candidate_blocks,
     rcj_pair_indices,
-    stage_timer,
     verify_rings_batch,
 )
 from repro.geometry.point import Point
 from repro.geometry.polygon import box_polygon, clip_halfplane
 from repro.geometry.rect import Rect
-from repro.obs.trace import add_counter, trace as obs_trace
+from repro.obs.trace import add_counter, stage_timer, trace as obs_trace
 
 
 def pair_order_key(pair: RCJPair) -> tuple[float, int, int]:

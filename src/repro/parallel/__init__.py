@@ -14,8 +14,9 @@ engine automatically:
   (:func:`parallel_rcj_pair_indices`), the ε-join and the kNN join —
   and merging shard results with the pipeline's own sink;
 - :mod:`repro.parallel.costmodel` — the cost-based planner behind
-  ``run_join(..., engine="auto")``: chooses ``array-parallel`` /
-  ``array`` / ``obj`` from dataset sizes, a density sample and the
+  every ``engine="auto"`` run (:func:`~repro.parallel.costmodel.plan_join`):
+  chooses ``array-parallel`` / ``array`` / ``obj`` (``pointwise`` for
+  the other families) from dataset sizes, a density sample and the
   memory budget, and explains itself (:class:`ExecutionPlan`).
 
 The parallel engine's pair output is byte-identical to the serial

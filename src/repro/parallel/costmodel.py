@@ -1,19 +1,31 @@
-"""Cost-based execution planning for :func:`repro.engine.run_join`.
+"""Cost-based execution planning for every join front door.
 
-``engine="auto"`` asks the planner to pick the execution strategy the
-way a database optimizer would — from data statistics and a resource
-budget, not from a caller-supplied flag:
+``engine="auto"`` on :func:`repro.engine.run_join`,
+:func:`repro.engine.run_topk` and :func:`repro.engine.run_family_join`
+asks the planner to pick the execution strategy the way a database
+optimizer would — from data statistics and a resource budget, not from
+a caller-supplied flag.  Each of them describes its join as one
+:class:`~repro.engine.request.JoinRequest`, and :func:`plan_join` is
+the one planner body:
 
 - ``array-parallel`` — the sharded multi-process engine
   (:mod:`repro.parallel.pool`), when the estimated probe volume is
-  large enough to amortize pool startup and more than one core is
-  available;
+  large enough to amortize pool startup, more than one core is
+  available and the family shards (not k-closest-pairs or the CIJ);
 - ``array`` — the serial vectorized engine, when the join is too small
   for process fan-out but fits in memory;
-- ``obj`` — the paper's best R-tree algorithm over the simulated
-  disk/buffer stack, when the estimated in-memory working set exceeds
-  the memory budget (the EMBANKS-style regime: stream through a
-  bounded buffer rather than materialize columns and KD-trees).
+- ``obj`` (the RCJ) / ``pointwise`` (the other families) — the
+  paper's best R-tree algorithm or the family's reference oracle, when
+  the estimated in-memory working set exceeds the memory budget (the
+  EMBANKS-style regime: stream through a bounded buffer rather than
+  materialize columns and KD-trees).
+
+The top-k RCJ keeps its own static rules (the R-tree heap for tiny
+``k`` over small or prebuilt indexes), and so does the dynamic backend
+choice (:func:`choose_dynamic_backend`); a fitted calibration profile
+(:mod:`repro.calibration`) settles all of them by predicted seconds
+through one comparison.  ``choose_plan``, ``choose_family_plan`` and
+``choose_topk_plan`` are the historical names of :func:`plan_join`.
 
 Estimates are first-order by design (this is plan *selection*, not
 performance prediction): dataset sizes are exact, the candidate volume
@@ -30,6 +42,8 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from repro.engine.request import FAMILY_NAMES, JoinRequest
 
 # The planner's serial floor IS the pool's in-process fallback
 # threshold — one source of truth, so the two layers cannot drift.
@@ -178,95 +192,6 @@ def estimate_topk_candidates(
     )
 
 
-# ----------------------------------------------------------------------
-# calibrated (profile-aware) selection
-# ----------------------------------------------------------------------
-
-def _calibration_profile():
-    """The fitted per-host profile, or None (missing, corrupt, or the
-    calibration loop is disabled).  Failures never break planning."""
-    try:
-        from repro.calibration.profile import cached_profile
-
-        return cached_profile()
-    except Exception:
-        return None
-
-
-def _calibrated_choice(
-    profile,
-    workload: str,
-    *,
-    n_p: int,
-    n_q: int,
-    probe_volume: int,
-    density: float,
-    est_cand: int,
-    serial_mem: int,
-    budget: int,
-    requested: int,
-    reasons: list[str],
-):
-    """Pick the fastest *predicted* engine under a fitted profile.
-
-    Compares the serial vectorized plan against the sharded pool at
-    every worker count the profile has actually observed (capped by the
-    caller's worker budget, the pool's own serial-fallback floor and
-    the memory budget).  Returns the winning :class:`ExecutionPlan` —
-    with the loaded constants and per-plan predictions quoted in its
-    reasons — or ``None`` when the profile holds no serial model for
-    this workload, in which case the caller falls back to the static
-    thresholds.
-
-    Deliberately *not* consulted: the memory-budget overflow decision
-    (obj/pointwise fallback is a resource constraint, not a timing
-    bet) and the ``workers == 1`` fast path (serial is the only viable
-    plan; predicting it changes nothing).
-    """
-    serial_pred = profile.predict_seconds(workload, "array", 1, est_cand)
-    if serial_pred is None:
-        return None
-    candidates = [("array", 1, serial_pred, serial_mem)]
-    # The pool runs in-process below MIN_PARALLEL_PROBES, so a parallel
-    # "plan" there would execute serially anyway — honesty demands the
-    # plan say so.
-    if requested > 1 and probe_volume >= MIN_PARALLEL_PROBES:
-        for workers in profile.parallel_worker_counts(workload):
-            if workers > requested:
-                continue
-            est_mem = estimate_bytes(n_p, n_q, workers, est_cand)
-            if est_mem > budget:
-                continue
-            pred = profile.predict_seconds(
-                workload, "array-parallel", workers, est_cand
-            )
-            if pred is not None:
-                candidates.append(
-                    ("array-parallel", workers, pred, est_mem)
-                )
-    engine, workers, predicted, est_mem = min(
-        candidates, key=lambda c: (c[2], c[1])
-    )
-    reasons = list(reasons)
-    reasons.append(
-        f"calibrated profile {profile.host.get('key', '?')} "
-        f"({profile.n_observations} obs): "
-        + profile.constants_line(workload)
-    )
-    reasons.append(
-        "predicted "
-        + ", ".join(
-            f"{eng}" + (f"@{w}" if eng != "array" else "") + f"={sec:.3f}s"
-            for eng, w, sec, _m in candidates
-        )
-        + f" -> {engine} is fastest"
-    )
-    return ExecutionPlan(
-        engine, workers, n_p, n_q, density, est_cand, est_mem, budget,
-        tuple(reasons), predicted_seconds=predicted,
-    )
-
-
 @dataclass(frozen=True)
 class ExecutionPlan:
     """The planner's decision plus everything it was based on."""
@@ -330,91 +255,249 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
-def choose_plan(
+# ----------------------------------------------------------------------
+# shared pieces: the budget, the profile, the calibrated comparison
+# ----------------------------------------------------------------------
+
+def _budget(budget_bytes: int | None) -> int:
+    return memory_budget_bytes() if budget_bytes is None else budget_bytes
+
+
+def _calibration_profile():
+    """The fitted per-host profile, or None (missing, corrupt, or the
+    calibration loop is disabled).  Failures never break planning."""
+    try:
+        from repro.calibration.profile import cached_profile
+
+        return cached_profile()
+    except Exception:
+        return None
+
+
+def _fastest_predicted(
+    profile, workload: str, volume: int, required, optional=()
+):
+    """The plan shape the fitted profile predicts fastest.
+
+    ``required`` and ``optional`` hold ``(engine, workers, est_bytes)``
+    shapes; every required shape must have a fitted model (else
+    ``None``: the caller keeps its static rules), optional shapes
+    without one are skipped.  Ties go to the earlier, then the smaller,
+    shape.  Returns ``((engine, workers, predicted_seconds, est_bytes),
+    reasons)`` with the loaded constants and every prediction quoted in
+    ``reasons``.
+    """
+    scored = []
+    for engine, workers, est_bytes in required:
+        seconds = profile.predict_seconds(workload, engine, workers, volume)
+        if seconds is None:
+            return None
+        scored.append((engine, workers, seconds, est_bytes))
+    for engine, workers, est_bytes in optional:
+        seconds = profile.predict_seconds(workload, engine, workers, volume)
+        if seconds is not None:
+            scored.append((engine, workers, seconds, est_bytes))
+    best = min(scored, key=lambda c: (c[2], c[1]))
+    reasons = [
+        f"calibrated profile {profile.host.get('key', '?')} "
+        f"({profile.n_observations} obs): "
+        + profile.constants_line(workload),
+        "predicted "
+        + ", ".join(
+            engine
+            + (f"@{workers}" if engine == "array-parallel" else "")
+            + f"={seconds:.4f}s"
+            for engine, workers, seconds, _b in scored
+        )
+        + f" -> {best[0]} is fastest",
+    ]
+    return best, reasons
+
+
+# ----------------------------------------------------------------------
+# the planner
+# ----------------------------------------------------------------------
+
+def _epsilon_candidates(
+    points_p, points_q, n_p: int, n_q: int, eps: float, density: float
+) -> int:
+    """First-order ε-join candidate volume: per probe, the expected
+    ``P`` population of an ε-disc at the sampled density."""
+    _n, px, py = _sampled_coords(points_p, _SAMPLE_P)
+    if len(px) < 2:
+        return n_q * min(n_p, 1)
+    area = (float(px.max()) - float(px.min())) * (
+        float(py.max()) - float(py.min())
+    )
+    if not (area > 0.0 and np.isfinite(area)):
+        return n_p * n_q  # degenerate extent: assume everything matches
+    per_probe = n_p * np.pi * eps * eps / area * max(density, 1.0)
+    return int(n_q * min(max(per_probe, 1.0), float(n_p)))
+
+
+#: Families the planner knows how to plan — all of them.
+PLANNED_FAMILY_NAMES = FAMILY_NAMES
+
+#: What the pooled planner needs to know per family beyond its
+#: candidate model (:func:`estimate_family_candidates`): the profile's
+#: workload key, the engine that takes over when even a serial working
+#: set overflows the memory budget, and — for families with no
+#: probe-disjoint decomposition — why they never run on the pool.
+_FAMILY_PLANS = {
+    "rcj": ("join", "obj", None),
+    "epsilon": ("family:epsilon", "pointwise", None),
+    "knn": ("family:knn", "pointwise", None),
+    "kcp": ("family:kcp", "pointwise", "band streaming is globally ordered"),
+    "cij": (
+        "family:cij",
+        "pointwise",
+        "the Voronoi construction is a serial geometric step",
+    ),
+}
+
+_OVERFLOW_ROUTES = {
+    "obj": "stream through the R-tree/LRU-buffer backend",
+    "pointwise": "run the pointwise reference path",
+}
+
+
+def _estimate(request, points_p, points_q, density: float, k0: int):
+    n_p, n_q = len(points_p), len(points_q)
+    if request.family == "epsilon":
+        return (
+            _epsilon_candidates(
+                points_p, points_q, n_p, n_q, float(request.eps), density
+            ),
+            n_q,
+        )
+    if request.family == "knn":
+        return n_p * min(int(request.k), n_q), n_p
+    if request.family == "kcp" or request.kind == "topk":
+        return estimate_topk_candidates(int(request.k), density, n_p, n_q), n_q
+    if request.family == "cij":
+        # One cell per point, Delaunay-linear overlap volume.
+        return 4 * (n_p + n_q), n_q
+    return estimate_candidates(n_p, n_q, density, k0=k0), n_q
+
+
+def estimate_family_candidates(
+    family: str,
     points_p,
     points_q,
-    workers: int | None = None,
-    budget_bytes: int | None = None,
-    k0: int = 16,
-) -> ExecutionPlan:
-    """Pick the execution engine for one join from data statistics.
+    *,
+    eps: float | None = None,
+    k: int | None = None,
+    density: float | None = None,
+) -> tuple[int, int]:
+    """``(est_candidates, probe_volume)`` of one family request —
+    the family-specific candidate-volume model shared by the planner
+    and the calibration sweep."""
+    request = JoinRequest(family, k=k, eps=eps)
+    if density is None:
+        density = sample_density_factor(points_p, points_q)
+    return _estimate(request, points_p, points_q, density, 16)
 
-    Parameters
-    ----------
-    points_p, points_q:
-        The join inputs — :class:`~repro.engine.arrays.PointArray` or
-        point sequences; only sizes and a strided coordinate sample are
-        read.
-    workers:
-        The caller's worker budget; ``None`` means "up to the machine's
-        cores".  A value of 1 forbids the parallel plan.
-    budget_bytes:
-        In-memory working-set budget; exceeding it selects the
-        disk/buffer R-tree plan.  Defaults to
-        :func:`memory_budget_bytes`.
+
+def plan_join(
+    request: JoinRequest,
+    points_p,
+    points_q,
+    *,
+    k0: int = 16,
+    trees_prebuilt: bool = False,
+) -> ExecutionPlan:
+    """Pick the execution engine for one join request.
+
+    The one planner behind every ``engine="auto"`` run and every
+    ``choose_*`` name.  The top-k RCJ (``family="rcj"`` with ``k``)
+    takes its own static rules (:func:`_topk_plan`); every other
+    request takes the pooled decision (:func:`_pooled_plan`).
+    ``points_p``/``points_q`` may be
+    :class:`~repro.engine.arrays.PointArray` or point sequences; only
+    sizes and a strided coordinate sample are read.
     """
     n_p, n_q = len(points_p), len(points_q)
-    budget = memory_budget_bytes() if budget_bytes is None else budget_bytes
-    requested = default_workers() if workers is None else workers
-    if requested < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    reasons: list[str] = []
-
-    if n_p == 0 or n_q == 0:
+    budget = _budget(request.budget_bytes)
+    requested = (
+        default_workers() if request.workers is None else request.workers
+    )
+    if n_p == 0 or n_q == 0 or request.is_empty:
         return ExecutionPlan(
             "array", 1, n_p, n_q, 1.0, 0, 0, budget,
-            ("empty input: nothing to plan",),
+            ("empty request: nothing to plan",),
+        )
+    density = sample_density_factor(points_p, points_q)
+    est_cand, probe_volume = _estimate(
+        request, points_p, points_q, density, k0
+    )
+    serial_mem = estimate_bytes(n_p, n_q, 1, est_cand)
+    reasons: list[str] = []
+
+    def decide(engine, workers=1, est_mem=serial_mem, predicted=None):
+        return ExecutionPlan(
+            engine, workers, n_p, n_q, density, est_cand, est_mem, budget,
+            tuple(reasons), predicted_seconds=predicted,
         )
 
-    density = sample_density_factor(points_p, points_q)
-    est_cand = estimate_candidates(n_p, n_q, density, k0=k0)
-    serial_mem = estimate_bytes(n_p, n_q, 1, est_cand)
+    if request.kind == "topk":
+        return _topk_plan(
+            request.k, n_p + n_q, serial_mem, budget, trees_prebuilt,
+            est_cand, reasons, decide,
+        )
+    return _pooled_plan(
+        request.family, n_p, n_q, est_cand, probe_volume, serial_mem,
+        budget, requested, reasons, decide,
+    )
 
+
+def _pooled_plan(
+    family, n_p, n_q, est_cand, probe_volume, serial_mem, budget,
+    requested, reasons, decide,
+) -> ExecutionPlan:
+    """``array-parallel`` / ``array`` / the overflow engine, from the
+    candidate volume, the worker budget and the memory budget."""
+    workload, overflow, serial_only = _FAMILY_PLANS[family]
     if serial_mem > budget:
         reasons.append(
             f"estimated working set {serial_mem} B exceeds the "
-            f"{budget} B budget even single-process: stream through "
-            "the R-tree/LRU-buffer backend"
+            f"{budget} B budget even single-process: "
+            + _OVERFLOW_ROUTES[overflow]
         )
-        return ExecutionPlan(
-            "obj", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
-
+        return decide(overflow)
+    if serial_only is not None:
+        reasons.append(f"{serial_only}: serial vectorized pipeline")
+        return decide("array")
     if requested == 1:
         reasons.append("one worker requested: serial vectorized engine")
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
+        return decide("array")
 
+    # The profile is consulted only here: the overflow above is a
+    # resource constraint, not a timing bet, and with one worker serial
+    # is the only viable plan.
     profile = _calibration_profile()
     if profile is not None:
-        calibrated = _calibrated_choice(
-            profile,
-            "join",
-            n_p=n_p,
-            n_q=n_q,
-            probe_volume=n_q,
-            density=density,
-            est_cand=est_cand,
-            serial_mem=serial_mem,
-            budget=budget,
-            requested=requested,
-            reasons=reasons,
+        # The pool runs in-process below MIN_PARALLEL_PROBES, so a
+        # parallel "plan" there would execute serially anyway.
+        pooled = []
+        if probe_volume >= MIN_PARALLEL_PROBES:
+            for workers in profile.parallel_worker_counts(workload):
+                est_mem = estimate_bytes(n_p, n_q, workers, est_cand)
+                if workers <= requested and est_mem <= budget:
+                    pooled.append(("array-parallel", workers, est_mem))
+        choice = _fastest_predicted(
+            profile, workload, est_cand, [("array", 1, serial_mem)], pooled
         )
-        if calibrated is not None:
-            return calibrated
+        if choice is not None:
+            (engine, workers, predicted, est_mem), lines = choice
+            reasons.extend(lines)
+            return decide(engine, workers, est_mem, predicted)
 
-    if n_q < MIN_PARALLEL_PROBES or est_cand < MIN_PARALLEL_CANDIDATES:
+    if probe_volume < MIN_PARALLEL_PROBES or est_cand < MIN_PARALLEL_CANDIDATES:
         reasons.append(
             f"probe volume too small to amortize a process pool "
-            f"(|Q| = {n_q}, est. candidates {est_cand})"
+            f"({probe_volume} probes, est. candidates {est_cand})"
         )
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
+        return decide("array")
 
     # Scale workers to the work: no point holding 16 processes on a
     # join whose candidate volume keeps two busy.
@@ -435,229 +518,16 @@ def choose_plan(
             f"even a 2-worker working set ({est_mem} B) exceeds the "
             f"{budget} B budget; serial fits"
         )
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
+        return decide("array")
     if chosen < min(requested, by_work):
         reasons.append(
             f"shed workers to {chosen} to fit the {budget} B memory budget"
         )
-    return ExecutionPlan(
-        "array-parallel", chosen, n_p, n_q, density, est_cand, est_mem,
-        budget, tuple(reasons),
-    )
+    return decide("array-parallel", chosen, est_mem)
 
 
 # ----------------------------------------------------------------------
-# join-family planning
-# ----------------------------------------------------------------------
-
-def _epsilon_candidates(
-    points_p, points_q, n_p: int, n_q: int, eps: float, density: float
-) -> int:
-    """First-order ε-join candidate volume: per probe, the expected
-    ``P`` population of an ε-disc at the sampled density."""
-    _n, px, py = _sampled_coords(points_p, _SAMPLE_P)
-    if len(px) < 2:
-        return n_q * min(n_p, 1)
-    area = (float(px.max()) - float(px.min())) * (
-        float(py.max()) - float(py.min())
-    )
-    if not (area > 0.0 and np.isfinite(area)):
-        return n_p * n_q  # degenerate extent: assume everything matches
-    per_probe = n_p * np.pi * eps * eps / area * max(density, 1.0)
-    return int(n_q * min(max(per_probe, 1.0), float(n_p)))
-
-
-#: Families :func:`choose_family_plan` knows how to plan (the RCJ
-#: itself is planned by :func:`choose_plan`).
-PLANNED_FAMILY_NAMES = ("epsilon", "knn", "kcp", "cij")
-
-
-def _check_family_plan_params(
-    family: str, eps: float | None, k: int | None
-) -> None:
-    """Reject unknown families and missing parameters up front.
-
-    Without this, ``family="epsilon", eps=None`` died deep in the
-    estimator with a bare ``TypeError`` and an unknown family name
-    silently fell into the CIJ branch and returned a bogus plan.
-    """
-    if family not in PLANNED_FAMILY_NAMES:
-        raise ValueError(
-            f"unknown join family {family!r}; expected one of "
-            f"{PLANNED_FAMILY_NAMES}"
-        )
-    if family == "epsilon" and eps is None:
-        raise ValueError(
-            "family='epsilon' requires eps (the distance threshold)"
-        )
-    if family in ("knn", "kcp") and k is None:
-        raise ValueError(f"family={family!r} requires k (the result bound)")
-
-
-def estimate_family_candidates(
-    family: str,
-    points_p,
-    points_q,
-    *,
-    eps: float | None = None,
-    k: int | None = None,
-    density: float | None = None,
-) -> tuple[int, int]:
-    """``(est_candidates, probe_volume)`` of one family request —
-    the family-specific candidate-volume model shared by
-    :func:`choose_family_plan` and the calibration sweep."""
-    _check_family_plan_params(family, eps, k)
-    n_p, n_q = len(points_p), len(points_q)
-    if density is None:
-        density = sample_density_factor(points_p, points_q)
-    if family == "epsilon":
-        return (
-            _epsilon_candidates(
-                points_p, points_q, n_p, n_q, float(eps), density
-            ),
-            n_q,
-        )
-    if family == "knn":
-        return n_p * min(int(k), n_q), n_p
-    if family == "kcp":
-        return estimate_topk_candidates(int(k), density, n_p, n_q), n_q
-    # cij: one cell per point, Delaunay-linear overlap volume.
-    return 4 * (n_p + n_q), n_q
-
-
-def choose_family_plan(
-    family: str,
-    points_p,
-    points_q,
-    eps: float | None = None,
-    k: int | None = None,
-    workers: int | None = None,
-    budget_bytes: int | None = None,
-) -> ExecutionPlan:
-    """Pick the execution engine for one join-family request.
-
-    Same decision structure as :func:`choose_plan`, parameterized by
-    the family's candidate-volume model: ``eps``-disc population per
-    probe (ε-join), ``k`` per probe (kNN), band overscan
-    (k-closest-pairs), near-linear cell counts (CIJ).  A working set
-    beyond the memory budget selects the ``pointwise`` oracle (the
-    object-code path streams through Python instead of materializing
-    columns); k-closest-pairs and the CIJ never plan ``array-parallel``
-    (no probe-disjoint decomposition / serial geometric step).
-
-    Raises ``ValueError`` for an unknown family name or a family whose
-    parameter (``eps`` / ``k``) is missing, before any estimation runs.
-    """
-    _check_family_plan_params(family, eps, k)
-    n_p, n_q = len(points_p), len(points_q)
-    budget = memory_budget_bytes() if budget_bytes is None else budget_bytes
-    requested = default_workers() if workers is None else workers
-    if requested < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    reasons: list[str] = []
-
-    if n_p == 0 or n_q == 0 or (family in ("knn", "kcp") and k <= 0):
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, 1.0, 0, 0, budget,
-            ("empty request: nothing to plan",),
-        )
-
-    density = sample_density_factor(points_p, points_q)
-    est_cand, probe_volume = estimate_family_candidates(
-        family, points_p, points_q, eps=eps, k=k, density=density
-    )
-
-    serial_mem = estimate_bytes(n_p, n_q, 1, est_cand)
-    if serial_mem > budget:
-        reasons.append(
-            f"estimated working set {serial_mem} B exceeds the "
-            f"{budget} B budget: run the pointwise reference path"
-        )
-        return ExecutionPlan(
-            "pointwise", 1, n_p, n_q, density, est_cand, serial_mem,
-            budget, tuple(reasons),
-        )
-
-    if family in ("kcp", "cij"):
-        reasons.append(
-            "band streaming is globally ordered"
-            if family == "kcp"
-            else "the Voronoi construction is a serial geometric step"
-        )
-        reasons.append("serial vectorized pipeline")
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
-
-    if requested == 1:
-        reasons.append("one worker requested: serial vectorized pipeline")
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
-
-    profile = _calibration_profile()
-    if profile is not None:
-        calibrated = _calibrated_choice(
-            profile,
-            f"family:{family}",
-            n_p=n_p,
-            n_q=n_q,
-            probe_volume=probe_volume,
-            density=density,
-            est_cand=est_cand,
-            serial_mem=serial_mem,
-            budget=budget,
-            requested=requested,
-            reasons=reasons,
-        )
-        if calibrated is not None:
-            return calibrated
-
-    if probe_volume < MIN_PARALLEL_PROBES or est_cand < MIN_PARALLEL_CANDIDATES:
-        reasons.append(
-            f"probe volume too small to amortize a process pool "
-            f"({probe_volume} probes, est. candidates {est_cand})"
-        )
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
-
-    by_work = max(2, est_cand // MIN_PARALLEL_CANDIDATES)
-    chosen = min(requested, by_work)
-    reasons.append(
-        f"candidate volume supports {by_work} workers; "
-        f"using {chosen} of {requested} requested"
-    )
-    while chosen > 2 and estimate_bytes(n_p, n_q, chosen, est_cand) > budget:
-        chosen -= 1
-    est_mem = estimate_bytes(n_p, n_q, chosen, est_cand)
-    if est_mem > budget:
-        reasons.append(
-            f"even a 2-worker working set ({est_mem} B) exceeds the "
-            f"{budget} B budget; serial fits"
-        )
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, density, est_cand, serial_mem, budget,
-            tuple(reasons),
-        )
-    if chosen < min(requested, by_work):
-        reasons.append(
-            f"shed workers to {chosen} to fit the {budget} B memory budget"
-        )
-    return ExecutionPlan(
-        "array-parallel", chosen, n_p, n_q, density, est_cand, est_mem,
-        budget, tuple(reasons),
-    )
-
-
-# ----------------------------------------------------------------------
-# ordered browsing (top-k) planning
+# ordered browsing (top-k) rules
 # ----------------------------------------------------------------------
 
 #: Above this ``k`` the lazy R-tree route loses its point: per-pair
@@ -675,6 +545,96 @@ TOPK_OBJ_MAX_POINTS = 5_000
 _TOPK_OVERSCAN = 4
 
 
+def _topk_plan(
+    k, n_points, serial_mem, budget, trees_prebuilt, est_cand, reasons,
+    decide,
+) -> ExecutionPlan:
+    """The streamed-array band pipeline or the R-tree heap: a working
+    set beyond the budget forces the heap; a fitted profile compares
+    the two; otherwise tiny ``k`` over small (or prebuilt) indexes
+    takes the heap."""
+    if serial_mem > budget:
+        reasons.append(
+            f"estimated working set {serial_mem} B exceeds the {budget} B "
+            "budget: enumerate lazily through the R-tree heap"
+        )
+        return decide("obj")
+
+    profile = _calibration_profile()
+    if profile is not None:
+        choice = _fastest_predicted(
+            profile,
+            "topk",
+            est_cand,
+            [("array", 1, serial_mem), ("obj", 1, serial_mem)],
+        )
+        if choice is not None:
+            (engine, _w, predicted, _b), lines = choice
+            reasons.extend(lines)
+            return decide(engine, predicted=predicted)
+
+    small_data = trees_prebuilt or n_points <= TOPK_OBJ_MAX_POINTS
+    if k <= TOPK_OBJ_MAX_K and small_data:
+        reasons.append(
+            f"k={k} <= {TOPK_OBJ_MAX_K} over "
+            + ("prebuilt indexes" if trees_prebuilt else f"{n_points} points")
+            + ": the incremental R-tree heap reads only the answer's"
+            " neighbourhood"
+        )
+        return decide("obj")
+    reasons.append(
+        f"k={k}, |P|+|Q|={n_points}: streamed radius bands amortize"
+        " candidate generation and verification over whole batches"
+    )
+    return decide("array")
+
+
+# ----------------------------------------------------------------------
+# the historical planner names
+# ----------------------------------------------------------------------
+
+def choose_plan(
+    points_p,
+    points_q,
+    workers: int | None = None,
+    budget_bytes: int | None = None,
+    k0: int = 16,
+) -> ExecutionPlan:
+    """The bulk RCJ's plan (:func:`plan_join` of ``family="rcj"``).
+
+    ``workers`` is the caller's worker budget (``None``: up to the
+    machine's cores; 1 forbids the parallel plan); a working set beyond
+    ``budget_bytes`` (default :func:`memory_budget_bytes`) selects the
+    disk/buffer R-tree plan.
+    """
+    request = JoinRequest(workers=workers, budget_bytes=budget_bytes)
+    return plan_join(request, points_p, points_q, k0=k0)
+
+
+def choose_family_plan(
+    family: str,
+    points_p,
+    points_q,
+    eps: float | None = None,
+    k: int | None = None,
+    workers: int | None = None,
+    budget_bytes: int | None = None,
+) -> ExecutionPlan:
+    """One join family's plan (:func:`plan_join`).
+
+    The candidate-volume model is the family's: ``eps``-disc population
+    per probe (ε-join), ``k`` per probe (kNN), band overscan
+    (k-closest-pairs), near-linear cell counts (CIJ).  A working set
+    beyond the memory budget selects the ``pointwise`` oracle;
+    k-closest-pairs and the CIJ never plan ``array-parallel``.  Raises
+    ``ValueError`` for an invalid request before any estimation runs.
+    """
+    request = JoinRequest(
+        family, k=k, eps=eps, workers=workers, budget_bytes=budget_bytes
+    )
+    return plan_join(request, points_p, points_q)
+
+
 def choose_topk_plan(
     points_p,
     points_q,
@@ -683,91 +643,24 @@ def choose_topk_plan(
     budget_bytes: int | None = None,
     trees_prebuilt: bool = False,
 ) -> ExecutionPlan:
-    """Pick the execution route for one top-k (ordered) RCJ request.
+    """The top-k RCJ's plan (:func:`plan_join` of ``family="rcj"`` with
+    ``k``): the ``rcj`` family's band pipeline
+    (:func:`repro.engine.families.build_family_pipeline`) or the R-tree
+    incremental distance join (:func:`repro.core.topk.top_k_rcj`).
 
-    Chooses between the streamed-array enumeration
-    (:mod:`repro.engine.streaming`) and the R-tree incremental distance
-    join (:func:`repro.core.topk.top_k_rcj`) from ``k``, the dataset
-    sizes and the density sample:
-
-    - tiny ``k`` over small (or already-indexed) datasets favours the
-      lazy R-tree heap — it touches work proportional to the answer's
-      neighbourhood and nothing else;
-    - everything larger favours the streamed array engine, whose
-      KD-tree/column setup is linear but whose per-band work is
-      vectorized;
-    - a working set beyond the memory budget forces the R-tree route
-      regardless (the stream materializes columns and a union KD-tree).
-
-    ``trees_prebuilt`` widens the R-tree regime: when the caller already
-    holds bulk-loaded indexes (a bench workload, a dynamic deployment),
-    the object route starts with its main cost already paid.
+    Tiny ``k`` over small (or already-indexed) datasets favours the
+    lazy R-tree heap — it touches work proportional to the answer's
+    neighbourhood and nothing else; everything larger favours the
+    band pipeline, whose KD-tree/column setup is linear but whose
+    per-band work is vectorized; a working set beyond the memory budget
+    forces the R-tree route regardless.  ``trees_prebuilt`` widens the
+    R-tree regime: when the caller already holds bulk-loaded indexes
+    (a bench workload, a dynamic deployment), the object route starts
+    with its main cost already paid.
     """
-    n_p, n_q = len(points_p), len(points_q)
-    budget = memory_budget_bytes() if budget_bytes is None else budget_bytes
-    if n_p == 0 or n_q == 0 or k <= 0:
-        return ExecutionPlan(
-            "array", 1, n_p, n_q, 1.0, 0, 0, budget,
-            ("empty request: nothing to plan",),
-        )
-    density = sample_density_factor(points_p, points_q)
-    est_cand = estimate_topk_candidates(k, density, n_p, n_q)
-    est_mem = estimate_bytes(n_p, n_q, 1, est_cand)
-    reasons: list[str] = []
-    if est_mem > budget:
-        reasons.append(
-            f"estimated working set {est_mem} B exceeds the {budget} B "
-            "budget: enumerate lazily through the R-tree heap"
-        )
-        return ExecutionPlan(
-            "obj", 1, n_p, n_q, density, est_cand, est_mem, budget,
-            tuple(reasons),
-        )
-
-    profile = _calibration_profile()
-    if profile is not None:
-        array_pred = profile.predict_seconds("topk", "array", 1, est_cand)
-        obj_pred = profile.predict_seconds("topk", "obj", 1, est_cand)
-        if array_pred is not None and obj_pred is not None:
-            engine = "array" if array_pred <= obj_pred else "obj"
-            reasons.append(
-                f"calibrated profile {profile.host.get('key', '?')} "
-                f"({profile.n_observations} obs): "
-                + profile.constants_line("topk")
-            )
-            reasons.append(
-                f"predicted array={array_pred:.3f}s, obj={obj_pred:.3f}s"
-                f" -> {engine} is fastest"
-            )
-            return ExecutionPlan(
-                engine, 1, n_p, n_q, density, est_cand, est_mem, budget,
-                tuple(reasons),
-                predicted_seconds=min(array_pred, obj_pred),
-            )
-
-    small_data = trees_prebuilt or (n_p + n_q) <= TOPK_OBJ_MAX_POINTS
-    if k <= TOPK_OBJ_MAX_K and small_data:
-        reasons.append(
-            f"k={k} <= {TOPK_OBJ_MAX_K} over "
-            + (
-                "prebuilt indexes"
-                if trees_prebuilt
-                else f"{n_p + n_q} points"
-            )
-            + ": the incremental R-tree heap reads only the answer's"
-            " neighbourhood"
-        )
-        return ExecutionPlan(
-            "obj", 1, n_p, n_q, density, est_cand, est_mem, budget,
-            tuple(reasons),
-        )
-    reasons.append(
-        f"k={k}, |P|+|Q|={n_p + n_q}: streamed radius bands amortize"
-        " candidate generation and verification over whole batches"
-    )
-    return ExecutionPlan(
-        "array", 1, n_p, n_q, density, est_cand, est_mem, budget,
-        tuple(reasons),
+    request = JoinRequest(k=k, workers=workers, budget_bytes=budget_bytes)
+    return plan_join(
+        request, points_p, points_q, trees_prebuilt=trees_prebuilt
     )
 
 
@@ -798,7 +691,7 @@ def choose_dynamic_backend(
     answer stands — the columnar backend, whose amortized ``apply_batch``
     is the measured fast path everywhere we have run it.
     """
-    budget = memory_budget_bytes() if budget_bytes is None else budget_bytes
+    budget = _budget(budget_bytes)
     resident = estimate_bytes(n_p, n_q, 1, 0)
     if resident > budget:
         return (
@@ -809,17 +702,15 @@ def choose_dynamic_backend(
     batch = max(batch_size, 1)
     profile = _calibration_profile()
     if profile is not None:
-        array_pred = profile.predict_seconds("dynamic", "array", 1, batch)
-        obj_pred = profile.predict_seconds("dynamic", "obj", 1, batch)
-        if array_pred is not None and obj_pred is not None:
-            backend = "array" if array_pred <= obj_pred else "obj"
-            return (
-                backend,
-                f"calibrated profile {profile.host.get('key', '?')} "
-                f"({profile.n_observations} obs): predicted per batch of "
-                f"{batch} events array={array_pred:.4f}s, "
-                f"obj={obj_pred:.4f}s -> {backend} is fastest",
-            )
+        choice = _fastest_predicted(
+            profile,
+            "dynamic",
+            batch,
+            [("array", 1, resident), ("obj", 1, resident)],
+        )
+        if choice is not None:
+            (backend, _w, _s, _b), lines = choice
+            return backend, f"per batch of {batch} events: " + "; ".join(lines)
     return (
         "array",
         f"working set {resident} B fits the {budget} B budget: batched"

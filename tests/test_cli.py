@@ -298,3 +298,77 @@ class TestParser:
     def test_unknown_resemblance_join_rejected(self):
         with pytest.raises(SystemExit):
             main(["resemblance", "a", "b", "--join", "voronoi"])
+
+
+class TestFamilyJoinCLI:
+    """``repro join --family ...``: the same pairs as the library call,
+    diagnostics on stderr only, and argument errors as exit code 2."""
+
+    PARAMS = {
+        "epsilon": ("400", {"eps": 400.0}),
+        "knn": ("2", {"k": 2}),
+        "kcp": ("15", {"k": 15}),
+        "cij": (None, {}),
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        p = str(tmp_path / "p.txt")
+        q = str(tmp_path / "q.txt")
+        main(["generate", "-n", "70", "--seed", "21", "-o", p])
+        main(["generate", "-n", "60", "--seed", "22", "--start-oid", "70", "-o", q])
+        return p, q
+
+    @staticmethod
+    def _argv(files, family, *extra):
+        param, _kw = TestFamilyJoinCLI.PARAMS[family]
+        argv = ["join", *files, "--family", family, *extra]
+        return argv + ([] if param is None else ["--param", param])
+
+    @pytest.mark.parametrize("family", ["epsilon", "knn", "kcp", "cij"])
+    def test_stdout_pairs_equal_the_library_run(self, files, family, capsys):
+        from repro.engine import run_family_join
+
+        assert main(self._argv(files, family)) == 0
+        printed = [
+            (int(a), int(b), float(cx), float(cy), float(r))
+            for a, b, cx, cy, r in (
+                line.split() for line in capsys.readouterr().out.splitlines()
+            )
+        ]
+        _param, kwargs = self.PARAMS[family]
+        report = run_family_join(
+            load_points(files[0]), load_points(files[1]), family, **kwargs
+        )
+        assert printed == [
+            (pr.p.oid, pr.q.oid, *pr.center, pr.radius) for pr in report.pairs
+        ]
+        assert printed
+
+    @pytest.mark.parametrize("family", ["epsilon", "knn", "kcp", "cij"])
+    @pytest.mark.parametrize("engine", ["auto", "array"])
+    def test_explain_writes_only_to_stderr(self, files, family, engine, capsys):
+        assert main(self._argv(files, family, "--engine", engine)) == 0
+        quiet = capsys.readouterr().out
+        assert main(self._argv(files, family, "--engine", engine,
+                               "--explain")) == 0
+        captured = capsys.readouterr()
+        assert captured.out == quiet
+        assert "plan: engine=" in captured.err
+        assert "pipeline:" in captured.err
+
+    def test_topk_mode_rejected_for_kcp(self, files, capsys):
+        assert main(self._argv(files, "kcp", "--mode", "topk")) == 2
+        assert "--family rcj only" in capsys.readouterr().err
+
+    def test_rcj_takes_no_param(self, files, capsys):
+        assert main(["join", *files, "--family", "rcj", "--param", "3"]) == 2
+        assert "--param" in capsys.readouterr().err
+
+    def test_epsilon_without_param_names_eps(self, files, capsys):
+        assert main(["join", *files, "--family", "epsilon"]) == 2
+        assert "requires eps" in capsys.readouterr().err
+
+    def test_fractional_k_rejected_naming_k(self, files, capsys):
+        assert main(["join", *files, "--family", "knn", "--param", "2.5"]) == 2
+        assert "k must be an integer" in capsys.readouterr().err
