@@ -40,11 +40,14 @@ Both backends also accept a whole batch at once
 inserts, so a "move" — delete and insert of the same oid in one batch —
 is well defined.  This class applies the batch as the validated
 sequential composition of its per-event updates (the *oracle* the
-columnar backend's amortized batch path is equivalence-tested against);
-:class:`repro.engine.streaming.DynamicArrayRCJ` absorbs the batch with
-tombstone masks and an insert buffer, compacting at most once.  Batch
-validation (:func:`validate_batch`) is shared so malformed batches fail
-identically — *before* any mutation — on either backend.
+columnar backend is equivalence-tested against);
+:class:`repro.engine.streaming.DynamicArrayRCJ` runs one repair for
+per-event and batched updates alike and absorbs a batch with tombstone
+masks and an insert buffer, compacting at most once.  Both backends
+share batch validation (:func:`validate_batch`, so malformed batches
+fail identically — *before* any mutation), the Voronoi-neighbourhood
+clip (:func:`voronoi_neighbours`) and the calibration hook
+(:func:`record_batch`).
 """
 
 from __future__ import annotations
@@ -159,6 +162,120 @@ def validate_batch(inserts, deletes, has_point) -> None:
                 f"oid {point.oid} already present on side {side!r};"
                 " delete it in the same batch to move it"
             )
+
+
+def record_batch(
+    dyn,
+    engine: str,
+    n_p: int,
+    n_q: int,
+    batch_size: int,
+    seconds: float,
+    stage_seconds: dict | None = None,
+) -> None:
+    """Feed one ``apply_batch`` of backend ``dyn`` to the calibration
+    log — planned instances only (``dyn.record_calibration``, set by
+    :func:`repro.engine.planner.make_dynamic`), and exception-fenced
+    like every calibration hook."""
+    if not dyn.record_calibration:
+        return
+    try:
+        from repro.calibration.observations import record_observation
+        from repro.parallel.costmodel import estimate_bytes
+
+        record_observation(
+            kind="dynamic",
+            engine=engine,
+            workers=1,
+            n_p=n_p,
+            n_q=n_q,
+            density_factor=1.0,
+            est_candidates=batch_size,
+            est_bytes=estimate_bytes(n_p, n_q, 1, 0),
+            stage_seconds=stage_seconds or None,
+            total_seconds=seconds,
+        )
+    except Exception:
+        pass
+
+
+def voronoi_neighbours(
+    x: Point,
+    stream: Iterable[tuple[float, Point, Side]],
+    span: list[float],
+    stop_on_coincident: bool = True,
+) -> list[tuple[Point, Side]] | None:
+    """Clip ``x``'s Voronoi cell against an ascending-distance stream.
+
+    ``stream`` yields ``(distance, point, side)`` in ascending distance
+    over some pointset; ``span`` is a bounding box covering the domain,
+    the data and ``x`` (any superset is safe — it only enlarges the
+    starting horizon).  Streaming stops once the next point is beyond
+    twice the farthest cell vertex: no remaining point can be a
+    Delaunay neighbour of ``x``, because the empty-circle centre
+    witnessing adjacency lies inside the cell.  The returned
+    ``(point, side)`` list is therefore a superset of ``x``'s Delaunay
+    neighbours in the streamed set.
+
+    A streamed point coinciding with ``x`` imposes no halfplane.  With
+    ``stop_on_coincident`` (deletion semantics) it aborts the whole
+    neighbourhood — a coincident twin survives, so every ring that
+    contained ``x`` still contains the twin and nothing is freed.
+    Otherwise (insertion probes) the coincident point is *emitted*: a
+    zero-radius ring with it is a legal degenerate pair.
+
+    Only points whose bisector actually reaches the current cell are
+    emitted.  The cell is a superset of ``x``'s final Voronoi region at
+    every step, so a bisector that leaves the whole cell strictly on
+    ``x``'s side can never share an edge (or vertex) with it — such a
+    point is provably not a Delaunay neighbour and its half-plane clip
+    would be a no-op.  Without this filter a probe near the hull (whose
+    cell is unbounded and stays box-sized) emits *every* point inside
+    the horizon — the entire union in the worst case.
+    """
+    margin = max(span[2] - span[0], span[3] - span[1], 1.0)
+    cell = box_polygon(
+        span[0] - margin, span[1] - margin, span[2] + margin, span[3] + margin
+    )
+    # Touch slack: treat a bisector missing the cell by less than this
+    # distance as touching, covering the accumulated float error of the
+    # clipped cell vertices (scaled to the coordinate magnitude).
+    slack = 1e-9 * max(
+        abs(span[0]), abs(span[1]), abs(span[2]), abs(span[3]), 1.0
+    )
+
+    def max_vertex_dist() -> float:
+        return max(
+            ((vx - x.x) ** 2 + (vy - x.y) ** 2) ** 0.5 for vx, vy in cell
+        )
+
+    horizon = 2.0 * max_vertex_dist()
+    out: list[tuple[Point, Side]] = []
+    for d, z, z_side in stream:
+        if d > horizon:
+            break
+        if z.x == x.x and z.y == x.y:
+            if stop_on_coincident:
+                return None
+            out.append((z, z_side))
+            continue
+        nx = z.x - x.x
+        ny = z.y - x.y
+        mx = (x.x + z.x) / 2.0
+        my = (x.y + z.y) / 2.0
+        # (v - m) . n has units length * |n| = length * d: divide the
+        # distance slack through by comparing against -slack * d.
+        smax = max((vx - mx) * nx + (vy - my) * ny for vx, vy in cell)
+        if smax < -slack * d:
+            continue
+        out.append((z, z_side))
+        clipped = clip_halfplane(cell, mx, my, nx, ny)
+        if clipped:
+            cell = clipped
+            horizon = 2.0 * max_vertex_dist()
+        # else: the cell collapsed numerically — keep the previous
+        # (larger) horizon and keep streaming; conservative.
+    return out
 
 
 #: Grid resolution of the pair-circle index.
@@ -386,34 +503,14 @@ class DynamicRCJ:
             if root is not None:
                 root.add("pairs", len(self._pairs))
         self.last_batch_trace = root
-        self._record_batch(
-            len(inserts) + len(deletes), time.perf_counter() - t0
+        record_batch(
+            self,
+            "obj",
+            len(self.tree_p),
+            len(self.tree_q),
+            len(inserts) + len(deletes),
+            time.perf_counter() - t0,
         )
-
-    def _record_batch(self, batch_size: int, seconds: float) -> None:
-        """Feed one batch to the calibration log (planned instances
-        only; exception-fenced like every calibration hook)."""
-        if not getattr(self, "record_calibration", False):
-            return
-        try:
-            from repro.calibration.observations import record_observation
-            from repro.parallel.costmodel import estimate_bytes
-
-            n_p, n_q = len(self.tree_p), len(self.tree_q)
-            record_observation(
-                kind="dynamic",
-                engine="obj",
-                workers=1,
-                n_p=n_p,
-                n_q=n_q,
-                density_factor=1.0,
-                est_candidates=batch_size,
-                est_bytes=estimate_bytes(n_p, n_q, 1, 0),
-                stage_seconds=None,
-                total_seconds=seconds,
-            )
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # internals
@@ -459,24 +556,13 @@ class DynamicRCJ:
     def _neighborhood(
         self, x: Point
     ) -> list[tuple[Point, Side]] | None:
-        """Candidate endpoints for pairs freed by deleting ``x``.
-
-        Streams points in ascending distance while clipping ``x``'s
-        Voronoi cell; stops when the next point is beyond twice the
-        farthest cell vertex (no Delaunay neighbour of ``x`` can remain,
-        because the empty-circle centre witnessing adjacency lies inside
-        the cell).  Returns None when a point coincides with ``x`` — no
-        ring can have been blocked by ``x`` alone.
-
-        Only points whose bisector reaches the current cell are
-        emitted: the cell is a superset of ``x``'s final Voronoi region
-        throughout, so a bisector leaving every cell vertex strictly on
-        ``x``'s side can never touch it — not a Delaunay neighbour, and
-        its clip would be a no-op.  Hull probes (unbounded cells) would
-        otherwise emit the entire union.
-        """
+        """Candidate endpoints for pairs freed by deleting ``x``: its
+        Voronoi neighbourhood (:func:`voronoi_neighbours`) over the
+        merged incremental-NN stream of both trees.  Returns None when
+        a point coincides with ``x`` — no ring can have been blocked by
+        ``x`` alone."""
         # The clipping box must cover every possible cell vertex: take
-        # the union of the domain, the data MBRs and x, expanded.
+        # the union of the domain, the data MBRs and x.
         span = [self.bounds.xmin, self.bounds.ymin, self.bounds.xmax, self.bounds.ymax]
         for tree in (self.tree_p, self.tree_q):
             if tree.root_pid is not None:
@@ -489,41 +575,7 @@ class DynamicRCJ:
         span[1] = min(span[1], x.y)
         span[2] = max(span[2], x.x)
         span[3] = max(span[3], x.y)
-        margin = max(span[2] - span[0], span[3] - span[1], 1.0)
-        cell = box_polygon(
-            span[0] - margin, span[1] - margin, span[2] + margin, span[3] + margin
-        )
-        slack = 1e-9 * max(
-            abs(span[0]), abs(span[1]), abs(span[2]), abs(span[3]), 1.0
-        )
-
-        def max_vertex_dist() -> float:
-            return max(
-                ((vx - x.x) ** 2 + (vy - x.y) ** 2) ** 0.5 for vx, vy in cell
-            )
-
-        horizon = 2.0 * max_vertex_dist()
-        out: list[tuple[Point, Side]] = []
-        for d, z, z_side in self._merged_stream(x):
-            if d > horizon:
-                break
-            if z.x == x.x and z.y == x.y:
-                return None
-            nx = z.x - x.x
-            ny = z.y - x.y
-            mx = (x.x + z.x) / 2.0
-            my = (x.y + z.y) / 2.0
-            smax = max((vx - mx) * nx + (vy - my) * ny for vx, vy in cell)
-            if smax < -slack * d:
-                continue
-            out.append((z, z_side))
-            clipped = clip_halfplane(cell, mx, my, nx, ny)
-            if clipped:
-                cell = clipped
-                horizon = 2.0 * max_vertex_dist()
-            # else: the cell collapsed numerically — keep the previous
-            # (larger) horizon and keep streaming; conservative.
-        return out
+        return voronoi_neighbours(x, self._merged_stream(x), span)
 
     def __repr__(self) -> str:
         return (

@@ -18,20 +18,21 @@ is judged by and the dynamic backend:
 :class:`DynamicArrayRCJ`
     The columnar twin of :class:`repro.core.dynamic.DynamicRCJ`: the
     same insert/delete contract (the shared
-    :class:`~repro.core.dynamic.DynamicBackend` protocol), with
-    kill-sets computed by one vectorized evaluation of the exact ring
+    :class:`~repro.core.dynamic.DynamicBackend` protocol), repaired by
+    one algorithm whether updates arrive one at a time or in a batch.
+    Kill-sets come from one vectorized evaluation of the exact ring
     predicate over endpoint columns (:class:`_RingColumns`, the
-    columnar twin of the pair-circle grid), insertion partners from the
-    batch candidate kernels, and all verification through
-    :func:`~repro.engine.kernels.verify_rings_batch`.  Its
-    ``apply_batch`` absorbs a whole update batch with *amortized*
-    maintenance: deletes become lazy tombstones (the stale KD-trees
-    stay up, dead rows masked out of candidate blocks), inserts land in
-    a small per-side buffer probed exactly, and the one compaction +
-    KD-tree rebuild per side is deferred until a tombstone-fraction or
-    buffer-size threshold trips (``REPRO_DYN_TOMBSTONE_FRAC`` /
-    ``REPRO_DYN_BUFFER_CAP``) — at most once per batch, usually far
-    less than once per batch.
+    columnar twin of the pair-circle grid); freed and new pairs come
+    from Voronoi-neighbourhood probes over KD-tree streams; all
+    verification goes through
+    :func:`~repro.engine.kernels.verify_rings_batch`.  Per-event
+    ``insert``/``delete`` keep the columns dense; ``apply_batch``
+    absorbs a whole update batch with *amortized* maintenance: deletes
+    become lazy tombstones (the stale KD-trees stay up, dead rows
+    masked out), inserts land in a small per-side buffer probed
+    exactly, and the one compaction + KD-tree rebuild per side waits
+    until the :data:`TOMBSTONE_FRAC` or :data:`BUFFER_CAP` threshold
+    trips — at most once per batch, usually far less often.
 
 Exactness
 ---------
@@ -44,22 +45,21 @@ from-scratch join after every update.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.core.dynamic import Side, validate_batch
+from repro.core.dynamic import (
+    Side,
+    record_batch,
+    validate_batch,
+    voronoi_neighbours,
+)
 from repro.core.pairs import RCJPair
 from repro.engine.arrays import PointArray
-from repro.engine.kernels import (
-    knn_candidate_blocks,
-    rcj_pair_indices,
-    verify_rings_batch,
-)
+from repro.engine.kernels import rcj_pair_indices, verify_rings_batch
 from repro.geometry.point import Point
-from repro.geometry.polygon import box_polygon, clip_halfplane
 from repro.geometry.rect import Rect
 from repro.obs.trace import add_counter, stage_timer, trace as obs_trace
 
@@ -88,131 +88,28 @@ def sort_pairs_by_diameter(pairs: list[RCJPair]) -> list[RCJPair]:
 # dynamic maintenance, columnar backend
 # ----------------------------------------------------------------------
 
-#: Env knob: fraction of tombstoned rows in a side's main columns
-#: beyond which ``apply_batch`` compacts (strict: rebuild only when
-#: ``dead > frac * main_rows``).
-TOMBSTONE_FRAC_ENV = "REPRO_DYN_TOMBSTONE_FRAC"
+#: Compact a side once its tombstoned main rows exceed this fraction
+#: of the main tier (strict: rebuild only when ``dead > frac * main_rows``).
+TOMBSTONE_FRAC = 0.25
 
-#: Default tombstone-fraction threshold.
-DEFAULT_TOMBSTONE_FRAC = 0.25
-
-#: Env knob: rows a side's insert buffer may hold before the batch
-#: merges it into the main columns (strict: rebuild when
-#: ``buffered > cap``).
-BUFFER_CAP_ENV = "REPRO_DYN_BUFFER_CAP"
-
-#: Default insert-buffer row cap.
-DEFAULT_BUFFER_CAP = 1024
-
-
-def _tombstone_frac() -> float:
-    try:
-        return float(
-            os.environ.get(TOMBSTONE_FRAC_ENV, DEFAULT_TOMBSTONE_FRAC)
-        )
-    except ValueError:
-        return DEFAULT_TOMBSTONE_FRAC
-
-
-def _buffer_cap() -> int:
-    try:
-        return int(os.environ.get(BUFFER_CAP_ENV, DEFAULT_BUFFER_CAP))
-    except ValueError:
-        return DEFAULT_BUFFER_CAP
-
-
-def _voronoi_neighborhood(
-    x: Point,
-    stream,
-    span: list[float],
-    stop_on_coincident: bool = True,
-) -> list[tuple[Point, Side]] | None:
-    """Clip ``x``'s Voronoi cell against an ascending-distance stream.
-
-    ``stream`` yields ``(distance, point, side)`` in ascending distance
-    over some pointset; ``span`` is a bounding box covering the domain,
-    the data and ``x`` (any superset is safe — it only enlarges the
-    starting horizon).  Streaming stops once the next point is beyond
-    twice the farthest cell vertex: no remaining point can be a
-    Delaunay neighbour of ``x``, because the empty-circle centre
-    witnessing adjacency lies inside the cell.  The returned
-    ``(point, side)`` list is therefore a superset of ``x``'s Delaunay
-    neighbours in the streamed set.
-
-    A streamed point coinciding with ``x`` imposes no halfplane.  With
-    ``stop_on_coincident`` (deletion semantics) it aborts the whole
-    neighbourhood — a coincident twin survives, so every ring that
-    contained ``x`` still contains the twin and nothing is freed.
-    Otherwise (insertion probes) the coincident point is *emitted*: a
-    zero-radius ring with it is a legal degenerate pair.
-
-    Only points whose bisector actually reaches the current cell are
-    emitted.  The cell is a superset of ``x``'s final Voronoi region at
-    every step, so a bisector that leaves the whole cell strictly on
-    ``x``'s side can never share an edge (or vertex) with it — such a
-    point is provably not a Delaunay neighbour and its half-plane clip
-    would be a no-op.  Without this filter a probe near the hull (whose
-    cell is unbounded and stays box-sized) emits *every* point inside
-    the horizon — the entire union in the worst case.
-    """
-    margin = max(span[2] - span[0], span[3] - span[1], 1.0)
-    cell = box_polygon(
-        span[0] - margin, span[1] - margin, span[2] + margin, span[3] + margin
-    )
-    # Touch slack: treat a bisector missing the cell by less than this
-    # distance as touching, covering the accumulated float error of the
-    # clipped cell vertices (scaled to the coordinate magnitude).
-    slack = 1e-9 * max(
-        abs(span[0]), abs(span[1]), abs(span[2]), abs(span[3]), 1.0
-    )
-
-    def max_vertex_dist() -> float:
-        return max(
-            ((vx - x.x) ** 2 + (vy - x.y) ** 2) ** 0.5 for vx, vy in cell
-        )
-
-    horizon = 2.0 * max_vertex_dist()
-    out: list[tuple[Point, Side]] = []
-    for d, z, z_side in stream:
-        if d > horizon:
-            break
-        if z.x == x.x and z.y == x.y:
-            if stop_on_coincident:
-                return None
-            out.append((z, z_side))
-            continue
-        nx = z.x - x.x
-        ny = z.y - x.y
-        mx = (x.x + z.x) / 2.0
-        my = (x.y + z.y) / 2.0
-        # (v - m) . n has units length * |n| = length * d: divide the
-        # distance slack through by comparing against -slack * d.
-        smax = max((vx - mx) * nx + (vy - my) * ny for vx, vy in cell)
-        if smax < -slack * d:
-            continue
-        out.append((z, z_side))
-        clipped = clip_halfplane(cell, mx, my, nx, ny)
-        if clipped:
-            cell = clipped
-            horizon = 2.0 * max_vertex_dist()
-        # else: the cell collapsed numerically — keep the previous
-        # (larger) horizon and keep streaming; conservative.
-    return out
+#: Merge a side's insert buffer into the main tier once it holds more
+#: than this many rows (strict: rebuild only when ``buffered > cap``).
+BUFFER_CAP = 1024
 
 
 class _SideColumns:
     """One growable side of the dynamic join, columns plus objects.
 
     Two mutation tiers share the storage.  *Eager* ops (``insert`` /
-    ``pop`` — the per-event oracle path) keep the columns dense:
-    deletions swap-remove, and the :class:`PointArray` / KD-tree caches
-    are invalidated per mutation and rebuilt lazily, exactly the
-    pre-batch behaviour.  *Lazy* ops (``tombstone`` /
-    ``buffer_insert`` — the ``apply_batch`` path) never touch the
-    cached main array or tree: a delete only marks its row dead (the
-    row stays in the columns *and* in the stale tree, masked out of
-    candidate blocks via ``alive_main``), and an insert appends past
-    ``_main_n`` into a side buffer the batch path probes exactly.
+    ``pop`` — the per-event path) keep the columns dense: deletions
+    swap-remove, and the :class:`PointArray` / KD-tree caches are
+    invalidated per mutation and rebuilt lazily.  *Lazy* ops
+    (``tombstone`` / ``buffer_insert`` — the ``apply_batch`` path)
+    never touch the cached main array or tree: a delete only marks its
+    row dead (the row stays in the columns *and* in the stale tree,
+    masked out of candidate blocks via ``alive_main``), and an insert
+    appends past ``_main_n`` into a side buffer the repair probes
+    exactly.
     ``flush`` merges the buffer and drops dead rows in one pass — the
     single compaction + rebuild a batch may pay.  Eager ops flush
     first, so interleaving the two tiers stays correct.
@@ -342,11 +239,13 @@ class _SideColumns:
     def buffered(self) -> int:
         return len(self._points) - self._main_n
 
-    def needs_compaction(self, frac: float, cap: int) -> bool:
-        """Whether the lazy state crossed a rebuild threshold (strict
-        comparisons: sitting exactly *at* a threshold defers)."""
+    def needs_compaction(self) -> bool:
+        """Whether the lazy state crossed :data:`TOMBSTONE_FRAC` or
+        :data:`BUFFER_CAP` (strict comparisons: sitting exactly *at* a
+        threshold defers)."""
         return (
-            self._dead_main > frac * self._main_n or self.buffered > cap
+            self._dead_main > TOMBSTONE_FRAC * self._main_n
+            or self.buffered > BUFFER_CAP
         )
 
     def flush(self) -> bool:
@@ -462,21 +361,6 @@ class _RingColumns:
             )
         return self._cols
 
-    def keys_containing(self, x: float, y: float) -> list[tuple[int, int]]:
-        """Keys of live rings strictly containing ``(x, y)``."""
-        if not self._keys:
-            return []
-        px, py, qx, qy = self._columns()
-        t = (x - px) * (x - qx) + (y - py) * (y - qy)
-        return [self._keys[i] for i in np.nonzero(t < 0.0)[0]]
-
-    def keys_involving(
-        self, oid: int, side: Side
-    ) -> list[tuple[int, int]]:
-        """Keys of live rings with ``oid`` as their ``side`` endpoint."""
-        slot = 0 if side == "P" else 1
-        return [key for key in self._keys if key[slot] == oid]
-
     def keys_involving_any(
         self, oids, side: Side
     ) -> list[tuple[int, int]]:
@@ -516,22 +400,18 @@ class DynamicArrayRCJ:
     :class:`~repro.core.dynamic.DynamicBackend` protocol) and produces
     the exact same pair set after every update, but answers each update
     with batched kernel work over resident columns instead of pointwise
-    R-tree traversals:
+    R-tree traversals.  Every update — per-event or batched — runs the
+    same repair:
 
-    - insertion kill-sets come from one vectorized ring-containment
-      scan (:class:`_RingColumns`);
-    - insertion partners come from the engine's candidate kernels
-      (:func:`~repro.engine.kernels.knn_candidate_blocks` with the new
-      point as the sole probe);
-    - deletion's freed-pair candidates come from the same
-      Voronoi-horizon argument as the object backend — stream union
-      neighbours in ascending distance (batched KD queries with a
-      doubling window) while clipping the departed point's cell; once
-      the next neighbour is beyond twice the farthest cell vertex, no
-      Delaunay neighbour remains — crossed and filtered vectorized;
-    - every candidate batch is settled by
-      :func:`~repro.engine.kernels.verify_rings_batch` against the live
-      union, the engine's exact predicate.
+    - :meth:`_kill` drops pairs with a deleted endpoint and pairs whose
+      ring strictly contains an inserted point (one vectorized
+      ring-containment scan, :class:`_RingColumns`);
+    - :meth:`_settle` probes each deleted point's Voronoi
+      neighbourhood for freed pairs (the object backend's horizon
+      argument, streamed from the per-side KD-trees) and each inserted
+      point's neighbourhood for its new partners, then settles every
+      candidate with one :func:`~repro.engine.kernels.verify_rings_batch`
+      pass against the live union, the engine's exact predicate.
 
     Parameters mirror :class:`~repro.core.dynamic.DynamicRCJ`
     (``bounds`` seeds the deletion clip box; points outside remain
@@ -589,48 +469,9 @@ class DynamicArrayRCJ:
         own, other = self._sides(side)
         with obs_trace("dynamic-insert", backend="array", side=side):
             own.insert(point)
-            # (i) Kill every pair whose ring strictly contains the
-            # point: one vectorized exact-predicate scan over the ring
-            # columns.
-            killed = self._rings.keys_containing(point.x, point.y)
-            for key in killed:
-                self._drop(key)
-            add_counter("killed", len(killed))
-            # (ii) New pairs all involve the new point; partners come
-            # from the batch candidate kernels with the point as the
-            # sole probe (a superset of the true partners — blockers
-            # drawn from the partner side only), verified exactly
-            # against the live union.
-            if not len(other):
-                return
-            other_arr = other.array()
-            probe = PointArray(
-                np.array([point.x]), np.array([point.y]), np.array([point.oid])
-            )
-            _q_idx, partner_idx = knn_candidate_blocks(
-                other_arr, probe, tree_p=other.tree()
-            )
-            if not partner_idx.size:
-                return
-            zx = np.full(partner_idx.size, point.x)
-            zy = np.full(partner_idx.size, point.y)
-            ox = other_arr.x[partner_idx]
-            oy = other_arr.y[partner_idx]
-            if side == "P":
-                px, py, qx, qy = zx, zy, ox, oy
-            else:
-                px, py, qx, qy = ox, oy, zx, zy
-            union_tree, ux, uy = self._union()
-            alive = verify_rings_batch(px, py, qx, qy, union_tree, ux, uy)
-            for row in partner_idx[alive].tolist():
-                partner = other.point(row)
-                pair = (
-                    RCJPair(point, partner)
-                    if side == "P"
-                    else RCJPair(partner, point)
-                )
-                self._store(pair)
-            add_counter("added", int(alive.sum()))
+            other.flush()  # per-event calls leave no lazy state behind
+            self._kill((), [(point, side)])
+            self._settle((), [(point, side)])
 
     def delete(self, point: Point, side: Side) -> bool:
         """Remove ``point`` from dataset ``side`` and repair the result.
@@ -638,76 +479,16 @@ class DynamicArrayRCJ:
         Raises a named ``KeyError`` (and changes nothing) when no point
         with that oid lives on ``side``; returns True on success.
         """
-        own, _other = self._sides(side)
+        own, other = self._sides(side)
         if not own.has(point.oid):
             raise KeyError(
                 f"no point with oid {point.oid} on side {side!r}"
             )
         with obs_trace("dynamic-delete", backend="array", side=side):
             victim = own.pop(point.oid)
-            # (i) Pairs involving the departed point die.
-            killed = self._rings.keys_involving(point.oid, side)
-            for key in killed:
-                self._drop(key)
-            add_counter("killed", len(killed))
-            if not len(self._p) or not len(self._q):
-                return True
-            # (ii) Pairs freed by the departure: both endpoints are
-            # Delaunay neighbours of the departed point in the remaining
-            # union.  One union tree serves both the horizon stream and
-            # verification.
-            union = self._union()
-            neighborhood = self._neighborhood(victim, union)
-            if neighborhood is None:
-                # A coincident twin remains: every ring that contained
-                # the departed point still contains the twin.
-                return True
-            near_p = [z for z, z_side in neighborhood if z_side == "P"]
-            near_q = [z for z, z_side in neighborhood if z_side == "Q"]
-            if not near_p or not near_q:
-                return True
-            px = np.fromiter(
-                (z.x for z in near_p), np.float64, count=len(near_p)
-            )
-            py = np.fromiter(
-                (z.y for z in near_p), np.float64, count=len(near_p)
-            )
-            qx = np.fromiter(
-                (z.x for z in near_q), np.float64, count=len(near_q)
-            )
-            qy = np.fromiter(
-                (z.y for z in near_q), np.float64, count=len(near_q)
-            )
-            # Cross the two neighbour sets and keep only rings the
-            # departed point blocked — the exact dot predicate,
-            # vectorized.
-            n_pn, n_qn = len(near_p), len(near_q)
-            pi = np.repeat(np.arange(n_pn), n_qn)
-            qi = np.tile(np.arange(n_qn), n_pn)
-            cx, cy = px[pi], py[pi]
-            dx, dy = qx[qi], qy[qi]
-            blocked = (victim.x - cx) * (victim.x - dx) + (
-                victim.y - cy
-            ) * (victim.y - dy) < 0.0
-            fresh = np.fromiter(
-                (
-                    (near_p[a].oid, near_q[b].oid) not in self._pairs
-                    for a, b in zip(pi.tolist(), qi.tolist())
-                ),
-                bool,
-                count=len(pi),
-            )
-            keep = blocked & fresh
-            pi, qi = pi[keep], qi[keep]
-            if not pi.size:
-                return True
-            union_tree, ux, uy = union
-            alive = verify_rings_batch(
-                px[pi], py[pi], qx[qi], qy[qi], union_tree, ux, uy
-            )
-            for a, b in zip(pi[alive].tolist(), qi[alive].tolist()):
-                self._store(RCJPair(near_p[a], near_q[b]))
-            add_counter("freed", int(alive.sum()))
+            other.flush()  # per-event calls leave no lazy state behind
+            self._kill([(point, side)], ())
+            self._settle([(victim, side)], ())
         return True
 
     # ------------------------------------------------------------------
@@ -721,28 +502,14 @@ class DynamicArrayRCJ:
         oid in a batch is a "move".  After validation
         (:func:`~repro.core.dynamic.validate_batch` — atomic, nothing
         mutates on a malformed batch) the whole batch is absorbed with
-        *no* per-event column compaction or KD-tree rebuild:
-
-        - deletes become lazy tombstones — the stale per-side KD-trees
-          stay up, dead rows masked out of candidate blocks
-          (``blocker_alive`` in the verify kernel);
-        - inserts land in small per-side buffers probed exactly;
-        - freed-pair candidates come from each victim's Voronoi
-          neighbourhood over the *final* union view (for a ring freed by
-          a deletion, both endpoints are Delaunay neighbours of the
-          departed point in ``final ∪ {victim}`` — the witness circles
-          lie inside the ring, empty of the final union), filtered by
-          the exact "ring strictly contained the victim" predicate;
-        - new-pair candidates come from each inserted point's Voronoi
-          neighbourhood (opposite side);
-        - one exact verification pass over the composite view (stale
-          trees with liveness masks + buffers, identical IEEE predicate
-          term order) settles all candidates — byte-identical survivors
-          to the per-event oracle;
-        - at most one compaction + KD-tree rebuild per side runs at the
-          end, and only past a tombstone-fraction or buffer-size
-          threshold (``REPRO_DYN_TOMBSTONE_FRAC`` /
-          ``REPRO_DYN_BUFFER_CAP``).
+        *no* per-event column compaction or KD-tree rebuild: deletes
+        become lazy tombstones (the stale per-side KD-trees stay up,
+        dead rows masked out via ``blocker_alive`` in the verify
+        kernel) and inserts land in small per-side buffers probed
+        exactly.  The repair itself is the one the per-event calls run
+        (:meth:`_kill`, then :meth:`_settle`); at most one compaction +
+        KD-tree rebuild per side follows, and only past the
+        :data:`TOMBSTONE_FRAC` / :data:`BUFFER_CAP` thresholds.
         """
         inserts = [(point, side) for point, side in inserts]
         deletes = [(point, side) for point, side in deletes]
@@ -759,7 +526,17 @@ class DynamicArrayRCJ:
             n_inserts=len(inserts),
             n_deletes=len(deletes),
         ) as root:
-            self._apply_batch_inner(inserts, deletes, stages)
+            with stage_timer(stages, "kill"):
+                victims = [
+                    (self._sides(side)[0].tombstone(point.oid), side)
+                    for point, side in deletes
+                ]
+                for point, side in inserts:
+                    self._sides(side)[0].buffer_insert(point)
+                self._kill(deletes, inserts)
+            self._settle(victims, inserts, stages)
+            with stage_timer(stages, "rebuild"):
+                self._maybe_compact()
             if root is not None:
                 root.add("pairs", len(self._pairs))
                 root.set(
@@ -770,81 +547,83 @@ class DynamicArrayRCJ:
         self.stats["events"] += len(inserts) + len(deletes)
         self.last_batch_trace = root
         self.last_batch_stages = stages
-        self._record_batch(
-            len(inserts) + len(deletes), time.perf_counter() - t0, stages
+        record_batch(
+            self,
+            "array",
+            len(self._p),
+            len(self._q),
+            len(inserts) + len(deletes),
+            time.perf_counter() - t0,
+            stages,
         )
 
-    def _apply_batch_inner(self, inserts, deletes, stages) -> None:
-        # -- kill stage: tombstone victims, drop their pairs, buffer
-        # the inserts, and kill pre-batch pairs an insert landed in.
-        victims: list[tuple[Point, Side]] = []
-        with stage_timer(stages, "kill"):
-            dead_oids: dict[Side, list[int]] = {"P": [], "Q": []}
-            for point, side in deletes:
-                own, _other = self._sides(side)
-                victims.append((own.tombstone(point.oid), side))
-                dead_oids[side].append(point.oid)
-            kill_set = 0
-            for side in ("P", "Q"):
-                keys = self._rings.keys_involving_any(dead_oids[side], side)
-                kill_set += len(keys)
-                for key in keys:
-                    self._drop(key)
+    # ------------------------------------------------------------------
+    # the repair algorithm (per-event and batched updates alike)
+    # ------------------------------------------------------------------
+    def _kill(self, deletes, inserts) -> None:
+        """Drop every pair the updates invalidate: pairs with a deleted
+        endpoint, then pairs whose ring strictly contains an inserted
+        point (one vectorized exact-predicate scan of the ring
+        columns)."""
+        killed = 0
+        for side in ("P", "Q"):
+            keys = self._rings.keys_involving_any(
+                [point.oid for point, s in deletes if s == side], side
+            )
+            killed += len(keys)
+            for key in keys:
+                self._drop(key)
+        if inserts:
+            ix = np.fromiter(
+                (p.x for p, _ in inserts), np.float64, count=len(inserts)
+            )
+            iy = np.fromiter(
+                (p.y for p, _ in inserts), np.float64, count=len(inserts)
+            )
+            keys = self._rings.keys_containing_any(ix, iy)
+            killed += len(keys)
+            for key in keys:
+                self._drop(key)
+        add_counter("killed", killed)
+
+    def _settle(self, victims, inserts, stages=None) -> None:
+        """Add every pair the updates made valid.
+
+        Candidates are freed pairs around each deleted point
+        (``victims``) and new pairs of each inserted point, probed over
+        one final-union view (:meth:`_union_sources`); one exact
+        verification pass against that view settles them all.
+        """
+        if not len(self._p) or not len(self._q):
+            return
+        sources = self._union_sources()
+        candidates: dict[tuple[int, int], RCJPair] = {}
+        with stage_timer(stages, "probe"):
+            for victim, _side in victims:
+                self._probe_victim(victim, sources, candidates)
             for point, side in inserts:
-                self._sides(side)[0].buffer_insert(point)
-            if inserts:
-                ix = np.fromiter(
-                    (p.x for p, _ in inserts), np.float64, count=len(inserts)
-                )
-                iy = np.fromiter(
-                    (p.y for p, _ in inserts), np.float64, count=len(inserts)
-                )
-                keys = self._rings.keys_containing_any(ix, iy)
-                kill_set += len(keys)
-                for key in keys:
-                    self._drop(key)
-            add_counter("killed", kill_set)
-        # -- probe stage: freed-pair candidates per victim, new-pair
-        # candidates per insert, all over one final-union view.
-        if len(self._p) and len(self._q):
-            sources = self._union_sources()
-            candidates: dict[tuple[int, int], RCJPair] = {}
-            with stage_timer(stages, "probe"):
-                for victim, side in victims:
-                    self._probe_victim(victim, sources, candidates)
-                for point, side in inserts:
-                    self._probe_insert(point, side, sources, candidates)
-            add_counter("candidates", len(candidates))
-            # -- verify stage: one exact pass settles every candidate.
-            if candidates:
-                with stage_timer(stages, "verify"):
-                    pairs = list(candidates.values())
-                    m = len(pairs)
-                    px = np.fromiter(
-                        (pr.p.x for pr in pairs), np.float64, count=m
-                    )
-                    py = np.fromiter(
-                        (pr.p.y for pr in pairs), np.float64, count=m
-                    )
-                    qx = np.fromiter(
-                        (pr.q.x for pr in pairs), np.float64, count=m
-                    )
-                    qy = np.fromiter(
-                        (pr.q.y for pr in pairs), np.float64, count=m
-                    )
-                    alive = self._verify_sources(px, py, qx, qy, sources)
-                    for j in np.nonzero(alive)[0].tolist():
-                        self._store(pairs[j])
-                    add_counter("added", int(alive.sum()))
-        # -- rebuild stage: at most one compaction + rebuild per side.
-        with stage_timer(stages, "rebuild"):
-            self._maybe_compact()
+                self._probe_insert(point, side, sources, candidates)
+        add_counter("candidates", len(candidates))
+        added = 0
+        if candidates:
+            with stage_timer(stages, "verify"):
+                pairs = list(candidates.values())
+                m = len(pairs)
+                px = np.fromiter((pr.p.x for pr in pairs), np.float64, count=m)
+                py = np.fromiter((pr.p.y for pr in pairs), np.float64, count=m)
+                qx = np.fromiter((pr.q.x for pr in pairs), np.float64, count=m)
+                qy = np.fromiter((pr.q.y for pr in pairs), np.float64, count=m)
+                alive = self._verify_sources(px, py, qx, qy, sources)
+                for j in np.nonzero(alive)[0].tolist():
+                    self._store(pairs[j])
+                added = int(alive.sum())
+        add_counter("added", added)
 
     def _probe_victim(self, victim: Point, sources, candidates) -> None:
         """Freed-pair candidates of one deleted point over the final
         union view: cross the P/Q split of its Voronoi neighbourhood,
         keep rings it strictly blocked."""
-        neighborhood = self._batch_neighborhood(
+        neighborhood = self._voronoi_neighbours(
             victim, sources, stop_on_coincident=True
         )
         if neighborhood is None:
@@ -878,7 +657,7 @@ class DynamicArrayRCJ:
         Voronoi neighbours over the final union view (a verified pair's
         ring is empty of the final union, so its endpoints are Delaunay
         neighbours there — the neighbourhood is a superset)."""
-        neighborhood = self._batch_neighborhood(
+        neighborhood = self._voronoi_neighbours(
             point,
             sources,
             stop_on_coincident=False,
@@ -895,7 +674,7 @@ class DynamicArrayRCJ:
             candidates[key] = pair
 
     def _union_sources(self) -> list[tuple]:
-        """The composite final-union view the batch path probes and
+        """The composite final-union view every repair probes and
         verifies against: per side, the stale main tree with its
         liveness mask, plus the exact insert buffer."""
         sources: list[tuple] = []
@@ -955,7 +734,7 @@ class DynamicArrayRCJ:
                     alive[s:e] &= ~(t < 0.0).any(axis=1)
         return alive
 
-    def _batch_neighborhood(
+    def _voronoi_neighbours(
         self,
         x: Point,
         sources,
@@ -999,7 +778,7 @@ class DynamicArrayRCJ:
             for src in sources
         ]
         merged = heapq.merge(*streams, key=lambda t: t[0])
-        return _voronoi_neighborhood(
+        return voronoi_neighbours(
             x, merged, span, stop_on_coincident=stop_on_coincident
         )
 
@@ -1050,11 +829,9 @@ class DynamicArrayRCJ:
     def _maybe_compact(self) -> int:
         """Flush a side's lazy state when it crossed a threshold — the
         at-most-one compaction + KD-tree rebuild per side per batch."""
-        frac = _tombstone_frac()
-        cap = _buffer_cap()
         rebuilds = 0
         for cols in (self._p, self._q):
-            if cols.needs_compaction(frac, cap) and cols.flush():
+            if cols.needs_compaction() and cols.flush():
                 cols.tree()  # rebuild now so the cost lands in "rebuild"
                 rebuilds += 1
         self.stats["rebuilds"] += rebuilds
@@ -1068,31 +845,6 @@ class DynamicArrayRCJ:
             "tombstones": self._p.tombstones + self._q.tombstones,
             "buffered": self._p.buffered + self._q.buffered,
         }
-
-    def _record_batch(self, batch_size, seconds, stages) -> None:
-        """Feed one batch to the calibration log (planned instances
-        only; exception-fenced like every calibration hook)."""
-        if not getattr(self, "record_calibration", False):
-            return
-        try:
-            from repro.calibration.observations import record_observation
-            from repro.parallel.costmodel import estimate_bytes
-
-            n_p, n_q = len(self._p), len(self._q)
-            record_observation(
-                kind="dynamic",
-                engine="array",
-                workers=1,
-                n_p=n_p,
-                n_q=n_q,
-                density_factor=1.0,
-                est_candidates=batch_size,
-                est_bytes=estimate_bytes(n_p, n_q, 1, 0),
-                stage_seconds=dict(stages) or None,
-                total_seconds=seconds,
-            )
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # internals
@@ -1114,65 +866,6 @@ class DynamicArrayRCJ:
     def _drop(self, key: tuple[int, int]) -> None:
         if self._pairs.pop(key, None) is not None:
             self._rings.remove(key)
-
-    def _union(self) -> tuple[cKDTree, np.ndarray, np.ndarray]:
-        parr, qarr = self._p.array(), self._q.array()
-        ux = np.concatenate((parr.x, qarr.x))
-        uy = np.concatenate((parr.y, qarr.y))
-        return cKDTree(np.column_stack((ux, uy))), ux, uy
-
-    def _neighborhood(
-        self, x: Point, union: tuple[cKDTree, np.ndarray, np.ndarray]
-    ) -> list[tuple[Point, Side]] | None:
-        """Candidate endpoints for pairs freed by deleting ``x``.
-
-        The object backend's Voronoi-horizon stream
-        (:meth:`repro.core.dynamic.DynamicRCJ._neighborhood`) over the
-        columnar union (``union`` is the caller's already-built
-        :meth:`_union` triple): neighbours arrive in ascending distance
-        from batched KD-tree queries with a doubling window instead of
-        the merged R-tree heaps.  Returns None when a remaining point
-        coincides with ``x``.
-        """
-        n_p = len(self._p)
-        union_tree, ux, uy = union
-        n_union = len(ux)
-
-        span = [
-            self.bounds.xmin,
-            self.bounds.ymin,
-            self.bounds.xmax,
-            self.bounds.ymax,
-        ]
-        span[0] = min(span[0], float(ux.min()), x.x)
-        span[1] = min(span[1], float(uy.min()), x.y)
-        span[2] = max(span[2], float(ux.max()), x.x)
-        span[3] = max(span[3], float(uy.max()), x.y)
-
-        def stream():
-            done = 0
-            k = 32
-            while True:
-                kk = min(k, n_union)
-                dist, idx = union_tree.query([x.x, x.y], k=kk)
-                dist = np.atleast_1d(dist)
-                idx = np.atleast_1d(idx)
-                for d, row in zip(
-                    dist[done:].tolist(), idx[done:].tolist()
-                ):
-                    z_side: Side = "P" if row < n_p else "Q"
-                    z = (
-                        self._p.point(row)
-                        if row < n_p
-                        else self._q.point(row - n_p)
-                    )
-                    yield float(d), z, z_side
-                if kk == n_union:
-                    return
-                done = kk
-                k *= 2
-
-        return _voronoi_neighborhood(x, stream(), span)
 
     def __repr__(self) -> str:
         return (

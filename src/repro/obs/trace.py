@@ -193,6 +193,9 @@ def reset() -> None:
 def trace(name: str, **attrs):
     """Root a new trace (yields its root span, or None when disabled).
 
+    A body that raises marks the root ``error=<exception class name>``
+    before the exception propagates.
+
     A ``trace`` opened while another is already active degrades to a
     plain child :func:`span` — nested planner entry points join the
     enclosing tree instead of fighting over the thread-local root.
@@ -209,6 +212,9 @@ def trace(name: str, **attrs):
     t0 = time.perf_counter()
     try:
         yield root
+    except BaseException as exc:
+        root.attrs["error"] = type(exc).__name__
+        raise
     finally:
         root.seconds = time.perf_counter() - t0
         _STATE.stack = None
@@ -216,7 +222,12 @@ def trace(name: str, **attrs):
 
 @contextmanager
 def span(name: str, *, kind: str = "span", **attrs):
-    """Open a child span under the active trace (no-op outside one)."""
+    """Open a child span under the active trace (no-op outside one).
+
+    A body that raises marks the span ``error=<exception class name>``;
+    the exception then unwinds through, and marks, every enclosing
+    span up to the root.
+    """
     stack = _stack()
     if not stack:
         yield None
@@ -227,6 +238,9 @@ def span(name: str, *, kind: str = "span", **attrs):
     t0 = time.perf_counter()
     try:
         yield node
+    except BaseException as exc:
+        node.attrs["error"] = type(exc).__name__
+        raise
     finally:
         node.seconds = time.perf_counter() - t0
         stack.pop()

@@ -36,9 +36,12 @@ Cleanup
 -------
 The shared block is unlinked in a ``finally`` even when the pool dies
 mid-join (worker crash, interrupt), so failed runs cannot leak
-``/dev/shm`` segments.  Workers only close their mappings.  All worker
-entry points are module-level functions: the pool works under both
-``fork`` (Linux default) and ``spawn`` (macOS/Windows) start methods.
+``/dev/shm`` segments.  A shard whose result raises (a task error, or
+``BrokenProcessPool`` after a worker died) re-raises its exception
+unchanged but for a note naming the shard's probe range.  Workers only
+close their mappings.  All worker entry points are module-level
+functions: the pool works under both ``fork`` (Linux default) and
+``spawn`` (macOS/Windows) start methods.
 """
 
 from __future__ import annotations
@@ -230,7 +233,13 @@ def run_sharded(
                     pool.submit(_run_shard, lo, hi, traced)
                     for lo, hi in ranges[1:]
                 ]
-                parts = [f.result() for f in futures]
+                parts = []
+                for (lo, hi), future in zip(ranges, futures):
+                    try:
+                        parts.append(future.result())
+                    except Exception as exc:
+                        exc.add_note(f"pool shard [{lo}, {hi}) of {len(plan)}")
+                        raise
             if traced:
                 for part in parts:
                     if part[4] is not None:

@@ -18,10 +18,12 @@ import random
 
 import pytest
 
+import repro.engine.streaming as streaming
 from repro.core.dynamic import DynamicRCJ, validate_batch
 from repro.engine.planner import run_join
 from repro.engine.streaming import DynamicArrayRCJ
 from repro.geometry.point import Point
+from repro.obs.trace import trace
 
 BACKENDS = [DynamicArrayRCJ, DynamicRCJ]
 
@@ -239,8 +241,8 @@ class TestCompactionThresholds:
         return DynamicArrayRCJ(ps, qs), ps, qs
 
     def test_tombstones_at_fraction_do_not_compact(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DYN_TOMBSTONE_FRAC", "0.25")
-        monkeypatch.setenv("REPRO_DYN_BUFFER_CAP", "100000")
+        monkeypatch.setattr(streaming, "TOMBSTONE_FRAC", 0.25)
+        monkeypatch.setattr(streaming, "BUFFER_CAP", 100000)
         dyn, ps, _qs = self._grid_backend(20)
         # 5 of 20 dead == exactly frac * main_n: strictly-greater test
         # must NOT trigger a rebuild.
@@ -249,8 +251,8 @@ class TestCompactionThresholds:
         assert dyn._p.tombstones == 5
 
     def test_one_more_tombstone_compacts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DYN_TOMBSTONE_FRAC", "0.25")
-        monkeypatch.setenv("REPRO_DYN_BUFFER_CAP", "100000")
+        monkeypatch.setattr(streaming, "TOMBSTONE_FRAC", 0.25)
+        monkeypatch.setattr(streaming, "BUFFER_CAP", 100000)
         dyn, ps, _qs = self._grid_backend(20)
         dyn.apply_batch(deletes=[(p, "P") for p in ps[:6]])
         assert dyn.stats["rebuilds"] == 1
@@ -258,8 +260,8 @@ class TestCompactionThresholds:
         assert dyn.maintenance_stats()["tombstones"] == 0
 
     def test_buffer_at_cap_does_not_flush(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DYN_TOMBSTONE_FRAC", "100.0")
-        monkeypatch.setenv("REPRO_DYN_BUFFER_CAP", "4")
+        monkeypatch.setattr(streaming, "TOMBSTONE_FRAC", 100.0)
+        monkeypatch.setattr(streaming, "BUFFER_CAP", 4)
         dyn, _ps, _qs = self._grid_backend(20)
         dyn.apply_batch(
             inserts=[(Point(3.0 * i, 100.0, 5000 + i), "P") for i in range(4)]
@@ -268,8 +270,8 @@ class TestCompactionThresholds:
         assert dyn._p.buffered == 4
 
     def test_buffer_past_cap_flushes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DYN_TOMBSTONE_FRAC", "100.0")
-        monkeypatch.setenv("REPRO_DYN_BUFFER_CAP", "4")
+        monkeypatch.setattr(streaming, "TOMBSTONE_FRAC", 100.0)
+        monkeypatch.setattr(streaming, "BUFFER_CAP", 4)
         dyn, _ps, _qs = self._grid_backend(20)
         dyn.apply_batch(
             inserts=[(Point(3.0 * i, 100.0, 5000 + i), "P") for i in range(5)]
@@ -280,8 +282,8 @@ class TestCompactionThresholds:
 
     def test_tiny_thresholds_preserve_equivalence(self, monkeypatch):
         """Compacting nearly every batch lands on the same pair sets."""
-        monkeypatch.setenv("REPRO_DYN_TOMBSTONE_FRAC", "0.05")
-        monkeypatch.setenv("REPRO_DYN_BUFFER_CAP", "2")
+        monkeypatch.setattr(streaming, "TOMBSTONE_FRAC", 0.05)
+        monkeypatch.setattr(streaming, "BUFFER_CAP", 2)
         rng = random.Random(11)
         pts_p = _uniform(rng, 30, 0)
         pts_q = _uniform(rng, 30, 50_000)
@@ -333,3 +335,44 @@ class TestBatchTracing:
         assert dyn.stats["events"] == 2
         stats = dyn.maintenance_stats()
         assert set(stats) >= {"batches", "events", "rebuilds", "tombstones", "buffered"}
+
+
+class TestPerEventRepair:
+    """Per-event ``insert``/``delete`` run the batch path's repair but
+    stay eager: dense columns after every call, no batch accounting."""
+
+    def _with_lazy_state(self):
+        rng = random.Random(31)
+        pts_p = _uniform(rng, 20, 0)
+        pts_q = _uniform(rng, 20, 50_000)
+        dyn = DynamicArrayRCJ(pts_p, pts_q)
+        dyn.apply_batch(
+            inserts=[(Point(500.0, 500.0, 90_000), "Q")],
+            deletes=[(pts_p[0], "P")],
+        )
+        stats = dyn.maintenance_stats()
+        assert stats["tombstones"] == 1 and stats["buffered"] == 1
+        return dyn, pts_p
+
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_per_event_leaves_no_lazy_state(self, op):
+        dyn, pts_p = self._with_lazy_state()
+        batches = dyn.stats["batches"]
+        if op == "insert":
+            dyn.insert(Point(250.0, 750.0, 91_000), "P")
+        else:
+            dyn.delete(pts_p[1], "P")
+        stats = dyn.maintenance_stats()
+        assert stats["tombstones"] == stats["buffered"] == 0
+        assert dyn.stats["batches"] == batches
+
+    def test_per_event_spans_carry_repair_counters(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        dyn, _pts_p = self._with_lazy_state()
+        probe = Point(400.0, 600.0, 92_000)
+        with trace("updates") as root:
+            dyn.insert(probe, "P")
+            dyn.delete(probe, "P")
+        for name in ("dynamic-insert", "dynamic-delete"):
+            (node,) = root.find(name)
+            assert {"killed", "candidates", "added"} <= set(node.counters)

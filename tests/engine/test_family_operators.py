@@ -184,8 +184,9 @@ def test_rcj_streamed_pipeline_matches_topk():
 
 
 def test_take_smallest_early_stop():
-    """The expanding-band source stops once the sink's completeness
-    certificate covers k pairs — far short of the cross product."""
+    """The band source yields canonically ordered chunks, and the
+    take-smallest sink stops it at the chunk that brings its k-th pair
+    — far short of the cross product."""
     points_p, points_q = uniform_pair(400, 400, seed=2)
     report = run_family_join(points_p, points_q, "kcp", engine="array", k=5)
     assert report.result_count == 5

@@ -85,6 +85,19 @@ class TestSpanTree:
                     raise RuntimeError("boom")
         assert current_span() is None
 
+    def test_failing_span_and_root_carry_error(self):
+        with pytest.raises(KeyError):
+            with trace("root") as root:
+                with span("ok") as ok:
+                    pass
+                with span("outer") as outer:
+                    with span("failing") as failing:
+                        raise KeyError("boom")
+        assert failing.attrs["error"] == "KeyError"
+        assert outer.attrs["error"] == "KeyError"
+        assert root.attrs["error"] == "KeyError"
+        assert "error" not in ok.attrs
+
     def test_to_from_dict_round_trip(self):
         with trace("root", engine="array") as root:
             with span("child") as child:

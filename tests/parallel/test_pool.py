@@ -9,6 +9,9 @@ inputs.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import re
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from multiprocessing import shared_memory
 
@@ -238,3 +241,27 @@ class TestPoolCleanup:
             POOLED_JOINS[join](uniform_pair(600, 700, seed=29))
         assert names, "expected shared memory to have been created"
         assert _all_unlinked(names)
+
+
+def _die(lo, hi, traced=False):
+    """Shard stand-in that kills its worker process outright."""
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a forked worker resolves the test module's shard stand-in",
+)
+def test_worker_death_names_the_shard_and_releases_memory(monkeypatch):
+    names = _record_created_specs(monkeypatch)
+    monkeypatch.setattr(pool_mod, "_run_shard", _die)
+    with pytest.raises(BrokenProcessPool) as info:
+        with trace("test") as root:
+            _rcj_join(uniform_pair(600, 700, seed=31))
+    notes = getattr(info.value, "__notes__", [])
+    shard_note = re.compile(r"pool shard \[\d+, \d+\) of \d+")
+    assert any(shard_note.fullmatch(note) for note in notes)
+    (pool_span,) = root.find("pool")
+    assert pool_span.attrs["error"] == "BrokenProcessPool"
+    assert names, "expected a real pooled run"
+    assert _all_unlinked(names)
