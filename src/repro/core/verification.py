@@ -17,9 +17,10 @@ Leaf batching
 Leaf-level containment — the hot, all-pairs part of the traversal — is
 routed through the vectorized batch kernel
 (:func:`repro.engine.kernels.verify_rings_batch`) whenever enough
-candidates are live: one KD-tree ball query over the leaf's points and
-one vectorized evaluation of the *same* exact dot predicate replace the
-per-circle Python loop.  A candidate dies at a leaf iff some leaf point
+candidates are live: one KD-tree query for the leaf points nearest each
+ring's midpoint, one vectorized evaluation of the *same* exact dot
+predicate over them, and a ball query only for the rings those nearest
+points cannot settle replace the per-circle Python loop.  A candidate dies at a leaf iff some leaf point
 lies strictly inside its ring, and that decision is independent of the
 order the leaf's points are examined in, so batching changes no
 aliveness outcome, no descent decision, and therefore no node-access or

@@ -15,9 +15,15 @@ numpy arrays:
   direction-filtered scan whose survivors are pruned with the exact
   half-plane predicate.
 - :func:`verify_rings_batch` — batch ring-emptiness verification: the
-  per-circle loop of :mod:`repro.core.verification` is replaced by one
-  KD-tree ball query over all candidate midpoints plus one vectorized
-  evaluation of the exact dot predicate.
+  per-circle loop of :mod:`repro.core.verification` is replaced by a
+  nearest-blocker pass.  One KD-tree query fetches the few union points
+  nearest every candidate midpoint, and one vectorized evaluation of
+  the exact dot predicate over them settles almost every ring: a
+  blocker lies nearer the midpoint than the ring's own endpoints.  Only
+  rings whose whole window lies inside the ring without blocking (ties
+  on the boundary, dead rows of a stale tree) fall back to a ball query
+  over every point inside them.  Work and memory per ring are therefore
+  bounded by the window, not by how many points a wide ring holds.
 
 Exactness
 ---------
@@ -60,7 +66,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from repro.core.gabriel import recover_cocircular_pairs, recoverable_radius_bound
 from repro.engine.arrays import PointArray
-from repro.obs.trace import stage_timer
+from repro.obs.trace import add_counter, stage_timer
 
 #: Neighbour window of the first candidate-generation stage.
 DEFAULT_K0 = 16
@@ -92,6 +98,11 @@ _SCAN_WORK_LIMIT = 4_000_000
 #: rounding of midpoint/radius while the exact dot predicate keeps the
 #: final say (same convention as :func:`repro.core.gabriel.gabriel_rcj`).
 _BALL_INFLATION = 1e-7
+
+#: Union points nearest each ring's midpoint that settle the ring
+#: before any ball query: a blocker is nearer the midpoint than the
+#: ring's own endpoints, so the nearest few decide almost every ring.
+_NEAR_K = 4
 
 
 def _coord_scale(*arrays: np.ndarray) -> float:
@@ -674,24 +685,44 @@ def verify_rings_batch(
     For each candidate ``<p, q>`` (coordinate arrays of shape ``(M,)``)
     the ring — the circle with diameter ``pq`` — must contain no point
     of the union dataset (``union_tree`` over coordinates ``ux, uy``)
-    strictly inside.  Blocker candidates come from one batched KD-tree
-    ball query around the midpoints (radius inflated so no true blocker
-    can round out); each is confirmed with the exact oracle predicate
+    strictly inside.  The test is the exact oracle predicate
     ``(s - p) . (s - q) < 0``, under which the endpoints themselves (and
     coincident duplicates) evaluate to exactly zero and never block.
+
+    A blocker lies strictly inside the circle around the midpoint ``m``
+    with radius ``r = |pq| / 2``, so it is nearer to ``m`` than any
+    point on the ring.  The kernel therefore works nearest-first:
+
+    1. One batched KD-tree query returns the :data:`_NEAR_K` union
+       points nearest each midpoint.  Those within the inflated ball
+       radius (inflated so no true blocker can round out) go through
+       the predicate; a hit kills the row.
+    2. A row survives without further work when its window reaches
+       beyond the ball (every point inside the ball was in the window,
+       and none blocks), when the window is the whole union, or when
+       ``r == 0`` (a ring of coincident ``p, q`` cannot be blocked).
+    3. Only the rows whose whole window lies inside the ball and holds
+       no blocker fall back to a ball query over all union points
+       inside their ring plus the same predicate.  The number of these
+       rows is the ``ring_fallback`` counter of the enclosing span.
+
+    So the work and memory per row are bounded by the window, not by
+    how many points the ring holds, and the survivor mask is the one a
+    full ball query gives.
 
     ``blocker_alive`` (a boolean ``(len(ux),)`` mask, when given) drops
     dead tree rows before the predicate — the seam that lets the dynamic
     backend verify against a *stale* KD-tree carrying tombstoned points
     without rebuilding it: a dead row can never block, and survivors are
     exactly those of a compacted tree because every live blocker applies
-    the identical IEEE predicate.
+    the identical IEEE predicate.  Dead rows still fill the window, so a
+    window of dead rows inside the ball takes the fallback.
 
     Returns the boolean ``(M,)`` survivor mask.
     """
     m = len(px)
     alive = np.ones(m, dtype=bool)
-    if m == 0:
+    if m == 0 or union_tree.n == 0:
         return alive
     mx = 0.5 * (px + qx)
     my = 0.5 * (py + qy)
@@ -702,19 +733,45 @@ def verify_rings_batch(
     radii = r * (1.0 + _BALL_INFLATION) + 1e-12 * (
         np.abs(mx) + np.abs(my) + 1.0
     )
+    k = min(_NEAR_K, union_tree.n)
+    dist, near = union_tree.query(np.column_stack((mx, my)), k=k)
+    dist = dist.reshape(m, k)
+    near = near.reshape(m, k)
+    inside = dist <= radii[:, None]
+    tested = inside if blocker_alive is None else inside & blocker_alive[near]
+    sx = ux[near]
+    sy = uy[near]
+    t = (sx - px[:, None]) * (sx - qx[:, None]) + (sy - py[:, None]) * (
+        sy - qy[:, None]
+    )
+    alive[(tested & (t < 0.0)).any(axis=1)] = False
+    if k == union_tree.n:
+        return alive
+    rows = np.flatnonzero(alive & inside[:, -1] & (r > 0.0))
+    if rows.size:
+        add_counter("ring_fallback", int(rows.size))
+        alive[rows] = _ball_verify(
+            px[rows], py[rows], qx[rows], qy[rows],
+            np.column_stack((mx[rows], my[rows])), radii[rows],
+            union_tree, ux, uy, blocker_alive,
+        )
+    return alive
+
+
+def _ball_verify(px, py, qx, qy, mids, radii, union_tree, ux, uy, blocker_alive):
+    """The exact fallback of :func:`verify_rings_batch`: the predicate
+    over every union point inside each row's ball."""
+    m = len(px)
+    alive = np.ones(m, dtype=bool)
     neighbor_lists = union_tree.query_ball_point(
-        np.column_stack((mx, my)), radii, return_sorted=False
+        mids, radii, return_sorted=False
     )
     flat, counts = _flatten_ball_lists(neighbor_lists, m)
-    if not flat.size:
-        return alive
     rows = np.repeat(np.arange(m), counts)
     if blocker_alive is not None:
         keep = blocker_alive[flat]
         flat = flat[keep]
         rows = rows[keep]
-        if not flat.size:
-            return alive
     sx = ux[flat]
     sy = uy[flat]
     t = (sx - px[rows]) * (sx - qx[rows]) + (sy - py[rows]) * (sy - qy[rows])

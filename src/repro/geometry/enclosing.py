@@ -33,24 +33,31 @@ def _circle_two(a: Point, b: Point) -> Circle:
 
 
 def _circle_three(a: Point, b: Point, c: Point) -> Circle | None:
-    """Circumscribed circle of three points; None when collinear."""
-    ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    """Circumscribed circle of three points; None when collinear.
+
+    Computed relative to ``a`` so that a small circle far from the
+    origin keeps its precision."""
+    bx, by = b.x - a.x, b.y - a.y
+    cx, cy = c.x - a.x, c.y - a.y
+    d = 2.0 * (bx * cy - by * cx)
     if d == 0.0:
         return None
-    a_sq = ax * ax + ay * ay
     b_sq = bx * bx + by * by
     c_sq = cx * cx + cy * cy
-    ux = (a_sq * (by - cy) + b_sq * (cy - ay) + c_sq * (ay - by)) / d
-    uy = (a_sq * (cx - bx) + b_sq * (ax - cx) + c_sq * (bx - ax)) / d
-    r = math.hypot(ax - ux, ay - uy)
-    return Circle(ux, uy, r)
+    ux = (cy * b_sq - by * c_sq) / d
+    uy = (bx * c_sq - cx * b_sq) / d
+    return Circle(a.x + ux, a.y + uy, math.hypot(ux, uy))
 
 
-def _covers(circle: Circle, p: Point, slack: float = 1e-9) -> bool:
-    dx = p.x - circle.cx
-    dy = p.y - circle.cy
-    return dx * dx + dy * dy <= circle.r_sq * (1.0 + slack) + slack
+#: Coverage slack in distance units, relative to the circle's coordinate
+#: magnitude: it absorbs the rounding of the circle's construction
+#: without swallowing a distinct point however close it lies.
+_COVER_SLACK = 1e-12
+
+
+def _covers(circle: Circle, p: Point) -> bool:
+    slack = _COVER_SLACK * (abs(circle.cx) + abs(circle.cy) + circle.r)
+    return math.hypot(p.x - circle.cx, p.y - circle.cy) <= circle.r + slack
 
 
 def welzl_circle(points: Sequence[Point], seed: int = 0) -> Circle:

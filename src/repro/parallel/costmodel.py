@@ -31,7 +31,7 @@ Estimates are first-order by design (this is plan *selection*, not
 performance prediction): dataset sizes are exact, the candidate volume
 is extrapolated from a deterministic KD-tree **density sample** (local
 point density at sampled probe locations relative to a uniform spread —
-clustered data escalates more and verifies bigger ball queries), and
+clustered data escalates more and verifies more candidates), and
 memory is a per-structure byte model.  Every decision is recorded in
 :attr:`ExecutionPlan.reasons`, surfaced by ``--explain`` on the CLI.
 """

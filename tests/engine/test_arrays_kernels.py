@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.spatial import cKDTree
 
+from repro.datasets import worstcase
 from repro.datasets.fixtures import uniform_pair
 from repro.engine import run_join, run_topk
 from repro.engine.arrays import NonFiniteCoordinateError, PointArray
@@ -17,6 +21,7 @@ from repro.engine.kernels import (
     verify_rings_batch,
 )
 from repro.geometry.point import Point
+from repro.obs.trace import counter_totals, trace
 
 
 class TestPointArray:
@@ -195,6 +200,123 @@ class TestVerifyRings:
             uy=uy,
         )
         assert alive.tolist() == [True]
+
+    def test_dead_window_with_live_blocker_further_in_dies(self):
+        # The 4 union rows nearest the midpoint are dead; the live
+        # blocker behind them is found by the fallback.
+        ux = np.array([-10.0, 10.0, 0.0, 0.0, 0.1, -0.1, 5.0])
+        uy = np.array([0.0, 0.0, 0.1, -0.1, 0.0, 0.0, 0.0])
+        live = np.array([True, True, False, False, False, False, True])
+        ring = [(-10.0, 0.0, 10.0, 0.0)]
+        assert _verify_traced(ring, ux, uy, blocker_alive=live) == ([False], 1)
+        live[-1] = False
+        assert _verify_traced(ring, ux, uy, blocker_alive=live) == ([True], 1)
+
+    def test_points_on_the_circle_survive_via_fallback(self):
+        # 3-4-5 triangles: every other point lies exactly on the ring
+        # (the predicate is exactly 0), so the whole window sits inside
+        # the inflated ball and the ball query settles the ring.
+        on_ring = [(3, 4), (-3, 4), (3, -4), (-3, -4), (0, 5), (0, -5)]
+        pts = np.array([(-5, 0), (5, 0), *on_ring, (40, 40)], dtype=float)
+        alive, fallback = _verify_traced(
+            [(-5.0, 0.0, 5.0, 0.0)], pts[:, 0], pts[:, 1]
+        )
+        assert alive == [True]
+        assert fallback == 1
+
+    def test_coincident_pair_among_duplicates_skips_fallback(self):
+        ux = np.full(6, 5.0)
+        uy = np.full(6, 5.0)
+        assert _verify_traced([(5.0, 5.0, 5.0, 5.0)], ux, uy) == ([True], 0)
+
+    @given(st.data())
+    def test_matches_brute_predicate(self, data):
+        ux, uy, px, py, qx, qy, blocker_alive = data.draw(_ring_batches())
+        tree = cKDTree(np.column_stack((ux, uy)))
+        alive = verify_rings_batch(
+            px, py, qx, qy, tree, ux, uy, blocker_alive=blocker_alive
+        )
+        live = (
+            np.ones(len(ux), dtype=bool) if blocker_alive is None
+            else blocker_alive
+        )
+        t = (ux - px[:, None]) * (ux - qx[:, None]) + (
+            uy - py[:, None]
+        ) * (uy - qy[:, None])
+        expected = ~((t < 0.0) & live).any(axis=1)
+        assert alive.tolist() == expected.tolist()
+
+    def test_wide_rings_verify_in_bounded_memory(self):
+        # 200 rings, each holding thousands of the union's 20k points:
+        # a ball query would materialize every one of them.
+        rng = np.random.default_rng(3)
+        u = rng.random((20_000, 2))
+        tree = cKDTree(u)
+        a = rng.uniform(0, 2 * np.pi, 200)
+        px, py = 0.5 + 0.3 * np.cos(a), 0.5 + 0.3 * np.sin(a)
+        qx, qy = 1.0 - px, 1.0 - py
+        tracemalloc.start()
+        try:
+            alive = verify_rings_batch(px, py, qx, qy, tree, u[:, 0], u[:, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not alive.any()
+        assert peak < 8 * 2**20
+
+
+def _verify_traced(rings, ux, uy, blocker_alive=None):
+    """``(survivor list, ring_fallback count)`` of one traced verify."""
+    px, py, qx, qy = (np.array(c, dtype=float) for c in zip(*rings))
+    tree = cKDTree(np.column_stack((ux, uy)))
+    with trace("verify") as root:
+        alive = verify_rings_batch(
+            px, py, qx, qy, tree, ux, uy, blocker_alive=blocker_alive
+        )
+    assert root is not None, "the suite needs tracing enabled"
+    return alive.tolist(), counter_totals(root).get("ring_fallback", 0)
+
+
+#: Adversarial unions, laid out in ``[0, 10000]^2``.
+_UNIONS = {
+    "collinear": lambda n, seed: worstcase.collinear(n, seed=seed),
+    "jittered": lambda n, seed: worstcase.collinear(n, jitter=1.0, seed=seed),
+    "cocircular": lambda n, seed: worstcase.cocircular(n),
+    "lattice": lambda n, seed: worstcase.lattice(n),
+    "two_clusters": lambda n, seed: worstcase.two_clusters(n, seed=seed),
+    "coincident": lambda n, seed: worstcase.coincident(n),
+}
+
+
+@st.composite
+def _ring_batches(draw):
+    """A union (one of :data:`_UNIONS`, 1-3 points or more) at an
+    extreme scale and translation, rings over its points plus a few
+    outsiders, and an optional liveness mask."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 48)))
+    pts = _UNIONS[draw(st.sampled_from(sorted(_UNIONS)))](
+        n, draw(st.integers(0, 2**16))
+    )
+    xy = np.array([(p.x, p.y) for p in pts], dtype=float) / 10_000.0
+    scale = 10.0 ** draw(st.integers(-6, 9))
+    shift = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, -1e9]))
+    xy = xy * scale + shift
+    extra = np.array(
+        draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=3)),
+        dtype=float,
+    ).reshape(-1, 2) * scale + shift
+    ends = np.vstack((xy, extra))
+    idx = st.integers(0, len(ends) - 1)
+    pairs = np.array(
+        draw(st.lists(st.tuples(idx, idx), min_size=1, max_size=24))
+    )
+    live = st.lists(st.booleans(), min_size=len(xy), max_size=len(xy))
+    mask = draw(st.none() | live)
+    p, q = ends[pairs[:, 0]], ends[pairs[:, 1]]
+    return (
+        xy[:, 0], xy[:, 1], p[:, 0], p[:, 1], q[:, 0], q[:, 1],
+        None if mask is None else np.array(mask, dtype=bool),
+    )
 
 
 class TestCandidateGeneration:

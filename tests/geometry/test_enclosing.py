@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geometry.enclosing import enclosing_circle, welzl_circle
 from repro.geometry.point import Point
@@ -68,6 +68,10 @@ class TestWelzl:
         assert math.isclose(c.cx, 2.5, rel_tol=1e-9)
 
     @given(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    @example(coords=[(0.0, 0.0), (0.0, 1e-05)])
+    @example(coords=[(5.0, 5.0), (5.0, 5.00001)])
+    @example(coords=[(999.000028, 999.000076), (999.000062, 999.000025),
+                     (999.000091, 999.000098)])
     def test_all_points_covered(self, coords):
         pts = [Point(x, y) for x, y in coords]
         c = welzl_circle(pts)

@@ -179,6 +179,26 @@ class TestEffectiveWorkers:
         assert obs["workers_planned"] == 4
 
 
+class TestRingFallbackCounter:
+    """Ring verification counts the rings its nearest-blocker window
+    could not settle on the ``verify`` stage span."""
+
+    @staticmethod
+    def _fallback(points_p, points_q):
+        report = run_join(points_p, points_q, engine="array")
+        (verify,) = report.trace.find("verify")
+        return verify.counters.get("ring_fallback", 0)
+
+    def test_uniform_join_settles_every_ring_from_its_window(self, pointsets):
+        assert self._fallback(*pointsets) == 0
+
+    def test_lattice_join_falls_back_on_cocircular_ties(self):
+        from repro.datasets import worstcase
+
+        points = worstcase.lattice(400)
+        assert self._fallback(*worstcase.split_alternating(points)) > 0
+
+
 class TestTracedTopk:
     def test_topk_array_route_is_traced(self, pointsets):
         points_p, points_q = pointsets
