@@ -70,7 +70,7 @@ def _noop_seam_seconds() -> float:
     for _ in range(NOOP_ITERS):
         with span("x"):
             pass
-        with stage_timer(None, "x"):
+        with stage_timer("x"):
             pass
         add_counter("x")
     return (time.perf_counter() - t0) / (3 * NOOP_ITERS)

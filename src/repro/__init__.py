@@ -34,8 +34,6 @@ from repro.engine import (
     DynamicArrayRCJ,
     NonFiniteCoordinateError,
     PointArray,
-    array_parallel_rcj,
-    array_rcj,
     make_dynamic,
     run_join,
     run_topk,
@@ -128,8 +126,6 @@ __all__ = [
     "RTree",
     "Rect",
     "Workload",
-    "array_parallel_rcj",
-    "array_rcj",
     "bij",
     "brute_force_rcj",
     "build_workload",

@@ -8,9 +8,12 @@ the same thresholds, and the shipped ``BENCH_parallel.json`` (speedup
 that produces.  This package closes the measurement loop the PR 5/6
 groundwork left open — estimates live on
 :attr:`~repro.parallel.costmodel.ExecutionPlan.est_candidates`, measured
-per-stage wall times on :attr:`~repro.core.pairs.JoinReport.stage_seconds`
-and :attr:`~repro.parallel.costmodel.ExecutionPlan.measured` — in three
-steps:
+per-stage wall times on the report's stage split and
+:attr:`~repro.parallel.costmodel.ExecutionPlan.measured` — in three
+steps.  Stage splits come only from the trace tree
+(:func:`repro.obs.trace.stage_totals`): under ``REPRO_TRACE=0`` an
+observation records the total seconds without one, and the per-stage
+models are fitted from traced runs alone.  The steps:
 
 - :mod:`repro.calibration.observations` — every *planned* execution
   (``run_join`` / ``run_topk`` / family joins under ``engine="auto"``)

@@ -70,6 +70,7 @@ from repro.core.verification import verify_circles
 from repro.geometry.point import Point
 from repro.geometry.polygon import box_polygon, clip_halfplane
 from repro.geometry.rect import Rect
+from repro.obs.trace import stage_totals
 from repro.obs.trace import trace as obs_trace
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree
@@ -171,12 +172,13 @@ def record_batch(
     n_q: int,
     batch_size: int,
     seconds: float,
-    stage_seconds: dict | None = None,
+    root,
 ) -> None:
     """Feed one ``apply_batch`` of backend ``dyn`` to the calibration
     log — planned instances only (``dyn.record_calibration``, set by
     :func:`repro.engine.planner.make_dynamic`), and exception-fenced
-    like every calibration hook."""
+    like every calibration hook.  The stage split comes from the
+    batch's trace ``root`` (none when tracing is off)."""
     if not dyn.record_calibration:
         return
     try:
@@ -192,7 +194,7 @@ def record_batch(
             density_factor=1.0,
             est_candidates=batch_size,
             est_bytes=estimate_bytes(n_p, n_q, 1, 0),
-            stage_seconds=stage_seconds or None,
+            stage_seconds=None if root is None else stage_totals(root),
             total_seconds=seconds,
         )
     except Exception:
@@ -510,6 +512,7 @@ class DynamicRCJ:
             len(self.tree_q),
             len(inserts) + len(deletes),
             time.perf_counter() - t0,
+            root,
         )
 
     # ------------------------------------------------------------------

@@ -19,8 +19,9 @@ in main memory by:
 This is not one of the paper's algorithms — it serves as an independent
 comparator for correctness testing and as a main-memory performance
 ablation (it has no I/O model and assumes the data fits in RAM).
-Degenerate inputs (fewer than 3 distinct locations, all collinear) fall
-back to the brute-force oracle.
+Inputs Qhull cannot triangulate faithfully (fewer than four distinct
+locations, collinear or near-flat sets; see :func:`checked_delaunay`)
+fall back to the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -54,15 +55,50 @@ def _coincident_pairs(
 def recoverable_radius_bound(kdtree: cKDTree) -> float:
     """Largest circumradius a cocircular cluster can possibly have.
 
-    A recoverable cluster's circle is the ring of some site pair, so
-    its radius is at most half the site bounding-box diagonal; the 1e6
-    headroom dwarfs every floating-point tolerance in play.  Simplices
-    with larger (or nan/inf) circumradii are near-degenerate slivers
-    that cannot hide a missed edge — and whose radii would overflow
-    inside a KD-tree ball query.
+    A missed edge's circle is the diametral ring of a site pair, so its
+    radius is at most half the site bounding-box diagonal, and a circle
+    flagged beside it agrees to 1e-6 relative: the full diagonal bounds
+    both.  Simplices with larger (or nan/inf) circumradii are slivers
+    that cannot hide a missed edge; admitting them would make the
+    radius-scaled on-circle tolerance swallow whole near-flat chains
+    into one giant "cluster".
     """
     spans = kdtree.maxes - kdtree.mins
-    return 1e6 * (math.hypot(spans[0], spans[1]) + 1.0)
+    return math.hypot(spans[0], spans[1])
+
+
+#: Relative width (smallest over largest singular value of the centred
+#: sites) at or below which Qhull's triangulation is not trusted: it
+#: accepts such near-flat sets but omits chain edges.
+FLAT_WIDTH = 1e-9
+
+
+def checked_delaunay(sites: np.ndarray) -> Delaunay | None:
+    """Qhull's triangulation of the distinct ``sites``, or ``None``
+    where it cannot be trusted to hold every Gabriel edge.
+
+    Refused: fewer than four sites; a ``QhullError``; near-flat sets
+    (relative width at most :data:`FLAT_WIDTH`, i.e. scatter
+    eigenvalues ``λmin ≤ 1e-18·λmax``); and triangulations whose
+    simplices index past ``sites`` (the point at infinity of Qhull's
+    ``Qz`` option leaking through on degenerate input).  Callers fall
+    back to an exact route: brute force in :func:`gabriel_rcj`, the
+    exact scan behind the array engine's Delaunay backstop
+    (:mod:`repro.engine.kernels`).
+    """
+    n = len(sites)
+    if n < 4:
+        return None
+    width = np.linalg.svd(sites - sites.mean(axis=0), compute_uv=False)
+    if not width[1] > FLAT_WIDTH * width[0]:
+        return None
+    try:
+        tri = Delaunay(sites)
+    except QhullError:
+        return None
+    if tri.simplices.size and int(tri.simplices.max()) >= n:
+        return None
+    return tri
 
 
 def recover_cocircular_pairs(
@@ -187,17 +223,9 @@ def gabriel_rcj(
     coords = list(groups)
     results = _coincident_pairs(groups, exclude_same_oid)
 
-    if len(coords) < 4:
-        # Too few distinct sites for a robust triangulation.
-        distinct = brute_force_rcj(points_p, points_q, exclude_same_oid)
-        seen = {pair.key() for pair in results}
-        results.extend(p for p in distinct if p.key() not in seen)
-        return results
-
     sites = np.asarray(coords, dtype=np.float64)
-    try:
-        tri = Delaunay(sites)
-    except QhullError:
+    tri = checked_delaunay(sites)
+    if tri is None:
         distinct = brute_force_rcj(points_p, points_q, exclude_same_oid)
         seen = {pair.key() for pair in results}
         results.extend(p for p in distinct if p.key() not in seen)

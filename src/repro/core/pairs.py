@@ -115,17 +115,18 @@ class JoinReport:
     modeled_cpu_seconds: float = 0.0
     #: The cost-based planner's decision record
     #: (:class:`repro.parallel.costmodel.ExecutionPlan`) when the join
-    #: ran through ``engine="auto"``; None for explicit dispatch.  Auto
-    #: runs of the memory engines carry the measured per-stage wall
-    #: times on the plan itself (``plan.measured``), pairing the
-    #: planner's estimates with what actually happened.
+    #: ran through ``engine="auto"``; None for explicit dispatch.
+    #: Traced auto runs of the memory engines carry the measured
+    #: per-stage wall times on the plan itself (``plan.measured``),
+    #: pairing the planner's estimates with what actually happened.
     plan: object | None = None
-    #: Measured per-stage wall seconds of the memory engines
-    #: (``candidate`` / ``prune`` / ``verify``), recorded for explicit
-    #: and planned dispatch alike; empty for the R-tree backend, whose
-    #: cost accounting is the paper's node/fault model instead.  When a
-    #: trace was captured these totals are derived from its stage spans
-    #: (:func:`repro.obs.trace.stage_totals`).
+    #: Per-stage wall seconds of the memory engines (``candidate`` /
+    #: ``prune`` / ``verify``, or a family's operator names), summed
+    #: from the trace's stage spans
+    #: (:func:`repro.obs.trace.stage_totals`) for explicit and planned
+    #: dispatch alike.  Empty when tracing is off (``REPRO_TRACE=0``)
+    #: and for the R-tree backend, whose cost accounting is the paper's
+    #: node/fault model instead.
     stage_seconds: dict = field(default_factory=dict)
     #: Worker processes that actually executed the join: 1 for every
     #: serial engine *and* for parallel requests that fell back to the

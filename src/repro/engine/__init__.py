@@ -52,8 +52,6 @@ from repro.engine.planner import (
     ALGORITHM_NAMES,
     ENGINE_NAMES,
     TOPK_ENGINE_NAMES,
-    array_parallel_rcj,
-    array_rcj,
     make_dynamic,
     run_join,
     run_topk,
@@ -72,8 +70,6 @@ __all__ = [
     "NonFiniteCoordinateError",
     "Pipeline",
     "PointArray",
-    "array_parallel_rcj",
-    "array_rcj",
     "build_family_pipeline",
     "explain_family",
     "make_dynamic",

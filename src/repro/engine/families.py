@@ -31,8 +31,8 @@ Every pipeline's pair set is identical to its pointwise oracle's
 (:mod:`repro.joins.epsilon`, :mod:`repro.joins.knn`,
 :mod:`repro.joins.closest_pairs`, :mod:`repro.joins.common_influence`,
 and the paper's RCJ algorithms) — the equivalence suites pin this —
-and every run records measured per-stage wall times on
-``JoinReport.stage_seconds``.
+and every traced run records its per-stage wall times as stage spans
+(:func:`repro.obs.trace.stage_totals`).
 
 :func:`run_family_join` is the family-first front door; it and
 :func:`repro.engine.planner.run_join` (``family=...``) build the same
@@ -159,9 +159,7 @@ def run_array_pipeline(
     *,
     workers: int | None = 1,
     min_shard: int | None = None,
-    stage_seconds: dict | None = None,
-    exec_info: dict | None = None,
-) -> tuple[list[RCJPair], int]:
+) -> tuple[list[RCJPair], int, int]:
     """Run one pipeline over two point lists on the columnar engine.
 
     ``build(probes=None)`` returns a fresh pipeline; it must pickle
@@ -172,7 +170,7 @@ def run_array_pipeline(
     in-process.  Pairs are materialized over the *original*
     :class:`Point` objects (identity preserved, not reconstructed).
 
-    Returns ``(pairs, candidate_count)``.
+    Returns ``(pairs, candidate_count, workers_used)``.
     """
     # Imported lazily: repro.parallel builds on the engine package.
     from repro.parallel.pool import run_sharded
@@ -182,19 +180,16 @@ def run_array_pipeline(
     ctx = JoinContext(
         PointArray.from_points(points_p),
         PointArray.from_points(points_q),
-        stage_seconds=stage_seconds,
         points_p=points_p,
         points_q=points_q,
     )
     kwargs = {} if min_shard is None else {"min_shard": min_shard}
-    result = run_sharded(
-        build, ctx, workers=workers, exec_info=exec_info, **kwargs
-    )
+    result = run_sharded(build, ctx, workers=workers, **kwargs)
     pairs = [
         RCJPair(points_p[pi], points_q[qi])
         for pi, qi in zip(result.p_idx.tolist(), result.q_idx.tolist())
     ]
-    return pairs, int(ctx.counters.get("candidates", 0))
+    return pairs, int(ctx.counters.get("candidates", 0)), ctx.workers
 
 
 def _canonical_pairs(pairs: list[tuple[Point, Point]]) -> list[RCJPair]:

@@ -62,9 +62,13 @@ discards.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
-from repro.core.gabriel import recover_cocircular_pairs, recoverable_radius_bound
+from repro.core.gabriel import (
+    checked_delaunay,
+    recover_cocircular_pairs,
+    recoverable_radius_bound,
+)
 from repro.engine.arrays import PointArray
 from repro.obs.trace import add_counter, stage_timer
 
@@ -299,19 +303,18 @@ def _emit_window(
     r_floor: float,
     out_q: list[np.ndarray],
     out_p: list[np.ndarray],
-    stage_seconds: dict | None = None,
 ) -> np.ndarray:
     """Prune one window batch, emit its candidates, return uncovered probes."""
     nx = parr.x[nidx]
     ny = parr.y[nidx]
-    with stage_timer(stage_seconds, "prune"):
+    with stage_timer("prune"):
         pruned = halfplane_prune_window(qx, qy, nx, ny)
     rows, cols = np.nonzero(~pruned)
     out_q.append(probes[rows])
     out_p.append(nidx[rows, cols].astype(np.int64))
     if nidx.shape[1] >= len(parr):
         return probes[:0]  # the window is all of P; nothing lies beyond
-    with stage_timer(stage_seconds, "prune"):
+    with stage_timer("prune"):
         covered = cone_cover(qx, qy, nx, ny, ndist, r_floor)
     return probes[~covered]
 
@@ -331,7 +334,6 @@ def knn_candidate_blocks(
     qarr: PointArray,
     k0: int = DEFAULT_K0,
     tree_p: cKDTree | None = None,
-    stage_seconds: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate generation: ``(q_index, p_index)`` candidate pair arrays.
 
@@ -355,15 +357,15 @@ def knn_candidate_blocks(
         First-stage neighbour window width (clamped to ``len(parr)``).
     tree_p:
         Optional prebuilt KD-tree over ``parr``'s coordinates.
-    stage_seconds:
-        Optional accumulator for measured ``candidate``/``prune`` wall
-        times (see :func:`stage_timer`).
+
+    Under an active trace the ``candidate`` and ``prune`` wall times
+    land in stage spans (:func:`repro.obs.trace.stage_timer`).
     """
     n_p, n_q = len(parr), len(qarr)
     if n_p == 0 or n_q == 0:
         return (np.empty(0, np.int64), np.empty(0, np.int64))
     if tree_p is None:
-        with stage_timer(stage_seconds, "candidate"):
+        with stage_timer("candidate"):
             tree_p = cKDTree(parr.coords())
 
     r_floor = 1e-12 * _coord_scale(parr.x, parr.y, qarr.x, qarr.y)
@@ -377,12 +379,11 @@ def knn_candidate_blocks(
     for bstart in range(0, n_q, _Q_BLOCK):
         probes = np.arange(bstart, min(bstart + _Q_BLOCK, n_q), dtype=np.int64)
         qx, qy = qarr.x[probes], qarr.y[probes]
-        with stage_timer(stage_seconds, "candidate"):
+        with stage_timer("candidate"):
             ndist, nidx = _query_window(tree_p, qx, qy, k1)
         open_probes.append(
             _emit_window(
-                qx, qy, ndist, nidx, parr, probes, r_floor, out_q, out_p,
-                stage_seconds,
+                qx, qy, ndist, nidx, parr, probes, r_floor, out_q, out_p
             )
         )
     uncovered = np.concatenate(open_probes)
@@ -394,12 +395,11 @@ def knn_candidate_blocks(
         for bstart in range(0, uncovered.size, _WIDE_BLOCK):
             probes = uncovered[bstart : bstart + _WIDE_BLOCK]
             qx, qy = qarr.x[probes], qarr.y[probes]
-            with stage_timer(stage_seconds, "candidate"):
+            with stage_timer("candidate"):
                 ndist, nidx = _query_window(tree_p, qx, qy, k2)
             open_probes.append(
                 _emit_window(
-                    qx, qy, ndist, nidx, parr, probes, r_floor, out_q, out_p,
-                    stage_seconds,
+                    qx, qy, ndist, nidx, parr, probes, r_floor, out_q, out_p
                 )
             )
         uncovered = np.concatenate(open_probes)
@@ -408,7 +408,7 @@ def knn_candidate_blocks(
     # Charged wholesale to "candidate": the escalation stages interleave
     # their own pruning with enumeration too finely to split honestly.
     if uncovered.size and k2 < n_p:
-        with stage_timer(stage_seconds, "candidate"):
+        with stage_timer("candidate"):
             emitted = None
             if uncovered.size * n_p > _SCAN_WORK_LIMIT:
                 emitted = _delaunay_candidates(parr, qarr, uncovered)
@@ -537,9 +537,9 @@ def _delaunay_candidates(
     superset of the escalated probes' true pairs; false candidates are
     eliminated by the exact batch verification.
 
-    Returns ``None`` when the triangulation is unavailable (fewer than
-    four distinct sites, collinear inputs, Qhull failure) — the caller
-    falls back to the exact scan.
+    Returns ``None`` when the triangulation cannot be trusted
+    (:func:`repro.core.gabriel.checked_delaunay`) — the caller falls
+    back to the exact scan.
     """
     n_p = len(parr)
     coords = np.concatenate(
@@ -551,11 +551,8 @@ def _delaunay_candidates(
     sites, inv = np.unique(coords, axis=0, return_inverse=True)
     inv = inv.ravel()
     n_sites = len(sites)
-    if n_sites < 4:
-        return None
-    try:
-        tri = Delaunay(sites)
-    except QhullError:
+    tri = checked_delaunay(sites)
+    if tri is None:
         return None
 
     simp = tri.simplices
@@ -797,7 +794,6 @@ def rcj_pair_indices(
     qarr: PointArray,
     k0: int = DEFAULT_K0,
     exclude_same_oid: bool = False,
-    stage_seconds: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The full vectorized RCJ over columnar inputs.
 
@@ -814,6 +810,6 @@ def rcj_pair_indices(
     from repro.engine.families import rcj_pipeline
     from repro.engine.operators import JoinContext
 
-    ctx = JoinContext(parr, qarr, stage_seconds=stage_seconds)
+    ctx = JoinContext(parr, qarr)
     result = rcj_pipeline(k0=k0, exclude_same_oid=exclude_same_oid).run(ctx)
     return result.p_idx, result.q_idx, int(ctx.counters.get("candidates", 0))

@@ -47,10 +47,9 @@ concatenation is sorted by the canonical key ``(d_sq, p.oid, q.oid)``;
 the filter and verify stages only drop pairs, so the order survives
 them and ``TakeSmallest`` closes the source at the chunk that brings
 its ``k``-th surviving pair — the rest of that band is never pruned or
-verified.  Each stage's wall
-time accumulates under its name in ``JoinContext.stage_seconds`` — the
-per-stage measurement record the planner attaches to
-:attr:`~repro.core.pairs.JoinReport.stage_seconds`.  Sources with a
+verified.  Each stage runs under a ``kind="stage"`` span of its name
+(:func:`repro.obs.trace.stage_timer`); the planner sums those spans
+into the report's stage split.  Sources with a
 ``probe_side`` accept a ``probes=`` restriction, which is how the
 worker pool (:mod:`repro.parallel.pool`) shards any such pipeline.
 """
@@ -71,10 +70,9 @@ from repro.engine.kernels import (
     canonical_pair_order,
     halfplane_prune_pairs,
     knn_candidate_blocks,
-    stage_timer,
     verify_rings_batch,
 )
-from repro.obs.trace import add_counter
+from repro.obs.trace import add_counter, stage_timer
 
 #: Probe points per ball-query / KNN block.
 _PROBE_BLOCK = 8192
@@ -136,27 +134,27 @@ class JoinContext:
     """Shared execution state of pipeline runs over two pointsets.
 
     Holds the two columnar pointsets, lazily built (and cached) query
-    structures, the per-stage wall-time accumulator and the candidate
-    counters.  A pool worker keeps one per process, so its query
-    structures outlive the shards, and resets the accounting per
-    shard.  For the common-influence pipeline it also carries the
-    object-level pointsets (Voronoi construction is geometric, not
-    columnar) and the computed cells.
+    structures, the candidate counters and ``workers``, the number of
+    processes that ran the join (set by
+    :func:`repro.parallel.pool.run_sharded`).  A pool worker keeps one
+    per process, so its query structures outlive the shards, and
+    resets the counters per shard.  For the common-influence pipeline
+    it also carries the object-level pointsets (Voronoi construction is
+    geometric, not columnar) and the computed cells.  Stage times live
+    only in the trace.
     """
 
     def __init__(
         self,
         parr: PointArray,
         qarr: PointArray,
-        stage_seconds: dict | None = None,
-        counters: dict | None = None,
         points_p: Sequence | None = None,
         points_q: Sequence | None = None,
     ):
         self.parr = parr
         self.qarr = qarr
-        self.stage_seconds = {} if stage_seconds is None else stage_seconds
-        self.counters = {} if counters is None else counters
+        self.counters: dict = {}
+        self.workers = 1
         self._points_p = list(points_p) if points_p is not None else None
         self._points_q = list(points_q) if points_q is not None else None
         self._tree_p: cKDTree | None = None
@@ -292,7 +290,7 @@ class RangeSource(Source):
         n_p, n_q = len(ctx.parr), len(ctx.qarr)
         if n_p == 0 or n_q == 0:
             return
-        with stage_timer(ctx.stage_seconds, self.name):
+        with stage_timer(self.name):
             tree_p = ctx.tree_p()
             scale = _coord_scale(ctx.parr.x, ctx.parr.y, ctx.qarr.x, ctx.qarr.y)
             r_query = self.eps * (1.0 + _QUERY_INFLATION) + 1e-12 * scale
@@ -302,7 +300,7 @@ class RangeSource(Source):
                 else np.asarray(self.probes, dtype=np.int64)
             )
         for bstart in range(0, probes.size, _PROBE_BLOCK):
-            with stage_timer(ctx.stage_seconds, self.name):
+            with stage_timer(self.name):
                 rows = probes[bstart : bstart + _PROBE_BLOCK]
                 probe_tree = cKDTree(
                     np.column_stack((ctx.qarr.x[rows], ctx.qarr.y[rows]))
@@ -349,7 +347,7 @@ class KnnSource(Source):
         if n_p == 0 or n_q == 0:
             return
         k = min(self.k, n_q)
-        with stage_timer(ctx.stage_seconds, self.name):
+        with stage_timer(self.name):
             tree_q = ctx.tree_q()
             scale = _coord_scale(ctx.parr.x, ctx.parr.y, ctx.qarr.x, ctx.qarr.y)
             abs_margin = (1e-9 * scale) ** 2
@@ -359,7 +357,7 @@ class KnnSource(Source):
                 else np.asarray(self.probes, dtype=np.int64)
             )
         for bstart in range(0, probes.size, _PROBE_BLOCK):
-            with stage_timer(ctx.stage_seconds, self.name):
+            with stage_timer(self.name):
                 rows = probes[bstart : bstart + _PROBE_BLOCK]
                 block = self._block(ctx, tree_q, rows, k, n_q, abs_margin)
             yield block
@@ -468,15 +466,14 @@ class KnnWindowSource(Source):
         parr, qarr = ctx.parr, ctx.qarr
         if len(parr) == 0 or len(qarr) == 0:
             return
-        with stage_timer(ctx.stage_seconds, self.name):
+        with stage_timer(self.name):
             tree_p = ctx.tree_p()
         probes = self.probes
         if probes is not None:
             probes = np.asarray(probes, dtype=np.int64)
             qarr = PointArray(qarr.x[probes], qarr.y[probes], qarr.oid[probes])
         q_idx, p_idx = knn_candidate_blocks(
-            parr, qarr, k0=self.k0, tree_p=tree_p,
-            stage_seconds=ctx.stage_seconds,
+            parr, qarr, k0=self.k0, tree_p=tree_p
         )
         if probes is not None:
             q_idx = probes[q_idx]
@@ -521,7 +518,7 @@ class BandSource(Source):
         n_p, n_q = len(parr), len(qarr)
         if n_p == 0 or n_q == 0:
             return
-        with stage_timer(ctx.stage_seconds, self.name):
+        with stage_timer(self.name):
             tree_p = ctx.tree_p()
             tree_q = ctx.tree_q()
             # First band: the min(k_hint, |Q|)-th smallest 1-NN distance
@@ -544,7 +541,7 @@ class BandSource(Source):
         cursor_sq = -np.inf
         pairs_done = 0
         while True:
-            with stage_timer(ctx.stage_seconds, self.name):
+            with stage_timer(self.name):
                 r = min(r, diag)
                 within = int(tree_p.count_neighbors(tree_q, r))
                 r_lo = float(np.sqrt(max(cursor_sq, 0.0)))
@@ -634,7 +631,7 @@ class CellOverlapSource(Source):
         points_q = ctx.points_q()
         if not points_p or not points_q:
             return
-        with stage_timer(ctx.stage_seconds, self.name):
+        with stage_timer(self.name):
             bounds = (
                 cij_bounds(points_p, points_q)
                 if self.bounds is None
@@ -669,7 +666,7 @@ class CellOverlapSource(Source):
             radii = radii * (1.0 + _QUERY_INFLATION) + 1e-9 * scale
 
         for bstart in range(0, idx_p.size, _PROBE_BLOCK):
-            with stage_timer(ctx.stage_seconds, self.name):
+            with stage_timer(self.name):
                 bend = min(bstart + _PROBE_BLOCK, idx_p.size)
                 rows = np.arange(bstart, bend)
                 lists = tree.query_ball_point(
@@ -840,7 +837,7 @@ class CollectAll(Sink):
             self._d.append(block.d_sq)
 
     def finish(self, ctx: JoinContext) -> CandidateBlock:
-        with stage_timer(ctx.stage_seconds, self.name):
+        with stage_timer(self.name):
             if not self._p:
                 return CandidateBlock.empty()
             p_idx = np.concatenate(self._p)
@@ -911,7 +908,7 @@ class TakeSmallest(Sink):
         return self._taken >= self.k
 
     def finish(self, ctx: JoinContext) -> CandidateBlock:
-        with stage_timer(ctx.stage_seconds, self.name):
+        with stage_timer(self.name):
             if not self._blocks:
                 return CandidateBlock.empty()
             return CandidateBlock(
@@ -942,7 +939,8 @@ class Pipeline:
     consumed chunks, for an early-stopping sink), ``pruned`` what the
     filters drop and ``verified`` the sink's result.
     ``ctx.counters["candidates"]`` accumulates the candidates; the
-    trace gets all three counters.
+    trace gets all three counters, and each stage's ``apply`` runs
+    under a stage span of its name.
     """
 
     def __init__(
@@ -973,7 +971,7 @@ class Pipeline:
                     if i == verify:
                         _count_candidates(ctx, len(block))
                     n_in = len(block)
-                    with stage_timer(ctx.stage_seconds, stage.name):
+                    with stage_timer(stage.name):
                         block = stage.apply(ctx, block)
                     if verify is None or i == verify:
                         add_counter("pruned", n_in - len(block))

@@ -18,10 +18,10 @@ algorithm          backend    implementation
 ``obj``            ``rtree``  :func:`repro.core.bij.bij` (symmetric)
 ``brute``          ``memory`` :func:`repro.core.brute.brute_force_rcj`
 ``gabriel``        ``memory`` :func:`repro.core.gabriel.gabriel_rcj`
-``array``          ``memory`` :func:`array_rcj` (the bulk RCJ pipeline)
-``array-parallel`` ``memory`` :func:`array_parallel_rcj` (the same
-                              pipeline on the worker pool,
-                              :mod:`repro.parallel`)
+``array``          ``memory`` the bulk RCJ pipeline
+                              (:func:`repro.engine.families.rcj_pipeline`)
+``array-parallel`` ``memory`` the same pipeline on the worker pool
+                              (:mod:`repro.parallel`)
 ``auto``           (planned)  cost-based choice among ``array-parallel``,
                               ``array`` and ``obj``
 ================== ========== ==========================================
@@ -42,8 +42,8 @@ one declared pipeline (:func:`repro.engine.families.run_array_pipeline`);
 the R-tree algorithms, the main-memory comparators, the R-tree top-k
 heap and the families' pointwise oracles fill the same report, and one
 epilogue records wall time, the workers that ran, the trace and the
-measured per-stage times (``report.stage_seconds``; also
-``report.plan.measured`` for planned runs) for cost-model calibration.
+per-stage times summed from it (also ``report.plan.measured`` for
+planned runs) for cost-model calibration.
 :func:`make_dynamic` builds an incremental-maintenance backend
 (columnar or R*-tree) behind the shared
 :class:`~repro.core.dynamic.DynamicBackend` protocol.
@@ -111,68 +111,6 @@ TOPK_ENGINE_NAMES = ENGINE_NAMES + ("obj",)
 _TOPK_ALIASES = {"pointwise": "obj", "array-parallel": "array"}
 
 _RTREE_ALGORITHMS = ("inj", "bij", "obj")
-
-
-def array_rcj(
-    points_p: Sequence[Point],
-    points_q: Sequence[Point],
-    exclude_same_oid: bool = False,
-    k0: int = 16,
-    stage_seconds: dict | None = None,
-) -> tuple[list[RCJPair], int]:
-    """Compute the RCJ with the vectorized array engine.
-
-    Runs the bulk RCJ pipeline
-    (:func:`repro.engine.families.rcj_pipeline`) in-process over
-    :class:`~repro.engine.arrays.PointArray` columns and materialises
-    result pairs over the *original* :class:`Point` objects (identity
-    is preserved, not reconstructed).  ``stage_seconds`` (when given)
-    accumulates the measured candidate/prune/verify wall times.
-
-    Returns ``(pairs, candidate_count)``.
-    """
-    return array_parallel_rcj(
-        points_p,
-        points_q,
-        exclude_same_oid=exclude_same_oid,
-        k0=k0,
-        workers=1,
-        stage_seconds=stage_seconds,
-    )
-
-
-def array_parallel_rcj(
-    points_p: Sequence[Point],
-    points_q: Sequence[Point],
-    exclude_same_oid: bool = False,
-    k0: int = 16,
-    workers: int | None = None,
-    min_shard: int | None = None,
-    stage_seconds: dict | None = None,
-    exec_info: dict | None = None,
-) -> tuple[list[RCJPair], int]:
-    """Compute the RCJ with the sharded multi-process engine.
-
-    Same contract as :func:`array_rcj` — identical pair sets, original
-    :class:`Point` identity preserved — with the bulk RCJ pipeline
-    sharded over a worker pool (:func:`repro.parallel.pool.run_sharded`).
-    ``workers=None`` uses all cores; small inputs fall back to the
-    in-process run.  ``stage_seconds`` (when given) accumulates
-    worker-measured per-stage times summed over shards; ``exec_info``
-    (when given) receives how the run actually executed (effective
-    ``workers``, ``shards``, ``pooled``, ``bytes_shipped``).
-
-    Returns ``(pairs, candidate_count)``.
-    """
-    return run_array_pipeline(
-        partial(rcj_pipeline, k0=k0, exclude_same_oid=exclude_same_oid),
-        points_p,
-        points_q,
-        workers=workers,
-        min_shard=min_shard,
-        stage_seconds=stage_seconds,
-        exec_info=exec_info,
-    )
 
 
 def run_join(
@@ -463,8 +401,7 @@ def _execute(
         attrs["k"] = request.k
     elif kind == "join" and name in _RTREE_ALGORITHMS:
         attrs["backend"] = "rtree"
-    stages: dict = {}
-    exec_info: dict = {}
+    workers_used = 1
     t0 = time.perf_counter()
     with obs_trace(
         _ROOT_SPANS[kind], **attrs, n_p=len(points_p), n_q=len(points_q)
@@ -472,9 +409,13 @@ def _execute(
         if name in ("array", "array-parallel"):
             report = JoinReport(_report_name(request, name))
             if not request.is_empty:
-                report.pairs, report.candidate_count = _run_columnar(
+                (
+                    report.pairs,
+                    report.candidate_count,
+                    workers_used,
+                ) = _run_columnar(
                     request, points_p, points_q, name, workers, bounds,
-                    stages, exec_info, options,
+                    options,
                 )
         else:
             report = _run_oracle(
@@ -485,12 +426,12 @@ def _execute(
         # The R-tree algorithms account their own CPU time (the
         # paper's cost model); everything else is measured here.
         report.cpu_seconds = time.perf_counter() - t0
-    report.workers_used = exec_info.get("workers", 1)
+    report.workers_used = workers_used
     report.plan = plan
     if root is not None:
         root.set(workers=report.workers_used)
         root.add("pairs", len(report.pairs))
-    _attach_measurements(report, stages, root)
+    _attach_measurements(report, root)
     _record_observation(
         plan, report, kind,
         family=request.family if kind == "family" else None,
@@ -507,11 +448,11 @@ def _report_name(request: JoinRequest, engine: str) -> str:
 
 
 def _run_columnar(
-    request, points_p, points_q, engine, workers, bounds, stages,
-    exec_info, options,
-) -> tuple[list[RCJPair], int]:
+    request, points_p, points_q, engine, workers, bounds, options,
+) -> tuple[list[RCJPair], int, int]:
     """One pipeline on the columnar engine: the bulk RCJ, the top-k
-    RCJ or a family, in-process or sharded over the pool."""
+    RCJ or a family, in-process or sharded over the pool.  Returns
+    ``(pairs, candidate_count, workers_used)``."""
     if request.kind == "join":
         build = partial(
             rcj_pipeline,
@@ -532,8 +473,6 @@ def _run_columnar(
         points_p,
         points_q,
         workers=workers if engine == "array-parallel" else 1,
-        stage_seconds=stages,
-        exec_info=exec_info,
         **options,
     )
 
@@ -623,30 +562,20 @@ def _run_oracle(
     return report
 
 
-def _attach_measurements(
-    report: JoinReport, stages: dict, root=None
-) -> None:
-    """Record measured per-stage wall times on the report (and, for
-    planned runs, on the plan itself — estimates next to measurements
-    is what later cost-model calibration consumes).
-
-    With a trace ``root``, the stage times come from the trace tree
-    (:func:`repro.obs.trace.stage_totals`) — the accumulator dict and
-    the tree measure the same instants, but deriving from the tree
-    keeps ``report.stage_seconds``, ``report.plan.measured`` and the
-    calibration observation sum-consistent with the exported trace by
-    construction.  The trace itself rides on ``report.trace``.
+def _attach_measurements(report: JoinReport, root) -> None:
+    """Attach the trace and the per-stage wall times summed from it
+    (:func:`repro.obs.trace.stage_totals`) to the report and, for
+    planned runs, to the plan — estimates next to measurements is what
+    cost-model calibration consumes.  Deriving every figure from the
+    one tree keeps them sum-consistent with the exported trace; an
+    untraced run (``root is None``) carries no stage split.
     """
     report.trace = root
-    if root is not None:
-        totals = stage_totals(root)
-        if totals:
-            stages = totals
-    if not stages:
+    if root is None:
         return
-    report.stage_seconds = dict(stages)
-    if report.plan is not None:
-        report.plan = report.plan.with_measured(stages)
+    report.stage_seconds = stage_totals(root)
+    if report.plan is not None and report.stage_seconds:
+        report.plan = report.plan.with_measured(report.stage_seconds)
 
 
 def _record_observation(

@@ -438,8 +438,6 @@ class DynamicArrayRCJ:
         #: Root span of the last ``apply_batch`` (None when tracing is
         #: off) — the CLI's ``--trace`` sink reads it after each batch.
         self.last_batch_trace = None
-        #: Per-stage wall seconds of the last ``apply_batch``.
-        self.last_batch_stages: dict[str, float] = {}
         if len(self._p) and len(self._q):
             parr, qarr = self._p.array(), self._q.array()
             p_idx, q_idx, _ = rcj_pair_indices(parr, qarr)
@@ -519,14 +517,13 @@ class DynamicArrayRCJ:
             lambda side, oid: self._sides(side)[0].has(oid),
         )
         t0 = time.perf_counter()
-        stages: dict[str, float] = {}
         with obs_trace(
             "dynamic-batch",
             backend="array",
             n_inserts=len(inserts),
             n_deletes=len(deletes),
         ) as root:
-            with stage_timer(stages, "kill"):
+            with stage_timer("kill"):
                 victims = [
                     (self._sides(side)[0].tombstone(point.oid), side)
                     for point, side in deletes
@@ -534,8 +531,8 @@ class DynamicArrayRCJ:
                 for point, side in inserts:
                     self._sides(side)[0].buffer_insert(point)
                 self._kill(deletes, inserts)
-            self._settle(victims, inserts, stages)
-            with stage_timer(stages, "rebuild"):
+            self._settle(victims, inserts)
+            with stage_timer("rebuild"):
                 self._maybe_compact()
             if root is not None:
                 root.add("pairs", len(self._pairs))
@@ -546,7 +543,6 @@ class DynamicArrayRCJ:
         self.stats["batches"] += 1
         self.stats["events"] += len(inserts) + len(deletes)
         self.last_batch_trace = root
-        self.last_batch_stages = stages
         record_batch(
             self,
             "array",
@@ -554,7 +550,7 @@ class DynamicArrayRCJ:
             len(self._q),
             len(inserts) + len(deletes),
             time.perf_counter() - t0,
-            stages,
+            root,
         )
 
     # ------------------------------------------------------------------
@@ -586,7 +582,7 @@ class DynamicArrayRCJ:
                 self._drop(key)
         add_counter("killed", killed)
 
-    def _settle(self, victims, inserts, stages=None) -> None:
+    def _settle(self, victims, inserts) -> None:
         """Add every pair the updates made valid.
 
         Candidates are freed pairs around each deleted point
@@ -598,7 +594,7 @@ class DynamicArrayRCJ:
             return
         sources = self._union_sources()
         candidates: dict[tuple[int, int], RCJPair] = {}
-        with stage_timer(stages, "probe"):
+        with stage_timer("probe"):
             for victim, _side in victims:
                 self._probe_victim(victim, sources, candidates)
             for point, side in inserts:
@@ -606,7 +602,7 @@ class DynamicArrayRCJ:
         add_counter("candidates", len(candidates))
         added = 0
         if candidates:
-            with stage_timer(stages, "verify"):
+            with stage_timer("verify"):
                 pairs = list(candidates.values())
                 m = len(pairs)
                 px = np.fromiter((pr.p.x for pr in pairs), np.float64, count=m)

@@ -6,10 +6,11 @@ entry point (``run_join`` / ``run_topk`` / ``run_family_join``).  Code
 under an active trace opens child spans with the :func:`span` context
 manager, attaches attributes (``span("pool", workers=4)``) and bumps
 counters (:func:`add_counter`); the per-stage wall times the cost model
-consumes are ordinary spans of ``kind="stage"`` created by
-:func:`stage_timer`, so ``JoinReport.stage_seconds`` and the
-calibration observation records are *derived* from the trace tree
-(:func:`stage_totals`) instead of hand-threaded dicts.
+consumes are ordinary spans of ``kind="stage"`` opened by
+:func:`stage_timer`, so a report's stage split, the plan's measured
+stages and the calibration observation records are all *derived* from
+the trace tree (:func:`stage_totals`) — the tree is the only record of
+how a run executed.
 
 Worker processes root their own ``"shard"`` traces
 (:mod:`repro.parallel.pool`), serialize them with :meth:`Span.to_dict`
@@ -22,17 +23,10 @@ Overhead discipline
 Tracing is on by default and switches off under ``REPRO_TRACE=0``
 (also ``off``/``false``/``no``).  Every entry point checks a
 thread-local *active trace* first: with no active trace (disabled, or
-code running outside a planner entry point) :func:`span` and
-:func:`add_counter` return after one attribute lookup and
-:func:`stage_timer` degrades to the bare accumulator path it replaced —
-results are byte-identical either way, because spans only ever
-*observe*.
-
-The dict accumulator of :func:`stage_timer` is kept deliberately: both
-sinks are fed from the **same** ``perf_counter`` reading, so the
-accumulated dict and :func:`stage_totals` over the tree agree exactly,
-and direct kernel callers (tests, benches) that pass plain dicts keep
-working without a trace.
+code running outside a planner entry point) :func:`span`,
+:func:`stage_timer` and :func:`add_counter` return after one attribute
+lookup — results are byte-identical either way, because spans only
+ever *observe*.  An untraced run therefore carries no stage split.
 """
 
 from __future__ import annotations
@@ -46,8 +40,8 @@ from contextlib import contextmanager
 TRACE_ENV = "REPRO_TRACE"
 
 #: Span kind of the per-stage timers (the only spans
-#: :func:`stage_totals` sums — structural spans never leak into
-#: ``stage_seconds``).
+#: :func:`stage_totals` sums — structural spans never leak into the
+#: stage totals).
 STAGE_KIND = "stage"
 
 
@@ -261,37 +255,15 @@ def set_attr(**attrs) -> None:
         stack[-1].attrs.update(attrs)
 
 
-@contextmanager
-def stage_timer(acc: dict | None, key: str):
-    """Accumulate the wall time of a ``with`` block into ``acc[key]``
-    *and* record it as a ``kind="stage"`` span of the active trace.
+def stage_timer(key: str):
+    """Time a ``with`` block as a ``kind="stage"`` span named ``key``
+    of the active trace (no-op outside one).
 
     The single seam every per-stage measurement flows through: the
-    planner derives :attr:`JoinReport.stage_seconds` from the stage
-    spans (:func:`stage_totals`), while direct kernel callers keep the
-    plain-dict contract.  Both sinks receive the same ``perf_counter``
-    reading, so they can never disagree.  ``acc=None`` outside a trace
-    times nothing and costs one attribute lookup.
+    planner derives a report's stage split from these spans
+    (:func:`stage_totals`).
     """
-    stack = _stack()
-    if acc is None and not stack:
-        yield
-        return
-    node = None
-    if stack:
-        node = Span(key, kind=STAGE_KIND, proc=stack[0].proc)
-        stack[-1].children.append(node)
-        stack.append(node)
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        dt = time.perf_counter() - t0
-        if node is not None:
-            node.seconds = dt
-            stack.pop()
-        if acc is not None:
-            acc[key] = acc.get(key, 0.0) + dt
+    return span(key, kind=STAGE_KIND)
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +271,11 @@ def stage_timer(acc: dict | None, key: str):
 # ----------------------------------------------------------------------
 
 def stage_totals(root: Span) -> dict[str, float]:
-    """Per-stage wall seconds summed over the tree — the trace-derived
-    replacement of the hand-threaded ``stage_seconds`` dicts.
+    """Per-stage wall seconds summed over the tree.
 
     Only ``kind="stage"`` spans contribute (structural spans like the
     plan root or the pool coordinator would double-count their
-    children).  Nested stage spans each contribute their own duration,
-    matching the accumulator semantics of :func:`stage_timer` exactly.
+    children).  Nested stage spans each contribute their own duration.
     """
     totals: dict[str, float] = {}
     for node in root.walk():

@@ -208,7 +208,8 @@ class ExecutionPlan:
     #: Measured per-stage wall seconds of the execution this plan drove
     #: (``(("candidate", s), ("prune", s), ("verify", s))``), attached
     #: after the run via :meth:`with_measured`.  ``None`` until the join
-    #: has actually executed.  Keeping the measurement next to the
+    #: has actually executed, and for untraced runs (the stage times
+    #: come from the trace).  Keeping the measurement next to the
     #: estimates is what makes the plan a calibration record: a fleet of
     #: archived plans relates ``est_candidates``/``est_bytes`` to real
     #: stage times, from which the model's first-order constants can be

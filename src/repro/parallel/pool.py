@@ -107,23 +107,21 @@ def _init_worker(spec: Spec, build) -> None:
 
 def _run_shard(
     lo: int, hi: int, traced: bool = False
-) -> tuple[np.ndarray, np.ndarray, dict, int, dict | None]:
+) -> tuple[np.ndarray, np.ndarray, int, dict | None]:
     """One shard: the request's pipeline restricted to the probes
-    ``order[lo:hi]``.  Returns ``(p_idx, q_idx, stage_seconds,
-    candidate_count, span_tree)`` — per-stage wall times measured in
-    the worker so the parent can sum them across shards onto the
-    report (planned parallel runs feed the cost-model calibration like
-    serial ones).  With ``traced`` the shard roots its own trace and
-    ships the serialized span tree home for the coordinator to
-    re-parent (:meth:`repro.obs.trace.Span.adopt`)."""
+    ``order[lo:hi]``.  Returns ``(p_idx, q_idx, candidate_count,
+    span_tree)``.  With ``traced`` the shard roots its own trace and
+    ships the serialized span tree — its stage spans included — home
+    for the coordinator to re-parent
+    (:meth:`repro.obs.trace.Span.adopt`), which is how pooled runs
+    feed the report's stage split and calibration like serial ones."""
     assert _STATE is not None, "worker used before initialization"
     _shared, ctx, order, build = _STATE
     probes = order[lo:hi]
     if probes.size == 0:  # zero-point shard: nothing to do
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, {}, 0, None
+        return empty, empty, 0, None
     # Fresh accounting per shard; the cached query structures stay.
-    ctx.stage_seconds = {}
     ctx.counters = {}
     with trace("shard", lo=lo, hi=hi) if traced else nullcontext(None) as root:
         block = build(probes=probes).run(ctx)
@@ -132,7 +130,6 @@ def _run_shard(
     return (
         block.p_idx,
         block.q_idx,
-        ctx.stage_seconds,
         int(ctx.counters.get("candidates", 0)),
         tree,
     )
@@ -152,7 +149,6 @@ def run_sharded(
     *,
     workers: int | None = None,
     min_shard: int = DEFAULT_MIN_SHARD,
-    exec_info: dict | None = None,
 ) -> CandidateBlock:
     """Run one pipeline over ``ctx``, sharded over a worker pool.
 
@@ -165,25 +161,20 @@ def run_sharded(
     the shard results to a fresh pipeline's own sink, so the merged
     result is in the sink's order and byte-identical for every worker
     count.  ``ctx.counters["candidates"]`` receives the shard sum and
-    ``ctx.stage_seconds`` the per-stage times **summed over shards**
-    (aggregate CPU seconds, which can exceed wall time).
+    ``ctx.workers`` the worker count that actually ran (1 on every
+    in-process run), which the planner reports so calibration never
+    learns from phantom pools.  Under a trace the ``pool`` span carries
+    the shard count and bytes shipped, and adopts every shard's span
+    tree.
 
     The pipeline runs in-process on ``ctx`` itself when ``workers`` is
     1, when its source cannot shard, or when the probes are too few to
     amortize a pool (:func:`serial_fallback_threshold`).
-
-    ``exec_info`` (when given) receives how the run actually executed:
-    ``workers`` (effective — 1 on every in-process run), ``shards``,
-    ``pooled`` and, on the pool path, ``bytes_shipped`` (the
-    shared-memory block size).  The planner records these so
-    calibration never learns from phantom pools.
     """
     if workers is None:
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if exec_info is None:
-        exec_info = {}
     parr, qarr = ctx.parr, ctx.qarr
     pipeline = build()
     set_attr(pipeline=pipeline.describe())  # what --explain shows
@@ -197,8 +188,7 @@ def run_sharded(
                 min_shard=min_shard,
             )
     if plan is None or len(plan) <= 1:
-        shards = 1 if len(parr) and len(qarr) else 0
-        exec_info.update(workers=1, shards=shards, pooled=False)
+        ctx.workers = 1
         return pipeline.run(ctx)
 
     shared = SharedArrays.create(
@@ -212,13 +202,12 @@ def run_sharded(
             "order": plan.order,
         }
     )
-    bytes_shipped = shared.nbytes
     try:
         workers = min(workers, len(plan))
         with span("pool", workers=workers, shards=len(plan)) as psp:
             traced = psp is not None
             if traced:
-                psp.add("bytes-shipped", bytes_shipped)
+                psp.add("bytes-shipped", shared.nbytes)
             ranges = plan.ranges()
             with ExitStack() as stack:
                 with span("pool-startup"):
@@ -242,20 +231,13 @@ def run_sharded(
                         raise
             if traced:
                 for part in parts:
-                    if part[4] is not None:
-                        psp.adopt(part[4])
+                    if part[3] is not None:
+                        psp.adopt(part[3])
     finally:
         shared.destroy()
-    exec_info.update(
-        workers=workers,
-        shards=len(plan),
-        pooled=True,
-        bytes_shipped=bytes_shipped,
-    )
+    ctx.workers = workers
 
-    for p_idx, q_idx, shard_stages, candidates, _tree in parts:
-        for key, seconds in shard_stages.items():
-            ctx.stage_seconds[key] = ctx.stage_seconds.get(key, 0.0) + seconds
+    for p_idx, q_idx, candidates, _tree in parts:
         ctx.counters["candidates"] = (
             ctx.counters.get("candidates", 0) + candidates
         )
@@ -270,8 +252,6 @@ def parallel_rcj_pair_indices(
     k0: int = DEFAULT_K0,
     exclude_same_oid: bool = False,
     min_shard: int = DEFAULT_MIN_SHARD,
-    stage_seconds: dict | None = None,
-    exec_info: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The sharded parallel counterpart of
     :func:`repro.engine.kernels.rcj_pair_indices`: the bulk RCJ
@@ -281,18 +261,16 @@ def parallel_rcj_pair_indices(
     Returns ``(p_index, q_index, candidate_count)`` in canonical pair
     order; the index arrays are byte-identical to the serial engine's
     for every worker count.  ``workers`` defaults to the machine's CPU
-    count; ``min_shard``, ``stage_seconds`` and ``exec_info`` are as in
-    :func:`run_sharded` (tests lower ``min_shard`` to force multi-shard
-    plans on small datasets).
+    count; ``min_shard`` is as in :func:`run_sharded` (tests lower it
+    to force multi-shard plans on small datasets).
     """
     from repro.engine.families import rcj_pipeline
 
-    ctx = JoinContext(parr, qarr, stage_seconds=stage_seconds)
+    ctx = JoinContext(parr, qarr)
     result = run_sharded(
         partial(rcj_pipeline, k0=k0, exclude_same_oid=exclude_same_oid),
         ctx,
         workers=workers,
         min_shard=min_shard,
-        exec_info=exec_info,
     )
     return result.p_idx, result.q_idx, int(ctx.counters.get("candidates", 0))

@@ -2,8 +2,13 @@
 
 import random
 
+import numpy as np
+import pytest
+
+import repro.core.gabriel as gabriel
 from repro.core.brute import brute_force_rcj
-from repro.core.gabriel import gabriel_rcj
+from repro.core.gabriel import checked_delaunay, gabriel_rcj
+from repro.datasets.worstcase import collinear, split_alternating
 from repro.geometry.point import Point
 
 
@@ -151,3 +156,23 @@ class TestCocircularTies:
         got = {r.key() for r in gabriel_rcj(ps, qs)}
         expected = {r.key() for r in brute_force_rcj(ps, qs)}
         assert got == expected
+
+
+class TestNearFlatInputs:
+    @pytest.mark.parametrize("n", (20, 40, 60))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_near_collinear_sets_match_oracle(self, n, seed):
+        # Qhull accepts these sets but omits chain edges; the
+        # comparator must refuse its triangulation.
+        p, q = split_alternating(collinear(n, jitter=1e-10, seed=seed))
+        assert {r.key() for r in gabriel_rcj(p, q)} == {
+            r.key() for r in brute_force_rcj(p, q)
+        }
+
+    def test_triangulation_past_the_sites_is_refused(self, monkeypatch):
+        # With the near-flat refusal lowered to exact flatness, Qhull's
+        # triangulation of this set references its point at infinity.
+        monkeypatch.setattr(gabriel, "FLAT_WIDTH", 0.0)
+        points = collinear(5000, jitter=1e-10, seed=3)
+        sites = np.unique([(pt.x, pt.y) for pt in points], axis=0)
+        assert checked_delaunay(sites) is None

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 import repro.engine.kernels as kernels
 from repro.core.selfjoin import self_rcj
 from repro.datasets.fixtures import equivalence_families, make_points
+from repro.datasets.worstcase import collinear, split_alternating
 from repro.engine import run_join
 from tests.conftest import continuous_pointset, lattice_pointset
 
@@ -89,6 +90,40 @@ class TestEscalationPaths:
         assert _keys(points_p, points_q, "array") == _keys(
             points_p, points_q, "brute"
         )
+
+    def test_near_flat_input_does_not_crash_the_backstop(self):
+        # Qhull's triangulation of this near-collinear set references
+        # its point at infinity; the backstop once indexed past its
+        # sites with it.
+        points_p, points_q = split_alternating(
+            collinear(5000, jitter=1e-10, seed=3)
+        )
+        report = run_join(points_p, points_q, engine="array")
+        assert len(report.pairs) == 4999
+
+    def test_near_flat_input_keeps_candidates_linear(self):
+        # Sliver circumcircles once merged the whole chain into one
+        # "cocircular cluster": 18M candidates and minutes of work.
+        points_p, points_q = split_alternating(
+            collinear(6000, jitter=1e-9, seed=3)
+        )
+        report = run_join(points_p, points_q, engine="array")
+        assert len(report.pairs) == 5999
+        assert report.candidate_count < 10 * (len(points_p) + len(points_q))
+
+    def test_sliver_circles_never_form_a_cluster(self, monkeypatch):
+        # The same input through the triangulation itself (the
+        # near-flat refusal lowered to exact flatness): the cluster
+        # recovery's radius bound alone keeps candidates linear.
+        import repro.core.gabriel as gabriel
+
+        monkeypatch.setattr(gabriel, "FLAT_WIDTH", 0.0)
+        points_p, points_q = split_alternating(
+            collinear(6000, jitter=1e-9, seed=3)
+        )
+        report = run_join(points_p, points_q, engine="array")
+        assert len(report.pairs) == 5999
+        assert report.candidate_count < 10 * (len(points_p) + len(points_q))
 
     def test_coincident_cluster_through_delaunay_backstop(self, monkeypatch):
         from repro.geometry.point import Point

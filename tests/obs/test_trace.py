@@ -133,39 +133,33 @@ class TestKillSwitch:
                 add_counter("x")
         assert root is None and child is None
 
-    def test_disabled_stage_timer_still_accumulates(self, monkeypatch):
+    def test_disabled_stage_timer_opens_no_span(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")
-        acc: dict = {}
-        with trace("root"):
-            with stage_timer(acc, "verify"):
+        with trace("root") as root:
+            with stage_timer("verify") as node:
                 pass
-        assert acc["verify"] >= 0.0
+        assert root is None and node is None
 
 
 class TestStageTimer:
-    def test_dict_and_tree_measure_the_same_instant(self):
-        acc: dict = {}
+    def test_repeated_stages_sum_in_the_totals(self):
         with trace("root") as root:
-            with stage_timer(acc, "verify"):
+            with stage_timer("verify"):
                 pass
-            with stage_timer(acc, "verify"):
+            with stage_timer("verify"):
                 pass
+        first, second = root.children
         totals = stage_totals(root)
-        assert totals["verify"] == pytest.approx(acc["verify"], abs=0.0)
+        assert totals["verify"] == first.seconds + second.seconds
 
-    def test_accumulates_onto_existing_totals(self):
-        acc = {"verify": 100.0}
-        with stage_timer(acc, "verify"):
-            pass
-        assert acc["verify"] > 100.0
-
-    def test_none_acc_outside_trace_times_nothing(self):
-        with stage_timer(None, "verify"):
-            pass  # must simply not crash, and record nowhere
+    def test_outside_trace_opens_no_span(self):
+        with stage_timer("verify") as node:
+            assert current_span() is None
+        assert node is None
 
     def test_stage_spans_have_stage_kind(self):
         with trace("root") as root:
-            with stage_timer({}, "candidate"):
+            with stage_timer("candidate"):
                 pass
             with span("pool"):
                 pass
@@ -175,21 +169,19 @@ class TestStageTimer:
     def test_structural_spans_never_leak_into_totals(self):
         with trace("root") as root:
             with span("pool"):
-                with stage_timer(None, "verify"):
+                with stage_timer("verify"):
                     pass
         assert set(stage_totals(root)) == {"verify"}
 
     def test_nested_stage_timers_each_count(self):
-        acc: dict = {}
         with trace("root") as root:
-            with stage_timer(acc, "candidate"):
-                with stage_timer(acc, "candidate"):
+            with stage_timer("candidate"):
+                with stage_timer("candidate"):
                     pass
+        outer = root.children[0]
+        inner = outer.children[0]
         totals = stage_totals(root)
-        assert totals["candidate"] == pytest.approx(acc["candidate"], abs=0.0)
-        # Nested timers double-count by design (the accumulator always
-        # did); both sinks must agree on that.
-        inner = root.children[0].children[0]
+        assert totals["candidate"] == outer.seconds + inner.seconds
         assert totals["candidate"] > inner.seconds
 
 
@@ -198,7 +190,7 @@ class TestJsonlSink:
         with trace("join", engine="array") as root:
             with span("pool", workers=2) as pool:
                 pool.add("bytes-shipped", 1024)
-                with stage_timer(None, "verify"):
+                with stage_timer("verify"):
                     pass
         return root
 
@@ -239,7 +231,7 @@ class TestChromeExport:
     def test_valid_and_complete(self):
         with trace("join") as root:
             with span("pool"):
-                with stage_timer(None, "verify"):
+                with stage_timer("verify"):
                     pass
         doc = to_chrome(root)
         validate_chrome(doc)

@@ -128,8 +128,21 @@ class TestRoundTripEquivalence:
             p.key() for p in traced.pairs
         ]
         assert untraced.candidate_count == traced.candidate_count
-        # The dict-accumulator path still measures stages when untraced.
-        assert set(untraced.stage_seconds) == set(traced.stage_seconds)
+        # Stage times live only in the trace: untraced runs carry none.
+        assert untraced.stage_seconds == {}
+
+    def test_untraced_planned_run_has_no_measured_stages(
+        self, pointsets, monkeypatch
+    ):
+        points_p, points_q = pointsets
+        traced = run_join(points_p, points_q, engine="auto")
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        untraced = run_join(points_p, points_q, engine="auto")
+        assert traced.plan.measured is not None
+        assert untraced.plan.measured is None
+        assert untraced.stage_seconds == {}
+        assert untraced.pair_keys() == traced.pair_keys()
+        assert untraced.candidate_count == traced.candidate_count
 
 
 class TestEffectiveWorkers:
@@ -248,3 +261,27 @@ class TestTracedFamilies:
         assert root is not None
         assert {"knn", "collect"} <= set(stage_totals(root))
         assert counter_totals(root)["verified"] == len(report.pairs)
+
+
+class TestTracedDynamicBatch:
+    def test_batch_observation_stages_come_from_the_trace(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.calibration.observations import load_observations
+        from repro.engine.planner import make_dynamic
+
+        monkeypatch.setenv("REPRO_CALIBRATION_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CALIBRATION", raising=False)
+        points_p, points_q = uniform_pair(300, 300, seed=12)
+        dyn = make_dynamic(points_p[:250], points_q, backend="auto")
+        dyn.apply_batch(
+            inserts=[(p, "P") for p in points_p[250:]],
+            deletes=[(points_q[0], "Q")],
+        )
+        (obs,) = load_observations()
+        assert obs["kind"] == "dynamic"
+        totals = stage_totals(dyn.last_batch_trace)
+        assert {"kill", "probe", "verify"} <= set(totals)
+        assert obs["stage_seconds"] == {
+            key: round(seconds, 6) for key, seconds in totals.items()
+        }

@@ -24,7 +24,8 @@ from repro.engine.arrays import PointArray
 from repro.engine.kernels import rcj_pair_indices
 from repro.engine.families import run_family_join
 from repro.parallel.pool import parallel_rcj_pair_indices
-from repro.obs.trace import trace
+from repro.engine.planner import run_join
+from repro.obs.trace import stage_totals, trace
 from repro.parallel.sharedmem import SharedArrays
 
 MIN_SHARD = 64  # force multi-shard plans at test sizes
@@ -49,6 +50,15 @@ def _epsilon_join(points_pair):
 #: Pooled joins of different families share one worker stack and one
 #: driver; the crash-safety contract is checked on each.
 POOLED_JOINS = {"rcj": _rcj_join, "epsilon": _epsilon_join}
+
+
+def _pooled_report(points_pair, workers):
+    return run_join(
+        *points_pair,
+        engine="array-parallel",
+        workers=workers,
+        min_shard=MIN_SHARD,
+    )
 
 
 def _arrays(points_pair):
@@ -139,23 +149,23 @@ class TestPoolCorrectness:
             parallel_rcj_pair_indices(parr, qarr, workers=0)
 
     def test_stage_seconds_aggregated_across_shards(self):
-        parr, qarr = _arrays(uniform_pair(700, 800, seed=27))
-        stages: dict[str, float] = {}
-        parallel_rcj_pair_indices(
-            parr, qarr, workers=2, min_shard=MIN_SHARD, stage_seconds=stages
+        report = _pooled_report(uniform_pair(700, 800, seed=27), workers=2)
+        root = report.trace
+        assert report.workers_used == 2
+        assert report.stage_seconds == stage_totals(root)
+        shard_stages = [
+            node
+            for shard in root.find("shard")
+            for node in shard.walk()
+            if node.kind == "stage"
+        ]
+        assert {"candidate", "verify"} <= {node.name for node in shard_stages}
+        # Every verify span ran in a worker and was re-parented home.
+        verify = [node for node in root.walk() if node.name == "verify"]
+        assert all(node.proc != root.proc for node in verify)
+        assert report.stage_seconds["verify"] == sum(
+            node.seconds for node in verify
         )
-        assert set(stages) & {"candidate", "verify"}
-        assert all(v >= 0.0 for v in stages.values())
-
-    def test_stage_seconds_accumulate_onto_existing_totals(self):
-        # The accumulator sums — it must add to, not replace, what a
-        # caller already collected.
-        parr, qarr = _arrays(uniform_pair(700, 800, seed=28))
-        stages = {"verify": 100.0}
-        parallel_rcj_pair_indices(
-            parr, qarr, workers=2, min_shard=MIN_SHARD, stage_seconds=stages
-        )
-        assert stages["verify"] > 100.0
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -185,12 +195,16 @@ class TestPoolCorrectness:
         assert root.find("pool-startup")
 
     def test_stage_seconds_on_serial_fallback(self):
-        # Below the shard threshold the serial kernel runs in-process;
-        # the accumulator must still be fed.
-        parr, qarr = _arrays(uniform_pair(100, 100, seed=29))
-        stages: dict[str, float] = {}
-        parallel_rcj_pair_indices(parr, qarr, workers=4, stage_seconds=stages)
-        assert set(stages) & {"candidate", "verify"}
+        # Below the shard threshold the pipeline runs in-process; its
+        # stage spans still land in the report.
+        report = run_join(
+            *uniform_pair(100, 100, seed=29),
+            engine="array-parallel",
+            workers=4,
+        )
+        assert report.workers_used == 1
+        assert report.stage_seconds == stage_totals(report.trace)
+        assert {"candidate", "verify"} <= set(report.stage_seconds)
 
 
 @pytest.mark.parametrize("join", sorted(POOLED_JOINS))
