@@ -8,8 +8,10 @@ self-calibration cycle on the current host —
 1. forced-engine seed sweep (:mod:`repro.calibration.sweep`) into a
    bench-private store,
 2. least-squares refit into a persisted per-host profile,
-3. fresh, larger datasets measured under every viable bulk-join engine,
-4. ``choose_plan`` consulted with the profile loaded —
+3. fresh, larger datasets measured under every viable engine of a
+   pooled join (the kNN join, ``k = 8``; the bulk RCJ's triangulation
+   is global, so it never pools),
+4. ``choose_family_plan`` consulted with the profile loaded —
 
 and asserts the calibrated decision agrees with the empirical ranking:
 on a single-core host the planner must *never* pick ``array-parallel``
@@ -34,10 +36,14 @@ from repro.calibration.profile import (
     save_profile,
 )
 from repro.calibration.refit import refit_profile
-from repro.calibration.sweep import run_calibration_sweep
+from repro.calibration.sweep import _SWEEP_KNN_K, run_calibration_sweep
 from repro.engine.planner import run_join
 from repro.evaluation.scaling import write_json
-from repro.parallel.costmodel import choose_plan
+from repro.parallel.costmodel import choose_family_plan
+
+#: The calibrated pooled workload and its parameter.
+WORKLOAD = "family:knn"
+KNN = {"family": "knn", "k": _SWEEP_KNN_K}
 
 from benchmarks.conftest import RESULTS_DIR, emit
 
@@ -54,9 +60,9 @@ PICK_TOLERANCE = 1.3
 
 
 def _measure_engines(points_p, points_q, worker_counts, min_shard):
-    """Measured wall seconds of every viable bulk-join engine."""
+    """Measured wall seconds of every viable kNN-join engine."""
     walls: dict[str, float] = {}
-    report = run_join(points_p, points_q, engine="array")
+    report = run_join(points_p, points_q, engine="array", **KNN)
     walls["array"] = report.cpu_seconds
     for workers in worker_counts:
         report = run_join(
@@ -65,6 +71,7 @@ def _measure_engines(points_p, points_q, worker_counts, min_shard):
             engine="array-parallel",
             workers=workers,
             min_shard=min_shard,
+            **KNN,
         )
         walls[f"array-parallel@{workers}"] = report.cpu_seconds
     return walls
@@ -81,9 +88,9 @@ def _recorded_1core_profile() -> CalibrationProfile:
         fitted_at="recorded",
         n_observations=12,
         models={
-            "join/array": EngineModel(0.05, 2.0e-6, 4),
-            "join/array-parallel@2": EngineModel(0.15, 4.5e-6, 4),
-            "join/array-parallel@4": EngineModel(0.25, 5.0e-6, 4),
+            f"{WORKLOAD}/array": EngineModel(0.05, 2.0e-6, 4),
+            f"{WORKLOAD}/array-parallel@2": EngineModel(0.15, 4.5e-6, 4),
+            f"{WORKLOAD}/array-parallel@4": EngineModel(0.25, 5.0e-6, 4),
         },
     )
 
@@ -99,7 +106,7 @@ def test_costmodel_calibration(benchmark, scale, datasets, monkeypatch):
 
     def cycle():
         recorded = run_calibration_sweep(
-            n, rounds=2, include_topk=False, include_families=False
+            n, rounds=2, include_topk=False, include_dynamic=False
         )
         profile = refit_profile()
         path = save_profile(profile)
@@ -113,14 +120,17 @@ def test_costmodel_calibration(benchmark, scale, datasets, monkeypatch):
     # planner extrapolates rather than memorizes.
     points_p, points_q = datasets.uniform_pair(2 * n, 2 * n, seed=97)
     worker_counts = [
-        w for w in profile.parallel_worker_counts("join") if w <= cpus * 2
+        w for w in profile.parallel_worker_counts(WORKLOAD) if w <= cpus * 2
     ]
     min_shard = max(64, (2 * n) // 16)
     t0 = time.perf_counter()
     walls = _measure_engines(points_p, points_q, worker_counts, min_shard)
     measure_seconds = time.perf_counter() - t0
 
-    plan = choose_plan(points_p, points_q, workers=max(worker_counts or [2]))
+    plan = choose_family_plan(
+        "knn", points_p, points_q, k=_SWEEP_KNN_K,
+        workers=max(worker_counts or [2]),
+    )
     fastest = min(walls, key=walls.get)
     picked = (
         plan.engine
@@ -137,8 +147,9 @@ def test_costmodel_calibration(benchmark, scale, datasets, monkeypatch):
         fake_p, fake_q = datasets.uniform_pair(
             min(size, 4 * n), min(size, 4 * n), seed=3
         )
-        canned_plan = choose_plan(
-            _FakeBig(fake_p, size), _FakeBig(fake_q, size), workers=4
+        canned_plan = choose_family_plan(
+            "knn", _FakeBig(fake_p, size), _FakeBig(fake_q, size),
+            k=_SWEEP_KNN_K, workers=4,
         )
         canned_picks[size] = canned_plan.engine
     save_profile(profile, profile_path)  # restore the fitted one
@@ -148,7 +159,7 @@ def test_costmodel_calibration(benchmark, scale, datasets, monkeypatch):
         else f"{plan.predicted_seconds:.3f}s"
     )
     lines = [
-        f"Calibrated planning (|P| = |Q| = {2 * n}, {cpus} cores)",
+        f"Calibrated kNN-join planning (|P| = |Q| = {2 * n}, {cpus} cores)",
         f"  sweep: {recorded} observations, profile {profile_path}",
         f"  measured: "
         + ", ".join(f"{e}={s:.3f}s" for e, s in sorted(walls.items())),

@@ -1,15 +1,17 @@
 """Scalability bench — the sharded parallel engine across worker counts.
 
 Not a figure from the paper: this bench motivates the
-:mod:`repro.parallel` subsystem by running the same self-join-style
-workload (paper-class 50k–200k uniform points, scaled by
-``REPRO_SCALE``; run with ``REPRO_BENCH_N=100000`` for the full-size
-measurement) through the vectorized engine with 1, 2 and 4 worker
-processes.
+:mod:`repro.parallel` subsystem by running one pooled join — the kNN
+join (``k = 8``; the RCJ's candidates come from one global
+triangulation, so it does not pool) — over paper-class 50k–200k
+uniform points (scaled by ``REPRO_SCALE``; run with
+``REPRO_BENCH_N=100000`` for the full-size measurement) through
+``run_join(family="knn", engine="array-parallel")`` with 1, 2 and 4
+worker processes.
 
 Assertions: every worker count returns the serial engine's *identical*
-pair arrays (byte-for-byte — determinism is a correctness property
-here, not a nicety), and — on machines with at least 4 physical cores
+pair list (in order — determinism is a correctness property here, not
+a nicety), and — on machines with at least 4 physical cores
 at full-size runs — 4 workers deliver at least a 2.5x strong-scaling
 speedup.  Results are emitted both as the usual text table and as
 ``benchmarks/results/BENCH_parallel.json`` so CI archives the scaling
@@ -20,10 +22,7 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
-from repro.engine.arrays import PointArray
-from repro.engine.kernels import rcj_pair_indices
+from repro.engine.planner import run_join
 from repro.evaluation.report import format_table
 from repro.evaluation.scaling import (
     ScalePoint,
@@ -31,9 +30,10 @@ from repro.evaluation.scaling import (
     speedup_rows,
     write_json,
 )
-from repro.parallel.pool import parallel_rcj_pair_indices
-
 from benchmarks.conftest import RESULTS_DIR, emit
+
+#: k of the measured kNN join.
+KNN_K = 8
 
 #: Paper-style cardinalities, divided by REPRO_SCALE.
 SIZES = (50_000, 100_000, 200_000)
@@ -56,26 +56,26 @@ def _measure(datasets, sizes) -> tuple[list[ScalePoint], bool]:
     identical = True
     for n in sizes:
         points_p, points_q = datasets.uniform_pair(n, n, seed=210)
-        parr = PointArray.from_points(points_p)
-        qarr = PointArray.from_points(points_q)
-        ref_p, ref_q, _ = rcj_pair_indices(parr, qarr, exclude_same_oid=True)
+        ref = run_join(
+            points_p, points_q, family="knn", k=KNN_K, engine="array"
+        ).pairs
         # Shard floor low enough that even scaled-down runs exercise a
         # real multi-shard pool rather than the in-process fallback.
         min_shard = max(64, n // 64)
         for workers in WORKER_COUNTS:
             t0 = time.perf_counter()
-            p_idx, q_idx, _ = parallel_rcj_pair_indices(
-                parr,
-                qarr,
+            pairs = run_join(
+                points_p,
+                points_q,
+                family="knn",
+                k=KNN_K,
+                engine="array-parallel",
                 workers=workers,
-                exclude_same_oid=True,
                 min_shard=min_shard,
-            )
+            ).pairs
             wall = time.perf_counter() - t0
-            identical &= bool(
-                np.array_equal(ref_p, p_idx) and np.array_equal(ref_q, q_idx)
-            )
-            points.append(ScalePoint(n, workers, wall, int(len(p_idx))))
+            identical &= [p.key() for p in pairs] == [p.key() for p in ref]
+            points.append(ScalePoint(n, workers, wall, len(pairs)))
     return points, identical
 
 
@@ -90,8 +90,8 @@ def test_parallel_scaling(benchmark, scale, datasets):
         ["n", "workers", "pairs", "wall(s)", "speedup", "efficiency"],
         speedup_rows(points),
         title=(
-            f"Parallel engine strong scaling (|P| = |Q| = n, self-join "
-            f"mode, {cpus} cores)"
+            f"Parallel engine strong scaling (kNN join, k = {KNN_K}, "
+            f"|P| = |Q| = n, {cpus} cores)"
         ),
     )
     emit("parallel_scaling", table)

@@ -90,15 +90,17 @@ def ring_constrained_join(
     method:
         ``"obj"`` (paper's best; default), ``"bij"``, ``"inj"``,
         ``"gabriel"`` (main-memory Delaunay-based), ``"brute"``
-        (quadratic oracle), ``"array"`` (vectorized batch engine),
-        ``"array-parallel"`` (sharded worker pool over all cores) or
+        (quadratic oracle), ``"array"`` (vectorized batch engine; its
+        candidates come from one Delaunay triangulation of
+        ``P ∪ Q``), ``"array-parallel"`` (the same engine in-process:
+        the triangulation is global, so the RCJ does not shard) or
         ``"auto"`` (cost-based planner picks among the above).
     buffer_fraction:
         LRU buffer size as a fraction of the summed index sizes (R-tree
         methods only).
     workers:
-        Worker budget for ``"array-parallel"`` / ``"auto"`` (``None`` =
-        all cores).
+        Worker budget of ``"auto"`` planning (``None`` = all cores;
+        the RCJ itself always runs in one process).
 
     Returns
     -------

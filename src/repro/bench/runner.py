@@ -318,7 +318,8 @@ def smoke_calibration(n: int = 1200) -> int:
 
     Runs the bounded seed sweep, refits a profile for this host,
     persists it, and checks that the planner's next ``auto`` decision
-    is made *from that profile* (predicted seconds attached, the
+    for a pooled family (the kNN join; the bulk RCJ does not pool) is
+    made *from that profile* (predicted seconds attached, the
     calibrated-comparison reason present) and that the predicted
     ranking of serial vs parallel agrees with what the sweep measured.
     Requires a writable ``REPRO_CALIBRATION_DIR`` (CI points it at a
@@ -327,9 +328,9 @@ def smoke_calibration(n: int = 1200) -> int:
     from repro.calibration import load_observations
     from repro.calibration.profile import save_profile
     from repro.calibration.refit import refit_profile
-    from repro.calibration.sweep import run_calibration_sweep
+    from repro.calibration.sweep import _SWEEP_KNN_K, run_calibration_sweep
     from repro.datasets.fixtures import uniform_pair
-    from repro.parallel.costmodel import choose_plan
+    from repro.parallel.costmodel import choose_family_plan
 
     recorded = run_calibration_sweep(n, rounds=1, echo=print)
     profile = refit_profile()
@@ -337,7 +338,9 @@ def smoke_calibration(n: int = 1200) -> int:
     print(f"calibration smoke: {recorded} observations -> {path}")
 
     points_p, points_q = uniform_pair(n, n + n // 4, seed=7)
-    plan = choose_plan(points_p, points_q, workers=2)
+    plan = choose_family_plan(
+        "knn", points_p, points_q, k=_SWEEP_KNN_K, workers=2
+    )
     failed = False
     if plan.predicted_seconds is None:
         print("calibration smoke: plan carries no predicted seconds [FAILED]")
@@ -348,10 +351,10 @@ def smoke_calibration(n: int = 1200) -> int:
         failed = True
 
     # The calibrated pick must agree with the sweep's own measurements:
-    # mean measured seconds per bulk-join engine, serial vs parallel.
+    # mean measured seconds per kNN-join engine, serial vs parallel.
     walls: dict[str, list[float]] = {}
     for obs in load_observations():
-        if obs.get("workload") == "join":
+        if obs.get("workload") == "family:knn":
             walls.setdefault(obs["engine"], []).append(
                 float(obs["total_seconds"])
             )

@@ -4,10 +4,10 @@ Organic traffic only records the engine the planner *chose*, so a fresh
 host would never observe the roads not taken (a 1-core container will
 happily keep choosing ``array-parallel`` forever if nothing ever
 measures how slow its pools are).  The sweep breaks that loop: it runs
-one bounded synthetic workload through **every** engine — serial
-array, the sharded pool at each candidate worker count, both top-k
-routes, the shardable family pipelines — and records each run with the
-same estimates the planner would have used, so the refit sees the full
+one bounded synthetic workload through **every** engine — the serial
+bulk RCJ (it does not shard), both top-k routes, the shardable family
+pipelines serial and pooled — and records each run with the same
+estimates the planner would have used, so the refit sees the full
 decision space.
 
 ``python -m repro calibrate`` is the front door: sweep, refit, persist
@@ -187,7 +187,7 @@ def run_calibration_sweep(
                 64, len(points_q) // (2 * max(workers_series))
             )
 
-            # -- bulk RCJ: serial + every pool size --------------------
+            # -- bulk RCJ: serial (its triangulation is global) --------
             est = estimate_candidates(len(points_p), len(points_q), density)
             report = run_join(points_p, points_q, engine="array")
             record("join", None, "array", 1, points_p, points_q, est, report)
@@ -196,23 +196,6 @@ def run_calibration_sweep(
                 f"join/array n={size}: {report.cpu_seconds:.3f}s "
                 f"({report.result_count} pairs)"
             )
-            for workers in workers_series:
-                report = run_join(
-                    points_p,
-                    points_q,
-                    engine="array-parallel",
-                    workers=workers,
-                    min_shard=min_shard,
-                )
-                record(
-                    "join", None, "array-parallel", workers,
-                    points_p, points_q, est, report,
-                )
-                recorded += 1
-                say(
-                    f"join/array-parallel@{workers} n={size}: "
-                    f"{report.cpu_seconds:.3f}s"
-                )
 
             # -- ordered browsing: both routes -------------------------
             if include_topk:

@@ -7,14 +7,19 @@ edge (for points in general position), the RCJ result can be computed
 in main memory by:
 
 1. building the Delaunay triangulation of the distinct coordinates of
-   ``P ∪ Q`` (scipy/Qhull);
+   ``P ∪ Q`` (scipy/Qhull, on centred coordinates; see
+   :func:`checked_delaunay`);
 2. keeping the Delaunay edges whose diameter circle is empty — blocker
    candidates come from a slightly inflated KD-tree ball query and are
    confirmed with the exact dot-product predicate shared with the
-   oracle (see :mod:`repro.geometry.ring`);
+   oracle (see :mod:`repro.geometry.ring`), on raw coordinates;
 3. emitting the bichromatic pairs of each surviving edge, plus the
    pairs of coincident ``P``/``Q`` points (their circle has radius zero
    and is trivially empty).
+
+Sites Qhull leaves out of every simplex (near-coincident sites) get
+every other site as a partner edge, cut by the exact predicate against
+their nearest sites (:func:`_dropped_site_pairs`).
 
 This is not one of the paper's algorithms — it serves as an independent
 comparator for correctness testing and as a main-memory performance
@@ -52,7 +57,7 @@ def _coincident_pairs(
     return out
 
 
-def recoverable_radius_bound(kdtree: cKDTree) -> float:
+def recoverable_radius_bound(sites: np.ndarray) -> float:
     """Largest circumradius a cocircular cluster can possibly have.
 
     A missed edge's circle is the diametral ring of a site pair, so its
@@ -63,7 +68,7 @@ def recoverable_radius_bound(kdtree: cKDTree) -> float:
     radius-scaled on-circle tolerance swallow whole near-flat chains
     into one giant "cluster".
     """
-    spans = kdtree.maxes - kdtree.mins
+    spans = sites.max(axis=0) - sites.min(axis=0)
     return math.hypot(spans[0], spans[1])
 
 
@@ -77,23 +82,29 @@ def checked_delaunay(sites: np.ndarray) -> Delaunay | None:
     """Qhull's triangulation of the distinct ``sites``, or ``None``
     where it cannot be trusted to hold every Gabriel edge.
 
+    Qhull triangulates the *centred* sites ``sites - sites.mean(axis=0)``
+    (the triangulation's ``points``; simplex indices are unchanged):
+    far from the origin, raw coordinates spend their low bits on the
+    offset and Qhull drops true Gabriel edges.  Circumcircle work must
+    use ``tri.points``; exact predicates stay on the raw sites.
+
     Refused: fewer than four sites; a ``QhullError``; near-flat sets
     (relative width at most :data:`FLAT_WIDTH`, i.e. scatter
     eigenvalues ``λmin ≤ 1e-18·λmax``); and triangulations whose
     simplices index past ``sites`` (the point at infinity of Qhull's
     ``Qz`` option leaking through on degenerate input).  Callers fall
     back to an exact route: brute force in :func:`gabriel_rcj`, the
-    exact scan behind the array engine's Delaunay backstop
-    (:mod:`repro.engine.kernels`).
+    exact scan of the array engine (:mod:`repro.engine.kernels`).
     """
     n = len(sites)
     if n < 4:
         return None
-    width = np.linalg.svd(sites - sites.mean(axis=0), compute_uv=False)
+    centred = sites - sites.mean(axis=0)
+    width = np.linalg.svd(centred, compute_uv=False)
     if not width[1] > FLAT_WIDTH * width[0]:
         return None
     try:
-        tri = Delaunay(sites)
+        tri = Delaunay(centred)
     except QhullError:
         return None
     if tri.simplices.size and int(tri.simplices.max()) >= n:
@@ -107,7 +118,7 @@ def recover_cocircular_pairs(
     """Pairwise site pairs of ≥4-site cocircular clusters.
 
     Shared cluster recovery used by this comparator and by the
-    vectorized engine's Delaunay backstop
+    vectorized engine's Delaunay candidates
     (:func:`repro.engine.kernels._cocircular_site_pairs`): each
     candidate circle (``centers_x, centers_y, radii`` — typically
     triangle circumcircles) is probed with one batched KD-tree ball
@@ -149,7 +160,7 @@ def recover_cocircular_pairs(
     return extra
 
 
-def _cocircular_cluster_pairs(tri, sites, kdtree) -> set[tuple[int, int]]:
+def _cocircular_cluster_pairs(tri: Delaunay) -> set[tuple[int, int]]:
     """Candidate edges missed by the triangulation under cocircular ties.
 
     "Every Gabriel edge is a Delaunay edge" fails for degenerate inputs
@@ -162,9 +173,11 @@ def _cocircular_cluster_pairs(tri, sites, kdtree) -> set[tuple[int, int]]:
     cluster on its circumcircle — so scanning triangle circumcircles
     recovers the clusters (:func:`recover_cocircular_pairs`), and
     emitting each cluster's pairwise index pairs as extra candidates
-    restores completeness.
+    restores completeness.  Circumcircles and the on-circle test use
+    the triangulation's centred frame (``tri.points``).
     """
-    max_radius = recoverable_radius_bound(kdtree)
+    sites = tri.points
+    max_radius = recoverable_radius_bound(sites)
     centers_x: list[float] = []
     centers_y: list[float] = []
     radii: list[float] = []
@@ -197,7 +210,43 @@ def _cocircular_cluster_pairs(tri, sites, kdtree) -> set[tuple[int, int]]:
         centers_x.append(ux)
         centers_y.append(uy)
         radii.append(radius)
-    return recover_cocircular_pairs(sites, kdtree, centers_x, centers_y, radii)
+    if not radii:
+        return set()
+    return recover_cocircular_pairs(
+        sites, cKDTree(sites), centers_x, centers_y, radii
+    )
+
+
+#: Nearest sites whose exact blocker test cuts a dropped site's edges.
+_DROPPED_PRUNERS = 32
+
+
+def _dropped_site_pairs(tri: Delaunay, sites, kdtree) -> set[tuple[int, int]]:
+    """Candidate edges of the sites Qhull left out of every simplex.
+
+    A near-coincident site may be dropped from the triangulation
+    (``tri.coplanar``).  Pairs between placed sites are unaffected:
+    their ring is empty of the placed sites too, so they remain
+    Delaunay edges.  A dropped site ``d`` is paired with every other
+    site ``j`` except where one of ``d``'s nearest sites ``s`` blocks
+    the ring by the exact predicate ``(s - d) . (s - j) < 0`` on raw
+    coordinates — a filter that cannot discard a true pair.
+    """
+    placed = np.zeros(len(sites), dtype=bool)
+    placed[tri.simplices.ravel()] = True
+    edges: set[tuple[int, int]] = set()
+    k = min(_DROPPED_PRUNERS, len(sites))
+    for d in np.flatnonzero(~placed).tolist():
+        _dist, near = kdtree.query(sites[d], k=k)
+        sx = sites[np.atleast_1d(near), 0]
+        sy = sites[np.atleast_1d(near), 1]
+        t = (sx[None, :] - sites[d, 0]) * (sx[None, :] - sites[:, 0, None]) + (
+            sy[None, :] - sites[d, 1]
+        ) * (sy[None, :] - sites[:, 1, None])
+        for j in np.flatnonzero(~(t < 0.0).any(axis=1)).tolist():
+            if j != d:
+                edges.add((d, j) if d < j else (j, d))
+    return edges
 
 
 def gabriel_rcj(
@@ -239,7 +288,8 @@ def gabriel_rcj(
         edges.add((b, c) if b < c else (c, b))
 
     kdtree = cKDTree(sites)
-    edges |= _cocircular_cluster_pairs(tri, sites, kdtree)
+    edges |= _cocircular_cluster_pairs(tri)
+    edges |= _dropped_site_pairs(tri, sites, kdtree)
     for i, j in edges:
         gi = groups[coords[i]]
         gj = groups[coords[j]]
@@ -254,8 +304,11 @@ def gabriel_rcj(
         # Candidate blockers from a slightly inflated KD-tree ball, then
         # the exact dot predicate shared with the oracle: a site is
         # strictly inside iff (s - a) . (s - b) < 0 (endpoints give
-        # exactly zero and are excluded automatically).
-        near = kdtree.query_ball_point([cx, cy], r * (1.0 + 1e-7) + 1e-12)
+        # exactly zero and are excluded automatically).  The absolute
+        # term scales with the midpoint, whose rounding is ~ulp(|c|).
+        near = kdtree.query_ball_point(
+            [cx, cy], r * (1.0 + 1e-7) + 1e-12 * (abs(cx) + abs(cy) + 1.0)
+        )
         blocked = False
         for s in near:
             sx, sy = float(sites[s][0]), float(sites[s][1])

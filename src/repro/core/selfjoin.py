@@ -54,14 +54,13 @@ def self_rcj(
     algorithm:
         One of ``"inj"``, ``"bij"``, ``"obj"`` (R-tree based),
         ``"brute"``, ``"gabriel"``, ``"array"`` (main memory),
-        ``"array-parallel"`` (sharded worker pool) or ``"auto"``
-        (cost-based planner).
+        ``"array-parallel"`` (the array engine in-process: the RCJ does
+        not shard) or ``"auto"`` (cost-based planner).
     tree:
         Optional pre-built index over ``points``; built with STR bulk
         loading when omitted (only used by the R-tree algorithms).
     workers:
-        Worker budget for ``"array-parallel"`` and ``"auto"`` (``None``
-        = all cores).
+        Worker budget of ``"auto"`` planning (``None`` = all cores).
 
     Returns
     -------

@@ -20,7 +20,7 @@ family      pipeline
             cursor as an ordered source; stops at the chunk holding
             the ``k``-th pair)
 ``cij``     ``cell-overlap -> sat-verify -> collect``
-``rcj``     bulk: ``knn-window(k0) -> verify -> collect``
+``rcj``     bulk: ``delaunay -> verify -> collect``
             (:func:`rcj_pipeline`, behind
             :func:`repro.engine.planner.run_join`); with ``k``:
             ``band(k) -> prune -> verify -> take-smallest(k)`` (the
@@ -46,16 +46,15 @@ from typing import Sequence
 
 from repro.core.pairs import JoinReport, RCJPair
 from repro.engine.arrays import PointArray
-from repro.engine.kernels import DEFAULT_K0
 from repro.engine.operators import (
     BandSource,
     CellOverlapSource,
     CollectAll,
     CollectCanonical,
     DistanceFilter,
+    DelaunaySource,
     JoinContext,
     KnnSource,
-    KnnWindowSource,
     Pipeline,
     PolygonIntersectVerify,
     PsiPruneFilter,
@@ -67,23 +66,20 @@ from repro.engine.operators import (
 from repro.engine.request import FAMILY_NAMES, JoinRequest  # noqa: F401
 from repro.geometry.point import Point
 
-#: Families whose probe loop shards across processes.  k-closest-pairs
-#: streams globally ordered bands (no probe-disjoint decomposition) and
-#: the CIJ's cost is dominated by the serial geometric step, so both
-#: coerce ``array-parallel`` to ``array``.
+#: Families whose probe loop shards across processes.  The RCJ's
+#: candidates come from one global triangulation (bulk) or globally
+#: ordered bands (top-k), k-closest-pairs streams globally ordered
+#: bands too, and the CIJ's cost is dominated by the serial geometric
+#: step, so all of them coerce ``array-parallel`` to ``array``.
 SHARDABLE_FAMILIES = ("epsilon", "knn")
 
 
-def rcj_pipeline(
-    k0: int = DEFAULT_K0,
-    exclude_same_oid: bool = False,
-    probes=None,
-) -> Pipeline:
-    """The bulk RCJ: kNN-window candidates (Ψ− pruning, cone-cover
-    escalation and the self-join filter inside the source) -> batch
+def rcj_pipeline(exclude_same_oid: bool = False) -> Pipeline:
+    """The bulk RCJ: Delaunay candidates (the exact scan for what Qhull
+    cannot settle and the self-join filter inside the source) -> batch
     ring verification -> every pair in canonical index order."""
     return Pipeline(
-        KnnWindowSource(k0, exclude_same_oid=exclude_same_oid, probes=probes),
+        DelaunaySource(exclude_same_oid=exclude_same_oid),
         [VerifyRings()],
         CollectCanonical(),
     )
@@ -101,8 +97,9 @@ def build_family_pipeline(
     """The declared operator pipeline of one join family.
 
     ``probes`` restricts the probe rows of the sources that shard (the
-    worker pool's seam); the band and cell sources see all rows at
-    once, so asking them for a restriction raises ``ValueError``.
+    worker pool's seam); the Delaunay, band and cell sources see all
+    rows at once, so asking them for a restriction raises
+    ``ValueError``.
     ``bounds`` overrides the CIJ clipping region.  ``family="rcj"`` is
     the bulk RCJ (:func:`rcj_pipeline`), or with ``k`` the top-k RCJ
     composed from the generic band, prune and verify stages.
@@ -116,13 +113,13 @@ def build_family_pipeline(
         )
     if family == "knn":
         return Pipeline(KnnSource(k, probes=probes), [], CollectAll())
-    if family == "rcj" and k is None:
-        return rcj_pipeline(exclude_same_oid=exclude_same_oid, probes=probes)
     if probes is not None:
         raise ValueError(
             f"the {family!r} pipeline cannot be restricted to probe rows"
             " (its source needs every row at once)"
         )
+    if family == "rcj" and k is None:
+        return rcj_pipeline(exclude_same_oid=exclude_same_oid)
     if family == "kcp":
         return Pipeline(
             BandSource(k_hint=k, exclude_same_oid=exclude_same_oid),
@@ -280,10 +277,10 @@ def run_family_join(
     engine:
         ``"pointwise"`` (the reference oracle; the paper's OBJ for the
         RCJ), ``"array"`` (the serial pipeline), ``"array-parallel"``
-        (sharded pool, shardable families only — others coerce to
-        ``"array"``) or ``"auto"`` (default: the planner,
-        :func:`repro.parallel.costmodel.plan_join`, whose decision
-        rides on ``report.plan``).
+        (sharded pool, :data:`SHARDABLE_FAMILIES` only — the others,
+        the RCJ included, coerce to ``"array"``) or ``"auto"``
+        (default: the planner, :func:`repro.parallel.costmodel.plan_join`,
+        whose decision rides on ``report.plan``).
     eps, k:
         The family parameter (ε radius / result bound).
     bounds:
@@ -293,7 +290,8 @@ def run_family_join(
         Planner/parallel-engine budgets, as in ``run_join``.
     min_shard:
         Shard-granularity override for the parallel engine (tests force
-        real pools on small data with it).
+        real pools on small data with it); dropped for families that do
+        not shard.
     """
     from repro.engine.planner import _engine_for, _execute
 
@@ -308,10 +306,7 @@ def run_family_join(
     )
     engine = _engine_for(family, "auto" if engine is None else engine)
     options = {"bounds": bounds}
-    # min_shard only shapes pools; the RCJ's other engines do not take it.
-    if min_shard is not None and (
-        family != "rcj" or engine in ("array-parallel", "auto")
-    ):
+    if min_shard is not None:
         options["min_shard"] = min_shard
     return _execute(request, points_p, points_q, engine, options=options)
 

@@ -2,18 +2,13 @@
 
 The pointwise algorithms (:mod:`repro.core.inj`, :mod:`repro.core.bij`)
 process one probe point — or one leaf — at a time through Python
-objects.  The kernels here process *blocks* of probe points through
-numpy arrays:
+objects.  The kernels here process whole pointsets through numpy
+arrays:
 
-- :func:`knn_candidate_blocks` — candidate generation: every probe
-  point's nearest ``P`` neighbours come from one :class:`cKDTree` batch
-  query, the paper's Ψ− half-plane pruning (Lemmas 1/3/5) is evaluated
-  over whole candidate blocks by :func:`halfplane_prune_window`, and an
-  angular-coverage certificate (:func:`cone_cover`) decides, per probe,
-  whether any point beyond the KNN window could still join.  Probes
-  without a certificate escalate: first to a wider window, finally to a
-  direction-filtered scan whose survivors are pruned with the exact
-  half-plane predicate.
+- :func:`knn_candidate_blocks` — candidate generation: the bichromatic
+  edges of one Delaunay triangulation of the distinct sites of
+  ``P ∪ Q`` (the Gabriel argument below), plus an exact per-probe scan
+  for what Qhull cannot settle.
 - :func:`verify_rings_batch` — batch ring-emptiness verification: the
   per-circle loop of :mod:`repro.core.verification` is replaced by a
   nearest-blocker pass.  One KD-tree query fetches the few union points
@@ -25,38 +20,55 @@ numpy arrays:
   over every point inside them.  Work and memory per ring are therefore
   bounded by the window, not by how many points a wide ring holds.
 
+Candidates: the Gabriel argument
+--------------------------------
+A pair ``<p, q>`` joins when its ring (the circle with diameter ``pq``)
+holds no point of ``P ∪ Q`` strictly inside.  That is the Gabriel edge
+condition over the union's distinct sites, and every Gabriel edge is a
+Delaunay edge (Matula & Sokal 1980; the paper's Gabriel argument).  So
+the bichromatic Delaunay edges of the union are a candidate superset,
+with two degenerate additions: when four or more sites lie on one
+empty circle the triangulation keeps only some of their pairwise
+edges, so such clusters are recovered from equal circumcircles
+(:func:`_cocircular_site_pairs`); and coincident ``P``/``Q`` sites,
+whose radius-zero ring is trivially empty, are emitted directly.
+
+Qhull triangulates the *centred* sites
+(:func:`repro.core.gabriel.checked_delaunay`): far from the origin,
+raw coordinates spend their low bits on the offset, and Qhull then
+drops true Gabriel edges.  Circumcircles are computed in the same
+centred frame; every exact predicate stays on raw coordinates.
+
+What Qhull cannot settle takes the exact route, a per-probe scan
+(:func:`_scan_candidates`):
+
+- *Refused inputs.*  ``checked_delaunay`` refuses fewer than four
+  sites, a ``QhullError``, near-flat sets and simplices indexing past
+  the sites; then every probe is scanned.
+- *Dropped sites.*  Qhull may leave a site out of every simplex (a
+  near-coincident site, ``tri.coplanar``).  A pair that touches no
+  dropped site is still a Delaunay edge of the remaining sites (its
+  ring is empty of them too), so only the dropped sites' own rows are
+  scanned: ``Q`` rows probe ``P`` and ``P`` rows probe ``Q``.  Ψ−
+  pruning is valid with pruners from either side, because the ring
+  must be empty of the whole union.  The extra cost grows with the
+  number of dropped sites only.
+
 Exactness
 ---------
-The engine is *filter conservative, verify exact*.  Filtering (window
-pruning, coverage certificates, the Delaunay backstop) may only ever
-discard a pair when a blocker provably exists under the oracle's own
-predicate — every shortcut carries a margin dominating its
-floating-point error, and anything uncertain is kept as a candidate.
-The final batch verification then evaluates the *same IEEE form* as the
-brute-force oracle (:mod:`repro.core.brute`) and the object-level
-geometry (:mod:`repro.geometry.ring`): differences first, two products,
-one sum, strict comparison against zero — bit-for-bit the oracle's
-test.  Together the two halves make the array engine return result sets
-identical to the pointwise algorithms; the cross-algorithm equivalence
-suite pins this.
-
-The main inference that is *not* a direct predicate evaluation is the
-KNN stopping certificate.  Take a probe ``q`` whose window radius (the
-distance of its ``k``-th ``P``-neighbour) is ``d_k``, and a window
-neighbour ``i`` at distance ``r_i``.  For any point ``x`` beyond the
-window at angle ``t`` from ``q``'s direction to ``i``::
-
-    |qx| cos(t) > r_i   =>   (x - i) . (i - q) > 0,
-
-i.e. ``i`` lies strictly inside the ring of ``<x, q>`` and the pair is
-dead (Lemma 1) — so ``i`` *covers* the open cone of half-angle
-``arccos(r_i / (0.95 d_k))`` around its own direction.  When the cones
-of the window neighbours cover the full circle of directions, no point
-beyond the window can join ``q`` and the search stops.  The ``0.95``
-safety factor leaves a ≥ 5 % relative margin on the blocker predicate,
-orders of magnitude above IEEE evaluation error, so the oracle's own
-exact test is guaranteed to agree with every pair the certificate
-discards.
+The engine is *filter conservative, verify exact*.  Filtering (the
+Delaunay candidates, the scan's coverage certificate and its Ψ−
+pruning) may only ever discard a pair when a blocker provably exists
+under the oracle's own predicate — every shortcut carries a margin
+dominating its floating-point error, and anything uncertain is kept as
+a candidate.  The final batch verification then evaluates the *same
+IEEE form* as the brute-force oracle (:mod:`repro.core.brute`) and the
+object-level geometry (:mod:`repro.geometry.ring`): differences first,
+two products, one sum, strict comparison against zero — bit-for-bit
+the oracle's test.  Together the two halves make the array engine
+return result sets identical to the pointwise algorithms; the
+cross-algorithm equivalence suite and the differential fuzz suite pin
+this.
 """
 
 from __future__ import annotations
@@ -72,8 +84,8 @@ from repro.core.gabriel import (
 from repro.engine.arrays import PointArray
 from repro.obs.trace import add_counter, stage_timer
 
-#: Neighbour window of the first candidate-generation stage.
-DEFAULT_K0 = 16
+#: Neighbour window of the exact route's per-probe scan.
+DEFAULT_K0 = 64
 
 #: Safety factor of the coverage certificate: a neighbour's cone is
 #: computed from ``r_i / 0.95`` instead of ``r_i``, giving every
@@ -81,22 +93,8 @@ DEFAULT_K0 = 16
 #: blocker predicate.
 _COVER_SAFETY = 0.95
 
-#: Probe points processed per KNN batch.
-_Q_BLOCK = 4096
-
-#: Probe points processed per widened second-stage batch (larger window,
-#: so the pairwise pruning block is bigger per probe).
-_WIDE_BLOCK = 1024
-
-#: Window width of the widened second stage.
-_WIDE_K = 64
-
-#: Pruners used per probe by the full-scan stage.
+#: Pruners used per probe by the exact scan.
 _SCAN_PRUNERS = 32
-
-#: Above this much full-scan work (escalated probes x |P|), stage 3
-#: switches from the per-probe scan to the Delaunay candidate path.
-_SCAN_WORK_LIMIT = 4_000_000
 
 #: Relative inflation of verification ball queries; dominates the
 #: rounding of midpoint/radius while the exact dot predicate keeps the
@@ -133,45 +131,6 @@ def _flatten_ball_lists(lists, count: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, counts
 
 
-def halfplane_prune_window(
-    qx: np.ndarray, qy: np.ndarray, nx: np.ndarray, ny: np.ndarray
-) -> np.ndarray:
-    """Blocked Ψ− pruning inside each probe's neighbour window.
-
-    Parameters
-    ----------
-    qx, qy:
-        Probe coordinates, shape ``(B,)``.
-    nx, ny:
-        Window neighbour coordinates, shape ``(B, k)``.
-
-    Returns
-    -------
-    Boolean ``(B, k)`` mask: entry ``[b, j]`` is True when some other
-    window point ``i`` lies strictly inside the ring of
-    ``<n[b, j], q[b]>``: ``(n_j - n_i) . (n_i - q) > 0``, rewritten over
-    probe-centred offsets ``A = n - q`` as ``A_i . A_j - |A_i|²`` so the
-    whole window evaluates as one batched matmul.  The comparison
-    carries a margin dominating the rewrite's floating-point error, so
-    the mask is *conservative*: a pair the oracle would keep is never
-    pruned, while boundary ties are kept for the exact batch
-    verification to settle.  A pruner coincident with ``q`` or with the
-    candidate contributes exactly zero and never prunes (degenerate
-    Ψ−), and the diagonal ``i == j`` is harmless for the same reason.
-    """
-    ax = nx - qx[:, None]
-    ay = ny - qy[:, None]
-    a = np.stack((ax, ay), axis=-1)  # (B, k, 2)
-    g = a @ a.transpose(0, 2, 1)  # G[b, i, j] = A_i . A_j
-    norms = np.einsum("bii->bi", g)  # |A_i|²
-    t = g - norms[:, :, None]  # T[b, i, j] = (n_j - n_i) . (n_i - q)
-    # All |A| are bounded by the window radius, so 1e-12 of the largest
-    # |A_i|² dominates the ~1e-15 relative rewrite error with three
-    # orders of magnitude to spare.
-    margin = 1e-12 * norms.max(axis=1)
-    return np.any(t > margin[:, None, None], axis=1)
-
-
 def halfplane_prune_pairs(
     cx: np.ndarray,
     cy: np.ndarray,
@@ -205,15 +164,25 @@ def cover_arcs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-probe covered direction arcs of the stopping certificate.
 
-    Each window neighbour at distance ``r_i > 0`` covers the cone of
-    directions within ``arccos(max(r_i, r_floor) / (0.95 d_k))`` of its
-    own direction (see the module docstring) — and since the blocking
-    inequality only strengthens with distance, the arc certifies *every*
-    point beyond the window radius in those directions, not just the
-    nearest.  A coincident neighbour has a degenerate Ψ− region and
-    covers nothing.  ``r_floor`` (a tiny length on the dataset's
-    coordinate scale) keeps the certificate's absolute margin above IEEE
-    noise for near-coincident neighbours.
+    Take a probe ``q`` whose window radius (the distance of its
+    ``k``-th neighbour) is ``d_k`` and a window neighbour ``i`` at
+    distance ``r_i``.  For any point ``x`` beyond the window at angle
+    ``t`` from ``q``'s direction to ``i``::
+
+        |qx| cos(t) > r_i   =>   (x - i) . (i - q) > 0,
+
+    i.e. ``i`` lies strictly inside the ring of ``<x, q>`` and the pair
+    is dead (Lemma 1).  So ``i`` covers the open cone of directions
+    within ``arccos(max(r_i, r_floor) / (0.95 d_k))`` of its own
+    direction — and since the blocking inequality only strengthens with
+    distance, the arc certifies *every* point beyond the window radius
+    in those directions, not just the nearest.  The ``0.95`` safety
+    factor leaves a >= 5 % relative margin on the blocker predicate,
+    orders of magnitude above IEEE evaluation error.  A coincident
+    neighbour has a degenerate Ψ− region and covers nothing.
+    ``r_floor`` (a tiny length on the dataset's coordinate scale) keeps
+    the certificate's absolute margin above IEEE noise for
+    near-coincident neighbours.
 
     Returns ``(start_sorted, end_cummax, any_valid)``: the arcs sorted
     by start angle with a running maximum over end angles (the standard
@@ -251,29 +220,6 @@ def cover_arcs(
     return start_sorted, end_cummax, any_valid
 
 
-def cone_cover(
-    qx: np.ndarray,
-    qy: np.ndarray,
-    nx: np.ndarray,
-    ny: np.ndarray,
-    ndist: np.ndarray,
-    r_floor: float,
-) -> np.ndarray:
-    """The angular-coverage stopping certificate, per probe.
-
-    Returns a boolean ``(B,)`` array: True when the union of the
-    neighbour cones (:func:`cover_arcs`) covers the full circle of
-    directions, i.e. no point beyond the window can form a pair with
-    the probe.
-    """
-    start_sorted, end_cummax, any_valid = cover_arcs(
-        qx, qy, nx, ny, ndist, r_floor
-    )
-    no_gap = np.all(end_cummax[:, :-1] >= start_sorted[:, 1:], axis=1)
-    wraps = end_cummax[:, -1] >= start_sorted[:, 0] + 2.0 * np.pi
-    return any_valid & no_gap & wraps
-
-
 def _arcs_contain(
     start_sorted: np.ndarray, end_cummax: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
@@ -281,42 +227,24 @@ def _arcs_contain(
 
     ``start_sorted``/``end_cummax`` are a single row of
     :func:`cover_arcs`; ``theta`` is a ``(M,)`` array of directions in
-    ``[-π, π]``.  Checks the direction and its ``± 2π`` images against
-    the sorted arc structure by binary search.
+    ``[-π, π]``.  A direction is covered when some arc with
+    ``start <= t`` has running end ``>= t``, checked at ``t`` and its
+    ``± 2π`` images.  Runs of overlapping arcs merge into a few disjoint
+    intervals ``[start, running end]`` first (a new interval opens
+    where a start passes the running end before it), so the test is a
+    handful of vectorized comparisons per direction.
     """
+    opens = np.ones(len(start_sorted), dtype=bool)
+    opens[1:] = start_sorted[1:] > end_cummax[:-1]
+    first = np.flatnonzero(opens)
+    lows = start_sorted[first]
+    highs = end_cummax[np.append(first[1:] - 1, len(end_cummax) - 1)]
     covered = np.zeros(theta.shape, dtype=bool)
     for shift in (0.0, 2.0 * np.pi, -2.0 * np.pi):
         t = theta + shift
-        j = np.searchsorted(start_sorted, t, side="right") - 1
-        inside = j >= 0
-        covered |= inside & (end_cummax[np.maximum(j, 0)] >= t)
+        for low, high in zip(lows.tolist(), highs.tolist()):
+            covered |= (t >= low) & (t <= high)
     return covered
-
-
-def _emit_window(
-    qx: np.ndarray,
-    qy: np.ndarray,
-    ndist: np.ndarray,
-    nidx: np.ndarray,
-    parr: PointArray,
-    probes: np.ndarray,
-    r_floor: float,
-    out_q: list[np.ndarray],
-    out_p: list[np.ndarray],
-) -> np.ndarray:
-    """Prune one window batch, emit its candidates, return uncovered probes."""
-    nx = parr.x[nidx]
-    ny = parr.y[nidx]
-    with stage_timer("prune"):
-        pruned = halfplane_prune_window(qx, qy, nx, ny)
-    rows, cols = np.nonzero(~pruned)
-    out_q.append(probes[rows])
-    out_p.append(nidx[rows, cols].astype(np.int64))
-    if nidx.shape[1] >= len(parr):
-        return probes[:0]  # the window is all of P; nothing lies beyond
-    with stage_timer("prune"):
-        covered = cone_cover(qx, qy, nx, ny, ndist, r_floor)
-    return probes[~covered]
 
 
 def _query_window(
@@ -338,156 +266,128 @@ def knn_candidate_blocks(
     """Candidate generation: ``(q_index, p_index)`` candidate pair arrays.
 
     The returned pair set is a superset of every true RCJ pair ``<p, q>``
-    with ``p`` from ``parr`` and ``q`` from ``qarr`` (blockers drawn
-    from ``parr`` only; final ring verification against the full union
-    is :func:`verify_rings_batch`'s job).  Duplicates are already
-    removed.
+    with ``p`` from ``parr`` and ``q`` from ``qarr``; final ring
+    verification against the full union is :func:`verify_rings_batch`'s
+    job.  Duplicates are removed and the pairs sorted by ``q_index``,
+    then ``p_index``.
 
-    Three stages, each handling only the probes the previous one could
-    not certify: a ``k0``-neighbour window for every probe, a widened
-    ``_WIDE_K`` window for probes whose cones left a gap (typical for
-    probes near the fringe of ``P``), and a full direction-filtered
-    scan for the rest (hull probes, heavily degenerate inputs).
+    The candidates are the bichromatic edges of one Delaunay
+    triangulation of the distinct sites of ``parr ∪ qarr``
+    (:func:`_delaunay_candidates`; see the module docstring).  Inputs
+    the triangulation refuses send every probe through the exact scan
+    (:func:`_scan_candidates`), and sites Qhull drops send their own
+    rows through it.
 
     Parameters
     ----------
     parr, qarr:
         The inner (candidate) and outer (probe) pointsets.
     k0:
-        First-stage neighbour window width (clamped to ``len(parr)``).
+        Neighbour window width of the exact scan (clamped to the size
+        of the scanned side).
     tree_p:
-        Optional prebuilt KD-tree over ``parr``'s coordinates.
+        Optional prebuilt KD-tree over ``parr``'s coordinates (used by
+        the exact scan only).
 
-    Under an active trace the ``candidate`` and ``prune`` wall times
-    land in stage spans (:func:`repro.obs.trace.stage_timer`).
+    Under an active trace the wall time lands in the ``candidate``
+    stage span (:func:`repro.obs.trace.stage_timer`).
     """
     n_p, n_q = len(parr), len(qarr)
     if n_p == 0 or n_q == 0:
         return (np.empty(0, np.int64), np.empty(0, np.int64))
-    if tree_p is None:
-        with stage_timer("candidate"):
-            tree_p = cKDTree(parr.coords())
-
     r_floor = 1e-12 * _coord_scale(parr.x, parr.y, qarr.x, qarr.y)
-
-    out_q: list[np.ndarray] = []
-    out_p: list[np.ndarray] = []
-
-    # -- stage 1: k0 window for every probe ----------------------------
-    k1 = min(k0, n_p)
-    open_probes: list[np.ndarray] = []
-    for bstart in range(0, n_q, _Q_BLOCK):
-        probes = np.arange(bstart, min(bstart + _Q_BLOCK, n_q), dtype=np.int64)
-        qx, qy = qarr.x[probes], qarr.y[probes]
-        with stage_timer("candidate"):
-            ndist, nidx = _query_window(tree_p, qx, qy, k1)
-        open_probes.append(
-            _emit_window(
-                qx, qy, ndist, nidx, parr, probes, r_floor, out_q, out_p
+    with stage_timer("candidate"):
+        found = _delaunay_candidates(parr, qarr)
+        if found is None:  # refused: every probe takes the exact scan
+            none = np.empty(0, np.int64)
+            found = (none, none, none, np.arange(n_q, dtype=np.int64))
+        q_idx, p_idx, dropped_p, dropped_q = found
+        out_q, out_p = [q_idx], [p_idx]
+        if dropped_q.size:
+            if tree_p is None:
+                tree_p = cKDTree(parr.coords())
+            rows, cols = _scan_candidates(
+                qarr.x[dropped_q], qarr.y[dropped_q], parr, tree_p, k0, r_floor
             )
-        )
-    uncovered = np.concatenate(open_probes)
-
-    # -- stage 2: widened window for uncovered probes ------------------
-    k2 = min(_WIDE_K, n_p)
-    if uncovered.size and k2 > k1:
-        open_probes = []
-        for bstart in range(0, uncovered.size, _WIDE_BLOCK):
-            probes = uncovered[bstart : bstart + _WIDE_BLOCK]
-            qx, qy = qarr.x[probes], qarr.y[probes]
-            with stage_timer("candidate"):
-                ndist, nidx = _query_window(tree_p, qx, qy, k2)
-            open_probes.append(
-                _emit_window(
-                    qx, qy, ndist, nidx, parr, probes, r_floor, out_q, out_p
-                )
+            out_q.append(dropped_q[rows])
+            out_p.append(cols)
+        if dropped_p.size:
+            rows, cols = _scan_candidates(
+                parr.x[dropped_p], parr.y[dropped_p], qarr,
+                cKDTree(qarr.coords()), k0, r_floor,
             )
-        uncovered = np.concatenate(open_probes)
-
-    # -- stage 3: the remainder (hull probes, degenerate inputs) -------
-    # Charged wholesale to "candidate": the escalation stages interleave
-    # their own pruning with enumeration too finely to split honestly.
-    if uncovered.size and k2 < n_p:
-        with stage_timer("candidate"):
-            emitted = None
-            if uncovered.size * n_p > _SCAN_WORK_LIMIT:
-                emitted = _delaunay_candidates(parr, qarr, uncovered)
-            if emitted is not None:
-                out_q.append(emitted[0])
-                out_p.append(emitted[1])
-            else:
-                _scan_candidates(
-                    parr, qarr, uncovered, tree_p, k2, r_floor, out_q, out_p
-                )
-
-    q_idx = np.concatenate(out_q)
-    p_idx = np.concatenate(out_p)
-    # Union of the window and escalation sources, deduplicated.
-    key = q_idx * np.int64(n_p) + p_idx
-    _, first = np.unique(key, return_index=True)
-    return q_idx[first], p_idx[first]
+            out_q.append(cols)
+            out_p.append(dropped_p[rows])
+        q_idx = np.concatenate(out_q)
+        p_idx = np.concatenate(out_p)
+        key = np.unique(q_idx * np.int64(n_p) + p_idx)
+    return key // n_p, key % n_p
 
 
 def _scan_candidates(
-    parr: PointArray,
-    qarr: PointArray,
-    probes: np.ndarray,
-    tree_p: cKDTree,
-    k: int,
+    probe_x: np.ndarray,
+    probe_y: np.ndarray,
+    inner: PointArray,
+    tree: cKDTree,
+    k0: int,
     r_floor: float,
-    out_q: list[np.ndarray],
-    out_p: list[np.ndarray],
-) -> None:
-    """Direction-filtered full scan for probes without a coverage
-    certificate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact route: every partner each probe may have in ``inner``.
 
-    Per probe: every ``P`` point beyond the window whose direction falls
-    in a covered arc is certified blocked; the uncovered residue is
-    pruned with the exact half-plane predicate against the probe's
-    nearest neighbours, and survivors are emitted as candidates.
+    Per probe: the ``k0`` nearest ``inner`` points form the window, and
+    every point beyond it whose direction falls in an arc the window
+    covers (:func:`cover_arcs`) is certified blocked.  The window and
+    the uncovered residue are then pruned with the exact half-plane
+    predicate (:func:`halfplane_prune_pairs`) against the probe's
+    :data:`_SCAN_PRUNERS` nearest neighbours, and the survivors are
+    returned as ``(probe_row, inner_index)`` arrays.  Work is linear in
+    ``len(inner)`` per probe.
     """
-    px_all, py_all = parr.x, parr.y
-    k_pr = min(_SCAN_PRUNERS, len(parr))
-    ndist, nidx = _query_window(tree_p, qarr.x[probes], qarr.y[probes], k)
+    n = len(inner)
+    k = min(k0, n)
+    k_pr = min(_SCAN_PRUNERS, k)
+    ix, iy = inner.x, inner.y
+    ndist, nidx = _query_window(tree, probe_x, probe_y, k)
     starts, ends, any_valid = cover_arcs(
-        qarr.x[probes],
-        qarr.y[probes],
-        px_all[nidx],
-        py_all[nidx],
-        ndist,
-        r_floor,
+        probe_x, probe_y, ix[nidx], iy[nidx], ndist, r_floor
     )
-    for row, probe in enumerate(probes):
-        qx = qarr.x[probe]
-        qy = qarr.y[probe]
-        dx = px_all - qx
-        dy = py_all - qy
-        d2 = dx * dx + dy * dy
-        # Slightly deflated window radius: over-including points that
-        # tie with (or round against) the k-th neighbour is safe —
-        # duplicates are unioned away by the caller.
-        far = np.nonzero(d2 >= ndist[row, -1] ** 2 * (1.0 - 1e-9))[0]
-        if far.size == 0:
-            continue
-        if any_valid[row]:
-            # Rows without a single valid cone carry only zero-width
-            # placeholder arcs, which certify nothing: skip the arc
-            # filter and let the exact half-plane test see every point.
-            theta = np.arctan2(dy[far], dx[far])
-            far = far[~_arcs_contain(starts[row], ends[row], theta)]
-        if far.size == 0:
-            continue
-        loose_pruned = halfplane_prune_pairs(
-            px_all[far],
-            py_all[far],
-            np.broadcast_to(px_all[nidx[row, :k_pr]], (far.size, k_pr)),
-            np.broadcast_to(py_all[nidx[row, :k_pr]], (far.size, k_pr)),
-            np.full(far.size, qx),
-            np.full(far.size, qy),
+    out_rows: list[np.ndarray] = []
+    out_idx: list[np.ndarray] = []
+    for row in range(len(probe_x)):
+        qx = probe_x[row]
+        qy = probe_y[row]
+        cand = nidx[row].astype(np.int64)
+        if k < n:
+            dx = ix - qx
+            dy = iy - qy
+            d2 = dx * dx + dy * dy
+            # Slightly deflated window radius: over-including points
+            # that tie with (or round against) the k-th neighbour is
+            # safe — duplicates are unioned away by the caller.
+            far = np.nonzero(d2 >= ndist[row, -1] ** 2 * (1.0 - 1e-9))[0]
+            if far.size and any_valid[row]:
+                # Rows without a single valid cone carry only zero-width
+                # placeholder arcs, which certify nothing: skip the arc
+                # filter and let the exact half-plane test see every
+                # point.
+                theta = np.arctan2(dy[far], dx[far])
+                far = far[~_arcs_contain(starts[row], ends[row], theta)]
+            cand = np.concatenate((cand, far))
+        pruners = nidx[row, :k_pr]
+        pruned = halfplane_prune_pairs(
+            ix[cand],
+            iy[cand],
+            np.broadcast_to(ix[pruners], (cand.size, k_pr)),
+            np.broadcast_to(iy[pruners], (cand.size, k_pr)),
+            np.full(cand.size, qx),
+            np.full(cand.size, qy),
         )
-        keep = far[~loose_pruned]
-        out_q.append(np.full(keep.size, probe, dtype=np.int64))
-        out_p.append(keep.astype(np.int64))
+        keep = cand[~pruned]
+        out_rows.append(np.full(keep.size, row, dtype=np.int64))
+        out_idx.append(keep)
+    if not out_rows:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.concatenate(out_rows), np.concatenate(out_idx)
 
 
 def _cross_emit(
@@ -523,33 +423,29 @@ def _cross_emit(
 
 
 def _delaunay_candidates(
-    parr: PointArray, qarr: PointArray, probes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Candidate superset for escalated probes via a Delaunay backstop.
+    parr: PointArray, qarr: PointArray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Candidate superset from one Delaunay triangulation of the
+    distinct sites of ``parr ∪ qarr``.
 
-    A true pair's ring is empty over the full union, hence empty over
-    the sub-union of ``P`` and the escalated probes — so the pair is a
-    Gabriel edge of that site set and (up to cocircular degeneracies,
+    A true pair's ring is empty over the union, so the pair is a
+    Gabriel edge of its sites and (up to cocircular degeneracies,
     recovered from equal-circumcircle clusters exactly as
-    :func:`repro.core.gabriel.gabriel_rcj` does) a Delaunay edge of it.
-    Coincident P/Q sites, whose radius-zero ring is trivially empty, are
-    emitted directly.  The returned ``(q_index, p_index)`` arrays are a
-    superset of the escalated probes' true pairs; false candidates are
-    eliminated by the exact batch verification.
+    :func:`repro.core.gabriel.gabriel_rcj` does) a Delaunay edge of
+    them.  Coincident P/Q sites, whose radius-zero ring is trivially
+    empty, are emitted directly.
 
-    Returns ``None`` when the triangulation cannot be trusted
-    (:func:`repro.core.gabriel.checked_delaunay`) — the caller falls
-    back to the exact scan.
+    Returns ``(q_index, p_index, dropped_p, dropped_q)``: the candidate
+    pairs of every site Qhull placed in a simplex, plus the ``parr``
+    and ``qarr`` rows at sites it left out of every simplex, whose
+    pairs the caller must find another way.  Returns ``None`` when the
+    triangulation cannot be trusted
+    (:func:`repro.core.gabriel.checked_delaunay`).
     """
     n_p = len(parr)
-    coords = np.concatenate(
-        (
-            np.column_stack((parr.x, parr.y)),
-            np.column_stack((qarr.x[probes], qarr.y[probes])),
-        )
-    )
-    sites, inv = np.unique(coords, axis=0, return_inverse=True)
-    inv = inv.ravel()
+    coords = np.concatenate((parr.coords(), qarr.coords()))
+    sites, member_site = np.unique(coords, axis=0, return_inverse=True)
+    member_site = member_site.ravel()
     n_sites = len(sites)
     tri = checked_delaunay(sites)
     if tri is None:
@@ -560,20 +456,18 @@ def _delaunay_candidates(
         (simp[:, (0, 1)], simp[:, (0, 2)], simp[:, (1, 2)])
     ).astype(np.int64)
     edges.sort(axis=1)
-    edges = np.unique(edges, axis=0)
+    edges = np.unique(edges[:, 0] * np.int64(n_sites) + edges[:, 1])
+    edges = np.column_stack((edges // n_sites, edges % n_sites))
 
-    extra = _cocircular_site_pairs(sites, tri)
+    extra = _cocircular_site_pairs(tri)
     if len(extra):
-        edges = np.unique(np.concatenate((edges, extra)), axis=0)
+        edges = np.concatenate((edges, extra))
 
     # CSR membership: which P rows / probe rows live at each site.
-    member_site = inv  # site of every input row (P rows then probe rows)
-    p_order = np.argsort(member_site[:n_p], kind="stable")
-    p_flat = p_order.astype(np.int64)
+    p_flat = np.argsort(member_site[:n_p], kind="stable").astype(np.int64)
     p_off = np.zeros(n_sites + 1, dtype=np.int64)
     np.cumsum(np.bincount(member_site[:n_p], minlength=n_sites), out=p_off[1:])
-    q_order = np.argsort(member_site[n_p:], kind="stable")
-    q_flat = probes[q_order].astype(np.int64)
+    q_flat = np.argsort(member_site[n_p:], kind="stable").astype(np.int64)
     q_off = np.zeros(n_sites + 1, dtype=np.int64)
     np.cumsum(np.bincount(member_site[n_p:], minlength=n_sites), out=q_off[1:])
 
@@ -588,10 +482,19 @@ def _delaunay_candidates(
         pi, qi = _cross_emit(a, b, p_flat, p_off, q_flat, q_off)
         out_p.append(pi)
         out_q.append(qi)
-    return np.concatenate(out_q), np.concatenate(out_p)
+
+    placed = np.zeros(n_sites, dtype=bool)
+    placed[simp.ravel()] = True
+    dropped = ~placed[member_site]
+    return (
+        np.concatenate(out_q),
+        np.concatenate(out_p),
+        np.flatnonzero(dropped[:n_p]),
+        np.flatnonzero(dropped[n_p:]),
+    )
 
 
-def _cocircular_site_pairs(sites: np.ndarray, tri: Delaunay) -> np.ndarray:
+def _cocircular_site_pairs(tri: Delaunay) -> np.ndarray:
     """Extra site pairs hidden inside cocircular Delaunay faces.
 
     Vectorized version of
@@ -606,7 +509,10 @@ def _cocircular_site_pairs(sites: np.ndarray, tri: Delaunay) -> np.ndarray:
     and false candidate pairs by verification) are probed with a ball
     query and per-cluster Python.  On general-position data nothing is
     flagged and the whole pass is three comparisons per simplex.
+    Circumcircles live in the triangulation's centred frame
+    (``tri.points``).
     """
+    sites = tri.points
     simplices = tri.simplices
     pa = sites[simplices[:, 0]]
     pb = sites[simplices[:, 1]]
@@ -631,12 +537,11 @@ def _cocircular_site_pairs(sites: np.ndarray, tri: Delaunay) -> np.ndarray:
             + sq_c * (pb[:, 0] - pa[:, 0])
         ) / d
     radius = np.hypot(pa[:, 0] - ux, pa[:, 1] - uy)
-    kdtree = cKDTree(sites)
     finite = (
         (d != 0.0)
         & np.isfinite(ux)
         & np.isfinite(uy)
-        & (radius <= recoverable_radius_bound(kdtree))
+        & (radius <= recoverable_radius_bound(sites))
     )
 
     # Flag simplices sharing a circumcircle with a Delaunay neighbour.
@@ -660,7 +565,7 @@ def _cocircular_site_pairs(sites: np.ndarray, tri: Delaunay) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
 
     extra = recover_cocircular_pairs(
-        sites, kdtree, ux[probe], uy[probe], radius[probe]
+        sites, cKDTree(sites), ux[probe], uy[probe], radius[probe]
     )
     if not extra:
         return np.empty((0, 2), dtype=np.int64)
@@ -792,13 +697,12 @@ def canonical_pair_order(p_idx: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
 def rcj_pair_indices(
     parr: PointArray,
     qarr: PointArray,
-    k0: int = DEFAULT_K0,
     exclude_same_oid: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The full vectorized RCJ over columnar inputs.
 
     Runs the bulk RCJ pipeline
-    (:func:`repro.engine.families.rcj_pipeline`: kNN-window candidates
+    (:func:`repro.engine.families.rcj_pipeline`: Delaunay candidates
     -> ring verification -> canonical collect) in-process.  Returns
     ``(p_index, q_index, candidate_count)``: aligned index arrays of
     the result pairs into ``parr``/``qarr`` in canonical order
@@ -811,5 +715,5 @@ def rcj_pair_indices(
     from repro.engine.operators import JoinContext
 
     ctx = JoinContext(parr, qarr)
-    result = rcj_pipeline(k0=k0, exclude_same_oid=exclude_same_oid).run(ctx)
+    result = rcj_pipeline(exclude_same_oid=exclude_same_oid).run(ctx)
     return result.p_idx, result.q_idx, int(ctx.counters.get("candidates", 0))

@@ -10,8 +10,8 @@ blocked Ψ− pruning, batch verification):
 ========================== ===========================================
 operator                   role
 ========================== ===========================================
-:class:`KnnWindowSource`   Ψ−-pruned kNN windows with cone-cover
-                           escalation (bulk RCJ)
+:class:`DelaunaySource`    bichromatic Delaunay edges of ``P ∪ Q``
+                           (bulk RCJ)
 :class:`RangeSource`       candidates within a radius (ε-join)
 :class:`KnnSource`         tie-canonical k-NN candidates (kNN-join)
 :class:`BandSource`        every pair in canonical ascending-distance
@@ -31,7 +31,7 @@ operator                   role
 ========================== ===========================================
 
 Exactness contract (inherited from the kernels): sources over-enumerate
-but never miss — every ball query and escalation carries a margin
+but never miss — every ball query and exact fallback carries a margin
 dominating its floating-point error — while filters and verifiers
 evaluate the *same IEEE expressions* as the pointwise oracles
 (``dx*dx + dy*dy`` distances, the ``(s-p)·(s-q)`` ring predicate, the
@@ -64,7 +64,6 @@ from scipy.spatial import cKDTree
 
 from repro.engine.arrays import PointArray
 from repro.engine.kernels import (
-    DEFAULT_K0,
     _coord_scale,
     _flatten_ball_lists,
     canonical_pair_order,
@@ -430,55 +429,32 @@ class KnnSource(Source):
         )
 
 
-class KnnWindowSource(Source):
-    """The bulk RCJ's candidate generator: every probe's Ψ−-pruned
-    ``k0``-NN window, escalated by cone-cover certificates to a wider
-    window and finally to a scan or the Delaunay backstop
-    (:func:`repro.engine.kernels.knn_candidate_blocks`), followed by
-    the self-join identity filter.
+class DelaunaySource(Source):
+    """The bulk RCJ's candidate generator: the bichromatic edges of one
+    Delaunay triangulation of ``P ∪ Q``, with the exact scan for what
+    Qhull cannot settle (:func:`repro.engine.kernels.knn_candidate_blocks`),
+    followed by the self-join identity filter.
 
-    Emits a single block: the stage-3 escalation (scan or Delaunay) is
-    chosen from the total uncovered-probe count, so splitting the
-    probes would change the candidate set.  ``probes`` restricts the
-    ``qarr`` probe rows (a pool shard's seam); the escalation is then
-    decided per shard, which is why a pooled join's candidate count
-    may differ from the serial one while its pairs never do.  Timed as
-    the ``candidate`` stage, with the window pruning as ``prune``.
+    The triangulation is global, so the source emits one block and has
+    no probe side: the bulk RCJ does not shard, and the worker pool
+    runs it in-process.  Timed as the ``candidate`` stage.
     """
 
     name = "candidate"
-    probe_side = "q"
 
-    def __init__(
-        self,
-        k0: int = DEFAULT_K0,
-        exclude_same_oid: bool = False,
-        probes: np.ndarray | None = None,
-    ):
-        self.k0 = int(k0)
+    def __init__(self, exclude_same_oid: bool = False):
         self.exclude_same_oid = exclude_same_oid
-        self.probes = probes
 
     def describe(self) -> str:
-        return f"knn-window(k0={self.k0})"
+        return "delaunay"
 
     def blocks(self, ctx: JoinContext) -> Iterator[CandidateBlock]:
         parr, qarr = ctx.parr, ctx.qarr
         if len(parr) == 0 or len(qarr) == 0:
             return
-        with stage_timer(self.name):
-            tree_p = ctx.tree_p()
-        probes = self.probes
-        if probes is not None:
-            probes = np.asarray(probes, dtype=np.int64)
-            qarr = PointArray(qarr.x[probes], qarr.y[probes], qarr.oid[probes])
-        q_idx, p_idx = knn_candidate_blocks(
-            parr, qarr, k0=self.k0, tree_p=tree_p
-        )
-        if probes is not None:
-            q_idx = probes[q_idx]
+        q_idx, p_idx = knn_candidate_blocks(parr, qarr)
         if self.exclude_same_oid:
-            keep = parr.oid[p_idx] != ctx.qarr.oid[q_idx]
+            keep = parr.oid[p_idx] != qarr.oid[q_idx]
             p_idx, q_idx = p_idx[keep], q_idx[keep]
         yield CandidateBlock(p_idx, q_idx)
 
@@ -595,7 +571,7 @@ class BandSource(Source):
 
 class RingBandSource(BandSource):
     """The band source as the top-k RCJ's candidate stage: timed as
-    ``candidate``, like the bulk join's :class:`KnnWindowSource`."""
+    ``candidate``, like the bulk join's :class:`DelaunaySource`."""
 
     name = "candidate"
 

@@ -20,10 +20,12 @@ algorithm          backend    implementation
 ``gabriel``        ``memory`` :func:`repro.core.gabriel.gabriel_rcj`
 ``array``          ``memory`` the bulk RCJ pipeline
                               (:func:`repro.engine.families.rcj_pipeline`)
-``array-parallel`` ``memory`` the same pipeline on the worker pool
-                              (:mod:`repro.parallel`)
-``auto``           (planned)  cost-based choice among ``array-parallel``,
-                              ``array`` and ``obj``
+``array-parallel`` ``memory`` the same pipeline, in-process: its
+                              triangulation is global, so the RCJ does
+                              not shard (:mod:`repro.parallel` pools the
+                              ε- and kNN joins)
+``auto``           (planned)  cost-based choice between ``array`` and
+                              ``obj``
 ================== ========== ==========================================
 
 ``backend="auto"`` (the default) infers the backend from the algorithm;
@@ -67,7 +69,6 @@ from repro.engine.families import (
     rcj_pipeline,
     run_array_pipeline,
 )
-from repro.engine.kernels import DEFAULT_K0
 from repro.engine.request import JoinRequest
 from repro.geometry.point import Point
 from repro.obs.trace import add_counter, stage_totals
@@ -104,11 +105,9 @@ ENGINE_NAMES = ("pointwise", "array", "array-parallel", "auto")
 
 #: ``engine=`` values :func:`run_topk` accepts: the front-door names plus
 #: ``"obj"``.  ``"pointwise"`` and ``"obj"`` are the lazy R-tree route;
-#: ``"array-parallel"`` coerces to the (serial) array pipeline — its
-#: distance bands are globally ordered, so they do not shard.
+#: ``"array-parallel"`` coerces to the (serial) array pipeline, as for
+#: every family outside :data:`SHARDABLE_FAMILIES`.
 TOPK_ENGINE_NAMES = ENGINE_NAMES + ("obj",)
-
-_TOPK_ALIASES = {"pointwise": "obj", "array-parallel": "array"}
 
 _RTREE_ALGORITHMS = ("inj", "bij", "obj")
 
@@ -149,10 +148,12 @@ def run_join(
         report carries measured CPU time but no I/O model).
     engine:
         Execution-strategy override of ``algorithm``: ``"array"``,
-        ``"array-parallel"``, ``"auto"`` (cost-based planning) or
-        ``"pointwise"`` (keep ``algorithm`` as given; for the other
-        families, the reference oracle).  Mirrors the CLI's
-        ``--engine`` flag.
+        ``"array-parallel"`` (the worker pool for the ε- and kNN joins;
+        the RCJ's Delaunay candidates are global, so for the RCJ, kcp
+        and the CIJ it runs the ``"array"`` pipeline in-process),
+        ``"auto"`` (cost-based planning) or ``"pointwise"`` (keep
+        ``algorithm`` as given; for the other families, the reference
+        oracle).  Mirrors the CLI's ``--engine`` flag.
     family:
         The join family (:data:`repro.engine.families.FAMILY_NAMES`).
         ``"rcj"`` (default) runs this planner's own algorithms; the
@@ -168,7 +169,8 @@ def run_join(
         k-closest-pairs families (ignored by the full RCJ).
     workers:
         Worker-process budget for the parallel engine and the planner
-        (``None`` = all cores; ignored by serial engines).
+        (``None`` = all cores; ignored by serial engines and families
+        that do not shard).
     buffer_budget_bytes:
         Memory budget consulted by ``"auto"`` planning (default
         :func:`repro.parallel.costmodel.memory_budget_bytes`).
@@ -183,8 +185,8 @@ def run_join(
         existing indexes (R-tree routes only); its counters are reset.
     algorithm_kwargs:
         Passed through to the underlying algorithm (e.g. ``verify``,
-        ``search_order`` for INJ, ``k0`` for the array engine,
-        ``bounds`` / ``min_shard`` for the families).
+        ``search_order`` for INJ, ``bounds`` / ``min_shard`` for the
+        families).
     """
     if mode not in ("join", "topk"):
         raise ValueError(f"unknown mode {mode!r}; expected 'join' or 'topk'")
@@ -309,7 +311,8 @@ def _resolve(
                 f"unknown top-k engine {name!r}; "
                 f"expected one of {TOPK_ENGINE_NAMES}"
             )
-        name = _TOPK_ALIASES.get(name, name)
+        if name == "pointwise":
+            name = "obj"
     plan = None
     if name == "auto":
         if backend != "auto":
@@ -334,12 +337,9 @@ def _resolve(
                 request, points_p, points_q, trees_prebuilt=trees_prebuilt
             )
         name = plan.engine
+    if name == "array-parallel" and request.family not in SHARDABLE_FAMILIES:
+        name = "array"
     if kind == "family":
-        if (
-            name == "array-parallel"
-            and request.family not in SHARDABLE_FAMILIES
-        ):
-            name = "array"
         return name, plan
     if name not in _ALGORITHM_BACKEND:
         raise ValueError(
@@ -382,18 +382,12 @@ def _execute(
     options = dict(options or {})
     kind = request.kind
     bounds = options.pop("bounds", None)  # the CIJ's clipping region
+    if request.family not in SHARDABLE_FAMILIES:
+        options.pop("min_shard", None)  # a pool hint; only pools take it
     name, plan = _resolve(
         request, points_p, points_q, engine, backend, workload is not None
     )
     workers = request.workers if plan is None else plan.workers
-    if plan is not None and kind == "join":
-        # Engine tuning hints the planned engine cannot use are
-        # dropped rather than crashing it: under auto they are hints,
-        # not commands.
-        if name != "array-parallel":
-            options.pop("min_shard", None)
-        if name == "obj":
-            options.pop("k0", None)
 
     attrs = {"family": request.family} if kind == "family" else {}
     attrs["engine"] = name
@@ -455,9 +449,7 @@ def _run_columnar(
     ``(pairs, candidate_count, workers_used)``."""
     if request.kind == "join":
         build = partial(
-            rcj_pipeline,
-            k0=options.pop("k0", DEFAULT_K0),
-            exclude_same_oid=request.exclude_same_oid,
+            rcj_pipeline, exclude_same_oid=request.exclude_same_oid
         )
     else:
         build = partial(

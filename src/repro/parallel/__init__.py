@@ -10,9 +10,10 @@ engine automatically:
   the join columns to every worker, exception-safe cleanup included;
 - :mod:`repro.parallel.pool` — one persistent worker stack and one
   driver (:func:`~repro.parallel.pool.run_sharded`) running any
-  shardable engine pipeline per shard — the bulk RCJ
-  (:func:`parallel_rcj_pair_indices`), the ε-join and the kNN join —
-  and merging shard results with the pipeline's own sink;
+  shardable engine pipeline per shard — the ε-join and the kNN join
+  (the RCJ's candidates come from one global triangulation, so it
+  runs in-process) — and merging shard results with the pipeline's
+  own sink;
 - :mod:`repro.parallel.costmodel` — the cost-based planner behind
   every ``engine="auto"`` run (:func:`~repro.parallel.costmodel.plan_join`):
   chooses ``array-parallel`` / ``array`` / ``obj`` (``pointwise`` for
@@ -20,8 +21,8 @@ engine automatically:
   memory budget, and explains itself (:class:`ExecutionPlan`).
 
 The parallel engine's pair output is byte-identical to the serial
-engines for every worker count — the cross-engine equivalence suite
-pins it.
+engines for every worker count — the parallel equivalence suite pins
+it.
 """
 
 from repro.parallel.costmodel import (
@@ -30,7 +31,7 @@ from repro.parallel.costmodel import (
     memory_budget_bytes,
     sample_density_factor,
 )
-from repro.parallel.pool import default_workers, parallel_rcj_pair_indices
+from repro.parallel.pool import default_workers
 from repro.parallel.shards import ShardPlan, hilbert_shard_keys, plan_shards
 from repro.parallel.sharedmem import SharedArrays
 
@@ -42,7 +43,6 @@ __all__ = [
     "default_workers",
     "hilbert_shard_keys",
     "memory_budget_bytes",
-    "parallel_rcj_pair_indices",
     "plan_shards",
     "sample_density_factor",
 ]

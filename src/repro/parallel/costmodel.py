@@ -11,7 +11,8 @@ the one planner body:
 - ``array-parallel`` — the sharded multi-process engine
   (:mod:`repro.parallel.pool`), when the estimated probe volume is
   large enough to amortize pool startup, more than one core is
-  available and the family shards (not k-closest-pairs or the CIJ);
+  available and the family shards (the ε-join and the kNN join; not
+  the RCJ, k-closest-pairs or the CIJ);
 - ``array`` — the serial vectorized engine, when the join is too small
   for process fan-out but fits in memory;
 - ``obj`` (the RCJ) / ``pointwise`` (the other families) — the
@@ -31,7 +32,7 @@ Estimates are first-order by design (this is plan *selection*, not
 performance prediction): dataset sizes are exact, the candidate volume
 is extrapolated from a deterministic KD-tree **density sample** (local
 point density at sampled probe locations relative to a uniform spread —
-clustered data escalates more and verifies more candidates), and
+clustered data verifies more candidates), and
 memory is a per-structure byte model.  Every decision is recorded in
 :attr:`ExecutionPlan.reasons`, surfaced by ``--explain`` on the CLI.
 """
@@ -66,10 +67,11 @@ _SAMPLE_Q = 256
 #: Neighbours per sampled probe.
 _SAMPLE_K = 8
 
-#: Clamp on the density factor's influence over the candidate estimate:
-#: beyond ~4x the escalation stages saturate (windows widen, the
-#: Delaunay backstop takes over).
+#: Clamp on the density factor's influence over the candidate estimate.
 _DENSITY_CLAMP = 4.0
+
+#: Candidates per probe of the bulk RCJ's estimate at uniform density.
+_RCJ_PER_PROBE = 16
 
 
 def memory_budget_bytes() -> int:
@@ -123,9 +125,8 @@ def sample_density_factor(points_p, points_q) -> float:
 
     ``1.0`` means the probes see uniform-like spacing; values above it
     mean probes sit in denser-than-uniform regions (clustered data),
-    which inflates candidate windows, escalation rates and verification
-    ball volumes.  Deterministic: samples are evenly strided, never
-    random.
+    which inflates candidate and verification volumes.  Deterministic:
+    samples are evenly strided, never random.
     """
     from scipy.spatial import cKDTree
 
@@ -151,13 +152,13 @@ def sample_density_factor(points_p, points_q) -> float:
     return float(np.clip(factor, 1.0 / _DENSITY_CLAMP, _DENSITY_CLAMP))
 
 
-def estimate_candidates(
-    n_p: int, n_q: int, density_factor: float, k0: int = 16
-) -> int:
-    """First-order candidate volume: one neighbour window per probe,
-    scaled by how much denser than uniform the probes' surroundings
-    are."""
-    per_probe = min(k0, n_p) * min(max(density_factor, 1.0), _DENSITY_CLAMP)
+def estimate_candidates(n_p: int, n_q: int, density_factor: float) -> int:
+    """First-order bulk-RCJ candidate volume: :data:`_RCJ_PER_PROBE`
+    candidates per probe (at most ``n_p``), scaled by how much denser
+    than uniform the probes' surroundings are."""
+    per_probe = min(_RCJ_PER_PROBE, n_p) * min(
+        max(density_factor, 1.0), _DENSITY_CLAMP
+    )
     return int(n_q * per_probe)
 
 
@@ -345,7 +346,7 @@ PLANNED_FAMILY_NAMES = FAMILY_NAMES
 #: set overflows the memory budget, and — for families with no
 #: probe-disjoint decomposition — why they never run on the pool.
 _FAMILY_PLANS = {
-    "rcj": ("join", "obj", None),
+    "rcj": ("join", "obj", "the triangulation is global"),
     "epsilon": ("family:epsilon", "pointwise", None),
     "knn": ("family:knn", "pointwise", None),
     "kcp": ("family:kcp", "pointwise", "band streaming is globally ordered"),
@@ -362,7 +363,7 @@ _OVERFLOW_ROUTES = {
 }
 
 
-def _estimate(request, points_p, points_q, density: float, k0: int):
+def _estimate(request, points_p, points_q, density: float):
     n_p, n_q = len(points_p), len(points_q)
     if request.family == "epsilon":
         return (
@@ -378,7 +379,7 @@ def _estimate(request, points_p, points_q, density: float, k0: int):
     if request.family == "cij":
         # One cell per point, Delaunay-linear overlap volume.
         return 4 * (n_p + n_q), n_q
-    return estimate_candidates(n_p, n_q, density, k0=k0), n_q
+    return estimate_candidates(n_p, n_q, density), n_q
 
 
 def estimate_family_candidates(
@@ -396,7 +397,7 @@ def estimate_family_candidates(
     request = JoinRequest(family, k=k, eps=eps)
     if density is None:
         density = sample_density_factor(points_p, points_q)
-    return _estimate(request, points_p, points_q, density, 16)
+    return _estimate(request, points_p, points_q, density)
 
 
 def plan_join(
@@ -404,7 +405,6 @@ def plan_join(
     points_p,
     points_q,
     *,
-    k0: int = 16,
     trees_prebuilt: bool = False,
 ) -> ExecutionPlan:
     """Pick the execution engine for one join request.
@@ -428,9 +428,7 @@ def plan_join(
             ("empty request: nothing to plan",),
         )
     density = sample_density_factor(points_p, points_q)
-    est_cand, probe_volume = _estimate(
-        request, points_p, points_q, density, k0
-    )
+    est_cand, probe_volume = _estimate(request, points_p, points_q, density)
     serial_mem = estimate_bytes(n_p, n_q, 1, est_cand)
     reasons: list[str] = []
 
@@ -599,17 +597,17 @@ def choose_plan(
     points_q,
     workers: int | None = None,
     budget_bytes: int | None = None,
-    k0: int = 16,
 ) -> ExecutionPlan:
     """The bulk RCJ's plan (:func:`plan_join` of ``family="rcj"``).
 
-    ``workers`` is the caller's worker budget (``None``: up to the
-    machine's cores; 1 forbids the parallel plan); a working set beyond
-    ``budget_bytes`` (default :func:`memory_budget_bytes`) selects the
-    disk/buffer R-tree plan.
+    The serial array engine (the triangulation is global, so the RCJ
+    never plans ``array-parallel``), or the disk/buffer R-tree plan
+    when the working set exceeds ``budget_bytes`` (default
+    :func:`memory_budget_bytes`).  ``workers`` is validated with the
+    request.
     """
     request = JoinRequest(workers=workers, budget_bytes=budget_bytes)
-    return plan_join(request, points_p, points_q, k0=k0)
+    return plan_join(request, points_p, points_q)
 
 
 def choose_family_plan(

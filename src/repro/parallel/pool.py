@@ -3,7 +3,7 @@
 Execution shape
 ---------------
 One worker stack and one driver, :func:`run_sharded`, serve every
-pooled join — the bulk RCJ, the ε-join and the kNN join alike.  A
+pooled join — the ε-join and the kNN join alike.  A
 request is a pipeline *builder* (``build(probes=None) -> Pipeline``):
 the coordinator asks it for the pipeline's probe side, serializes both
 join columns (and the shard permutation of that side) into one
@@ -24,13 +24,9 @@ Determinism
 -----------
 Shard probe sets are disjoint, the operators are exact (every shard
 returns precisely its probes' true pairs), and the merged result is
-re-ordered by the pipeline's sink (for the bulk RCJ the canonical pair
-order, :func:`repro.engine.kernels.canonical_pair_order`) — so the
-output is byte-identical for every worker count, every shard granularity and
-every task completion order.  ``candidate_count`` is summed over shards
-deterministically, but for the bulk RCJ its value reflects how the
-escalation heuristics partitioned the work, so it may differ *between*
-worker counts while pairs never do.
+re-ordered by the pipeline's sink — so the output is byte-identical
+for every worker count, every shard granularity and every task
+completion order.  ``candidate_count`` is summed over shards.
 
 Cleanup
 -------
@@ -49,12 +45,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
-from functools import partial
 
 import numpy as np
 
 from repro.engine.arrays import PointArray
-from repro.engine.kernels import DEFAULT_K0
 from repro.engine.operators import CandidateBlock, JoinContext
 from repro.obs.trace import set_attr, span, trace
 from repro.obs.trace import reset as _reset_trace
@@ -244,33 +238,3 @@ def run_sharded(
         pipeline.sink.collect(ctx, CandidateBlock(p_idx, q_idx))
     return pipeline.sink.finish(ctx)
 
-
-def parallel_rcj_pair_indices(
-    parr: PointArray,
-    qarr: PointArray,
-    workers: int | None = None,
-    k0: int = DEFAULT_K0,
-    exclude_same_oid: bool = False,
-    min_shard: int = DEFAULT_MIN_SHARD,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The sharded parallel counterpart of
-    :func:`repro.engine.kernels.rcj_pair_indices`: the bulk RCJ
-    pipeline (:func:`repro.engine.families.rcj_pipeline`) through
-    :func:`run_sharded`.
-
-    Returns ``(p_index, q_index, candidate_count)`` in canonical pair
-    order; the index arrays are byte-identical to the serial engine's
-    for every worker count.  ``workers`` defaults to the machine's CPU
-    count; ``min_shard`` is as in :func:`run_sharded` (tests lower it
-    to force multi-shard plans on small datasets).
-    """
-    from repro.engine.families import rcj_pipeline
-
-    ctx = JoinContext(parr, qarr)
-    result = run_sharded(
-        partial(rcj_pipeline, k0=k0, exclude_same_oid=exclude_same_oid),
-        ctx,
-        workers=workers,
-        min_shard=min_shard,
-    )
-    return result.p_idx, result.q_idx, int(ctx.counters.get("candidates", 0))

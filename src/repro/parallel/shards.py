@@ -1,14 +1,13 @@
 """Spatial shard planning for the parallel engine.
 
-The probe set ``Q`` is the embarrassingly parallel axis of the array
-engine: every probe's candidate generation and verification reads the
-shared ``P``/union structures but writes only its own pairs.  The shard
-layer turns ``Q`` into contiguous ranges of a **Hilbert-ordered**
-permutation (:mod:`repro.geometry.hilbert`), so each shard is a
-spatially coherent patch of the plane rather than an arbitrary slice of
-input order — its KD-tree probes touch neighbouring leaves, its
-escalated probes cluster, and per-shard work tracks area rather than
-input shuffling.
+The probe set is the embarrassingly parallel axis of a shardable
+pipeline (the ε-join's ``Q``, the kNN join's ``P``): every probe's
+candidate generation reads the shared structures but writes only its
+own pairs.  The shard layer turns the probes into contiguous ranges of
+a **Hilbert-ordered** permutation (:mod:`repro.geometry.hilbert`), so
+each shard is a spatially coherent patch of the plane rather than an
+arbitrary slice of input order — its KD-tree probes touch neighbouring
+leaves, and per-shard work tracks area rather than input shuffling.
 
 A :class:`ShardPlan` is deterministic: same probes and shard count, same
 permutation and boundaries, on every run and platform.  Pair output

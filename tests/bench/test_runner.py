@@ -73,7 +73,10 @@ class TestRunAlgorithm:
         obj = run_algorithm(workload, "OBJ")
         par = run_algorithm(workload, "PARALLEL", workers=2, min_shard=32)
         assert par.pair_keys() == obj.pair_keys()
-        assert par.algorithm == "ARRAY-PARALLEL"
+        # The bulk RCJ does not shard: array-parallel runs the serial
+        # pipeline in-process.
+        assert par.algorithm == "ARRAY"
+        assert par.workers_used == 1
         assert par.node_accesses == 0  # memory backend: no R-tree touched
 
     def test_auto_row_agrees_and_carries_plan(self, workload):

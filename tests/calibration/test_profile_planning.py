@@ -90,6 +90,17 @@ class TestProfilePersistence:
         assert load_profile() is None
 
 
+#: The pooled family the calibrated pool decisions are tested on (the
+#: bulk RCJ never pools: its triangulation is global).
+KNN = {"k": 4}
+
+
+def _knn_plan(points_p, points_q, workers):
+    return choose_family_plan(
+        "knn", points_p, points_q, workers=workers, budget_bytes=BIG, **KNN
+    )
+
+
 class TestNoProfileFallback:
     """Without a profile the planner is byte-identical to the static
     thresholds — the acceptance criterion the equivalence suites rely
@@ -97,62 +108,59 @@ class TestNoProfileFallback:
 
     def test_plans_carry_no_prediction(self, store):
         points_p, points_q = uniform_pair(400, 400, seed=50)
-        plan = choose_plan(points_p, points_q, workers=4, budget_bytes=BIG)
-        assert plan.predicted_seconds is None
-        assert not any("calibrated" in r for r in plan.reasons)
+        for plan in (
+            choose_plan(points_p, points_q, workers=4, budget_bytes=BIG),
+            _knn_plan(points_p, points_q, workers=4),
+        ):
+            assert plan.predicted_seconds is None
+            assert not any("calibrated" in r for r in plan.reasons)
 
     def test_irrelevant_profile_leaves_decision_identical(self, store):
         points_p, points_q = uniform_pair(400, 400, seed=50)
-        before = choose_plan(points_p, points_q, workers=4, budget_bytes=BIG)
-        # A profile with no model for the bulk-join workload: the
-        # calibrated branch must decline and fall through untouched.
-        save_profile(
-            _profile({"family:knn/array": EngineModel(0.01, 1e-6, 2)})
-        )
-        after = choose_plan(points_p, points_q, workers=4, budget_bytes=BIG)
+        before = _knn_plan(points_p, points_q, workers=4)
+        # A profile with no model for the kNN workload: the calibrated
+        # branch must decline and fall through untouched.
+        save_profile(_profile({"join/array": EngineModel(0.01, 1e-6, 2)}))
+        after = _knn_plan(points_p, points_q, workers=4)
         assert after == before
 
     def test_kill_switch_restores_static_decision(self, store, monkeypatch):
         points_p, points_q = uniform_pair(400, 400, seed=50)
-        static = choose_plan(points_p, points_q, workers=4, budget_bytes=BIG)
+        static = _knn_plan(points_p, points_q, workers=4)
         save_profile(
             _profile(
                 {
-                    "join/array": EngineModel(10.0, 1e-3, 4),
-                    "join/array-parallel@2": EngineModel(0.0, 1e-9, 4),
+                    "family:knn/array": EngineModel(10.0, 1e-3, 4),
+                    "family:knn/array-parallel@2": EngineModel(0.0, 1e-9, 4),
                 }
             )
         )
-        calibrated = choose_plan(
-            points_p, points_q, workers=4, budget_bytes=BIG
-        )
+        calibrated = _knn_plan(points_p, points_q, workers=4)
         assert calibrated != static  # the profile did change the plan
         monkeypatch.setenv("REPRO_CALIBRATION", "0")
-        disabled = choose_plan(
-            points_p, points_q, workers=4, budget_bytes=BIG
-        )
+        disabled = _knn_plan(points_p, points_q, workers=4)
         assert disabled == static
 
 
-class TestCalibratedJoinPlanning:
+class TestCalibratedPooledPlanning:
     def test_profile_flips_serial_to_parallel(self, store):
         # Static thresholds keep this size serial (est_cand below the
         # parallel floor); a profile that measured the pool faster must
         # override them.
         points_p, points_q = uniform_pair(400, 400, seed=51)
         big_p, big_q = _fake_big(points_p, 7), _fake_big(points_q, 7)
-        static = choose_plan(big_p, big_q, workers=4, budget_bytes=BIG)
+        static = _knn_plan(big_p, big_q, workers=4)
         assert static.engine == "array"
 
         save_profile(
             _profile(
                 {
-                    "join/array": EngineModel(0.0, 5e-6, 4),
-                    "join/array-parallel@2": EngineModel(0.01, 1e-6, 4),
+                    "family:knn/array": EngineModel(0.0, 5e-6, 4),
+                    "family:knn/array-parallel@2": EngineModel(0.01, 1e-6, 4),
                 }
             )
         )
-        plan = choose_plan(big_p, big_q, workers=4, budget_bytes=BIG)
+        plan = _knn_plan(big_p, big_q, workers=4)
         assert plan.engine == "array-parallel"
         assert plan.workers == 2
         assert plan.predicted_seconds is not None
@@ -165,19 +173,19 @@ class TestCalibratedJoinPlanning:
         # the pool only loses there.
         points_p, points_q = uniform_pair(400, 400, seed=52)
         big_p, big_q = _fake_big(points_p, 500), _fake_big(points_q, 500)
-        static = choose_plan(big_p, big_q, workers=4, budget_bytes=BIG)
+        static = _knn_plan(big_p, big_q, workers=4)
         assert static.engine == "array-parallel"
 
         save_profile(
             _profile(
                 {
-                    "join/array": EngineModel(0.05, 2e-6, 4),
-                    "join/array-parallel@2": EngineModel(0.15, 4.5e-6, 4),
-                    "join/array-parallel@4": EngineModel(0.25, 5e-6, 4),
+                    "family:knn/array": EngineModel(0.05, 2e-6, 4),
+                    "family:knn/array-parallel@2": EngineModel(0.15, 4.5e-6, 4),
+                    "family:knn/array-parallel@4": EngineModel(0.25, 5e-6, 4),
                 }
             )
         )
-        plan = choose_plan(big_p, big_q, workers=4, budget_bytes=BIG)
+        plan = _knn_plan(big_p, big_q, workers=4)
         assert plan.engine == "array"
         assert plan.workers == 1
         assert plan.predicted_seconds is not None
@@ -188,13 +196,13 @@ class TestCalibratedJoinPlanning:
         save_profile(
             _profile(
                 {
-                    "join/array": EngineModel(1.0, 5e-6, 4),
-                    "join/array-parallel@2": EngineModel(0.2, 2e-6, 4),
-                    "join/array-parallel@8": EngineModel(0.01, 1e-7, 4),
+                    "family:knn/array": EngineModel(1.0, 5e-6, 4),
+                    "family:knn/array-parallel@2": EngineModel(0.2, 2e-6, 4),
+                    "family:knn/array-parallel@8": EngineModel(0.01, 1e-7, 4),
                 }
             )
         )
-        plan = choose_plan(big_p, big_q, workers=2, budget_bytes=BIG)
+        plan = _knn_plan(big_p, big_q, workers=2)
         assert (plan.engine, plan.workers) == ("array-parallel", 2)
 
     def test_profile_rewrite_is_seen(self, store):
@@ -205,25 +213,39 @@ class TestCalibratedJoinPlanning:
         save_profile(
             _profile(
                 {
-                    "join/array": EngineModel(0.0, 1e-6, 4),
-                    "join/array-parallel@2": EngineModel(1.0, 1e-6, 4),
+                    "family:knn/array": EngineModel(0.0, 1e-6, 4),
+                    "family:knn/array-parallel@2": EngineModel(1.0, 1e-6, 4),
                 }
             )
         )
-        assert choose_plan(
-            big_p, big_q, workers=4, budget_bytes=BIG
-        ).engine == "array"
+        assert _knn_plan(big_p, big_q, workers=4).engine == "array"
         save_profile(
             _profile(
                 {
-                    "join/array": EngineModel(1.0, 1e-6, 4),
-                    "join/array-parallel@2": EngineModel(0.0, 1e-7, 4),
+                    "family:knn/array": EngineModel(1.0, 1e-6, 4),
+                    "family:knn/array-parallel@2": EngineModel(0.0, 1e-7, 4),
                 }
             )
         )
-        assert choose_plan(
-            big_p, big_q, workers=4, budget_bytes=BIG
-        ).engine == "array-parallel"
+        assert _knn_plan(big_p, big_q, workers=4).engine == "array-parallel"
+
+    def test_rcj_plan_ignores_pool_models(self, store):
+        # The bulk RCJ does not shard, so even a profile that measured
+        # a pool faster leaves its plan serial and static.
+        points_p, points_q = uniform_pair(400, 400, seed=51)
+        big_p, big_q = _fake_big(points_p, 500), _fake_big(points_q, 500)
+        save_profile(
+            _profile(
+                {
+                    "join/array": EngineModel(1.0, 5e-6, 4),
+                    "join/array-parallel@2": EngineModel(0.0, 1e-9, 4),
+                }
+            )
+        )
+        plan = choose_plan(big_p, big_q, workers=4, budget_bytes=BIG)
+        assert (plan.engine, plan.workers) == ("array", 1)
+        assert plan.predicted_seconds is None
+        assert any("triangulation is global" in r for r in plan.reasons)
 
 
 class TestCalibratedFamilyAndTopk:
@@ -289,12 +311,14 @@ class TestEndToEndRoundTrip:
             load_observations,
             record_observation,
         )
-        from repro.engine.planner import run_join
+        from repro.engine.families import run_family_join
 
         points_p, points_q = uniform_pair(400, 400, seed=57)
         for seed in (1, 2):
             sub = points_p if seed == 1 else points_p[: len(points_p) // 2]
-            report = run_join(sub, points_q, engine="auto", workers=1)
+            report = run_family_join(
+                sub, points_q, "knn", engine="auto", workers=1, **KNN
+            )
             assert report.plan is not None
         recorded = load_observations()
         assert len(recorded) == 2
@@ -302,7 +326,8 @@ class TestEndToEndRoundTrip:
         # slower than the measured serial runs (the 1-core story).
         for obs in recorded:
             record_observation(
-                kind="join",
+                kind="family",
+                family="knn",
                 engine="array-parallel",
                 workers=2,
                 n_p=obs["n_p"],
@@ -315,10 +340,10 @@ class TestEndToEndRoundTrip:
             )
         profile = refit_profile()
         save_profile(profile)
-        assert profile.parallel_worker_counts("join") == (2,)
+        assert profile.parallel_worker_counts("family:knn") == (2,)
 
         big_p, big_q = _fake_big(points_p, 500), _fake_big(points_q, 500)
-        plan = choose_plan(big_p, big_q, workers=2, budget_bytes=BIG)
+        plan = _knn_plan(big_p, big_q, workers=2)
         assert plan.predicted_seconds is not None
         assert plan.engine == "array"  # the pool measured 10x slower
 
@@ -326,15 +351,18 @@ class TestEndToEndRoundTrip:
         """Satellite: a real pool run must land per-stage seconds on
         the report (and the plan), so parallel observations carry the
         same stage detail serial ones do."""
-        from repro.engine.planner import run_join
+        from repro.engine.families import run_family_join
 
         points_p, points_q = uniform_pair(600, 600, seed=58)
-        report = run_join(
+        report = run_family_join(
             points_p,
             points_q,
+            "knn",
             engine="array-parallel",
             workers=2,
             min_shard=64,
+            **KNN,
         )
+        assert report.workers_used == 2
         assert report.stage_seconds, "pool run lost its stage times"
-        assert set(report.stage_seconds) & {"candidate", "verify"}
+        assert "knn" in report.stage_seconds

@@ -30,6 +30,14 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The deep differential-fuzz profile CI runs over tests/fuzz
+#: (``--hypothesis-profile=fuzz-deep``).
+settings.register_profile(
+    "fuzz-deep",
+    max_examples=3000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("default")
 
 

@@ -170,9 +170,50 @@ class TestNearFlatInputs:
         }
 
     def test_triangulation_past_the_sites_is_refused(self, monkeypatch):
-        # With the near-flat refusal lowered to exact flatness, Qhull's
-        # triangulation of this set references its point at infinity.
-        monkeypatch.setattr(gabriel, "FLAT_WIDTH", 0.0)
-        points = collinear(5000, jitter=1e-10, seed=3)
-        sites = np.unique([(pt.x, pt.y) for pt in points], axis=0)
+        # Qhull's point at infinity (its Qz option) once leaked into the
+        # simplices of a degenerate input; a triangulation indexing past
+        # the sites is refused.
+        class LeakyDelaunay:
+            def __init__(self, points):
+                self.points = points
+                self.simplices = np.array([[0, 1, len(points)]])
+
+        monkeypatch.setattr(gabriel, "Delaunay", LeakyDelaunay)
+        sites = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
         assert checked_delaunay(sites) is None
+
+
+class TestCentredTriangulation:
+    def test_qhull_triangulates_the_centred_sites(self):
+        sites = np.array(
+            [(1e9, -1e9), (1e9 + 1, -1e9), (1e9, -1e9 + 2), (1e9 + 3, -1e9 + 3)]
+        )
+        tri = checked_delaunay(sites)
+        assert np.array_equal(tri.points, sites - sites.mean(axis=0))
+
+    def test_unit_square_draw_far_from_origin(self):
+        # Regression: ten points of the unit square shifted by 1e6 lost
+        # two pairs (5 of 7): a fixed 1e-12 ball inflation is outrun by
+        # midpoint rounding at that magnitude.
+        rng = random.Random(4)
+        points = [
+            Point(rng.random() + 1e6, rng.random() + 1e6, i) for i in range(10)
+        ]
+        p, q = points[0::2], points[1::2]
+        want = {r.key() for r in brute_force_rcj(p, q)}
+        assert len(want) == 7
+        assert {r.key() for r in gabriel_rcj(p, q)} == want
+
+    def test_dropped_site_keeps_its_pairs(self):
+        # Qhull leaves (0, 1e-127) out of every simplex (tri.coplanar);
+        # it still pairs with (0, 0) and blocks (0, 0)-(0, 1).
+        p = [Point(0.0, 0.0, 0)]
+        q = [
+            Point(0.0, 1.0, 1),
+            Point(0.0, 9.507532953056856e-128, 2),
+            Point(1.0, 0.0, 3),
+        ]
+        sites = np.array([(pt.x, pt.y) for pt in p + q])
+        tri = checked_delaunay(sites)
+        assert 2 not in set(tri.simplices.ravel().tolist())
+        assert {r.key() for r in gabriel_rcj(p, q)} == {(0, 2), (0, 3)}

@@ -14,9 +14,9 @@ from repro.datasets.fixtures import uniform_pair
 from repro.engine import run_join, run_topk
 from repro.engine.arrays import NonFiniteCoordinateError, PointArray
 from repro.engine.kernels import (
-    cone_cover,
+    _arcs_contain,
+    cover_arcs,
     halfplane_prune_pairs,
-    halfplane_prune_window,
     knn_candidate_blocks,
     verify_rings_batch,
 )
@@ -95,23 +95,28 @@ class TestNonFiniteCoordinates:
             run_topk(points_p, points_q, 5, engine="array")
 
 
+def _prune_window(nx, ny):
+    """Ψ− pruning of one probe at the origin's window ``(nx, ny)``
+    against that same window, as the exact scan applies it."""
+    k = len(nx)
+    return halfplane_prune_pairs(
+        np.array(nx), np.array(ny),
+        np.broadcast_to(np.array(nx), (k, k)),
+        np.broadcast_to(np.array(ny), (k, k)),
+        np.zeros(k), np.zeros(k),
+    )
+
+
 class TestHalfplaneKernels:
     def test_window_prune_matches_pointwise_halfplane(self):
         # One probe, three neighbours: n1 at (1, 0) prunes n2 at (3, 0)
         # (n2 is behind n1's Ψ− line) but not n3 at (0, 2).
-        qx = np.array([0.0])
-        qy = np.array([0.0])
-        nx = np.array([[1.0, 3.0, 0.0]])
-        ny = np.array([[0.0, 0.0, 2.0]])
-        pruned = halfplane_prune_window(qx, qy, nx, ny)
-        assert pruned.tolist() == [[False, True, False]]
+        pruned = _prune_window([1.0, 3.0, 0.0], [0.0, 0.0, 2.0])
+        assert pruned.tolist() == [False, True, False]
 
     def test_coincident_neighbours_never_prune(self):
-        qx = np.array([0.0])
-        qy = np.array([0.0])
-        nx = np.array([[0.0, 2.0, 2.0]])  # first neighbour == probe
-        ny = np.array([[0.0, 0.0, 0.0]])  # two coincident candidates
-        pruned = halfplane_prune_window(qx, qy, nx, ny)
+        # First neighbour == probe, then two coincident candidates.
+        pruned = _prune_window([0.0, 2.0, 2.0], [0.0, 0.0, 0.0])
         # The probe-coincident point has a degenerate Ψ−; the coincident
         # duplicates sit on each other's ring boundary: nothing dies.
         assert not pruned.any()
@@ -139,7 +144,19 @@ class TestHalfplaneKernels:
         assert pruned.tolist() == [True]
 
 
-class TestConeCover:
+#: Directions sampled around a probe by the coverage tests.
+_DIRECTIONS = np.linspace(-np.pi, np.pi, 721)
+
+
+def _covered(nx, ny, ndist):
+    """``(any_valid, covered directions)`` of one probe at the origin."""
+    starts, ends, any_valid = cover_arcs(
+        np.zeros(1), np.zeros(1), nx, ny, ndist, 1e-12
+    )
+    return bool(any_valid[0]), _arcs_contain(starts[0], ends[0], _DIRECTIONS)
+
+
+class TestCoverArcs:
     def test_surrounded_probe_is_covered(self):
         # Eight close neighbours all around, window radius much larger.
         angles = np.linspace(0.0, 2 * np.pi, 9)[:-1]
@@ -147,25 +164,22 @@ class TestConeCover:
         ny = np.sin(angles)[None, :]
         ndist = np.ones((1, 8))
         ndist[0, -1] = 10.0  # pretend the window reaches far out
-        covered = cone_cover(
-            np.zeros(1), np.zeros(1), nx, ny, np.sort(ndist), 1e-12
-        )
-        assert covered.tolist() == [True]
+        valid, covered = _covered(nx, ny, np.sort(ndist))
+        assert valid and covered.all()
 
     def test_one_sided_probe_is_not_covered(self):
         # All neighbours to the right: directions to the left are open.
         nx = np.array([[1.0, 1.2, 1.4, 2.0]])
         ny = np.array([[0.1, -0.1, 0.2, 0.0]])
-        ndist = np.hypot(nx, ny)
-        covered = cone_cover(np.zeros(1), np.zeros(1), nx, ny, ndist, 1e-12)
-        assert covered.tolist() == [False]
+        valid, covered = _covered(nx, ny, np.hypot(nx, ny))
+        assert valid and covered.any()
+        assert not covered[np.abs(np.abs(_DIRECTIONS) - np.pi) < 0.5].any()
 
     def test_coincident_neighbours_certify_nothing(self):
-        nx = np.zeros((1, 4))
-        ny = np.zeros((1, 4))
-        ndist = np.zeros((1, 4))
-        covered = cone_cover(np.zeros(1), np.zeros(1), nx, ny, ndist, 1e-12)
-        assert covered.tolist() == [False]
+        valid, _covered_dirs = _covered(
+            np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 4))
+        )
+        assert not valid
 
 
 class TestVerifyRings:

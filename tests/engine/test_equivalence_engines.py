@@ -56,45 +56,74 @@ class TestFamilyEquivalence:
         assert got == reference, f"self-join diverges on {family!r} seed {seed}"
 
 
-class TestEscalationPaths:
-    """Force the array engine's rarely-taken stage-3 paths."""
+def _refuse_triangulation(monkeypatch):
+    """Make every input one the triangulation refuses."""
+    monkeypatch.setattr(kernels, "checked_delaunay", lambda sites: None)
+
+
+class TestExactRoutes:
+    """The array engine's exact per-probe scan: inputs the triangulation
+    refuses, and sites Qhull leaves out of every simplex."""
 
     @pytest.mark.parametrize("family,seed", FAMILY_CASES)
-    def test_delaunay_backstop_agrees(self, family, seed, monkeypatch):
-        # Work limit 0 routes every escalated probe through the
-        # Delaunay candidate backstop instead of the exact scan.
-        monkeypatch.setattr(kernels, "_SCAN_WORK_LIMIT", 0)
+    def test_refused_input_agrees(self, family, seed, monkeypatch):
+        # Every probe takes the exact scan instead of the triangulation.
+        _refuse_triangulation(monkeypatch)
         points_p, points_q = equivalence_families(seed=seed)[family]
         assert _keys(points_p, points_q, "array") == _keys(
             points_p, points_q, "brute"
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_tiny_windows_escalate_correctly(self, seed):
-        # k0=1 maximises escalation through stages 2 and 3.
+    def test_one_point_windows_stay_complete(self, seed, monkeypatch):
+        # A one-point window certifies little, so the scan's arc filter
+        # and Ψ− pruning carry the whole load.
+        from repro.core.brute import brute_force_rcj
+        from repro.engine.arrays import PointArray
+
+        _refuse_triangulation(monkeypatch)
         points_p, points_q = equivalence_families(seed=seed)["uniform"]
-        assert _keys(points_p, points_q, "array", k0=1) == _keys(
-            points_p, points_q, "brute"
-        )
+        parr = PointArray.from_points(points_p)
+        qarr = PointArray.from_points(points_q)
+        q_idx, p_idx = kernels.knn_candidate_blocks(parr, qarr, k0=1)
+        candidates = {
+            (int(parr.oid[p]), int(qarr.oid[q]))
+            for q, p in zip(q_idx.tolist(), p_idx.tolist())
+        }
+        truth = {pair.key() for pair in brute_force_rcj(points_p, points_q)}
+        assert truth <= candidates
 
     def test_coincident_cluster_larger_than_any_window(self):
-        # Regression: more coincident P points than the widened window
-        # leaves the probe with zero valid coverage arcs; the scan stage
-        # must not treat the placeholder arcs as certificates (it once
+        # Regression: more coincident P points than the scan's window
+        # leaves the probe with zero valid coverage arcs; the scan must
+        # not treat the placeholder arcs as certificates (it once
         # dropped the beyond-window duplicates' pairs).
         from repro.geometry.point import Point
 
-        n = kernels._WIDE_K + 2
+        n = kernels.DEFAULT_K0 + 2
         points_p = [Point(100.0, 0.0, i) for i in range(n)]
         points_q = [Point(0.0, 0.0, n)]
         assert _keys(points_p, points_q, "array") == _keys(
             points_p, points_q, "brute"
         )
 
-    def test_near_flat_input_does_not_crash_the_backstop(self):
-        # Qhull's triangulation of this near-collinear set references
-        # its point at infinity; the backstop once indexed past its
-        # sites with it.
+    def test_coincident_cluster_through_the_triangulation(self):
+        from repro.geometry.point import Point
+
+        n = kernels.DEFAULT_K0 + 2
+        points_p = [Point(100.0, 0.0, i) for i in range(n)] + [
+            Point(50.0, 3.0, n),
+            Point(-40.0, -7.0, n + 1),
+        ]
+        points_q = [Point(0.0, 0.0, 500), Point(90.0, 1.0, 501)]
+        assert _keys(points_p, points_q, "array") == _keys(
+            points_p, points_q, "brute"
+        )
+
+    def test_near_flat_input_takes_the_exact_route(self):
+        # Qhull's triangulation of this near-collinear set once
+        # referenced its point at infinity; such sets are refused and
+        # scanned exactly.
         points_p, points_q = split_alternating(
             collinear(5000, jitter=1e-10, seed=3)
         )
@@ -116,28 +145,46 @@ class TestEscalationPaths:
         # near-flat refusal lowered to exact flatness): the cluster
         # recovery's radius bound alone keeps candidates linear.
         import repro.core.gabriel as gabriel
+        from repro.engine.arrays import PointArray
 
         monkeypatch.setattr(gabriel, "FLAT_WIDTH", 0.0)
         points_p, points_q = split_alternating(
             collinear(6000, jitter=1e-9, seed=3)
         )
-        report = run_join(points_p, points_q, engine="array")
-        assert len(report.pairs) == 5999
-        assert report.candidate_count < 10 * (len(points_p) + len(points_q))
+        q_idx, _p_idx = kernels.knn_candidate_blocks(
+            PointArray.from_points(points_p), PointArray.from_points(points_q)
+        )
+        assert len(q_idx) < 10 * (len(points_p) + len(points_q))
 
-    def test_coincident_cluster_through_delaunay_backstop(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "swap", [False, True], ids=["q-dropped", "p-dropped"]
+    )
+    def test_dropped_site_scans_its_own_rows(self, swap, monkeypatch):
+        # Qhull leaves the site at (0, 1e-127) out of every simplex
+        # (tri.coplanar): it pairs with (0, 0) and blocks the ring of
+        # (0, 0)-(0, 1).  Only its own row is scanned, whichever side
+        # it is on.
         from repro.geometry.point import Point
 
-        monkeypatch.setattr(kernels, "_SCAN_WORK_LIMIT", 0)
-        n = kernels._WIDE_K + 2
-        points_p = [Point(100.0, 0.0, i) for i in range(n)] + [
-            Point(50.0, 3.0, n),
-            Point(-40.0, -7.0, n + 1),
+        scanned = []
+        scan = kernels._scan_candidates
+
+        def spy(probe_x, *args):
+            scanned.append(len(probe_x))
+            return scan(probe_x, *args)
+
+        monkeypatch.setattr(kernels, "_scan_candidates", spy)
+        lone = [Point(0.0, 0.0, 0)]
+        others = [
+            Point(0.0, 1.0, 1),
+            Point(0.0, 9.507532953056856e-128, 2),
+            Point(1.0, 0.0, 3),
         ]
-        points_q = [Point(0.0, 0.0, 500), Point(90.0, 1.0, 501)]
+        points_p, points_q = (others, lone) if swap else (lone, others)
         assert _keys(points_p, points_q, "array") == _keys(
             points_p, points_q, "brute"
         )
+        assert scanned == [1]
 
 
 class TestPropertyEquivalence:

@@ -1,9 +1,9 @@
 """The ``rcj`` family: one declared pipeline per RCJ route.
 
-The bulk join is ``knn-window -> verify -> collect``; with ``k`` the
+The bulk join is ``delaunay -> verify -> collect``; with ``k`` the
 family is the top-k pipeline ``band -> prune -> verify ->
 take-smallest``.  Both run through ``Pipeline.run`` — the planner's
-array engines, ``run_topk`` and the worker pool alike — so what
+array engines and ``run_topk`` alike — so what
 ``describe_family_pipeline`` prints is what executes.
 """
 
@@ -43,7 +43,7 @@ def test_bulk_pipeline_is_rcj_pair_indices(points):
 def test_describe_prints_the_pipelines_that_run():
     assert (
         describe_family_pipeline("rcj")
-        == "knn-window(k0=16) -> verify -> collect"
+        == "delaunay -> verify -> collect"
     )
     assert describe_family_pipeline("rcj", k=7) == (
         "band(k_hint=7) -> prune -> verify -> take-smallest(k=7)"
@@ -52,7 +52,7 @@ def test_describe_prints_the_pipelines_that_run():
 
 def test_explain_rcj_names_the_bulk_pipeline(points):
     text = explain_family(*points, "rcj")
-    assert "pipeline: knn-window(k0=16) -> verify -> collect" in text
+    assert "pipeline: delaunay -> verify -> collect" in text
 
 
 def test_traced_runs_carry_their_pipeline(points):
@@ -71,13 +71,17 @@ def test_rcj_family_rejects_k_and_eps(points):
         run_family_join(*points, "rcj", eps=10.0)
 
 
-def test_rcj_family_forwards_min_shard(points):
+def test_rcj_family_runs_array_parallel_in_process(points):
+    # The triangulation is global: the RCJ does not shard, so
+    # array-parallel coerces to the serial pipeline and a pool hint is
+    # dropped.
     serial = run_family_join(*points, "rcj", engine="array")
-    pooled = run_family_join(
+    coerced = run_family_join(
         *points, "rcj", engine="array-parallel", workers=2, min_shard=16
     )
-    assert pooled.workers_used == 2
-    assert [p.key() for p in pooled.pairs] == [p.key() for p in serial.pairs]
+    assert coerced.workers_used == 1
+    assert coerced.algorithm == "ARRAY"
+    assert [p.key() for p in coerced.pairs] == [p.key() for p in serial.pairs]
     # A pool hint is dropped, not fatal, on engines without a pool.
     assert run_family_join(
         *points, "rcj", engine="array", min_shard=16
@@ -89,7 +93,7 @@ def test_rcj_family_forwards_min_shard(points):
 
 @pytest.mark.parametrize(
     "family, params",
-    [("kcp", {"k": 3}), ("cij", {}), ("rcj", {"k": 3})],
+    [("kcp", {"k": 3}), ("cij", {}), ("rcj", {"k": 3}), ("rcj", {})],
 )
 def test_unshardable_sources_refuse_probes(family, params):
     with pytest.raises(ValueError, match="probe rows"):
@@ -98,7 +102,7 @@ def test_unshardable_sources_refuse_probes(family, params):
 
 @pytest.mark.parametrize(
     "family, params",
-    [("epsilon", {"eps": 5.0}), ("knn", {"k": 2}), ("rcj", {})],
+    [("epsilon", {"eps": 5.0}), ("knn", {"k": 2})],
 )
 def test_shardable_sources_take_probes(family, params):
     pipeline = build_family_pipeline(family, probes=np.arange(4), **params)

@@ -52,12 +52,11 @@ def _stages(report) -> set[str]:
 #: it consumed, not just the k it returns); the families count what
 #: their source emitted (kcp: the chunks its sink consumed).
 PINNED = {
-    "bulk-array-uniform": (1208, 572, 636, 0),
-    "bulk-array-clustered": (1260, 282, 978, 0),
-    "bulk-parallel-uniform": (1208, 572, 636, 0),
-    "bulk-parallel-clustered": (1260, 282, 978, 0),
-    "bulk-array-delaunay": (969, 282, 687, 0),
-    "bulk-parallel-delaunay": (1023, 282, 741, 0),
+    "bulk-array-uniform": (927, 572, 355, 0),
+    "bulk-array-clustered": (436, 282, 154, 0),
+    "bulk-parallel-uniform": (927, 572, 355, 0),
+    "bulk-parallel-clustered": (436, 282, 154, 0),
+    "bulk-array-refused": (1268, 282, 986, 0),
     "topk-array-uniform": (48, 46, 2, 2),
     "topk-array-clustered": (123, 101, 22, 2),
     "epsilon-array": (520, 520, 0, 0),
@@ -89,12 +88,9 @@ ROUTES = {
     "bulk-parallel-clustered": (
         "clustered", _bulk("array-parallel", workers=2, min_shard=MIN_SHARD)
     ),
-    # Stage 3 forced onto the Delaunay backstop: the pool escalates per
-    # shard, so its candidate count departs from the serial join's.
-    "bulk-array-delaunay": ("clustered", _bulk("array")),
-    "bulk-parallel-delaunay": (
-        "clustered", _bulk("array-parallel", workers=2, min_shard=MIN_SHARD)
-    ),
+    # Every probe forced onto the exact scan (the triangulation
+    # refused).
+    "bulk-array-refused": ("clustered", _bulk("array")),
     "topk-array-uniform": (
         "uniform", lambda pts: run_topk(*pts, 25, engine="array")
     ),
@@ -114,7 +110,7 @@ ROUTES = {
 #: Stage names the benchmark's per-layer breakdown and the calibration
 #: refit read off each route.
 STAGES = {
-    "bulk": {"candidate", "prune", "verify"},
+    "bulk": {"candidate", "verify"},
     "topk": {"candidate", "prune", "verify"},
     "epsilon": {"range", "collect"},
     "knn": {"knn", "collect"},
@@ -125,8 +121,8 @@ STAGES = {
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_route_figures_and_stage_names(route, uniform, clustered, monkeypatch):
-    if route.endswith("-delaunay"):
-        monkeypatch.setattr(kernels, "_SCAN_WORK_LIMIT", 0)
+    if route.endswith("-refused"):
+        monkeypatch.setattr(kernels, "checked_delaunay", lambda sites: None)
     dataset, make = ROUTES[route]
     report = make({"uniform": uniform, "clustered": clustered}[dataset])
     want = PINNED[route]
@@ -138,4 +134,6 @@ def test_route_figures_and_stage_names(route, uniform, clustered, monkeypatch):
     assert got == want
     assert STAGES[route.split("-")[0]] <= _stages(report)
     if "-parallel" in route:
-        assert report.workers_used == 2  # a real pool ran
+        # A real pool ran; the bulk RCJ does not shard, so its
+        # array-parallel runs in-process.
+        assert report.workers_used == (1 if route.startswith("bulk") else 2)

@@ -1,7 +1,8 @@
 """Integration tests: traces of real planner runs.
 
-Pins the PR's acceptance contract — a traced parallel join carries
-re-parented per-shard worker spans under the plan root, the report's
+Pins the tracing contract — a traced pooled join (the kNN join; the
+RCJ does not shard) carries re-parented per-shard worker spans under
+the plan root, the report's
 ``stage_seconds`` and the calibration observation derive from the
 trace tree, results are byte-identical with tracing disabled, and
 serial fallbacks record the worker count that actually ran.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.fixtures import uniform_pair
+from repro.engine.families import run_family_join
 from repro.engine.planner import run_join, run_topk
 from repro.obs.export import to_chrome, validate_chrome
 from repro.obs.trace import counter_totals, stage_totals
@@ -28,10 +30,13 @@ def pointsets():
 
 
 def _run(pointsets, workers):
+    """A kNN join on the worker pool (in-process for one worker)."""
     points_p, points_q = pointsets
-    return run_join(
+    return run_family_join(
         points_p,
         points_q,
+        "knn",
+        k=4,
         engine="array-parallel",
         workers=workers,
         min_shard=MIN_SHARD,
@@ -42,14 +47,14 @@ class TestTracedParallelJoin:
     def test_worker_spans_reparented_under_plan_root(self, pointsets):
         report = _run(pointsets, workers=4)
         root = report.trace
-        assert root is not None and root.name == "join"
+        assert root is not None and root.name == "family-join"
         (pool,) = root.find("pool")
         shards = pool.find("shard")
         assert len(shards) >= 2
         # Worker spans really crossed a process boundary...
         assert all(s.proc != root.proc for s in shards)
         # ...and carry the worker-measured stage spans and counters.
-        assert all(s.find("verify") for s in shards)
+        assert all(s.find("knn") for s in shards)
         assert pool.counters["bytes-shipped"] > 0
         assert pool.find("pool-startup")
         assert report.workers_used == 4
@@ -58,7 +63,7 @@ class TestTracedParallelJoin:
         report = _run(pointsets, workers=4)
         totals = stage_totals(report.trace)
         assert report.stage_seconds == totals
-        assert {"candidate", "verify"} <= set(totals)
+        assert "knn" in totals
 
     def test_exports_valid_perfetto_json(self, pointsets):
         report = _run(pointsets, workers=4)
@@ -103,7 +108,7 @@ class TestRoundTripEquivalence:
             w: set(stage_totals(r.trace)) for w, r in reports.items()
         }
         assert stage_names[2] == stage_names[4]
-        assert {"candidate", "verify"} <= stage_names[1] <= stage_names[2]
+        assert {"knn"} <= stage_names[1] <= stage_names[2]
         totals = {w: counter_totals(r.trace) for w, r in reports.items()}
         for w in (1, 2, 4):
             assert totals[w]["verified"] == len(reports[w].pairs)
@@ -116,12 +121,18 @@ class TestRoundTripEquivalence:
         # the exact decomposition may differ between 2 and 4 workers).
         assert shards[2] > 1 and shards[4] > 1
 
+    @pytest.mark.parametrize("join", ["knn-pooled", "rcj"])
     def test_disabled_tracing_is_byte_identical(
-        self, pointsets, monkeypatch
+        self, pointsets, monkeypatch, join
     ):
-        traced = _run(pointsets, workers=2)
+        def run():
+            if join == "rcj":
+                return run_join(*pointsets, engine="array")
+            return _run(pointsets, workers=2)
+
+        traced = run()
         monkeypatch.setenv("REPRO_TRACE", "0")
-        untraced = _run(pointsets, workers=2)
+        untraced = run()
         assert untraced.trace is None
         assert untraced.pair_keys() == traced.pair_keys()
         assert [p.key() for p in untraced.pairs] == [
@@ -149,8 +160,9 @@ class TestEffectiveWorkers:
     def test_serial_fallback_reports_workers_used_1(self, pointsets):
         points_p, points_q = pointsets
         # Default min_shard (512) makes 600 probes fall back in-process.
-        report = run_join(
-            points_p, points_q, engine="array-parallel", workers=4
+        report = run_family_join(
+            points_p, points_q, "knn", k=4, engine="array-parallel",
+            workers=4,
         )
         assert report.workers_used == 1
         assert not report.trace.find("pool")

@@ -44,6 +44,11 @@ def _fake_big(points, factor):
     return Inflated()
 
 
+def _knn_plan(points_p, points_q, **kwargs):
+    """The plan of a kNN join (k=16), a family that pools."""
+    return choose_family_plan("knn", points_p, points_q, k=16, **kwargs)
+
+
 class TestPlanSelection:
     def test_small_input_stays_serial(self):
         points_p, points_q = uniform_pair(300, 300, seed=1)
@@ -53,7 +58,7 @@ class TestPlanSelection:
 
     def test_large_input_goes_parallel(self):
         points_p, points_q = uniform_pair(400, 400, seed=2)
-        plan = choose_plan(
+        plan = _knn_plan(
             _fake_big(points_p, 500),
             _fake_big(points_q, 500),
             workers=4,
@@ -61,6 +66,18 @@ class TestPlanSelection:
         )
         assert plan.engine == "array-parallel"
         assert plan.workers == 4
+
+    def test_rcj_never_goes_parallel(self):
+        # The bulk RCJ's triangulation is global: it does not shard.
+        points_p, points_q = uniform_pair(400, 400, seed=2)
+        plan = choose_plan(
+            _fake_big(points_p, 500),
+            _fake_big(points_q, 500),
+            workers=4,
+            budget_bytes=BIG,
+        )
+        assert (plan.engine, plan.workers) == ("array", 1)
+        assert any("triangulation is global" in r for r in plan.reasons)
 
     def test_one_worker_forbids_parallel(self):
         points_p, points_q = uniform_pair(400, 400, seed=2)
@@ -81,12 +98,12 @@ class TestPlanSelection:
         # shrink the pool, not fall back to serial.
         points_p, points_q = uniform_pair(400, 400, seed=3)
         big_p, big_q = _fake_big(points_p, 500), _fake_big(points_q, 500)
-        wide = choose_plan(big_p, big_q, workers=16, budget_bytes=BIG)
+        wide = _knn_plan(big_p, big_q, workers=16, budget_bytes=BIG)
         assert wide.engine == "array-parallel" and wide.workers == 16
         budget = estimate_bytes(
             len(big_p), len(big_q), 4, wide.est_candidates
         )
-        shed = choose_plan(big_p, big_q, workers=16, budget_bytes=budget)
+        shed = _knn_plan(big_p, big_q, workers=16, budget_bytes=budget)
         assert shed.engine == "array-parallel"
         assert 2 <= shed.workers <= 4
         assert any("shed" in r for r in shed.reasons)
@@ -94,7 +111,7 @@ class TestPlanSelection:
     def test_worker_budget_scales_with_work(self):
         # Moderately sized input: parallel, but not worth 64 processes.
         points_p, points_q = uniform_pair(400, 400, seed=4)
-        plan = choose_plan(
+        plan = _knn_plan(
             _fake_big(points_p, 20), _fake_big(points_q, 20),
             workers=64, budget_bytes=BIG,
         )

@@ -3,7 +3,8 @@ exception-safe cleanup.
 
 Pool cases use small datasets with a lowered ``min_shard`` so real
 multi-process, multi-shard execution happens without benchmark-sized
-inputs.
+inputs.  They run the pooled families (the kNN join, the ε-join); the
+RCJ's candidates come from one global triangulation, so it never pools.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import os
 import re
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from functools import partial
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -21,19 +23,32 @@ import pytest
 import repro.parallel.pool as pool_mod
 from repro.datasets.fixtures import clustered_pair, duplicate_pair, uniform_pair
 from repro.engine.arrays import PointArray
+from repro.engine.families import build_family_pipeline, run_family_join
 from repro.engine.kernels import rcj_pair_indices
-from repro.engine.families import run_family_join
-from repro.parallel.pool import parallel_rcj_pair_indices
+from repro.engine.operators import JoinContext
 from repro.engine.planner import run_join
 from repro.obs.trace import stage_totals, trace
+from repro.parallel.pool import run_sharded
 from repro.parallel.sharedmem import SharedArrays
 
 MIN_SHARD = 64  # force multi-shard plans at test sizes
 
+#: The kNN join's pipeline builder (it shards along P).
+KNN = partial(build_family_pipeline, "knn", k=4)
 
-def _rcj_join(points_pair):
+
+def _knn_indices(parr, qarr, workers, **kwargs):
+    """``(p_idx, q_idx, candidates, workers_used)`` of a kNN join run
+    through :func:`run_sharded`."""
+    ctx = JoinContext(parr, qarr)
+    block = run_sharded(KNN, ctx, workers=workers, **kwargs)
+    candidates = ctx.counters.get("candidates", 0)
+    return block.p_idx, block.q_idx, candidates, ctx.workers
+
+
+def _knn_join(points_pair):
     parr, qarr = _arrays(points_pair)
-    parallel_rcj_pair_indices(parr, qarr, workers=2, min_shard=MIN_SHARD)
+    _knn_indices(parr, qarr, workers=2, min_shard=MIN_SHARD)
 
 
 def _epsilon_join(points_pair):
@@ -49,12 +64,14 @@ def _epsilon_join(points_pair):
 
 #: Pooled joins of different families share one worker stack and one
 #: driver; the crash-safety contract is checked on each.
-POOLED_JOINS = {"rcj": _rcj_join, "epsilon": _epsilon_join}
+POOLED_JOINS = {"knn": _knn_join, "epsilon": _epsilon_join}
 
 
 def _pooled_report(points_pair, workers):
-    return run_join(
+    return run_family_join(
         *points_pair,
+        "knn",
+        k=4,
         engine="array-parallel",
         workers=workers,
         min_shard=MIN_SHARD,
@@ -97,10 +114,11 @@ class TestPoolCorrectness:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_byte_identical_to_serial(self, workers):
         parr, qarr = _arrays(uniform_pair(700, 800, seed=21))
-        ref_p, ref_q, _ = rcj_pair_indices(parr, qarr)
-        p_idx, q_idx, ncand = parallel_rcj_pair_indices(
+        ref_p, ref_q, _c, _w = _knn_indices(parr, qarr, workers=1)
+        p_idx, q_idx, ncand, used = _knn_indices(
             parr, qarr, workers=workers, min_shard=MIN_SHARD
         )
+        assert used > 1  # a real pool ran
         assert np.array_equal(ref_p, p_idx)
         assert np.array_equal(ref_q, q_idx)
         assert ncand >= len(p_idx)
@@ -108,30 +126,36 @@ class TestPoolCorrectness:
     def test_identical_across_worker_counts(self):
         parr, qarr = _arrays(clustered_pair(600, 700, seed=22))
         results = [
-            parallel_rcj_pair_indices(
-                parr, qarr, workers=w, min_shard=MIN_SHARD
-            )
+            _knn_indices(parr, qarr, workers=w, min_shard=MIN_SHARD)
             for w in (1, 2, 4)
         ]
-        for p_idx, q_idx, _ in results[1:]:
+        for p_idx, q_idx, _c, _w in results[1:]:
             assert np.array_equal(results[0][0], p_idx)
             assert np.array_equal(results[0][1], q_idx)
 
-    def test_selfjoin_mode(self):
-        points_p, _ = _arrays(duplicate_pair(500, 500, seed=23))
-        arr = points_p
-        ref = rcj_pair_indices(arr, arr, exclude_same_oid=True)
-        got = parallel_rcj_pair_indices(
-            arr, arr, workers=2, exclude_same_oid=True, min_shard=MIN_SHARD
+    def test_rcj_never_pools(self, monkeypatch):
+        # The bulk RCJ (self-join mode included) runs in-process under
+        # array-parallel: no shared memory, one worker, serial pairs.
+        names = _record_created_specs(monkeypatch)
+        points_p, _ = duplicate_pair(500, 500, seed=23)
+        arr = PointArray.from_points(points_p)
+        ref_p, ref_q, _c = rcj_pair_indices(arr, arr, exclude_same_oid=True)
+        report = run_join(
+            points_p, points_p, engine="array-parallel", workers=2,
+            exclude_same_oid=True, min_shard=MIN_SHARD,
         )
-        assert np.array_equal(ref[0], got[0])
-        assert np.array_equal(ref[1], got[1])
+        assert names == []
+        assert report.workers_used == 1
+        assert [pair.key() for pair in report.pairs] == [
+            (int(arr.oid[p]), int(arr.oid[q]))
+            for p, q in zip(ref_p.tolist(), ref_q.tolist())
+        ]
 
     def test_empty_inputs(self):
         empty = PointArray.empty()
         parr, _ = _arrays(uniform_pair(50, 50, seed=24))
         for a, b in ((empty, parr), (parr, empty), (empty, empty)):
-            p_idx, q_idx, ncand = parallel_rcj_pair_indices(a, b, workers=2)
+            p_idx, q_idx, ncand, _w = _knn_indices(a, b, workers=2)
             assert len(p_idx) == len(q_idx) == ncand == 0
 
     def test_small_input_runs_in_process(self, monkeypatch):
@@ -139,14 +163,15 @@ class TestPoolCorrectness:
         # ever constructed.
         names = _record_created_specs(monkeypatch)
         parr, qarr = _arrays(uniform_pair(100, 100, seed=25))
-        p_idx, _q, _c = parallel_rcj_pair_indices(parr, qarr, workers=4)
+        p_idx, _q, _c, used = _knn_indices(parr, qarr, workers=4)
         assert names == []
+        assert used == 1
         assert len(p_idx) > 0
 
     def test_invalid_workers_rejected(self):
         parr, qarr = _arrays(uniform_pair(30, 30, seed=26))
         with pytest.raises(ValueError, match="workers"):
-            parallel_rcj_pair_indices(parr, qarr, workers=0)
+            _knn_indices(parr, qarr, workers=0)
 
     def test_stage_seconds_aggregated_across_shards(self):
         report = _pooled_report(uniform_pair(700, 800, seed=27), workers=2)
@@ -159,13 +184,11 @@ class TestPoolCorrectness:
             for node in shard.walk()
             if node.kind == "stage"
         ]
-        assert {"candidate", "verify"} <= {node.name for node in shard_stages}
-        # Every verify span ran in a worker and was re-parented home.
-        verify = [node for node in root.walk() if node.name == "verify"]
-        assert all(node.proc != root.proc for node in verify)
-        assert report.stage_seconds["verify"] == sum(
-            node.seconds for node in verify
-        )
+        assert "knn" in {node.name for node in shard_stages}
+        # Every source span ran in a worker and was re-parented home.
+        knn = [node for node in root.walk() if node.name == "knn"]
+        assert all(node.proc != root.proc for node in knn)
+        assert report.stage_seconds["knn"] == sum(node.seconds for node in knn)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -188,23 +211,23 @@ class TestPoolCorrectness:
         before = len(multiprocessing.active_children())
         parr, qarr = _arrays(uniform_pair(700, 800, seed=30))
         with trace("test") as root:
-            parallel_rcj_pair_indices(
-                parr, qarr, workers=2, min_shard=MIN_SHARD
-            )
+            _knn_indices(parr, qarr, workers=2, min_shard=MIN_SHARD)
         assert alive_at_close == [before + 2]
         assert root.find("pool-startup")
 
     def test_stage_seconds_on_serial_fallback(self):
         # Below the shard threshold the pipeline runs in-process; its
         # stage spans still land in the report.
-        report = run_join(
+        report = run_family_join(
             *uniform_pair(100, 100, seed=29),
+            "knn",
+            k=4,
             engine="array-parallel",
             workers=4,
         )
         assert report.workers_used == 1
         assert report.stage_seconds == stage_totals(report.trace)
-        assert {"candidate", "verify"} <= set(report.stage_seconds)
+        assert "knn" in report.stage_seconds
 
 
 @pytest.mark.parametrize("join", sorted(POOLED_JOINS))
@@ -271,7 +294,7 @@ def test_worker_death_names_the_shard_and_releases_memory(monkeypatch):
     monkeypatch.setattr(pool_mod, "_run_shard", _die)
     with pytest.raises(BrokenProcessPool) as info:
         with trace("test") as root:
-            _rcj_join(uniform_pair(600, 700, seed=31))
+            _knn_join(uniform_pair(600, 700, seed=31))
     notes = getattr(info.value, "__notes__", [])
     shard_note = re.compile(r"pool shard \[\d+, \d+\) of \d+")
     assert any(shard_note.fullmatch(note) for note in notes)

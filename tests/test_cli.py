@@ -228,7 +228,7 @@ class TestTraceCLI:
         p, q = files
         assert main(["join", p, q, "--engine", "array", "--explain"]) == 0
         assert (
-            "pipeline=knn-window(k0=16) -> verify -> collect"
+            "pipeline=delaunay -> verify -> collect"
             in capsys.readouterr().err
         )
         assert main(
