@@ -17,9 +17,11 @@ in main memory by:
    pairs of coincident ``P``/``Q`` points (their circle has radius zero
    and is trivially empty).
 
-Sites Qhull leaves out of every simplex (near-coincident sites) get
-every other site as a partner edge, cut by the exact predicate against
-their nearest sites (:func:`_dropped_site_pairs`).
+Sites the triangulation cannot settle — those Qhull leaves out of every
+simplex (near-coincident sites) and the vertices of simplices below its
+in-circle resolution (:data:`QHULL_ROUND`) — get every other site as a
+partner edge, cut by the exact predicate against their nearest sites
+(:func:`_unresolved_site_pairs`).
 
 This is not one of the paper's algorithms — it serves as an independent
 comparator for correctness testing and as a main-memory performance
@@ -32,7 +34,7 @@ fall back to the brute-force oracle.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -112,8 +114,90 @@ def checked_delaunay(sites: np.ndarray) -> Delaunay | None:
     return tri
 
 
+def circumcircles(
+    points: np.ndarray, simplices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Circumcentres ``(ux, uy)`` and radii of the triangles
+    ``simplices`` over ``points``; degenerate triangles get nan/inf.
+
+    Each circle is solved relative to its triangle's first vertex, so
+    the rounding error scales with the triangle's size, not with its
+    distance from the origin (the absolute-coordinate formula loses
+    about ``ulp(E²)/s`` for a cell of spacing ``s`` at distance ``E``).
+    """
+    a = points[simplices[:, 0]]
+    b = points[simplices[:, 1]] - a
+    c = points[simplices[:, 2]] - a
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    sq_b = b[:, 0] ** 2 + b[:, 1] ** 2
+    sq_c = c[:, 0] ** 2 + c[:, 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = (c[:, 1] * sq_b - b[:, 1] * sq_c) / d
+        uy = (b[:, 0] * sq_c - c[:, 0] * sq_b) / d
+    return a[:, 0] + ux, a[:, 1] + uy, np.hypot(ux, uy)
+
+
+#: Qhull's in-circle resolution, relative to the squared extent of the
+#: centred sites: a site within ``QHULL_ROUND · E² / r`` of a circle of
+#: radius ``r`` may fall on either side of it in Qhull's arithmetic
+#: (``E`` is the largest centred site norm; the lifted coordinate
+#: carries ``E²``).  About 4500 ulps: the worst miss measured on
+#: cocircular sets next to far sites needed 11.
+QHULL_ROUND = 1e-12
+
+
+class TriangleCircles(NamedTuple):
+    """Circumcircles of a triangulation's simplices (centred frame)."""
+
+    ux: np.ndarray
+    uy: np.ndarray
+    radius: np.ndarray
+    #: How far a site may sit off the circle and still be cocircular
+    #: with it as far as the computation can tell.
+    tol: np.ndarray
+    #: Simplices below Qhull's resolution (see :func:`triangle_circles`).
+    small: np.ndarray
+
+
+def triangle_circles(tri: Delaunay) -> TriangleCircles:
+    """Circumcircles of ``tri``'s simplices with their on-circle
+    tolerances.
+
+    The tolerance sums the circle's own rounding (relative to its radius
+    and to its centre's magnitude) and Qhull's in-circle resolution
+    (:data:`QHULL_ROUND`).  Where the resolution term exceeds an eighth
+    of the radius the simplex is *small*: a cocircular cluster there
+    cannot be told from its neighbours, so its vertices take an exact
+    route instead (:func:`unresolved_sites`), which also keeps the
+    cluster search from swallowing whole neighbourhoods.
+    """
+    points = tri.points
+    ux, uy, radius = circumcircles(points, tri.simplices)
+    e2 = float(np.einsum("ij,ij->i", points, points).max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qhull = QHULL_ROUND * e2 / radius
+    tol = 1e-9 * (radius + 1.0) + 1e-12 * (np.abs(ux) + np.abs(uy)) + qhull
+    return TriangleCircles(ux, uy, radius, tol, qhull > radius / 8.0)
+
+
+def unresolved_sites(tri: Delaunay, small: np.ndarray) -> np.ndarray:
+    """Mask of the sites whose pairs the triangulation cannot settle.
+
+    These are the sites Qhull left out of every simplex (``tri.coplanar``;
+    a near-coincident site) and the vertices of simplices below its
+    resolution (``small`` from :func:`triangle_circles`).  A pair that
+    touches none of them is still found: its ring is empty of the other
+    sites too, so it is a Delaunay edge of them, and every cocircular
+    tie it could hide in is resolvable.
+    """
+    mask = np.ones(len(tri.points), dtype=bool)
+    mask[tri.simplices.ravel()] = False
+    mask[tri.simplices[small].ravel()] = True
+    return mask
+
+
 def recover_cocircular_pairs(
-    sites, kdtree: cKDTree, centers_x, centers_y, radii
+    sites, kdtree: cKDTree, centers_x, centers_y, radii, tol
 ) -> set[tuple[int, int]]:
     """Pairwise site pairs of ≥4-site cocircular clusters.
 
@@ -122,16 +206,14 @@ def recover_cocircular_pairs(
     (:func:`repro.engine.kernels._cocircular_site_pairs`): each
     candidate circle (``centers_x, centers_y, radii`` — typically
     triangle circumcircles) is probed with one batched KD-tree ball
-    query; circles carrying four or more sites *exactly on* the circle
-    (within a tolerance tied to the radius) form a cluster whose
-    pairwise site pairs are emitted.  False pairs are harmless — every
-    consumer re-checks candidates with the exact blocker predicate.
+    query; circles carrying four or more sites within ``tol`` of the
+    circle (see :func:`triangle_circles`) form a cluster whose pairwise
+    site pairs are emitted.  False pairs are harmless — every consumer
+    re-checks candidates with the exact blocker predicate.
     """
     extra: set[tuple[int, int]] = set()
     if len(radii) == 0:
         return extra
-    radii = np.asarray(radii, dtype=np.float64)
-    tol = 1e-9 * (radii + 1.0)
     near_lists = kdtree.query_ball_point(
         np.column_stack((centers_x, centers_y)),
         radii + tol,
@@ -160,7 +242,9 @@ def recover_cocircular_pairs(
     return extra
 
 
-def _cocircular_cluster_pairs(tri: Delaunay) -> set[tuple[int, int]]:
+def _cocircular_cluster_pairs(
+    tri: Delaunay, circles: TriangleCircles
+) -> set[tuple[int, int]]:
     """Candidate edges missed by the triangulation under cocircular ties.
 
     "Every Gabriel edge is a Delaunay edge" fails for degenerate inputs
@@ -173,70 +257,45 @@ def _cocircular_cluster_pairs(tri: Delaunay) -> set[tuple[int, int]]:
     cluster on its circumcircle — so scanning triangle circumcircles
     recovers the clusters (:func:`recover_cocircular_pairs`), and
     emitting each cluster's pairwise index pairs as extra candidates
-    restores completeness.  Circumcircles and the on-circle test use
-    the triangulation's centred frame (``tri.points``).
+    restores completeness.  The same holds for sites cocircular only
+    within Qhull's resolution, where it may keep either diagonal.
+    Circumcircles and the on-circle test use the triangulation's
+    centred frame (``tri.points``); small simplices are left to the
+    unresolved-site route.
     """
     sites = tri.points
-    max_radius = recoverable_radius_bound(sites)
-    centers_x: list[float] = []
-    centers_y: list[float] = []
-    radii: list[float] = []
-    for simplex in tri.simplices:
-        pa, pb, pc = (sites[int(v)] for v in simplex)
-        # Circumcenter via the perpendicular-bisector linear system.
-        d = 2.0 * (
-            pa[0] * (pb[1] - pc[1])
-            + pb[0] * (pc[1] - pa[1])
-            + pc[0] * (pa[1] - pb[1])
-        )
-        if d == 0.0:  # degenerate sliver; no circumcircle
-            continue
-        sq_a = pa[0] * pa[0] + pa[1] * pa[1]
-        sq_b = pb[0] * pb[0] + pb[1] * pb[1]
-        sq_c = pc[0] * pc[0] + pc[1] * pc[1]
-        ux = (
-            sq_a * (pb[1] - pc[1])
-            + sq_b * (pc[1] - pa[1])
-            + sq_c * (pa[1] - pb[1])
-        ) / d
-        uy = (
-            sq_a * (pc[0] - pb[0])
-            + sq_b * (pa[0] - pc[0])
-            + sq_c * (pb[0] - pa[0])
-        ) / d
-        radius = math.hypot(pa[0] - ux, pa[1] - uy)
-        if not (radius <= max_radius):  # False for nan/inf too
-            continue
-        centers_x.append(ux)
-        centers_y.append(uy)
-        radii.append(radius)
-    if not radii:
+    # False for nan/inf too: degenerate slivers have no circumcircle.
+    keep = ~circles.small & (circles.radius <= recoverable_radius_bound(sites))
+    if not keep.any():
         return set()
     return recover_cocircular_pairs(
-        sites, cKDTree(sites), centers_x, centers_y, radii
+        sites,
+        cKDTree(sites),
+        circles.ux[keep],
+        circles.uy[keep],
+        circles.radius[keep],
+        circles.tol[keep],
     )
 
 
-#: Nearest sites whose exact blocker test cuts a dropped site's edges.
-_DROPPED_PRUNERS = 32
+#: Nearest sites whose exact blocker test cuts an unresolved site's edges.
+_UNRESOLVED_PRUNERS = 32
 
 
-def _dropped_site_pairs(tri: Delaunay, sites, kdtree) -> set[tuple[int, int]]:
-    """Candidate edges of the sites Qhull left out of every simplex.
+def _unresolved_site_pairs(
+    sites, unresolved: np.ndarray, kdtree
+) -> set[tuple[int, int]]:
+    """Candidate edges of the sites the triangulation cannot settle
+    (:func:`unresolved_sites`).
 
-    A near-coincident site may be dropped from the triangulation
-    (``tri.coplanar``).  Pairs between placed sites are unaffected:
-    their ring is empty of the placed sites too, so they remain
-    Delaunay edges.  A dropped site ``d`` is paired with every other
-    site ``j`` except where one of ``d``'s nearest sites ``s`` blocks
-    the ring by the exact predicate ``(s - d) . (s - j) < 0`` on raw
-    coordinates — a filter that cannot discard a true pair.
+    An unresolved site ``d`` is paired with every other site ``j``
+    except where one of ``d``'s nearest sites ``s`` blocks the ring by
+    the exact predicate ``(s - d) . (s - j) < 0`` on raw coordinates —
+    a filter that cannot discard a true pair.
     """
-    placed = np.zeros(len(sites), dtype=bool)
-    placed[tri.simplices.ravel()] = True
     edges: set[tuple[int, int]] = set()
-    k = min(_DROPPED_PRUNERS, len(sites))
-    for d in np.flatnonzero(~placed).tolist():
+    k = min(_UNRESOLVED_PRUNERS, len(sites))
+    for d in np.flatnonzero(unresolved).tolist():
         _dist, near = kdtree.query(sites[d], k=k)
         sx = sites[np.atleast_1d(near), 0]
         sy = sites[np.atleast_1d(near), 1]
@@ -287,9 +346,12 @@ def gabriel_rcj(
         edges.add((a, c) if a < c else (c, a))
         edges.add((b, c) if b < c else (c, b))
 
+    circles = triangle_circles(tri)
+    edges |= _cocircular_cluster_pairs(tri, circles)
     kdtree = cKDTree(sites)
-    edges |= _cocircular_cluster_pairs(tri)
-    edges |= _dropped_site_pairs(tri, sites, kdtree)
+    edges |= _unresolved_site_pairs(
+        sites, unresolved_sites(tri, circles.small), kdtree
+    )
     for i, j in edges:
         gi = groups[coords[i]]
         gj = groups[coords[j]]

@@ -28,16 +28,20 @@ condition over the union's distinct sites, and every Gabriel edge is a
 Delaunay edge (Matula & Sokal 1980; the paper's Gabriel argument).  So
 the bichromatic Delaunay edges of the union are a candidate superset,
 with two degenerate additions: when four or more sites lie on one
-empty circle the triangulation keeps only some of their pairwise
-edges, so such clusters are recovered from equal circumcircles
-(:func:`_cocircular_site_pairs`); and coincident ``P``/``Q`` sites,
-whose radius-zero ring is trivially empty, are emitted directly.
+empty circle (exactly, or within Qhull's in-circle resolution
+:data:`repro.core.gabriel.QHULL_ROUND`) the triangulation keeps only
+some of their pairwise edges, so such clusters are recovered from
+equal circumcircles (:func:`_cocircular_site_pairs`); and coincident
+``P``/``Q`` sites, whose radius-zero ring is trivially empty, are
+emitted directly.
 
 Qhull triangulates the *centred* sites
 (:func:`repro.core.gabriel.checked_delaunay`): far from the origin,
 raw coordinates spend their low bits on the offset, and Qhull then
 drops true Gabriel edges.  Circumcircles are computed in the same
-centred frame; every exact predicate stays on raw coordinates.
+centred frame, each relative to one of its triangle's vertices so
+that its rounding scales with the triangle, not with its distance
+from the centroid; every exact predicate stays on raw coordinates.
 
 What Qhull cannot settle takes the exact route, a per-probe scan
 (:func:`_scan_candidates`):
@@ -45,14 +49,18 @@ What Qhull cannot settle takes the exact route, a per-probe scan
 - *Refused inputs.*  ``checked_delaunay`` refuses fewer than four
   sites, a ``QhullError``, near-flat sets and simplices indexing past
   the sites; then every probe is scanned.
-- *Dropped sites.*  Qhull may leave a site out of every simplex (a
-  near-coincident site, ``tri.coplanar``).  A pair that touches no
-  dropped site is still a Delaunay edge of the remaining sites (its
-  ring is empty of them too), so only the dropped sites' own rows are
+- *Unresolved sites* (:func:`repro.core.gabriel.unresolved_sites`).
+  Qhull may leave a site out of every simplex (a near-coincident
+  site, ``tri.coplanar``), and a simplex whose circumradius is so
+  small against the sites' extent that Qhull's in-circle resolution
+  reaches an eighth of it cannot tell a cocircular tie from a
+  neighbour.  A pair that touches neither kind of site is still
+  found: its ring is empty of the other sites too, so it is a
+  Delaunay edge of them.  So only the unresolved sites' own rows are
   scanned: ``Q`` rows probe ``P`` and ``P`` rows probe ``Q``.  Ψ−
   pruning is valid with pruners from either side, because the ring
   must be empty of the whole union.  The extra cost grows with the
-  number of dropped sites only.
+  number of unresolved sites only.
 
 Exactness
 ---------
@@ -77,9 +85,12 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from repro.core.gabriel import (
+    TriangleCircles,
     checked_delaunay,
     recover_cocircular_pairs,
     recoverable_radius_bound,
+    triangle_circles,
+    unresolved_sites,
 )
 from repro.engine.arrays import PointArray
 from repro.obs.trace import add_counter, stage_timer
@@ -275,8 +286,8 @@ def knn_candidate_blocks(
     triangulation of the distinct sites of ``parr ∪ qarr``
     (:func:`_delaunay_candidates`; see the module docstring).  Inputs
     the triangulation refuses send every probe through the exact scan
-    (:func:`_scan_candidates`), and sites Qhull drops send their own
-    rows through it.
+    (:func:`_scan_candidates`), and sites the triangulation cannot
+    settle send their own rows through it.
 
     Parameters
     ----------
@@ -301,23 +312,24 @@ def knn_candidate_blocks(
         if found is None:  # refused: every probe takes the exact scan
             none = np.empty(0, np.int64)
             found = (none, none, none, np.arange(n_q, dtype=np.int64))
-        q_idx, p_idx, dropped_p, dropped_q = found
+        q_idx, p_idx, unresolved_p, unresolved_q = found
         out_q, out_p = [q_idx], [p_idx]
-        if dropped_q.size:
+        if unresolved_q.size:
             if tree_p is None:
                 tree_p = cKDTree(parr.coords())
             rows, cols = _scan_candidates(
-                qarr.x[dropped_q], qarr.y[dropped_q], parr, tree_p, k0, r_floor
+                qarr.x[unresolved_q], qarr.y[unresolved_q], parr, tree_p,
+                k0, r_floor,
             )
-            out_q.append(dropped_q[rows])
+            out_q.append(unresolved_q[rows])
             out_p.append(cols)
-        if dropped_p.size:
+        if unresolved_p.size:
             rows, cols = _scan_candidates(
-                parr.x[dropped_p], parr.y[dropped_p], qarr,
+                parr.x[unresolved_p], parr.y[unresolved_p], qarr,
                 cKDTree(qarr.coords()), k0, r_floor,
             )
             out_q.append(cols)
-            out_p.append(dropped_p[rows])
+            out_p.append(unresolved_p[rows])
         q_idx = np.concatenate(out_q)
         p_idx = np.concatenate(out_p)
         key = np.unique(q_idx * np.int64(n_p) + p_idx)
@@ -435,10 +447,11 @@ def _delaunay_candidates(
     them.  Coincident P/Q sites, whose radius-zero ring is trivially
     empty, are emitted directly.
 
-    Returns ``(q_index, p_index, dropped_p, dropped_q)``: the candidate
-    pairs of every site Qhull placed in a simplex, plus the ``parr``
-    and ``qarr`` rows at sites it left out of every simplex, whose
-    pairs the caller must find another way.  Returns ``None`` when the
+    Returns ``(q_index, p_index, unresolved_p, unresolved_q)``: the
+    candidate pairs the triangulation settles, plus the ``parr`` and
+    ``qarr`` rows at the sites it cannot settle
+    (:func:`repro.core.gabriel.unresolved_sites`), whose pairs the
+    caller must find another way.  Returns ``None`` when the
     triangulation cannot be trusted
     (:func:`repro.core.gabriel.checked_delaunay`).
     """
@@ -459,7 +472,8 @@ def _delaunay_candidates(
     edges = np.unique(edges[:, 0] * np.int64(n_sites) + edges[:, 1])
     edges = np.column_stack((edges // n_sites, edges % n_sites))
 
-    extra = _cocircular_site_pairs(tri)
+    circles = triangle_circles(tri)
+    extra = _cocircular_site_pairs(tri, circles)
     if len(extra):
         edges = np.concatenate((edges, extra))
 
@@ -483,70 +497,48 @@ def _delaunay_candidates(
         out_p.append(pi)
         out_q.append(qi)
 
-    placed = np.zeros(n_sites, dtype=bool)
-    placed[simp.ravel()] = True
-    dropped = ~placed[member_site]
+    unresolved = unresolved_sites(tri, circles.small)[member_site]
     return (
         np.concatenate(out_q),
         np.concatenate(out_p),
-        np.flatnonzero(dropped[:n_p]),
-        np.flatnonzero(dropped[n_p:]),
+        np.flatnonzero(unresolved[:n_p]),
+        np.flatnonzero(unresolved[n_p:]),
     )
 
 
-def _cocircular_site_pairs(tri: Delaunay) -> np.ndarray:
+def _cocircular_site_pairs(
+    tri: Delaunay, circles: TriangleCircles
+) -> np.ndarray:
     """Extra site pairs hidden inside cocircular Delaunay faces.
 
     Vectorized version of
     :func:`repro.core.gabriel._cocircular_cluster_pairs`: when four or
-    more sites lie on one empty circle, the triangulation keeps only
-    some of their pairwise diametral edges, so each such cluster must be
-    recovered from triangle circumcircles.  A cocircular face is carved
-    into two or more *adjacent* simplices sharing one circumcircle, so
-    all circumcircles are computed in one vectorized pass and only
-    simplices whose circumcircle coincides with a neighbour's (a loose
-    tolerance — false flags are filtered by the exact on-circle test,
-    and false candidate pairs by verification) are probed with a ball
-    query and per-cluster Python.  On general-position data nothing is
-    flagged and the whole pass is three comparisons per simplex.
-    Circumcircles live in the triangulation's centred frame
-    (``tri.points``).
+    more sites lie on one empty circle (exactly, or within Qhull's
+    resolution), the triangulation keeps only some of their pairwise
+    diametral edges, so each such cluster must be recovered from
+    triangle circumcircles.  A cocircular face is carved into two or
+    more *adjacent* simplices sharing one circumcircle, so only
+    simplices whose circumcircle coincides with a neighbour's (within
+    1000 times the on-circle tolerance — false flags are filtered by
+    the on-circle test, and false candidate pairs by verification) are
+    probed with a ball query and per-cluster Python.  On
+    general-position data nothing is flagged and the whole pass is
+    three comparisons per simplex.  Circumcircles live in the
+    triangulation's centred frame (``tri.points``); small simplices are
+    left to the unresolved-site route.
     """
     sites = tri.points
-    simplices = tri.simplices
-    pa = sites[simplices[:, 0]]
-    pb = sites[simplices[:, 1]]
-    pc = sites[simplices[:, 2]]
-    d = 2.0 * (
-        pa[:, 0] * (pb[:, 1] - pc[:, 1])
-        + pb[:, 0] * (pc[:, 1] - pa[:, 1])
-        + pc[:, 0] * (pa[:, 1] - pb[:, 1])
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq_a = pa[:, 0] ** 2 + pa[:, 1] ** 2
-        sq_b = pb[:, 0] ** 2 + pb[:, 1] ** 2
-        sq_c = pc[:, 0] ** 2 + pc[:, 1] ** 2
-        ux = (
-            sq_a * (pb[:, 1] - pc[:, 1])
-            + sq_b * (pc[:, 1] - pa[:, 1])
-            + sq_c * (pa[:, 1] - pb[:, 1])
-        ) / d
-        uy = (
-            sq_a * (pc[:, 0] - pb[:, 0])
-            + sq_b * (pa[:, 0] - pc[:, 0])
-            + sq_c * (pb[:, 0] - pa[:, 0])
-        ) / d
-    radius = np.hypot(pa[:, 0] - ux, pa[:, 1] - uy)
+    ux, uy, radius = circles.ux, circles.uy, circles.radius
     finite = (
-        (d != 0.0)
-        & np.isfinite(ux)
+        np.isfinite(ux)
         & np.isfinite(uy)
+        & ~circles.small
         & (radius <= recoverable_radius_bound(sites))
     )
 
     # Flag simplices sharing a circumcircle with a Delaunay neighbour.
-    flag_tol = 1e-6 * (radius + 1.0)
-    flagged = np.zeros(len(simplices), dtype=bool)
+    flag_tol = 1e3 * circles.tol
+    flagged = np.zeros(len(radius), dtype=bool)
     neighbors = tri.neighbors
     for slot in range(3):
         j = neighbors[:, slot]
@@ -565,7 +557,12 @@ def _cocircular_site_pairs(tri: Delaunay) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
 
     extra = recover_cocircular_pairs(
-        sites, cKDTree(sites), ux[probe], uy[probe], radius[probe]
+        sites,
+        cKDTree(sites),
+        ux[probe],
+        uy[probe],
+        radius[probe],
+        circles.tol[probe],
     )
     if not extra:
         return np.empty((0, 2), dtype=np.int64)

@@ -7,7 +7,13 @@ import pytest
 
 import repro.core.gabriel as gabriel
 from repro.core.brute import brute_force_rcj
-from repro.core.gabriel import checked_delaunay, gabriel_rcj
+from repro.core.gabriel import (
+    checked_delaunay,
+    circumcircles,
+    gabriel_rcj,
+    triangle_circles,
+    unresolved_sites,
+)
 from repro.datasets.worstcase import collinear, split_alternating
 from repro.geometry.point import Point
 
@@ -217,3 +223,35 @@ class TestCentredTriangulation:
         tri = checked_delaunay(sites)
         assert 2 not in set(tri.simplices.ravel().tolist())
         assert {r.key() for r in gabriel_rcj(p, q)} == {(0, 2), (0, 3)}
+
+    def test_circumcircle_error_scales_with_the_cell(self):
+        # A unit cell 2e5 from the origin: solved in absolute
+        # coordinates its centre is off by ~1e-6, more than the 1e-9
+        # on-circle tolerance; solved relative to a vertex it is exact
+        # to the cell's rounding.
+        points = np.array([(2e5, 0.0), (2e5, 1.0), (2e5 + 1.0, 1.0)])
+        ux, uy, radius = circumcircles(points, np.array([[0, 1, 2]]))
+        assert abs(ux[0] - (2e5 + 0.5)) <= 1e-10
+        assert abs(uy[0] - 0.5) <= 1e-12
+        assert abs(radius[0] - 0.5 ** 0.5) <= 1e-12
+
+    def test_simplices_below_qhull_resolution_are_unresolved(self):
+        # Three sites 1e-7 apart next to a unit square: Qhull's
+        # in-circle resolution (QHULL_ROUND * E^2 / r) exceeds an eighth
+        # of that triangle's radius, so its vertices take the exact
+        # route; the square's sites do not.
+        sites = np.array([
+            (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+            (0.5, 0.5), (0.5 + 1e-7, 0.5), (0.5, 0.5 + 1e-7),
+        ])
+        tri = checked_delaunay(sites)
+        circles = triangle_circles(tri)
+        small = tri.simplices[circles.small]
+        assert set(small.ravel().tolist()) == {4, 5, 6}
+        unresolved = unresolved_sites(tri, circles.small)
+        assert np.flatnonzero(unresolved).tolist() == [4, 5, 6]
+        p = [Point(x, y, i) for i, (x, y) in enumerate(sites[0::2])]
+        q = [Point(x, y, i) for i, (x, y) in enumerate(sites[1::2])]
+        assert {r.key() for r in gabriel_rcj(p, q)} == {
+            r.key() for r in brute_force_rcj(p, q)
+        }

@@ -187,6 +187,34 @@ class TestExactRoutes:
         assert scanned == [1]
 
 
+    def test_small_simplex_scans_its_own_rows(self, monkeypatch):
+        # Three sites 1e-7 apart inside a unit square form a simplex
+        # below Qhull's in-circle resolution: only the rows at those
+        # three sites are scanned.
+        from repro.geometry.point import Point
+
+        scanned = []
+        scan = kernels._scan_candidates
+
+        def spy(probe_x, *args):
+            scanned.append(len(probe_x))
+            return scan(probe_x, *args)
+
+        monkeypatch.setattr(kernels, "_scan_candidates", spy)
+        coords = [
+            (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+            (0.5, 0.5), (0.5 + 1e-7, 0.5), (0.5, 0.5 + 1e-7),
+        ]
+        points_p = [Point(x, y, i) for i, (x, y) in enumerate(coords[0::2])]
+        points_q = [
+            Point(x, y, 10 + i) for i, (x, y) in enumerate(coords[1::2])
+        ]
+        assert _keys(points_p, points_q, "array") == _keys(
+            points_p, points_q, "brute"
+        )
+        assert sorted(scanned) == [1, 2]
+
+
 class TestPropertyEquivalence:
     @given(lattice_pointset(min_size=1, max_size=30),
            lattice_pointset(min_size=1, max_size=30))

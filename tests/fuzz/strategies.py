@@ -7,6 +7,10 @@ set, then stresses it the ways that have broken exact geometry before:
 
 - extreme scales (1e-6 .. 1e9) and translations up to ±1e9, which
   shrink the gaps between sites toward the last bits of the mantissa;
+- far sites, 1e4 to 1e10 times the family's extent away, which leave
+  a lattice cell or a cocircular ring far from the centroid: ties
+  there are only as exact as circumcircles computed near the cell,
+  and Qhull resolves them only to a fraction of the far extent;
 - near-coincident sites, a few ulps (or 1e-128) away from an existing
   site — the sites Qhull drops from its triangulation;
 - cross-side duplicates (one location on both sides);
@@ -69,6 +73,18 @@ def bulk_rcj_cases(draw):
     shift_x = draw(st.sampled_from((0.0, 1e3, 1e6, -1e6, 1e9, -1e9)))
     shift_y = draw(st.sampled_from((0.0, 1e6, -1e9, 1e9)))
     coords = [(x * scale + shift_x, y * scale + shift_y) for x, y in coords]
+
+    if coords and draw(st.booleans()):
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        span = max(max(xs) - min(xs), max(ys) - min(ys)) or scale
+        x0, y0 = coords[0]
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            far = span * 10.0 ** draw(st.integers(min_value=4, max_value=10))
+            angle = draw(st.sampled_from((0.0, 1.0, 2.5, 4.0, 5.5)))
+            coords.append(
+                (x0 + far * math.cos(angle), y0 + far * math.sin(angle))
+            )
 
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         if not coords:

@@ -48,8 +48,12 @@ def test_array_gabriel_and_brute_agree(case):
 
 #: Shrunk failures, each named after its input: ``(coords_p, coords_q,
 #: exclude_same_oid)``.  The first four broke the Gabriel comparator
-#: before Qhull saw centred coordinates; the last broke a Delaunay-first
-#: array engine that ignored the sites Qhull drops.
+#: before Qhull saw centred coordinates.  The rest broke a
+#: Delaunay-first array engine (and the comparator): one ignored the
+#: sites Qhull drops; two computed circumcircles in absolute centred
+#: coordinates, which lost the tie of a square cell far from the
+#: centroid; one held cocircular ties to a fixed tolerance, finer than
+#: Qhull resolves a ring 1000 ring widths from a far site.
 REGRESSIONS = {
     "lattice_square_at_minus_1e9": (
         [(3333.3333333333335, -999996666.6666666),
@@ -80,6 +84,31 @@ REGRESSIONS = {
     "dropped_site_next_to_the_origin": (
         [(0.0, 0.0)],
         [(0.0, 1.0), (0.0, 9.507532953056856e-128), (1.0, 0.0)],
+        False,
+    ),
+    "unit_square_next_to_a_far_site": (
+        [(0.0, 0.0), (0.0, 1.0), (2e5, 0.0)],
+        [(1.0, 1.0), (1.0, 0.0), (2e5 + 1.0, 0.0)],
+        False,
+    ),
+    "lattice_square_next_to_a_far_site": (
+        [(3333.3333333333335, 3333.3333333333335),
+         (3333.3333333333335, 6666.666666666667),
+         (333336666.6666667, 3333.3333333333335)],
+        [(6666.666666666667, 3333.3333333333335),
+         (6666.666666666667, 6666.666666666667)],
+        False,
+    ),
+    "cocircular_octagon_next_to_a_far_site": (
+        [(-999999.9217157287, -999999999.9217157),
+         (-1000981.4829252411, -999999808.4503525),
+         (-999999.91, -999999999.95),
+         (-999999.9782842712, -999999999.9782842),
+         (-999999.9782842712, -999999999.9217157)],
+        [(-999999.95, -999999999.91),
+         (-999999.9217157287, -999999999.9782842),
+         (-999999.95, -999999999.99),
+         (-999999.99, -999999999.95)],
         False,
     ),
 }
