@@ -12,9 +12,16 @@ meaningful sizes — the vectorized engine wins by at least 5x wall
 clock.  The array engine additionally covers a 100k-class size and a
 clustered workload on its own, where pointwise execution would dominate
 the suite's runtime.
+
+:func:`test_clamped_hull_costs_like_uniform` guards the array engine
+alone at a fixed 20k x 20k size: clustered data, whose clamped tails
+lie on long collinear runs along the hull, must cost no more than
+1.3x uniform data.
 """
 
 from __future__ import annotations
+
+import statistics
 
 from repro.bench.runner import build_workload, run_algorithm
 from repro.engine import run_join
@@ -31,6 +38,14 @@ ARRAY_ONLY_SIZE = 100_000
 #: constant overheads.
 MIN_SPEEDUP = 5.0
 ASSERT_ABOVE_N = 2_000
+
+#: Fixed size of the clamped-hull guard, whatever REPRO_BENCH_N says:
+#: at 2,500 points both pairs cost about the same even without the
+#: triangulation's frame.
+CLAMPED_N = 20_000
+#: Clustered over uniform array-engine wall clock (median of 3 runs
+#: each); 1.67 with clamped runs on Qhull's hull, 0.88 without.
+MAX_CLAMPED_RATIO = 1.3
 
 
 def _run(datasets, sizes):
@@ -99,3 +114,29 @@ def test_engine_vectorized(benchmark, scale, datasets):
             assert speedup >= MIN_SPEEDUP, (
                 f"array engine only {speedup:.1f}x faster than INJ at n={n}"
             )
+
+
+def test_clamped_hull_costs_like_uniform(datasets):
+    pairs = {
+        "uniform": datasets.uniform_pair(CLAMPED_N, CLAMPED_N, seed=160),
+        "clustered": datasets.clustered_pair(CLAMPED_N, CLAMPED_N, seed=180),
+    }
+    seconds = {
+        label: statistics.median(
+            run_join(*points, engine="array").cpu_seconds for _ in range(3)
+        )
+        for label, points in pairs.items()
+    }
+    ratio = seconds["clustered"] / seconds["uniform"]
+    emit(
+        "clamped_hull",
+        format_table(
+            ["data", "n", "median wall(s)"],
+            [[label, CLAMPED_N, f"{s:.3f}"] for label, s in seconds.items()],
+            title=f"Array engine, clustered / uniform = {ratio:.2f}",
+        ),
+    )
+    assert ratio <= MAX_CLAMPED_RATIO, (
+        f"clustered join costs {ratio:.2f}x the uniform one "
+        f"(floor {MAX_CLAMPED_RATIO})"
+    )

@@ -7,8 +7,9 @@ edge (for points in general position), the RCJ result can be computed
 in main memory by:
 
 1. building the Delaunay triangulation of the distinct coordinates of
-   ``P ∪ Q`` (scipy/Qhull, on centred coordinates; see
-   :func:`checked_delaunay`);
+   ``P ∪ Q`` (scipy/Qhull, on centred coordinates inside a far
+   triangular frame; see :func:`checked_delaunay`) and keeping its
+   edges between sites (:func:`site_edges`);
 2. keeping the Delaunay edges whose diameter circle is empty — blocker
    candidates come from a slightly inflated KD-tree ball query and are
    confirmed with the exact dot-product predicate shared with the
@@ -16,6 +17,13 @@ in main memory by:
 3. emitting the bichromatic pairs of each surviving edge, plus the
    pairs of coincident ``P``/``Q`` points (their circle has radius zero
    and is trivially empty).
+
+The frame is three vertices around the sites, so no site lies on the
+triangulated hull.  Clamped data piles long collinear runs onto its
+bounding box; on the hull, each run lifts to a vertical coplanar facet
+of the paraboloid and costs Qhull several times the rest of the
+triangulation.  Frame vertices stay far enough out that they never
+block a site pair's ring, and they never reach an output.
 
 Sites the triangulation cannot settle — those Qhull leaves out of every
 simplex (near-coincident sites) and the vertices of simplices below its
@@ -80,23 +88,62 @@ def recoverable_radius_bound(sites: np.ndarray) -> float:
 FLAT_WIDTH = 1e-9
 
 
+#: Frame vertices :func:`checked_delaunay` triangulates after the sites.
+FRAME_VERTICES = 3
+
+
+def _frame(centred: np.ndarray) -> np.ndarray:
+    """Corners of an equilateral triangle far around ``centred``.
+
+    With ``c`` the centre of the sites' bounding box and ``h`` its
+    half-diagonal, the triangle's circumradius is ``4h`` about ``c``
+    and its inradius ``2h``, so every site lies strictly inside it.
+    """
+    lo = centred.min(axis=0)
+    hi = centred.max(axis=0)
+    h = 0.5 * math.hypot(hi[0] - lo[0], hi[1] - lo[1])
+    angles = np.array([0.5, 0.5 + 2.0 / 3.0, 0.5 + 4.0 / 3.0]) * np.pi
+    return 0.5 * (lo + hi) + 4.0 * h * np.column_stack(
+        (np.cos(angles), np.sin(angles))
+    )
+
+
 def checked_delaunay(sites: np.ndarray) -> Delaunay | None:
-    """Qhull's triangulation of the distinct ``sites``, or ``None``
-    where it cannot be trusted to hold every Gabriel edge.
+    """Qhull's triangulation of the distinct ``sites`` inside a far
+    frame, or ``None`` where it cannot be trusted to hold every Gabriel
+    edge.
 
     Qhull triangulates the *centred* sites ``sites - sites.mean(axis=0)``
-    (the triangulation's ``points``; simplex indices are unchanged):
-    far from the origin, raw coordinates spend their low bits on the
-    offset and Qhull drops true Gabriel edges.  Circumcircle work must
-    use ``tri.points``; exact predicates stay on the raw sites.
+    followed by the :data:`FRAME_VERTICES` corners of a frame around
+    them (the triangulation's ``points``; site indices are unchanged
+    and frame indices come last, see :func:`framed_sites`).  Far from
+    the origin, raw coordinates spend their low bits on the offset and
+    Qhull drops true Gabriel edges.  Circumcircle work must use
+    ``tri.points``; exact predicates stay on the raw sites.
 
-    Refused: fewer than four sites; a ``QhullError``; near-flat sets
-    (relative width at most :data:`FLAT_WIDTH`, i.e. scatter
-    eigenvalues ``λmin ≤ 1e-18·λmax``); and triangulations whose
-    simplices index past ``sites`` (the point at infinity of Qhull's
-    ``Qz`` option leaking through on degenerate input).  Callers fall
-    back to an exact route: brute force in :func:`gabriel_rcj`, the
-    exact scan of the array engine (:mod:`repro.engine.kernels`).
+    The frame (:func:`_frame`) is an equilateral triangle of
+    circumradius ``4h`` about the centre ``c`` of the sites' bounding
+    box, ``h`` being its half-diagonal.  Its inradius ``2h`` exceeds
+    ``h``, so every site lies strictly inside, and collinear runs on
+    the sites' bounding box (clamped data) are no longer on the hull,
+    where each lifts to a vertical coplanar facet that Qhull grinds on.
+    Each frame vertex is ``4h > 2h`` from ``c``, while every diametral
+    disk of two sites lies within ``2h`` of ``c``: no frame vertex can
+    block a site pair's ring.  A ring empty of the sites is therefore
+    empty of the framed set, and its pair is still a Delaunay edge
+    there, up to cocircular ties among the sites alone (a tie's circle
+    is the ring itself).  A square frame would not do: its four
+    corners are cocircular, a degeneracy of its own, and Qhull runs
+    slower on it than on the three-vertex frame.
+
+    Refused, decided on the sites alone: fewer than four sites and
+    near-flat sets (relative width at most :data:`FLAT_WIDTH`, i.e.
+    scatter eigenvalues ``λmin ≤ 1e-18·λmax``).  Also refused: a
+    ``QhullError``, and triangulations whose simplices index past the
+    framed points (the point at infinity of Qhull's ``Qz`` option
+    leaking through on degenerate input).  Callers fall back to an
+    exact route: brute force in :func:`gabriel_rcj`, the exact scan of
+    the array engine (:mod:`repro.engine.kernels`).
     """
     n = len(sites)
     if n < 4:
@@ -106,12 +153,33 @@ def checked_delaunay(sites: np.ndarray) -> Delaunay | None:
     if not width[1] > FLAT_WIDTH * width[0]:
         return None
     try:
-        tri = Delaunay(centred)
+        tri = Delaunay(np.concatenate((centred, _frame(centred))))
     except QhullError:
         return None
-    if tri.simplices.size and int(tri.simplices.max()) >= n:
+    if tri.simplices.size and int(tri.simplices.max()) >= n + FRAME_VERTICES:
         return None
     return tri
+
+
+def framed_sites(tri: Delaunay) -> np.ndarray:
+    """The centred sites of a :func:`checked_delaunay` triangulation,
+    without its frame."""
+    return tri.points[:-FRAME_VERTICES]
+
+
+def site_edges(tri: Delaunay) -> np.ndarray:
+    """The triangulation's distinct edges between sites, as an
+    ``(m, 2)`` array of ``(low, high)`` site indices; edges touching a
+    frame vertex are dropped."""
+    n = len(framed_sites(tri))
+    simp = tri.simplices
+    edges = np.concatenate(
+        (simp[:, (0, 1)], simp[:, (0, 2)], simp[:, (1, 2)])
+    ).astype(np.int64)
+    edges = edges[edges.max(axis=1) < n]
+    edges.sort(axis=1)
+    keys = np.unique(edges[:, 0] * np.int64(n) + edges[:, 1])
+    return np.column_stack((keys // n, keys % n))
 
 
 def circumcircles(
@@ -138,16 +206,18 @@ def circumcircles(
 
 
 #: Qhull's in-circle resolution, relative to the squared extent of the
-#: centred sites: a site within ``QHULL_ROUND · E² / r`` of a circle of
-#: radius ``r`` may fall on either side of it in Qhull's arithmetic
-#: (``E`` is the largest centred site norm; the lifted coordinate
-#: carries ``E²``).  About 4500 ulps: the worst miss measured on
-#: cocircular sets next to far sites needed 11.
+#: triangulated points: a site within ``QHULL_ROUND · E² / r`` of a
+#: circle of radius ``r`` may fall on either side of it in Qhull's
+#: arithmetic (``E`` is the largest norm of ``tri.points``, frame
+#: included; the lifted coordinate carries ``E²``).  About 4500 ulps:
+#: the worst miss measured on cocircular sets next to far sites
+#: needed 11.
 QHULL_ROUND = 1e-12
 
 
 class TriangleCircles(NamedTuple):
-    """Circumcircles of a triangulation's simplices (centred frame)."""
+    """Circumcircles of a triangulation's simplices (centred
+    coordinates)."""
 
     ux: np.ndarray
     uy: np.ndarray
@@ -165,11 +235,13 @@ def triangle_circles(tri: Delaunay) -> TriangleCircles:
 
     The tolerance sums the circle's own rounding (relative to its radius
     and to its centre's magnitude) and Qhull's in-circle resolution
-    (:data:`QHULL_ROUND`).  Where the resolution term exceeds an eighth
-    of the radius the simplex is *small*: a cocircular cluster there
-    cannot be told from its neighbours, so its vertices take an exact
-    route instead (:func:`unresolved_sites`), which also keeps the
-    cluster search from swallowing whole neighbourhoods.
+    (:data:`QHULL_ROUND`), whose ``E`` spans every triangulated point:
+    the frame enters Qhull's arithmetic too.  Where the resolution term
+    exceeds an eighth of the radius the simplex is *small*: a
+    cocircular cluster there cannot be told from its neighbours, so its
+    vertices take an exact route instead (:func:`unresolved_sites`),
+    which also keeps the cluster search from swallowing whole
+    neighbourhoods.
     """
     points = tri.points
     ux, uy, radius = circumcircles(points, tri.simplices)
@@ -188,12 +260,13 @@ def unresolved_sites(tri: Delaunay, small: np.ndarray) -> np.ndarray:
     resolution (``small`` from :func:`triangle_circles`).  A pair that
     touches none of them is still found: its ring is empty of the other
     sites too, so it is a Delaunay edge of them, and every cocircular
-    tie it could hide in is resolvable.
+    tie it could hide in is resolvable.  The mask covers the sites
+    only, not the frame.
     """
     mask = np.ones(len(tri.points), dtype=bool)
     mask[tri.simplices.ravel()] = False
     mask[tri.simplices[small].ravel()] = True
-    return mask
+    return mask[:-FRAME_VERTICES]
 
 
 def recover_cocircular_pairs(
@@ -260,10 +333,11 @@ def _cocircular_cluster_pairs(
     restores completeness.  The same holds for sites cocircular only
     within Qhull's resolution, where it may keep either diagonal.
     Circumcircles and the on-circle test use the triangulation's
-    centred frame (``tri.points``); small simplices are left to the
+    centred coordinates; clusters hold sites only (a frame vertex lies
+    on no site pair's ring), and small simplices are left to the
     unresolved-site route.
     """
-    sites = tri.points
+    sites = framed_sites(tri)
     # False for nan/inf too: degenerate slivers have no circumcircle.
     keep = ~circles.small & (circles.radius <= recoverable_radius_bound(sites))
     if not keep.any():
@@ -339,13 +413,7 @@ def gabriel_rcj(
         results.extend(p for p in distinct if p.key() not in seen)
         return results
 
-    edges: set[tuple[int, int]] = set()
-    for simplex in tri.simplices:
-        a, b, c = int(simplex[0]), int(simplex[1]), int(simplex[2])
-        edges.add((a, b) if a < b else (b, a))
-        edges.add((a, c) if a < c else (c, a))
-        edges.add((b, c) if b < c else (c, b))
-
+    edges = set(map(tuple, site_edges(tri).tolist()))
     circles = triangle_circles(tri)
     edges |= _cocircular_cluster_pairs(tri, circles)
     kdtree = cKDTree(sites)

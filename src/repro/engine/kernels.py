@@ -38,10 +38,20 @@ emitted directly.
 Qhull triangulates the *centred* sites
 (:func:`repro.core.gabriel.checked_delaunay`): far from the origin,
 raw coordinates spend their low bits on the offset, and Qhull then
-drops true Gabriel edges.  Circumcircles are computed in the same
-centred frame, each relative to one of its triangle's vertices so
-that its rounding scales with the triangle, not with its distance
-from the centroid; every exact predicate stays on raw coordinates.
+drops true Gabriel edges.  Three frame vertices ride along, the
+corners of an equilateral triangle of circumradius ``4h`` about the
+centre of the sites' bounding box (``h`` its half-diagonal), so no
+site lies on the triangulated hull.  Clamped data piles long collinear
+runs onto its bounding box, and on the hull each run lifts to a
+vertical coplanar facet that cost Qhull 3-4x the rest of the
+triangulation.  A frame vertex is more than ``2h`` from that centre,
+beyond every site pair's ring, so it blocks no ring and a true pair
+stays a Delaunay edge; edges touching the frame are dropped
+(:func:`repro.core.gabriel.site_edges`).  Circumcircles are computed
+in the same centred coordinates, each relative to one of its
+triangle's vertices so that its rounding scales with the triangle,
+not with its distance from the centroid; every exact predicate stays
+on raw coordinates.
 
 What Qhull cannot settle takes the exact route, a per-probe scan
 (:func:`_scan_candidates`):
@@ -87,8 +97,10 @@ from scipy.spatial import Delaunay, cKDTree
 from repro.core.gabriel import (
     TriangleCircles,
     checked_delaunay,
+    framed_sites,
     recover_cocircular_pairs,
     recoverable_radius_bound,
+    site_edges,
     triangle_circles,
     unresolved_sites,
 )
@@ -301,7 +313,9 @@ def knn_candidate_blocks(
         the exact scan only).
 
     Under an active trace the wall time lands in the ``candidate``
-    stage span (:func:`repro.obs.trace.stage_timer`).
+    stage span (:func:`repro.obs.trace.stage_timer`), with counters
+    ``sites`` (distinct sites triangulated) and ``scanned_rows`` (rows
+    sent to the exact scan).
     """
     n_p, n_q = len(parr), len(qarr)
     if n_p == 0 or n_q == 0:
@@ -313,6 +327,7 @@ def knn_candidate_blocks(
             none = np.empty(0, np.int64)
             found = (none, none, none, np.arange(n_q, dtype=np.int64))
         q_idx, p_idx, unresolved_p, unresolved_q = found
+        add_counter("scanned_rows", unresolved_p.size + unresolved_q.size)
         out_q, out_p = [q_idx], [p_idx]
         if unresolved_q.size:
             if tree_p is None:
@@ -463,15 +478,9 @@ def _delaunay_candidates(
     tri = checked_delaunay(sites)
     if tri is None:
         return None
+    add_counter("sites", n_sites)
 
-    simp = tri.simplices
-    edges = np.concatenate(
-        (simp[:, (0, 1)], simp[:, (0, 2)], simp[:, (1, 2)])
-    ).astype(np.int64)
-    edges.sort(axis=1)
-    edges = np.unique(edges[:, 0] * np.int64(n_sites) + edges[:, 1])
-    edges = np.column_stack((edges // n_sites, edges % n_sites))
-
+    edges = site_edges(tri)
     circles = triangle_circles(tri)
     extra = _cocircular_site_pairs(tri, circles)
     if len(extra):
@@ -524,10 +533,10 @@ def _cocircular_site_pairs(
     probed with a ball query and per-cluster Python.  On
     general-position data nothing is flagged and the whole pass is
     three comparisons per simplex.  Circumcircles live in the
-    triangulation's centred frame (``tri.points``); small simplices are
-    left to the unresolved-site route.
+    triangulation's centred coordinates; clusters hold sites only, and
+    small simplices are left to the unresolved-site route.
     """
-    sites = tri.points
+    sites = framed_sites(tri)
     ux, uy, radius = circles.ux, circles.uy, circles.radius
     finite = (
         np.isfinite(ux)

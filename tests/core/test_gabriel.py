@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 import repro.core.gabriel as gabriel
+import repro.engine.kernels as kernels
 from repro.core.brute import brute_force_rcj
 from repro.core.gabriel import (
+    FRAME_VERTICES,
     checked_delaunay,
     circumcircles,
+    framed_sites,
     gabriel_rcj,
+    site_edges,
     triangle_circles,
     unresolved_sites,
 )
-from repro.datasets.worstcase import collinear, split_alternating
+from repro.datasets.synthetic import gaussian_clusters
+from repro.datasets.worstcase import collinear, lattice, split_alternating
 from repro.geometry.point import Point
 
 
@@ -195,7 +200,9 @@ class TestCentredTriangulation:
             [(1e9, -1e9), (1e9 + 1, -1e9), (1e9, -1e9 + 2), (1e9 + 3, -1e9 + 3)]
         )
         tri = checked_delaunay(sites)
-        assert np.array_equal(tri.points, sites - sites.mean(axis=0))
+        # The sites come first; the frame vertices follow them.
+        assert np.array_equal(tri.points[:4], sites - sites.mean(axis=0))
+        assert np.array_equal(framed_sites(tri), tri.points[:4])
 
     def test_unit_square_draw_far_from_origin(self):
         # Regression: ten points of the unit square shifted by 1e6 lost
@@ -255,3 +262,76 @@ class TestCentredTriangulation:
         assert {r.key() for r in gabriel_rcj(p, q)} == {
             r.key() for r in brute_force_rcj(p, q)
         }
+
+
+def _distinct_sites(points):
+    return np.unique(np.array([(p.x, p.y) for p in points]), axis=0)
+
+
+def _clamped_sites():
+    # Three clusters about as wide as the box: most tails clamp onto
+    # its edges (collinear runs on the hull) and past two edges onto
+    # a corner (coincident piles, one site each).  325 distinct sites.
+    return _distinct_sites(gaussian_clusters(400, w=3, seed=7, std=6000.0))
+
+
+def _gabriel_edges(sites):
+    """Every Gabriel edge of ``sites`` by the oracle's exact predicate."""
+    x, y = sites[:, 0], sites[:, 1]
+    edges = set()
+    for i in range(len(sites)):
+        # t[j, s] < 0: site s lies strictly inside the ring of (i, j).
+        t = (x[None, :] - x[i]) * (x[None, :] - x[:, None]) + (
+            y[None, :] - y[i]
+        ) * (y[None, :] - y[:, None])
+        free = np.flatnonzero(~(t < 0.0).any(axis=1))
+        edges.update((i, int(j)) for j in free if j > i)
+    return edges
+
+
+class TestFramedTriangulation:
+    def test_frame_encloses_the_sites_beyond_every_ring(self):
+        sites = _clamped_sites()
+        n = len(sites)
+        tri = checked_delaunay(sites)
+        frame = tri.points[n:]
+        assert len(frame) == FRAME_VERTICES
+        # The frame is the whole hull, so no site lies on it.
+        assert tri.convex_hull.min() >= n
+        centred = framed_sites(tri)
+        lo, hi = centred.min(axis=0), centred.max(axis=0)
+        h = 0.5 * np.hypot(*(hi - lo))
+        assert (np.hypot(*(frame - 0.5 * (lo + hi)).T) > 2.0 * h).all()
+
+    @pytest.mark.parametrize("family", ["clamped", "lattice", "small"])
+    def test_frame_vertices_never_reach_the_outputs(self, family):
+        sites = {
+            "clamped": _clamped_sites,
+            "lattice": lambda: _distinct_sites(lattice(36)),
+            "small": lambda: np.array([
+                (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                (0.5, 0.5), (0.5 + 1e-7, 0.5), (0.5, 0.5 + 1e-7),
+            ]),
+        }[family]()
+        n = len(sites)
+        tri = checked_delaunay(sites)
+        assert (tri.simplices >= n).any()
+        circles = triangle_circles(tri)
+        edges = site_edges(tri)
+        assert len(edges) and edges.max() < n
+        assert unresolved_sites(tri, circles.small).shape == (n,)
+        clusters = gabriel._cocircular_cluster_pairs(tri, circles)
+        vectorized = kernels._cocircular_site_pairs(tri, circles)
+        assert all(j < n for pair in clusters for j in pair)
+        assert vectorized.size == 0 or vectorized.max() < n
+        if family == "lattice":
+            # Lattice cells are cocircular: the clusters are not empty.
+            assert clusters and len(vectorized)
+
+    def test_every_gabriel_edge_of_a_clamped_set_is_a_site_edge(self):
+        sites = _clamped_sites()
+        assert 250 <= len(sites) <= 350
+        tri = checked_delaunay(sites)
+        got = set(map(tuple, site_edges(tri).tolist()))
+        want = _gabriel_edges(sites)
+        assert want <= got

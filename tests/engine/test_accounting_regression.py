@@ -24,7 +24,7 @@ EXPECTED = {
     "INJ": (594, 1384, 1384, 259),
     "BIJ": (1139, 56, 56, 259),
     "OBJ": (361, 56, 56, 259),
-    "ARRAY": (402, 0, 0, 259),
+    "ARRAY": (400, 0, 0, 259),
 }
 
 

@@ -52,9 +52,9 @@ def _stages(report) -> set[str]:
 #: it consumed, not just the k it returns); the families count what
 #: their source emitted (kcp: the chunks its sink consumed).
 PINNED = {
-    "bulk-array-uniform": (927, 572, 355, 0),
+    "bulk-array-uniform": (922, 572, 350, 0),
     "bulk-array-clustered": (436, 282, 154, 0),
-    "bulk-parallel-uniform": (927, 572, 355, 0),
+    "bulk-parallel-uniform": (922, 572, 350, 0),
     "bulk-parallel-clustered": (436, 282, 154, 0),
     "bulk-array-refused": (1268, 282, 986, 0),
     "topk-array-uniform": (48, 46, 2, 2),
@@ -137,3 +137,21 @@ def test_route_figures_and_stage_names(route, uniform, clustered, monkeypatch):
         # A real pool ran; the bulk RCJ does not shard, so its
         # array-parallel runs in-process.
         assert report.workers_used == (1 if route.startswith("bulk") else 2)
+
+
+@pytest.mark.parametrize("refused", [False, True])
+def test_candidate_span_counts_sites_and_scanned_rows(refused, monkeypatch):
+    # The clamped fixture: cluster tails clamped onto the box edges put
+    # 251 of its 1,300 points on collinear runs along the sites' hull.
+    points_p, points_q = clustered_pair(600, 700, seed=1, w=10)
+    if refused:
+        monkeypatch.setattr(kernels, "checked_delaunay", lambda sites: None)
+    report = run_join(points_p, points_q, engine="array")
+    (span,) = report.trace.find("candidate")
+    if refused:
+        # Nothing was triangulated; every probe takes the exact scan.
+        assert "sites" not in span.counters
+        assert span.counters["scanned_rows"] == len(points_q)
+    else:
+        assert span.counters["sites"] == 1286
+        assert span.counters["scanned_rows"] == 0

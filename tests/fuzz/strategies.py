@@ -2,8 +2,11 @@
 
 One composite strategy draws a family from
 :mod:`repro.datasets.worstcase` (collinear with optional near-collinear
-jitter, cocircular, lattice, two clusters, coincident) or a uniform
-set, then stresses it the ways that have broken exact geometry before:
+jitter, cocircular, lattice, two clusters, coincident), a uniform set
+or clamped Gaussian clusters (tails clamped onto a box, so long
+collinear runs and coincident corner piles sit on the hull, the
+geometry that once made Qhull grind), then stresses it the ways that
+have broken exact geometry before:
 
 - extreme scales (1e-6 .. 1e9) and translations up to ±1e9, which
   shrink the gaps between sites toward the last bits of the mantissa;
@@ -28,10 +31,16 @@ import math
 from hypothesis import strategies as st
 
 from repro.datasets import worstcase
-from repro.datasets.synthetic import uniform
+from repro.datasets.synthetic import gaussian_clusters, uniform
 
 FAMILIES = (
-    "collinear", "cocircular", "lattice", "two_clusters", "coincident", "uniform"
+    "collinear",
+    "cocircular",
+    "lattice",
+    "two_clusters",
+    "coincident",
+    "uniform",
+    "clamped",
 )
 
 
@@ -50,6 +59,16 @@ def _family(draw) -> list[tuple[float, float]]:
         points = worstcase.two_clusters(n, seed=seed)
     elif family == "coincident":
         points = worstcase.coincident(n)
+    elif family == "clamped":
+        # Cluster spreads of 0.5..3 box widths clamp most tails onto
+        # the box edges, and past two edges onto a shared corner.
+        points = gaussian_clusters(
+            n,
+            w=draw(st.integers(min_value=1, max_value=3)),
+            seed=seed,
+            std=draw(st.sampled_from((0.5, 1.0, 3.0))),
+            domain=(0.0, 1.0),
+        )
     else:
         points = uniform(n, seed=seed)
     return [(p.x, p.y) for p in points]

@@ -15,6 +15,7 @@ from hypothesis import given
 
 from repro.core.brute import brute_force_rcj
 from repro.core.gabriel import gabriel_rcj
+from repro.datasets.fixtures import clustered_pair
 from repro.engine import run_join
 from repro.geometry.point import Point
 from tests.fuzz.strategies import bulk_rcj_cases
@@ -117,6 +118,16 @@ REGRESSIONS = {
 @pytest.mark.parametrize("name", sorted(REGRESSIONS))
 def test_regression_case(name):
     _assert_engines_agree(*REGRESSIONS[name])
+
+
+def test_clamped_clusters_on_the_box():
+    # Regression fixture for the framed triangulation: 251 of these
+    # 1,300 points are cluster tails clamped onto the box edges (long
+    # collinear runs on the sites' hull), some piled onto a corner.
+    points_p, points_q = clustered_pair(600, 700, seed=1, w=10)
+    _assert_engines_agree(
+        [(p.x, p.y) for p in points_p], [(q.x, q.y) for q in points_q], False
+    )
 
 
 def test_cocircular_ring_and_scatter_far_from_origin():

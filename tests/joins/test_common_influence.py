@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,29 @@ def _keys(pairs):
 
 
 def _nn(points, x, y):
-    return min(points, key=lambda p: (p.x - x) ** 2 + (p.y - y) ** 2)
+    """Oids of every point at the least distance from ``(x, y)``.
+
+    Squared distances are compared as exact fractions: rounded floats
+    can tie two sites that are not equidistant, and breaking that tie by
+    list order names a site whose cell does not hold ``(x, y)``.
+    """
+    fx, fy = Fraction(x), Fraction(y)
+    d2 = [
+        (Fraction(p.x) - fx) ** 2 + (Fraction(p.y) - fy) ** 2 for p in points
+    ]
+    best = min(d2)
+    return {p.oid for p, d in zip(points, d2) if d == best}
+
+
+def _assert_sampled_nn_pairs_in(got, ps, qs, rng, samples, hi):
+    """Soundness: the (NN_P(x), NN_Q(x)) pair of any location x
+    witnesses a cell intersection (any one pair of exactly tied
+    nearest sites will do)."""
+    for _ in range(samples):
+        x, y = rng.uniform(0, hi), rng.uniform(0, hi)
+        assert any(
+            (a, b) in got for a in _nn(ps, x, y) for b in _nn(qs, x, y)
+        ), (x, y)
 
 
 class TestVoronoiCell:
@@ -77,7 +100,7 @@ class TestVoronoiCells:
             from repro.geometry.polygon import polygon_centroid
 
             cx, cy = polygon_centroid(cell)
-            assert _nn(points, cx, cy).oid == p.oid
+            assert p.oid in _nn(points, cx, cy)
 
     def test_delaunay_and_allpairs_agree(self):
         points = uniform(40, seed=72)
@@ -155,10 +178,7 @@ class TestCommonInfluenceJoin:
         ps = uniform(60, seed=75)
         qs = uniform(60, seed=76, start_oid=100)
         got = _keys(common_influence_join(ps, qs, bounds=Rect(0, 0, 10000, 10000)))
-        rng = random.Random(9)
-        for _ in range(200):
-            x, y = rng.uniform(0, 10000), rng.uniform(0, 10000)
-            assert (_nn(ps, x, y).oid, _nn(qs, x, y).oid) in got
+        _assert_sampled_nn_pairs_in(got, ps, qs, random.Random(9), 200, 10000)
 
     def test_rcj_pairs_are_cij_pairs(self):
         """General position: an empty ring's centre has p and q as its
@@ -193,9 +213,17 @@ class TestCommonInfluenceJoin:
             ),
             start_oid=100,
         )
-        bounds = Rect(-1, -1, 101, 101)
-        got = _keys(common_influence_join(ps, qs, bounds))
-        rng = random.Random(0)
-        for _ in range(30):
-            x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-            assert (_nn(ps, x, y).oid, _nn(qs, x, y).oid) in got
+        got = _keys(common_influence_join(ps, qs, Rect(-1, -1, 101, 101)))
+        _assert_sampled_nn_pairs_in(got, ps, qs, random.Random(0), 30, 100)
+
+    def test_sampled_nn_pairs_next_to_a_near_coincident_site(self):
+        """Regression (drawn by the property test above): the Q sites
+        (0, 0) and (1.46e-31, 0) round to equal distances from every
+        sample with x > 0.5, but the second is nearer.  An oracle that
+        broke the rounded tie by list order named (1, 100), although
+        the cells of (1, 0) and (0, 0) do not meet."""
+        ps = make_points([(0.0, 0.0), (1.0, 0.0)])
+        qs = make_points([(0.0, 0.0), (1.4587937793490456e-31, 0.0)], 100)
+        got = _keys(common_influence_join(ps, qs, Rect(-1, -1, 101, 101)))
+        assert got == {(0, 100), (0, 101), (1, 101)}
+        _assert_sampled_nn_pairs_in(got, ps, qs, random.Random(0), 30, 100)
