@@ -201,64 +201,95 @@ def record_batch(
         pass
 
 
+#: Relative widening of the starting cell past the live span: room for
+#: the float error of a witness centre computed at the span's edge.
+_SPAN_MARGIN = 1e-6
+
+
 def voronoi_neighbours(
     x: Point,
     stream: Iterable[tuple[float, Point, Side]],
     span: list[float],
     stop_on_coincident: bool = True,
-) -> list[tuple[Point, Side]] | None:
+) -> tuple[list[tuple[Point, Side]] | None, int]:
     """Clip ``x``'s Voronoi cell against an ascending-distance stream.
 
     ``stream`` yields ``(distance, point, side)`` in ascending distance
-    over some pointset; ``span`` is a bounding box covering the domain,
-    the data and ``x`` (any superset is safe — it only enlarges the
-    starting horizon).  Streaming stops once the next point is beyond
-    twice the farthest cell vertex: no remaining point can be a
-    Delaunay neighbour of ``x``, because the empty-circle centre
-    witnessing adjacency lies inside the cell.  The returned
-    ``(point, side)`` list is therefore a superset of ``x``'s Delaunay
-    neighbours in the streamed set.
+    over some pointset; ``span`` is a bounding box that must cover every
+    *live* point (the streamed set, plus an inserted ``x``).  Dead rows,
+    a domain box and ``x`` itself may only enlarge it.  The cell starts
+    as the span, widened by :data:`_SPAN_MARGIN` of its extent for float
+    error, and streaming stops once the next point is beyond twice the
+    farthest cell vertex.  Returns the neighbourhood and the number of
+    points pulled from ``stream``.  The neighbourhood, a ``(point,
+    side)`` list, is a superset of the streamed points a dynamic repair
+    needs:
+
+    - an *insert* probe's pair ``(x, z)`` has the empty ring ``D(x,
+      z)``, centred on the midpoint of two live points;
+    - a pair ``(a, b)`` *freed* by a deleted ``x`` had ``x`` inside its
+      empty-of-the-rest ring.  Shrinking ``D(a, b)`` towards ``a`` until
+      ``x`` lies on its boundary gives an empty circle through ``a`` and
+      ``x``, whose centre lies on the segment from ``ab``'s midpoint to
+      ``a`` (and likewise for ``b``).
+
+    Either witness centre ``c`` is a convex combination of live points,
+    so it lies in the span; no streamed point is nearer to ``c`` than
+    ``x``, so ``c`` lies in ``x``'s cell, on the partner's bisector.
+    The partner's bisector therefore reaches the clipped cell, and the
+    partner is at most ``2|c - x|`` from ``x``: inside the horizon.
+    Gabriel neighbours alone would not do for deletions: ``D(a, x)``
+    need not lie inside ``D(a, b)``.
 
     A streamed point coinciding with ``x`` imposes no halfplane.  With
     ``stop_on_coincident`` (deletion semantics) it aborts the whole
-    neighbourhood — a coincident twin survives, so every ring that
-    contained ``x`` still contains the twin and nothing is freed.
+    neighbourhood (returned as None) — a coincident twin survives, so
+    every ring that contained ``x`` still contains the twin and nothing
+    is freed.
     Otherwise (insertion probes) the coincident point is *emitted*: a
-    zero-radius ring with it is a legal degenerate pair.
+    zero-radius ring with it is a legal degenerate pair.  A point
+    within the touch slack of ``x`` is emitted without clipping too.
 
     Only points whose bisector actually reaches the current cell are
-    emitted.  The cell is a superset of ``x``'s final Voronoi region at
-    every step, so a bisector that leaves the whole cell strictly on
-    ``x``'s side can never share an edge (or vertex) with it — such a
-    point is provably not a Delaunay neighbour and its half-plane clip
-    would be a no-op.  Without this filter a probe near the hull (whose
-    cell is unbounded and stays box-sized) emits *every* point inside
-    the horizon — the entire union in the worst case.
+    emitted.  The cell is a superset of ``x``'s final Voronoi region
+    within the span at every step, so a bisector that leaves the whole
+    cell strictly on ``x``'s side can never pass through a witness
+    centre — such a point is not needed and its half-plane clip would
+    be a no-op.
     """
-    margin = max(span[2] - span[0], span[3] - span[1], 1.0)
+    margin = _SPAN_MARGIN * max(span[2] - span[0], span[3] - span[1], 1.0)
     cell = box_polygon(
         span[0] - margin, span[1] - margin, span[2] + margin, span[3] + margin
     )
     # Touch slack: treat a bisector missing the cell by less than this
     # distance as touching, covering the accumulated float error of the
-    # clipped cell vertices (scaled to the coordinate magnitude).
+    # clipped cell vertices (scaled to the coordinate magnitude).  The
+    # horizon gets the same slack: a partner diametrically opposite a
+    # witness centre that is the farthest vertex sits exactly on it.
     slack = 1e-9 * max(
         abs(span[0]), abs(span[1]), abs(span[2]), abs(span[3]), 1.0
     )
 
     def max_vertex_dist() -> float:
-        return max(
+        return slack + max(
             ((vx - x.x) ** 2 + (vy - x.y) ** 2) ** 0.5 for vx, vy in cell
         )
 
     horizon = 2.0 * max_vertex_dist()
     out: list[tuple[Point, Side]] = []
-    for d, z, z_side in stream:
+    pulled = 0
+    for pulled, (d, z, z_side) in enumerate(stream, 1):
         if d > horizon:
             break
         if z.x == x.x and z.y == x.y:
             if stop_on_coincident:
-                return None
+                return None, pulled
+            out.append((z, z_side))
+            continue
+        if d <= slack:
+            # Within the cell's float error of x: emitted, not clipped.
+            # A bisector this close to x may cut off witnesses the exact
+            # predicate accepts (its products underflow near zero).
             out.append((z, z_side))
             continue
         nx = z.x - x.x
@@ -277,7 +308,7 @@ def voronoi_neighbours(
             horizon = 2.0 * max_vertex_dist()
         # else: the cell collapsed numerically — keep the previous
         # (larger) horizon and keep streaming; conservative.
-    return out
+    return out, pulled
 
 
 #: Grid resolution of the pair-circle index.
@@ -447,12 +478,13 @@ class DynamicRCJ:
             for key in involved:
                 self._drop(key)
             # (ii) Pairs freed by the departure.
-            neighborhood = self._neighborhood(point)
+            neighborhood, streamed = self._neighborhood(point)
+            if sp is not None:
+                sp.add("killed", len(involved))
+                sp.add("streamed", streamed)
             if neighborhood is None:
                 # A coincident twin remains: every ring that contained
                 # the departed point still contains the twin.
-                if sp is not None:
-                    sp.add("killed", len(involved))
                 return True
             near_p = [z for z, z_side in neighborhood if z_side == "P"]
             near_q = [z for z, z_side in neighborhood if z_side == "Q"]
@@ -473,7 +505,6 @@ class DynamicRCJ:
                     self._store(cand.to_pair())
                     freed += 1
             if sp is not None:
-                sp.add("killed", len(involved))
                 sp.add("freed", freed)
         return True
 
@@ -558,14 +589,17 @@ class DynamicRCJ:
 
     def _neighborhood(
         self, x: Point
-    ) -> list[tuple[Point, Side]] | None:
+    ) -> tuple[list[tuple[Point, Side]] | None, int]:
         """Candidate endpoints for pairs freed by deleting ``x``: its
         Voronoi neighbourhood (:func:`voronoi_neighbours`) over the
-        merged incremental-NN stream of both trees.  Returns None when
+        merged incremental-NN stream of both trees, and the number of
+        points pulled from that stream.  The neighbourhood is None when
         a point coincides with ``x`` — no ring can have been blocked by
         ``x`` alone."""
-        # The clipping box must cover every possible cell vertex: take
-        # the union of the domain, the data MBRs and x.
+        # The clipping box must cover every live point (each freed
+        # pair's witness centre is a convex combination of live
+        # points); the domain and x only enlarge it.  Tree MBRs cover
+        # the live points of each side.
         span = [self.bounds.xmin, self.bounds.ymin, self.bounds.xmax, self.bounds.ymax]
         for tree in (self.tree_p, self.tree_q):
             if tree.root_pid is not None:

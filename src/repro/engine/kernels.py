@@ -527,12 +527,13 @@ def _cocircular_site_pairs(
     diametral edges, so each such cluster must be recovered from
     triangle circumcircles.  A cocircular face is carved into two or
     more *adjacent* simplices sharing one circumcircle, so only
-    simplices whose circumcircle coincides with a neighbour's (within
-    1000 times the on-circle tolerance — false flags are filtered by
-    the on-circle test, and false candidate pairs by verification) are
-    probed with a ball query and per-cluster Python.  On
+    simplices whose circumcircle passes by a neighbour's far vertex
+    (within 1000 times the on-circle tolerance — false flags are
+    filtered by the on-circle test, and false candidate pairs by
+    verification) are probed with a ball query and per-cluster Python.
+    On
     general-position data nothing is flagged and the whole pass is
-    three comparisons per simplex.  Circumcircles live in the
+    three distance tests per simplex.  Circumcircles live in the
     triangulation's centred coordinates; clusters hold sites only, and
     small simplices are left to the unresolved-site route.
     """
@@ -545,22 +546,25 @@ def _cocircular_site_pairs(
         & (radius <= recoverable_radius_bound(sites))
     )
 
-    # Flag simplices sharing a circumcircle with a Delaunay neighbour.
+    # Flag simplices whose circle passes by a Delaunay neighbour's far
+    # vertex.  A neighbour sharing the circle has its far vertex on it;
+    # next to a near-coincident pair of sites the neighbour's own
+    # circle is ill-conditioned, and only the vertex shows the tie.
     flag_tol = 1e3 * circles.tol
     flagged = np.zeros(len(radius), dtype=bool)
-    neighbors = tri.neighbors
+    simplices, neighbors, points = tri.simplices, tri.neighbors, tri.points
+    vertex_sum = simplices.sum(axis=1)
     for slot in range(3):
         j = neighbors[:, slot]
         j_safe = np.maximum(j, 0)
-        close = (
-            (j >= 0)
-            & finite
-            & finite[j_safe]
-            & (np.abs(ux - ux[j_safe]) <= flag_tol)
-            & (np.abs(uy - uy[j_safe]) <= flag_tol)
-            & (np.abs(radius - radius[j_safe]) <= flag_tol)
+        # The far vertex of j: its vertex sum minus the shared edge's
+        # (any vertex where there is no neighbour).
+        far = np.where(
+            j >= 0, vertex_sum[j_safe] - vertex_sum + simplices[:, slot], 0
         )
-        flagged |= close
+        with np.errstate(invalid="ignore"):
+            off = np.hypot(points[far, 0] - ux, points[far, 1] - uy) - radius
+        flagged |= (j >= 0) & finite & (np.abs(off) <= flag_tol)
     probe = np.nonzero(flagged)[0]
     if probe.size == 0:
         return np.empty((0, 2), dtype=np.int64)

@@ -96,12 +96,12 @@ TOMBSTONE_FRAC = 0.25
 #: than this many rows (strict: rebuild only when ``buffered > cap``).
 BUFFER_CAP = 1024
 
-#: Cells (probe × ring, or ring × buffered point) per broadcast
-#: temporary of the containment scans: 512 KB of float64.  Temporaries
-#: this small stay in cache and the allocator reuses them from batch to
-#: batch.  Under a 4M-cell bound a batch-64 kill scan over 20k rings
-#: made 10 MB temporaries that could be mapped fresh on every batch:
-#: about 1,000 page faults per batch, measured on the fleet stream.
+#: Cells (probe × ring) per broadcast temporary of the kill scan:
+#: 512 KB of float64.  Temporaries this small stay in cache and the
+#: allocator reuses them from batch to batch.  Under a 4M-cell bound a
+#: batch-64 kill scan over 20k rings made 10 MB temporaries that could
+#: be mapped fresh on every batch: about 1,000 page faults per batch,
+#: measured on the fleet stream.
 _SCAN_CELLS = 1 << 16
 
 
@@ -315,30 +315,52 @@ class _RingColumns:
     so a containment decision here is the decision the object grid's
     confirm step would have made.  Where the grid buckets circle
     bounding boxes and rechecks a candidate superset per cell, the twin
-    scans all live rings in one numpy pass — no superset, no recheck,
-    and column compaction (swap-remove) keeps the scan dense.
+    scans all live rings in one numpy pass — no superset, no recheck.
+
+    The four coordinate columns and the two endpoint-oid columns are
+    rows of NumPy blocks grown by capacity doubling; a removal swaps the
+    last ring into the freed slot in place, so both scans stay dense
+    without rebuilding the columns.
     """
 
     def __init__(self):
-        self._px: list[float] = []
-        self._py: list[float] = []
-        self._qx: list[float] = []
-        self._qy: list[float] = []
+        self._xy = np.empty((4, 64), dtype=np.float64)  # px, py, qx, qy
+        self._oid = np.empty((2, 64), dtype=np.int64)  # P oid, Q oid
         self._keys: list[tuple[int, int]] = []
         self._slot_of: dict[tuple[int, int], int] = {}
-        self._cols: tuple[np.ndarray, ...] | None = None
 
     def __len__(self) -> int:
         return len(self._keys)
 
+    def _reserve(self, size: int) -> None:
+        cap = self._xy.shape[1]
+        if size > cap:
+            while cap < size:
+                cap *= 2
+            grow = cap - self._xy.shape[1]
+            self._xy = np.concatenate((self._xy, np.empty((4, grow))), 1)
+            self._oid = np.concatenate(
+                (self._oid, np.empty((2, grow), dtype=np.int64)), 1
+            )
+
     def add(self, key: tuple[int, int], pair: RCJPair) -> None:
-        self._slot_of[key] = len(self._keys)
-        self._px.append(pair.p.x)
-        self._py.append(pair.p.y)
-        self._qx.append(pair.q.x)
-        self._qy.append(pair.q.y)
+        slot = len(self._keys)
+        self._reserve(slot + 1)
+        self._xy[:, slot] = (pair.p.x, pair.p.y, pair.q.x, pair.q.y)
+        self._oid[:, slot] = key
+        self._slot_of[key] = slot
         self._keys.append(key)
-        self._cols = None
+
+    def extend(self, keys, xy: np.ndarray, oid: np.ndarray) -> None:
+        """Add many new rings at once: ``xy`` holds their ``(4, m)``
+        endpoint columns (px, py, qx, qy), ``oid`` their ``(2, m)`` key
+        columns."""
+        start, end = len(self._keys), len(self._keys) + len(keys)
+        self._reserve(end)
+        self._xy[:, start:end] = xy
+        self._oid[:, start:end] = oid
+        self._slot_of.update(zip(keys, range(start, end)))
+        self._keys.extend(keys)
 
     def remove(self, key: tuple[int, int]) -> None:
         slot = self._slot_of.pop(key, None)
@@ -347,38 +369,23 @@ class _RingColumns:
         last = len(self._keys) - 1
         if slot != last:
             mover = self._keys[last]
-            for col in (self._px, self._py, self._qx, self._qy):
-                col[slot] = col[last]
+            self._xy[:, slot] = self._xy[:, last]
+            self._oid[:, slot] = self._oid[:, last]
             self._keys[slot] = mover
             self._slot_of[mover] = slot
-        del (
-            self._px[last],
-            self._py[last],
-            self._qx[last],
-            self._qy[last],
-            self._keys[last],
-        )
-        self._cols = None
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        if self._cols is None:
-            n = len(self._keys)
-            self._cols = tuple(
-                np.fromiter(col, np.float64, count=n)
-                for col in (self._px, self._py, self._qx, self._qy)
-            )
-        return self._cols
+        self._keys.pop()
 
     def keys_involving_any(
         self, oids, side: Side
     ) -> list[tuple[int, int]]:
         """Keys of live rings whose ``side`` endpoint is in ``oids`` —
-        one pass over the columns for a whole batch of deletions."""
-        if not oids:
+        one vectorized membership test over that side's oid column."""
+        n = len(self._keys)
+        if not n or not oids:
             return []
-        wanted = set(oids)
-        slot = 0 if side == "P" else 1
-        return [key for key in self._keys if key[slot] in wanted]
+        column = self._oid[0 if side == "P" else 1, :n]
+        hit = np.isin(column, np.fromiter(oids, np.int64, count=len(oids)))
+        return [self._keys[i] for i in np.nonzero(hit)[0].tolist()]
 
     def keys_containing_any(
         self, xs: np.ndarray, ys: np.ndarray
@@ -386,10 +393,10 @@ class _RingColumns:
         """Keys of live rings strictly containing *any* of the probe
         points — the batch kill-scan, chunked so the broadcast stays
         within a bounded temporary."""
-        if not self._keys or not len(xs):
-            return []
-        px, py, qx, qy = self._columns()
         n = len(self._keys)
+        if not n or not len(xs):
+            return []
+        px, py, qx, qy = self._xy[:, :n]
         hit = np.zeros(n, dtype=bool)
         chunk = max(1, _SCAN_CELLS // n)
         for start in range(0, len(xs), chunk):
@@ -397,7 +404,7 @@ class _RingColumns:
             cy = ys[start : start + chunk, None]
             t = (cx - px) * (cx - qx) + (cy - py) * (cy - qy)
             hit |= (t < 0.0).any(axis=0)
-        return [self._keys[i] for i in np.nonzero(hit)[0]]
+        return [self._keys[i] for i in np.nonzero(hit)[0].tolist()]
 
 
 class DynamicArrayRCJ:
@@ -450,7 +457,15 @@ class DynamicArrayRCJ:
             parr, qarr = self._p.array(), self._q.array()
             p_idx, q_idx, _ = rcj_pair_indices(parr, qarr)
             for pi, qi in zip(p_idx.tolist(), q_idx.tolist()):
-                self._store(RCJPair(self._p.point(pi), self._q.point(qi)))
+                pair = RCJPair(self._p.point(pi), self._q.point(qi))
+                self._pairs[pair.key()] = pair
+            self._rings.extend(
+                list(self._pairs),
+                np.stack(
+                    (parr.x[p_idx], parr.y[p_idx], qarr.x[q_idx], qarr.y[q_idx])
+                ),
+                np.stack((parr.oid[p_idx], qarr.oid[q_idx])),
+            )
 
     # ------------------------------------------------------------------
     # result access (DynamicBackend)
@@ -600,13 +615,20 @@ class DynamicArrayRCJ:
         """
         if not len(self._p) or not len(self._q):
             return
-        sources = self._union_sources()
         candidates: dict[tuple[int, int], RCJPair] = {}
+        streamed = 0
         with stage_timer("probe"):
+            sources = self._union_sources()
+            span = self._live_span(sources)
             for victim, _side in victims:
-                self._probe_victim(victim, sources, candidates)
+                streamed += self._probe_victim(
+                    victim, sources, span, candidates
+                )
             for point, side in inserts:
-                self._probe_insert(point, side, sources, candidates)
+                streamed += self._probe_insert(
+                    point, side, sources, span, candidates
+                )
+        add_counter("streamed", streamed)
         add_counter("candidates", len(candidates))
         added = 0
         if candidates:
@@ -623,21 +645,21 @@ class DynamicArrayRCJ:
                 added = int(alive.sum())
         add_counter("added", added)
 
-    def _probe_victim(self, victim: Point, sources, candidates) -> None:
+    def _probe_victim(self, victim: Point, sources, span, candidates) -> int:
         """Freed-pair candidates of one deleted point over the final
         union view: cross the P/Q split of its Voronoi neighbourhood,
-        keep rings it strictly blocked."""
-        neighborhood = self._voronoi_neighbours(
-            victim, sources, stop_on_coincident=True
+        keep rings it strictly blocked.  Returns the points streamed."""
+        neighborhood, streamed = self._voronoi_neighbours(
+            victim, sources, span, stop_on_coincident=True
         )
         if neighborhood is None:
             # A coincident live point remains: every ring that contained
             # the victim still contains that point — nothing is freed.
-            return
+            return streamed
         near_p = [z for z, z_side in neighborhood if z_side == "P"]
         near_q = [z for z, z_side in neighborhood if z_side == "Q"]
         if not near_p or not near_q:
-            return
+            return streamed
         px = np.fromiter((z.x for z in near_p), np.float64, count=len(near_p))
         py = np.fromiter((z.y for z in near_p), np.float64, count=len(near_p))
         qx = np.fromiter((z.x for z in near_q), np.float64, count=len(near_q))
@@ -653,17 +675,20 @@ class DynamicArrayRCJ:
             if key in self._pairs or key in candidates:
                 continue
             candidates[key] = RCJPair(near_p[a], near_q[b])
+        return streamed
 
     def _probe_insert(
-        self, point: Point, side: Side, sources, candidates
-    ) -> None:
+        self, point: Point, side: Side, sources, span, candidates
+    ) -> int:
         """New-pair candidates of one inserted point: its opposite-side
         Voronoi neighbours over the final union view (a verified pair's
         ring is empty of the final union, so its endpoints are Delaunay
-        neighbours there — the neighbourhood is a superset)."""
-        neighborhood = self._voronoi_neighbours(
+        neighbours there — the neighbourhood is a superset).  Returns
+        the points streamed."""
+        neighborhood, streamed = self._voronoi_neighbours(
             point,
             sources,
+            span,
             stop_on_coincident=False,
             exclude=(side, point.oid),
         )
@@ -676,133 +701,110 @@ class DynamicArrayRCJ:
             if key in self._pairs or key in candidates:
                 continue
             candidates[key] = pair
+        return streamed
 
     def _union_sources(self) -> list[tuple]:
         """The composite final-union view every repair probes and
         verifies against: per side, the stale main tree with its
-        liveness mask, plus the exact insert buffer."""
+        liveness mask, plus a KD-tree over the live insert buffer.  A
+        source is ``(side, point_of, tree, xs, ys, alive)``: ``point_of``
+        maps a tree row to its point, ``alive`` masks dead rows (None:
+        all rows live)."""
         sources: list[tuple] = []
         for side, cols in (("P", self._p), ("Q", self._q)):
             tree = cols.main_tree()
             if tree is not None:
+                arr = cols.main_array()
                 sources.append(
-                    (
-                        "tree",
-                        side,
-                        cols,
-                        tree,
-                        cols.main_array(),
-                        cols.alive_main(),
-                    )
+                    (side, cols.point, tree, arr.x, arr.y, cols.alive_main())
                 )
             buf = cols.buffer_points()
             if buf:
-                bx = np.fromiter(
-                    (p.x for p in buf), np.float64, count=len(buf)
-                )
-                by = np.fromiter(
-                    (p.y for p in buf), np.float64, count=len(buf)
-                )
-                sources.append(("buffer", side, cols, buf, bx, by))
+                bx = np.fromiter((p.x for p in buf), np.float64, count=len(buf))
+                by = np.fromiter((p.y for p in buf), np.float64, count=len(buf))
+                tree = cKDTree(np.column_stack((bx, by)))
+                sources.append((side, buf.__getitem__, tree, bx, by, None))
         return sources
 
     def _verify_sources(self, px, py, qx, qy, sources) -> np.ndarray:
-        """Exact ring verification against the composite union view.
-
-        Conjunction over sources: main tiers go through the batch verify
-        kernel with their liveness mask, buffers through a chunked
-        broadcast of the same IEEE predicate term order — together
-        exactly one verification against the full live union."""
+        """Exact ring verification against the composite union view:
+        the conjunction of the batch verify kernel over every source,
+        dead rows masked — exactly one verification against the full
+        live union."""
         alive = np.ones(len(px), dtype=bool)
-        for src in sources:
+        for _side, _point_of, tree, xs, ys, mask in sources:
             if not alive.any():
                 break
-            if src[0] == "tree":
-                _tag, _side, _cols, tree, arr, mask = src
-                if not mask.any():
-                    continue
-                blocker = None if mask.all() else mask
-                alive &= verify_rings_batch(
-                    px, py, qx, qy, tree, arr.x, arr.y,
-                    blocker_alive=blocker,
-                )
-            else:
-                _tag, _side, _cols, _buf, bx, by = src
-                m = len(px)
-                chunk = max(1, _SCAN_CELLS // max(1, len(bx)))
-                for s in range(0, m, chunk):
-                    e = min(s + chunk, m)
-                    t = (bx - px[s:e, None]) * (bx - qx[s:e, None]) + (
-                        by - py[s:e, None]
-                    ) * (by - qy[s:e, None])
-                    alive[s:e] &= ~(t < 0.0).any(axis=1)
+            if mask is not None and not mask.any():
+                continue
+            alive &= verify_rings_batch(
+                px, py, qx, qy, tree, xs, ys,
+                blocker_alive=None if mask is None or mask.all() else mask,
+            )
         return alive
 
-    def _voronoi_neighbours(
-        self,
-        x: Point,
-        sources,
-        stop_on_coincident: bool,
-        exclude: tuple[Side, int] | None = None,
-    ) -> list[tuple[Point, Side]] | None:
-        """Voronoi neighbourhood of ``x`` over the composite view —
-        ascending-distance streams from each source, heap-merged into
-        the shared clip loop.  ``exclude`` drops one ``(side, oid)``
-        (an inserted point probing for its own partners)."""
+    def _live_span(self, sources) -> list[float]:
+        """Bounding box of the domain and every source's rows — the
+        clip box each probe of one repair shares.  Dead main rows only
+        enlarge it (:func:`~repro.core.dynamic.voronoi_neighbours`
+        needs every live point covered)."""
         span = [
             self.bounds.xmin,
             self.bounds.ymin,
             self.bounds.xmax,
             self.bounds.ymax,
         ]
-        for src in sources:
-            if src[0] == "tree":
-                arr = src[4]
-                if len(arr.x):
-                    # Dead rows inflate the box — a larger clip box only
-                    # enlarges the starting horizon; conservative.
-                    span[0] = min(span[0], float(arr.x.min()))
-                    span[1] = min(span[1], float(arr.y.min()))
-                    span[2] = max(span[2], float(arr.x.max()))
-                    span[3] = max(span[3], float(arr.y.max()))
-            else:
-                bx, by = src[4], src[5]
-                span[0] = min(span[0], float(bx.min()))
-                span[1] = min(span[1], float(by.min()))
-                span[2] = max(span[2], float(bx.max()))
-                span[3] = max(span[3], float(by.max()))
-        span[0] = min(span[0], x.x)
-        span[1] = min(span[1], x.y)
-        span[2] = max(span[2], x.x)
-        span[3] = max(span[3], x.y)
-        streams = [
-            self._tree_stream(x, src, exclude)
-            if src[0] == "tree"
-            else self._buffer_stream(x, src, exclude)
-            for src in sources
-        ]
-        merged = heapq.merge(*streams, key=lambda t: t[0])
+        for _side, _point_of, _tree, xs, ys, _alive in sources:
+            span[0] = min(span[0], float(xs.min()))
+            span[1] = min(span[1], float(ys.min()))
+            span[2] = max(span[2], float(xs.max()))
+            span[3] = max(span[3], float(ys.max()))
+        return span
+
+    def _voronoi_neighbours(
+        self,
+        x: Point,
+        sources,
+        span: list[float],
+        stop_on_coincident: bool,
+        exclude: tuple[Side, int] | None = None,
+    ) -> tuple[list[tuple[Point, Side]] | None, int]:
+        """Voronoi neighbourhood of ``x`` over the composite view —
+        ascending-distance streams from each source, heap-merged into
+        the shared clip loop — and the number of points it pulled.
+        ``span`` is the repair's :meth:`_live_span`; ``exclude`` drops
+        one ``(side, oid)`` (an inserted point probing for its own
+        partners)."""
+        streams = [self._stream(x, src, exclude) for src in sources]
         return voronoi_neighbours(
-            x, merged, span, stop_on_coincident=stop_on_coincident
+            x,
+            heapq.merge(*streams, key=lambda t: t[0]),
+            [
+                min(span[0], x.x),
+                min(span[1], x.y),
+                max(span[2], x.x),
+                max(span[3], x.y),
+            ],
+            stop_on_coincident=stop_on_coincident,
         )
 
     @staticmethod
-    def _tree_stream(x: Point, src, exclude):
-        """Live main-tier points in ascending distance from ``x``
-        (doubling-k KD queries over the stale tree, dead rows skipped)."""
-        _tag, side, cols, tree, _arr, mask = src
-        n_main = cols.main_count
+    def _stream(x: Point, src, exclude):
+        """One source's live points in ascending distance from ``x``
+        (doubling-k KD queries, dead rows skipped)."""
+        side, point_of, tree, _xs, _ys, mask = src
+        n = tree.n
         done = 0
         k = 32
         while True:
-            kk = min(k, n_main)
+            kk = min(k, n)
             dist, idx = tree.query([x.x, x.y], k=kk)
             dist = np.atleast_1d(dist)
             idx = np.atleast_1d(idx)
             for d, row in zip(dist[done:].tolist(), idx[done:].tolist()):
-                if not mask[row]:
+                if mask is not None and not mask[row]:
                     continue
-                z = cols.point(row)
+                z = point_of(row)
                 if (
                     exclude is not None
                     and side == exclude[0]
@@ -810,25 +812,10 @@ class DynamicArrayRCJ:
                 ):
                     continue
                 yield float(d), z, side
-            if kk == n_main:
+            if kk == n:
                 return
             done = kk
             k *= 2
-
-    @staticmethod
-    def _buffer_stream(x: Point, src, exclude):
-        """Buffered inserts in ascending distance from ``x``."""
-        _tag, side, _cols, buf, bx, by = src
-        d = np.hypot(bx - x.x, by - x.y)
-        for j in np.argsort(d, kind="stable").tolist():
-            z = buf[j]
-            if (
-                exclude is not None
-                and side == exclude[0]
-                and z.oid == exclude[1]
-            ):
-                continue
-            yield float(d[j]), z, side
 
     def _maybe_compact(self) -> int:
         """Flush a side's lazy state when it crossed a threshold — the

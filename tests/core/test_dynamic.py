@@ -7,12 +7,13 @@ strongest possible check of the update rules.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.brute import brute_force_rcj
-from repro.core.dynamic import DynamicRCJ
+from repro.core.dynamic import DynamicRCJ, voronoi_neighbours
 from repro.datasets.synthetic import uniform
 from repro.geometry.point import Point
 
@@ -262,3 +263,69 @@ class TestMixedWorkload:
                     qs = [q for q in qs if q.oid != victim.oid]
                     assert dyn.delete(victim, "Q")
                 assert dyn.pair_keys() == _oracle_keys(ps, qs)
+
+
+class TestProbeSpan:
+    """A probe's Voronoi cell starts from the live span, so how much of
+    the stream it pulls does not depend on where the probe sits."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        from scipy.spatial import cKDTree
+
+        points = uniform(20000, seed=5)
+        xy = np.array([(p.x, p.y) for p in points])
+        span = [*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist()]
+        return points, xy, cKDTree(xy), span
+
+    @staticmethod
+    def _probe(field, x):
+        """Insert-probe ``x`` over a KD-tree stream in ascending
+        distance; returns the neighbourhood and the points pulled."""
+        points, _xy, tree, span = field
+        dist, idx = tree.query([x.x, x.y], k=len(points))
+        stream = (
+            (d, points[i], "P") for d, i in zip(dist.tolist(), idx.tolist())
+        )
+        span = [
+            min(span[0], x.x), min(span[1], x.y),
+            max(span[2], x.x), max(span[3], x.y),
+        ]
+        out, pulled = voronoi_neighbours(
+            x, stream, span, stop_on_coincident=False
+        )
+        return {z.oid for z, _side in out}, pulled
+
+    @staticmethod
+    def _ring_partners(field, x):
+        """Oids ``z`` whose ring ``D(x, z)`` holds no point strictly
+        inside (the exact dot predicate over the midpoint's nearest
+        points): every pair an insert of ``x`` could make."""
+        points, xy, tree, _span = field
+        mids = (xy + [x.x, x.y]) / 2.0
+        _d, near = tree.query(mids, k=4)
+        partners = set()
+        for z, row in enumerate(near.tolist()):
+            s = xy[[i for i in row if i != z]]
+            inside = (s[:, 0] - x.x) * (s[:, 0] - xy[z, 0]) + (
+                s[:, 1] - x.y
+            ) * (s[:, 1] - xy[z, 1]) < 0.0
+            if not inside.any():
+                partners.add(points[z].oid)
+        return partners
+
+    @pytest.mark.parametrize(
+        "x", [Point(3.0, 3.0, -1), Point(5000.0, 2.0, -1)], ids=["corner", "edge"]
+    )
+    def test_near_hull_probe_streams_few_points(self, field, x):
+        # Under a span widened by a full extent, these probes streamed
+        # all 20,000 points.
+        near, pulled = self._probe(field, x)
+        assert pulled <= 64
+        assert self._ring_partners(field, x) <= near
+
+    def test_interior_probe_streams_as_before(self, field):
+        x = Point(5000.0, 5000.0, -1)
+        near, pulled = self._probe(field, x)
+        assert pulled == 13
+        assert self._ring_partners(field, x) <= near

@@ -69,10 +69,14 @@ class TestTopK:
         top_k_rcj(tree_p, tree_q, 5)
         few = tree_p.node_accesses + tree_q.node_accesses
 
+        # The access counters never decrease, so the accesses counted
+        # after a partial drain bound the full join's from below: stop
+        # once they pass 10 * few, and the claim is proved.
         tree_p.reset_stats()
         tree_q.reset_stats()
         for _ in incremental_rcj(tree_p, tree_q):
-            pass
+            if tree_p.node_accesses + tree_q.node_accesses > 10 * few:
+                break
         all_cost = tree_p.node_accesses + tree_q.node_accesses
         assert few < all_cost / 10
 

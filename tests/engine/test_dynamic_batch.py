@@ -23,6 +23,7 @@ from repro.core.dynamic import DynamicRCJ, validate_batch
 from repro.engine.planner import run_join
 from repro.engine.streaming import DynamicArrayRCJ
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.obs.trace import trace
 
 BACKENDS = [DynamicArrayRCJ, DynamicRCJ]
@@ -375,4 +376,44 @@ class TestPerEventRepair:
             dyn.delete(probe, "P")
         for name in ("dynamic-insert", "dynamic-delete"):
             (node,) = root.find(name)
-            assert {"killed", "candidates", "added"} <= set(node.counters)
+            assert {"killed", "streamed", "candidates", "added"} <= set(
+                node.counters
+            )
+
+    def test_batch_span_counts_streamed_points(self, monkeypatch):
+        # Moving hull points probes near the domain's corners; each
+        # probe pulls a handful of points, not the whole union.
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        rng = random.Random(41)
+        pts_p = _uniform(rng, 1500, 0)
+        pts_q = _uniform(rng, 1500, 50_000)
+        dyn = DynamicArrayRCJ(pts_p, pts_q, bounds=Rect(0, 0, 1000, 1000))
+        corners = [(0.0, 0.0), (0.0, 1000.0), (1000.0, 0.0), (1000.0, 1000.0)]
+        movers = [
+            min(pts_p, key=lambda p: (p.x - cx) ** 2 + (p.y - cy) ** 2)
+            for cx, cy in corners
+        ]
+        dyn.apply_batch(
+            inserts=[
+                (Point(p.x + 0.5, p.y + 0.5, p.oid), "P") for p in movers
+            ],
+            deletes=[(p, "P") for p in movers],
+        )
+        root = dyn.last_batch_trace
+        assert root.name == "dynamic-batch"
+        assert 0 < root.counters["streamed"] <= 16 * 2 * len(movers)
+
+    def test_object_backend_delete_spans_count_streamed_points(
+        self, monkeypatch
+    ):
+        # The R-tree backend probes only its deletions; each delete
+        # span carries the points its probe pulled.
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        rng = random.Random(43)
+        pts_p = _uniform(rng, 300, 0)
+        pts_q = _uniform(rng, 300, 50_000)
+        dyn = DynamicRCJ(pts_p, pts_q, bounds=Rect(0, 0, 1000, 1000))
+        dyn.apply_batch(deletes=[(pts_p[0], "P"), (pts_q[0], "Q")])
+        spans = dyn.last_batch_trace.find("dynamic-delete")
+        assert len(spans) == 2
+        assert all(0 < span.counters["streamed"] <= 64 for span in spans)

@@ -220,3 +220,62 @@ class TestFactory:
         assert dyn.pair_keys() == {(0, 0)}
         assert dyn.delete(Point(100, 100, 0), "P")
         assert len(dyn) == 0
+
+
+class TestRingColumns:
+    """The kill-scan columns grow by doubling and swap-remove in place;
+    after a bulk load and any add/remove sequence both lookups equal a
+    scan of the live rings (the containment one with the exact
+    predicate)."""
+
+    def test_lookups_match_a_scan_of_the_live_rings(self):
+        import numpy as np
+
+        from repro.core.pairs import RCJPair
+        from repro.engine.streaming import _RingColumns
+
+        rng = random.Random(5)
+        rings = _RingColumns()
+        live = {
+            (i, i % 7): RCJPair(
+                Point(rng.uniform(0, 100), rng.uniform(0, 100), i),
+                Point(rng.uniform(0, 100), rng.uniform(0, 100), i % 7),
+            )
+            for i in range(70)
+        }
+        rings.extend(
+            list(live),
+            np.array([(r.p.x, r.p.y, r.q.x, r.q.y) for r in live.values()]).T,
+            np.array(list(live)).T,
+        )
+        for step in range(600):
+            if live and rng.random() < 0.4:
+                key = rng.choice(sorted(live))
+                rings.remove(key)
+                del live[key]
+            else:
+                p = Point(rng.uniform(0, 100), rng.uniform(0, 100), rng.randrange(40))
+                q = Point(rng.uniform(0, 100), rng.uniform(0, 100), rng.randrange(40))
+                if (p.oid, q.oid) not in live:
+                    live[(p.oid, q.oid)] = RCJPair(p, q)
+                    rings.add((p.oid, q.oid), live[(p.oid, q.oid)])
+            assert len(rings) == len(live)
+            if step % 50:
+                continue
+            oids = [rng.randrange(40) for _ in range(3)]
+            for side, slot in (("P", 0), ("Q", 1)):
+                want = {key for key in live if key[slot] in oids}
+                got = rings.keys_involving_any(oids, side)
+                assert len(got) == len(want) and set(got) == want
+            xs = np.array([rng.uniform(0, 100) for _ in range(5)])
+            ys = np.array([rng.uniform(0, 100) for _ in range(5)])
+            want = {
+                key
+                for key, pair in live.items()
+                if any(
+                    (x - pair.p.x) * (x - pair.q.x)
+                    + (y - pair.p.y) * (y - pair.q.y) < 0.0
+                    for x, y in zip(xs.tolist(), ys.tolist())
+                )
+            }
+            assert set(rings.keys_containing_any(xs, ys)) == want

@@ -126,3 +126,157 @@ def bulk_rcj_cases(draw):
     if cut_q is not None:
         coords_q = coords_q[:cut_q]
     return coords_p, coords_q, draw(st.booleans())
+
+
+# ----------------------------------------------------------------------
+# dynamic maintenance: batch interleavings over edge-heavy populations
+# ----------------------------------------------------------------------
+#: A case's coordinate domain (the backends' ``bounds``): the paper's
+#: box, the unit box clamped clusters live in, or the initial data's
+#: own bounding box (so box inserts land on the live span's edges).
+BOUNDS = ((0.0, 0.0, 10000.0, 10000.0), (0.0, 0.0, 1.0, 1.0), None)
+
+#: The ways one batch may be malformed (:func:`repro.core.dynamic.
+#: validate_batch` rejects each before any mutation).
+MALFORMED = (
+    "delete_absent",
+    "delete_twice",
+    "insert_present",
+    "insert_twice",
+    "bad_side",
+)
+
+
+def _live_box(live) -> tuple[float, float, float, float] | None:
+    coords = [xy for side in live.values() for xy in side.values()]
+    if not coords:
+        return None
+    xs = [x for x, _ in coords]
+    ys = [y for _, y in coords]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _on_box(draw, box, live) -> tuple[float, float]:
+    """A point exactly on an edge (or corner) of ``box``; the free
+    coordinate is a corner's, a live point's or a fraction of the edge."""
+    x0, y0, x1, y1 = box
+    coords = [xy for side in live.values() for xy in side.values()]
+    along = draw(st.sampled_from(("corner", "live", "fraction")))
+    vertical = draw(st.booleans())
+    fixed = draw(st.sampled_from((x0, x1) if vertical else (y0, y1)))
+    lo, hi = (y0, y1) if vertical else (x0, x1)
+    if along == "corner" or (along == "live" and not coords):
+        free = draw(st.sampled_from((lo, hi)))
+    elif along == "live":
+        x, y = coords[draw(st.integers(0, len(coords) - 1))]
+        free = y if vertical else x
+    else:
+        free = lo + (hi - lo) * draw(st.sampled_from((0.25, 0.5, 1 / 3)))
+    return (fixed, free) if vertical else (free, fixed)
+
+
+def _insert_site(draw, bounds, live) -> tuple[float, float]:
+    """Where an inserted (or moved) point lands: on the domain box, on
+    the live span's edge, on or a few ulps from a live point, or
+    anywhere in the domain."""
+    coords = [xy for side in live.values() for xy in side.values()]
+    kind = draw(st.sampled_from(("box", "span", "coincident", "near", "free")))
+    if kind in ("coincident", "near") and coords:
+        x, y = coords[draw(st.integers(0, len(coords) - 1))]
+        if kind == "near":
+            if draw(st.booleans()):
+                x = _near(draw, x)
+            else:
+                y = _near(draw, y)
+        return x, y
+    if kind == "span" and coords:
+        return _on_box(draw, _live_box(live), live)
+    if kind == "box":
+        return _on_box(draw, bounds, live)
+    x0, y0, x1, y1 = bounds
+    return (
+        x0 + (x1 - x0) * draw(st.floats(0.0, 1.0)),
+        y0 + (y1 - y0) * draw(st.floats(0.0, 1.0)),
+    )
+
+
+def _valid_batch(draw, bounds, live, next_oid):
+    """One well-formed batch against ``live`` (mutated to the result):
+    0-2 deletes and 0-2 inserts per side; a deleted oid may come back
+    as a move, possibly onto its own old site."""
+    deletes, inserts = [], []
+    for side in ("P", "Q"):
+        oids = sorted(live[side])
+        k = draw(st.integers(0, min(2, len(oids))))
+        gone = draw(st.permutations(oids))[:k] if k else []
+        for oid in gone:
+            deletes.append((*live[side][oid], oid, side))
+        moved = [oid for oid in gone if draw(st.booleans())]
+        fresh = draw(st.integers(0, 2))
+        for oid in moved:
+            old = live[side][oid]
+            stay = draw(st.booleans())
+            site = old if stay else _insert_site(draw, bounds, live)
+            inserts.append((*site, oid, side))
+        for _ in range(fresh):
+            inserts.append(
+                (*_insert_site(draw, bounds, live), next_oid[side], side)
+            )
+            next_oid[side] += 1
+    for x, y, oid, side in deletes:
+        del live[side][oid]
+    for x, y, oid, side in inserts:
+        live[side][oid] = (x, y)
+    return inserts, deletes
+
+
+def _malformed_batch(draw, live, next_oid):
+    """One batch :func:`~repro.core.dynamic.validate_batch` rejects;
+    ``live`` stays as it is."""
+    kind = draw(st.sampled_from(MALFORMED))
+    side = draw(st.sampled_from(("P", "Q")))
+    present = sorted(live[side])
+    if kind in ("delete_twice", "insert_present") and not present:
+        kind = "delete_absent"
+    if kind == "delete_absent":
+        return [], [(0.0, 0.0, next_oid[side] + 7, side)]
+    if kind == "bad_side":
+        return [(0.0, 0.0, next_oid[side], "R")], []
+    if kind == "insert_twice":
+        point = (0.0, 0.0, next_oid[side], side)
+        return [point, point], []
+    oid = present[draw(st.integers(0, len(present) - 1))]
+    point = (*live[side][oid], oid, side)
+    if kind == "delete_twice":
+        return [], [point, point]
+    return [point], []  # insert_present: a move without its delete
+
+
+@st.composite
+def dynamic_cases(draw):
+    """Strategy: ``(coords_p, coords_q, bounds, batches)``.
+
+    The initial sides come from the bulk fuzz's families (clamped
+    clusters, collinear runs, lattices, ...); initial oids are list
+    positions.  Each batch is ``(inserts, deletes, valid)`` with
+    ``(x, y, oid, side)`` entries, applied in order: a valid batch
+    mixes deletes, inserts and moves, an invalid one must be rejected
+    and change nothing.
+    """
+    coords = _family(draw)
+    coords_p, coords_q = coords[0::2], coords[1::2]
+    bounds = draw(st.sampled_from(BOUNDS))
+    live = {
+        "P": dict(enumerate(coords_p)),
+        "Q": dict(enumerate(coords_q)),
+    }
+    if bounds is None:
+        bounds = _live_box(live) or (0.0, 0.0, 1.0, 1.0)
+    next_oid = {"P": len(coords_p), "Q": len(coords_q)}
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            batches.append((*_malformed_batch(draw, live, next_oid), False))
+        else:
+            batches.append((*_valid_batch(draw, bounds, live, next_oid), True))
+    return coords_p, coords_q, bounds, batches

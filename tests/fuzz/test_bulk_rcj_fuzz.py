@@ -54,7 +54,12 @@ def test_array_gabriel_and_brute_agree(case):
 #: sites Qhull drops; two computed circumcircles in absolute centred
 #: coordinates, which lost the tie of a square cell far from the
 #: centroid; one held cocircular ties to a fixed tolerance, finer than
-#: Qhull resolves a ring 1000 ring widths from a far site.
+#: Qhull resolves a ring 1000 ring widths from a far site.  The last
+#: came from the dynamic fuzz: two P sites 6e-10 apart on a near-flat
+#: chain over a far base, where Qhull's flip is below its resolution
+#: and the neighbouring circle (through the close pair) shows no tie.
+#: ``cocircular_ring_missing_a_site`` has frame simplices whose vertex
+#: sums, taken naively, name a far vertex past the points array.
 REGRESSIONS = {
     "lattice_square_at_minus_1e9": (
         [(3333.3333333333335, -999996666.6666666),
@@ -110,6 +115,35 @@ REGRESSIONS = {
          (-999999.9217157287, -999999999.9782842),
          (-999999.95, -999999999.99),
          (-999999.99, -999999999.95)],
+        False,
+    ),
+    "near_coincident_pair_above_a_far_base": (
+        [(9615.384615384615, 4999.999999999058),
+         (384.61538461538464, 5000.000000000932),
+         (384.61538461538464, 5000.000000000351)],
+        [(4230.769230769231, 4999.999999999765), (0.0, 0.0), (1.0, 0.0)],
+        False,
+    ),
+    "cocircular_ring_missing_a_site": (
+        [(8064.177772475912, 7571.150438746157),
+         (5694.592710667722, 8939.231012048833),
+         (3000.000000000001, 8464.101615137755),
+         (1241.229516856367, 6368.0805733026755),
+         (1241.2295168563664, 3631.9194266973254),
+         (2999.999999999998, 1535.8983848622465),
+         (5694.59271066772, 1060.7689879511677),
+         (8064.177772475911, 2428.849561253842),
+         (1000.0, 1060.7689879511677),
+         (9000.0, 1060.7689879511677)],
+        [(8758.770483143633, 6368.080573302675),
+         (7000.0, 8464.101615137755),
+         (4305.407289332279, 8939.231012048833),
+         (1935.8222275240882, 7571.150438746157),
+         (1000.0, 5000.000000000001),
+         (1935.8222275240864, 2428.8495612538445),
+         (4305.407289332279, 1060.7689879511681),
+         (6999.999999999997, 1535.8983848622438),
+         (8758.770483143633, 3631.9194266973254)],
         False,
     ),
 }
