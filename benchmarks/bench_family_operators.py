@@ -6,7 +6,7 @@ pipeline, and — for the shardable families — the Hilbert-sharded
 parallel pipeline.  Pair sets are asserted identical across all three
 on every run; at full scale (``REPRO_FAMILY_BENCH_N >= 20000``) the
 pipeline must additionally beat the oracle by ``SPEEDUP_FLOOR`` on the
-figure-10–12 families.
+figure-10–12 families, and by ``CIJ_SPEEDUP_FLOOR`` on the CIJ.
 
 Results go to ``benchmarks/results/BENCH_families.json`` (plus the
 usual text table).  The checked-in ``BENCH_families.json`` at the repo
@@ -36,12 +36,18 @@ from benchmarks.conftest import RESULTS_DIR, emit
 #: uses 20000; the default keeps routine invocations under a minute.
 BENCH_N = int(os.environ.get("REPRO_FAMILY_BENCH_N", "4000"))
 
-#: CIJ inputs are capped: its pointwise oracle's geometric step is the
-#: cost driver on both paths, so scale adds runtime without signal.
+#: CIJ inputs are capped: both paths build the same Voronoi cells in
+#: Python, so scale adds runtime without signal.
 CIJ_CAP = 2500
 
-#: Required pipeline-over-oracle speedup at full scale (ISSUE floor).
+#: Required pipeline-over-oracle speedup at full scale (ε, kNN, kcp).
 SPEEDUP_FLOOR = 10.0
+
+#: Required CIJ pipeline-over-oracle speedup at full scale.  The
+#: pipeline decides its candidate cell pairs with one batched SAT
+#: kernel; the cell construction it shares with the oracle bounds the
+#: gain.
+CIJ_SPEEDUP_FLOOR = 2.0
 
 WORKERS = int(os.environ.get("REPRO_FAMILY_BENCH_WORKERS", "2"))
 
@@ -89,6 +95,7 @@ def test_family_operator_bench():
         "n_q": len(points_q),
         "workers": WORKERS,
         "speedup_floor": SPEEDUP_FLOOR,
+        "cij_speedup_floor": CIJ_SPEEDUP_FLOOR,
         "floor_enforced": BENCH_N >= 20000,
         "families": {},
     }
@@ -144,11 +151,13 @@ def test_family_operator_bench():
                 f"{entry['speedup_array']:.1f}x",
             ]
         )
-        # The acceptance floor: at full scale the vectorized pipeline
+        # The acceptance floors: at full scale the vectorized pipeline
         # must beat its pointwise oracle by 10x on the fig10-12
-        # families (the CIJ's cost sits in the shared geometric step).
-        if BENCH_N >= 20000 and family in ("epsilon", "knn", "kcp"):
-            assert entry["speedup_array"] >= SPEEDUP_FLOOR, (
+        # families, and by 2x on the CIJ, whose cell construction both
+        # paths share.
+        if BENCH_N >= 20000:
+            floor = CIJ_SPEEDUP_FLOOR if family == "cij" else SPEEDUP_FLOOR
+            assert entry["speedup_array"] >= floor, (
                 family,
                 entry["speedup_array"],
             )

@@ -272,8 +272,9 @@ def _smoke_families(
     """
     from repro.engine.families import SHARDABLE_FAMILIES, run_family_join
 
-    # CIJ's serial geometric step dominates at smoke scale; cap its
-    # input so the canary stays fast while still covering the pipeline.
+    # Both CIJ paths build the same Voronoi cells in Python, which
+    # dominates at smoke scale; cap its input so the canary stays fast
+    # while still covering the pipeline.
     cij_p, cij_q = points_p[:600], points_q[:600]
     cases = [
         ("epsilon", {"eps": 25.0}, points_p, points_q),

@@ -388,6 +388,12 @@ class DynamicRCJ:
         self.tree_q = bulk_load(list(points_q), page_size=page_size, name="TQ")
         self._pairs: dict[tuple[int, int], RCJPair] = {}
         self._grid = _PairGrid(self.bounds)
+        #: Per side, ``oid -> keys`` of the stored pairs that point is
+        #: in, so a delete touches only its own pairs.
+        self._keys_of: dict[str, dict[int, set[tuple[int, int]]]] = {
+            "P": {},
+            "Q": {},
+        }
         self._oids: dict[str, set[int]] = {
             "P": {p.oid for p in points_p},
             "Q": {q.oid for q in points_q},
@@ -472,9 +478,7 @@ class DynamicRCJ:
                 )
             self._oids[side].discard(point.oid)
             # (i) Pairs involving the departed point die.
-            involved = [
-                k for k in self._pairs if self._involves(k, point, side)
-            ]
+            involved = list(self._keys_of[side].get(point.oid, ()))
             for key in involved:
                 self._drop(key)
             # (ii) Pairs freed by the departure.
@@ -562,20 +566,23 @@ class DynamicRCJ:
             return Candidate(point, partner)
         return Candidate(partner, point)
 
-    @staticmethod
-    def _involves(key: tuple[int, int], point: Point, side: Side) -> bool:
-        return key[0 if side == "P" else 1] == point.oid
-
     def _store(self, pair: RCJPair) -> None:
         key = pair.key()
         if key in self._pairs:
             return
         self._pairs[key] = pair
         self._grid.add(key, pair)
+        self._keys_of["P"].setdefault(key[0], set()).add(key)
+        self._keys_of["Q"].setdefault(key[1], set()).add(key)
 
     def _drop(self, key: tuple[int, int]) -> None:
         if self._pairs.pop(key, None) is not None:
             self._grid.remove(key)
+            for side, oid in (("P", key[0]), ("Q", key[1])):
+                keys = self._keys_of[side][oid]
+                keys.discard(key)
+                if not keys:
+                    del self._keys_of[side][oid]
 
     def _merged_stream(self, x: Point) -> Iterator[tuple[float, Point, Side]]:
         """Points of both trees in ascending distance from ``x``."""

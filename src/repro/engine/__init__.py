@@ -8,7 +8,8 @@ algorithms in :mod:`repro.core`:
   :class:`~repro.geometry.point.Point` lists;
 - :mod:`repro.engine.kernels` — the vectorized batch kernels of the RCJ
   hot path (KD-tree candidate generation, blocked Ψ−half-plane pruning,
-  batch ring-emptiness verification);
+  batch ring-emptiness verification) and the CIJ's batched convex SAT
+  test;
 - :mod:`repro.engine.operators` — the operator algebra the kernels
   factor into: columnar candidate sources, filter/verify stages and
   sinks, chained by :class:`~repro.engine.operators.Pipeline`, whose

@@ -69,8 +69,10 @@ from repro.geometry.point import Point
 #: Families whose probe loop shards across processes.  The RCJ's
 #: candidates come from one global triangulation (bulk) or globally
 #: ordered bands (top-k), k-closest-pairs streams globally ordered
-#: bands too, and the CIJ's cost is dominated by the serial geometric
-#: step, so all of them coerce ``array-parallel`` to ``array``.
+#: bands too, and the CIJ needs each side's whole Voronoi diagram (its
+#: cells are built serially, in Python, and take most of its time; the
+#: batched SAT verify that follows is a fraction of that), so all of
+#: them coerce ``array-parallel`` to ``array``.
 SHARDABLE_FAMILIES = ("epsilon", "knn")
 
 

@@ -19,6 +19,11 @@ arrays:
   on the boundary, dead rows of a stale tree) fall back to a ball query
   over every point inside them.  Work and memory per ring are therefore
   bounded by the window, not by how many points a wide ring holds.
+- :func:`cells_intersect` — outside the RCJ, the common influence
+  join's verifier: one batched separating-axis test over every
+  candidate pair of Voronoi cells, packed once per join by
+  :func:`pack_cells`, bit-identical to the scalar
+  :func:`repro.geometry.polygon.convex_polygons_intersect`.
 
 Candidates: the Gabriel argument
 --------------------------------
@@ -90,6 +95,10 @@ this.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -689,6 +698,210 @@ def _ball_verify(px, py, qx, qy, mids, radii, union_tree, ux, uy, blocker_alive)
     t = (sx - px[rows]) * (sx - qx[rows]) + (sy - py[rows]) * (sy - qy[rows])
     alive[rows[t < 0.0]] = False
     return alive
+
+
+# ----------------------------------------------------------------------
+# convex cell intersection (the common influence join's verifier)
+# ----------------------------------------------------------------------
+
+#: Closed-intersection slack of :func:`cells_intersect`: the default
+#: ``tol`` of the scalar
+#: :func:`repro.geometry.polygon.convex_polygons_intersect`, the one
+#: the CIJ oracle uses.
+_SAT_TOL = 1e-9
+
+#: Elements per ``(items, edges, vertices)`` temporary of the batched
+#: SAT test (:func:`_batches`, :func:`_edge_slices`): it bounds the
+#: working set whatever the candidate count or cell size.  At 256 KB a
+#: temporary stays in cache; larger chunks ran slower.
+_SAT_CELLS = 1 << 15
+
+
+class CellPack(NamedTuple):
+    """Convex cells packed for the batched SAT test.
+
+    The vertices of all cells sit end to end in flat columns, cell
+    ``i``'s at ``start[i] : start[i] + count[i]``, followed by one
+    spare entry, so that the row of an empty cell (``start[i]``, where
+    its first vertex would be) is always in range.  Entry ``j``
+    also describes edge ``j``, from vertex ``j`` to the next vertex of
+    its cell (the last wraps to the cell's first).
+    """
+
+    #: Vertex coordinates.
+    x: np.ndarray
+    y: np.ndarray
+    #: Unit outward normal of each edge; 0 on a zero-length edge.
+    nx: np.ndarray
+    ny: np.ndarray
+    #: The cell's own largest projection on the edge's normal plus
+    #: :data:`_SAT_TOL`; ``+inf`` on a zero-length edge, which
+    #: therefore never separates.
+    thr: np.ndarray
+    #: Per cell: first entry and vertex count (0: an empty cell, which
+    #: intersects nothing).
+    start: np.ndarray
+    count: np.ndarray
+
+    def rows(self, cells: np.ndarray, width: int) -> np.ndarray:
+        """``(len(cells), width)`` entries of each cell's vertices (and
+        edges), padded by repeating its entry 0: a repeated vertex
+        leaves every max and min projection unchanged, and a repeated
+        edge repeats its own test."""
+        col = np.arange(width)
+        count = self.count[cells, None]
+        return self.start[cells, None] + np.where(col < count, col, 0)
+
+    def boxes(self) -> np.ndarray:
+        """``(n, 4)`` closed bounding boxes ``(xmin, ymin, xmax,
+        ymax)``, the values :func:`repro.geometry.polygon.polygon_bbox`
+        returns (rows of empty cells are zero)."""
+        boxes = np.zeros((len(self.count), 4))
+        cells = np.flatnonzero(self.count)
+        if cells.size:
+            at = self.start[cells]
+            x, y = self.x[:-1], self.y[:-1]
+            boxes[cells] = np.column_stack(
+                (
+                    np.minimum.reduceat(x, at),
+                    np.minimum.reduceat(y, at),
+                    np.maximum.reduceat(x, at),
+                    np.maximum.reduceat(y, at),
+                )
+            )
+        return boxes
+
+
+def pack_cells(cells) -> CellPack:
+    """Pack convex polygons (lists of ``(x, y)`` vertices, CCW) for
+    :func:`cells_intersect`.
+
+    Everything that depends on one cell alone is computed here, once
+    per cell: the edge normals and each edge's threshold ``max_a +
+    tol`` (``tol`` is :data:`_SAT_TOL`).  Each term is the IEEE
+    expression of the scalar
+    :func:`repro.geometry.polygon._separating_axis`: edge norms come
+    from :func:`math.hypot` (``np.hypot`` differs from it in the last
+    ulp on a small share of inputs), normals are ``(ey / norm, -ex /
+    norm)``, and projections are ``(vx - x1) * nx + (vy - y1) * ny``.
+    """
+    count = np.fromiter(map(len, cells), np.int64, count=len(cells))
+    start = np.cumsum(count) - count
+    total = int(count.sum())
+    xy = np.fromiter(
+        chain.from_iterable(chain.from_iterable(cells)),
+        np.float64,
+        count=2 * total,
+    ).reshape(total, 2)
+    x = np.append(xy[:, 0], 0.0)
+    y = np.append(xy[:, 1], 0.0)
+    nxt = np.arange(1, total + 1)
+    filled = count > 0
+    nxt[(start + count - 1)[filled]] = start[filled]
+    ex = x[nxt] - x[:-1]
+    ey = y[nxt] - y[:-1]
+    norm = np.fromiter(
+        map(math.hypot, ex.tolist(), ey.tolist()), np.float64, count=total
+    )
+    valid = norm != 0.0
+    safe = np.where(valid, norm, 1.0)
+    nx = np.append(np.where(valid, ey / safe, 0.0), 0.0)
+    ny = np.append(np.where(valid, -ex / safe, 0.0), 0.0)
+    thr = np.full(total + 1, np.inf)
+    pack = CellPack(x, y, nx, ny, thr, start, count)
+    for group, width in _batches(count):
+        own = pack.rows(group, width)
+        for edges in _edge_slices(len(group), width, width):
+            e = own[:, edges]
+            proj = _projections(x[e], y[e], nx[e], ny[e], x[own], y[own])
+            thr[e] = proj.max(axis=2) + _SAT_TOL
+    thr[:-1][~valid] = np.inf
+    return pack
+
+
+def _batches(width_of: np.ndarray):
+    """Batches ``(items, width)`` of the batched SAT test.
+
+    Items (cells or cell pairs) are grouped by ``width_of``, the
+    largest vertex count they involve, so a few many-sided cells do
+    not widen every row; a batch of width ``w`` holds at most
+    ``_SAT_CELLS // w²`` items (at least one).  Items of width 0 (empty
+    cells) are skipped.
+    """
+    order = np.argsort(width_of, kind="stable")
+    key = width_of[order]
+    cuts = np.flatnonzero(np.diff(key)) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, key.size]):
+        width = int(key[lo]) if hi > lo else 0
+        if width == 0:
+            continue
+        step = max(1, _SAT_CELLS // (width * width))
+        for first in range(lo, hi, step):
+            yield order[first : min(first + step, hi)], width
+
+
+def _edge_slices(rows: int, edges: int, vertices: int) -> list[slice]:
+    """Slices of the edge axis that keep each ``(rows, edges,
+    vertices)`` temporary within :data:`_SAT_CELLS` elements; one slice
+    unless a cell is too wide for a whole batch row."""
+    span = max(1, _SAT_CELLS // (rows * vertices))
+    return [slice(e0, e0 + span) for e0 in range(0, edges, span)]
+
+
+def _projections(x1, y1, nx, ny, vx, vy) -> np.ndarray:
+    """``(m, edges, vertices)`` projections ``(vx - x1) * nx + (vy -
+    y1) * ny`` of each row's vertices ``vx, vy`` on each edge normal of
+    the same row, measured from the edge's start ``x1, y1``."""
+    dx = vx[:, None, :] - x1[:, :, None]
+    dx *= nx[:, :, None]
+    dy = vy[:, None, :] - y1[:, :, None]
+    dy *= ny[:, :, None]
+    dx += dy
+    return dx
+
+
+def _separates(a: CellPack, rows_a, b: CellPack, rows_b) -> np.ndarray:
+    """True per pair when some edge of ``a``'s cell separates it from
+    ``b``'s: the smallest projection of ``b`` exceeds ``a``'s
+    threshold on that edge."""
+    m, width_b = rows_b.shape
+    bx, by = b.x[rows_b], b.y[rows_b]
+    out = np.zeros(m, dtype=bool)
+    for edges in _edge_slices(m, rows_a.shape[1], width_b):
+        e = rows_a[:, edges]
+        proj = _projections(a.x[e], a.y[e], a.nx[e], a.ny[e], bx, by)
+        out |= (proj.min(axis=2) > a.thr[e]).any(axis=1)
+    return out
+
+
+def cells_intersect(
+    a: CellPack, ia: np.ndarray, b: CellPack, ib: np.ndarray
+) -> np.ndarray:
+    """Closed intersection of cell pairs ``(a[ia[j]], b[ib[j]])`` by
+    the separating-axis test, batched.
+
+    Decides each pair exactly as the scalar
+    :func:`repro.geometry.polygon.convex_polygons_intersect` does, bit
+    for bit: an empty cell intersects nothing, and otherwise the pair
+    intersects unless some edge of either cell is a separating axis.
+    Every projection and threshold is the same IEEE expression on the
+    same floats (:func:`pack_cells`), padding leaves each max and min
+    unchanged, and zero-length edges never separate, as the scalar
+    loop skips them.  Pairs go in the bounded batches of
+    :func:`_batches`; each side's rows are cut to that side's largest
+    vertex count in the batch.  Returns the boolean ``(M,)`` mask.
+    """
+    separated = np.zeros(len(ia), dtype=bool)
+    for pairs, _ in _batches(np.maximum(a.count[ia], b.count[ib])):
+        ca, cb = ia[pairs], ib[pairs]
+        # An empty cell's row still needs one column; the final mask
+        # decides its pairs.
+        rows_a = a.rows(ca, max(int(a.count[ca].max()), 1))
+        rows_b = b.rows(cb, max(int(b.count[cb].max()), 1))
+        separated[pairs] = _separates(a, rows_a, b, rows_b) | _separates(
+            b, rows_b, a, rows_a
+        )
+    return (a.count[ia] > 0) & (b.count[ib] > 0) & ~separated
 
 
 def canonical_pair_order(p_idx: np.ndarray, q_idx: np.ndarray) -> np.ndarray:

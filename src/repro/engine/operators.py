@@ -22,7 +22,8 @@ operator                   role
 :class:`DistanceFilter`    exact ``d² <= ε²`` cut over a block
 :class:`PsiPruneFilter`    blocked Ψ− half-plane pruning
 :class:`VerifyRings`       batch ring-emptiness verification
-:class:`PolygonIntersectVerify` exact convex-SAT verification (CIJ)
+:class:`PolygonIntersectVerify` batched exact convex-SAT verification
+                           (CIJ)
 :class:`CollectAll`        sink: all pairs, canonical ``(p.oid, q.oid)``
 :class:`CollectCanonical`  sink: all pairs, canonical index order
                            (bulk RCJ)
@@ -67,8 +68,10 @@ from repro.engine.kernels import (
     _coord_scale,
     _flatten_ball_lists,
     canonical_pair_order,
+    cells_intersect,
     halfplane_prune_pairs,
     knn_candidate_blocks,
+    pack_cells,
     verify_rings_batch,
 )
 from repro.obs.trace import add_counter, stage_timer
@@ -139,7 +142,7 @@ class JoinContext:
     per process, so its query structures outlive the shards, and
     resets the counters per shard.  For the common-influence pipeline
     it also carries the object-level pointsets (Voronoi construction is
-    geometric, not columnar) and the computed cells.  Stage times live
+    geometric, not columnar) and the packed cells.  Stage times live
     only in the trace.
     """
 
@@ -582,14 +585,23 @@ class CellOverlapSource(Source):
 
     Builds both clipped Voronoi diagrams (the geometric step, reusing
     :func:`repro.joins.common_influence.voronoi_cells` so cell shapes
-    are bit-identical to the oracle's), then finds candidate cell pairs
-    vectorized: a KD-tree over ``Q``-cell bbox centres queried with a
-    conservatively inflated radius, cut down by the exact closed
-    interval-overlap test on the stored bbox edges.  Overlapping
-    polygons always have overlapping closed bboxes, so the candidate
-    set is a superset of the true result; the exact SAT decision is
-    :class:`PolygonIntersectVerify`'s.  Cells land in
-    ``ctx.extra["cells_p"/"cells_q"]`` for that verifier.
+    are bit-identical to the oracle's) and packs each side once
+    (:func:`repro.engine.kernels.pack_cells`: flat vertex columns,
+    edge normals and per-edge thresholds, computed once per cell rather
+    than once per pair).  Candidate cell pairs are then found vectorized: a
+    KD-tree over ``Q``-cell bbox centres queried with a conservatively
+    inflated radius, cut down by the exact closed interval-overlap
+    test on the bbox edges (the packed vertices' min and max, the
+    values :func:`~repro.geometry.polygon.polygon_bbox` gives).
+    Overlapping polygons always have overlapping closed bboxes, so the
+    candidate set is a superset of the true result; the exact SAT
+    decision is :class:`PolygonIntersectVerify`'s, over the packs in
+    ``ctx.extra["pack_p"/"pack_q"]``.
+
+    The ``cell_fallback`` counter of the ``cells`` span counts the
+    points whose cell was clipped against every other point of its
+    side (:func:`~repro.joins.common_influence.voronoi_cells`' all-pairs
+    path), the quadratic case.
     """
 
     name = "cells"
@@ -613,15 +625,17 @@ class CellOverlapSource(Source):
                 if self.bounds is None
                 else self.bounds
             )
-            cells_p = voronoi_cells(points_p, bounds)
-            cells_q = voronoi_cells(points_q, bounds)
-            ctx.extra["cells_p"] = cells_p
-            ctx.extra["cells_q"] = cells_q
+            pack_p = pack_cells(voronoi_cells(points_p, bounds))
+            pack_q = pack_cells(voronoi_cells(points_q, bounds))
+            ctx.extra["pack_p"] = pack_p
+            ctx.extra["pack_q"] = pack_q
 
-            boxes_p, idx_p = _cell_boxes(cells_p)
-            boxes_q, idx_q = _cell_boxes(cells_q)
+            idx_p = np.flatnonzero(pack_p.count)
+            idx_q = np.flatnonzero(pack_q.count)
             if not idx_p.size or not idx_q.size:
                 return
+            boxes_p = pack_p.boxes()[idx_p]
+            boxes_q = pack_q.boxes()[idx_q]
             # KD-tree over Q-cell bbox centres; the query radius bounds
             # the centre distance of any overlapping bbox pair.
             cxq = 0.5 * (boxes_q[:, 0] + boxes_q[:, 2])
@@ -666,18 +680,6 @@ class CellOverlapSource(Source):
                     continue
                 block = CandidateBlock(idx_p[prow], idx_q[flat])
             yield block
-
-
-def _cell_boxes(cells) -> tuple[np.ndarray, np.ndarray]:
-    """``(boxes, index)``: bbox rows of the non-empty cells plus their
-    original point indices."""
-    from repro.geometry.polygon import polygon_bbox
-
-    idx = [i for i, cell in enumerate(cells) if cell]
-    if not idx:
-        return np.empty((0, 4)), np.empty(0, np.int64)
-    boxes = np.array([polygon_bbox(cells[i]) for i in idx], dtype=np.float64)
-    return boxes, np.array(idx, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -760,10 +762,18 @@ class VerifyRings(Stage):
 
 
 class PolygonIntersectVerify(Stage):
-    """Exact convex-SAT verification of candidate cell pairs — the same
-    :func:`repro.geometry.polygon.convex_polygons_intersect` call the
-    pointwise CIJ oracle makes, over the cells the source stashed in
-    ``ctx.extra``."""
+    """Exact convex-SAT verification of candidate cell pairs, batched:
+    :func:`repro.engine.kernels.cells_intersect` over the cells the
+    source packed into ``ctx.extra``.
+
+    Each decision is bit-identical to the scalar
+    :func:`repro.geometry.polygon.convex_polygons_intersect` that the
+    pointwise CIJ oracle calls: the kernel evaluates the same IEEE
+    expressions on the same floats (``math.hypot`` edge norms, the
+    ``(vx - x1) * nx + (vy - y1) * ny`` projection order, the
+    ``min_b > max_a + tol`` test), padding repeats a vertex so no max
+    or min moves, and zero-length edges never separate.
+    """
 
     name = "verify"
 
@@ -773,19 +783,10 @@ class PolygonIntersectVerify(Stage):
     def apply(self, ctx: JoinContext, block: CandidateBlock) -> CandidateBlock:
         if not len(block):
             return block
-        from repro.geometry.polygon import convex_polygons_intersect
-
-        cells_p = ctx.extra["cells_p"]
-        cells_q = ctx.extra["cells_q"]
-        keep = np.fromiter(
-            (
-                convex_polygons_intersect(cells_p[pi], cells_q[qi])
-                for pi, qi in zip(block.p_idx.tolist(), block.q_idx.tolist())
-            ),
-            bool,
-            count=len(block),
+        keep = cells_intersect(
+            ctx.extra["pack_p"], block.p_idx, ctx.extra["pack_q"], block.q_idx
         )
-        return CandidateBlock(block.p_idx[keep], block.q_idx[keep])
+        return block[keep]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,16 @@ expanded) domain box with perpendicular-bisector half-planes — against
 the point's Delaunay neighbours when scipy can triangulate, against all
 other points otherwise — then candidate cell pairs come from a plane
 sweep over cell bounding boxes and are decided by a convex SAT test.
+
+This module is the CIJ's oracle and stays scalar: one
+:func:`~repro.geometry.polygon.convex_polygons_intersect` call per
+candidate pair, readable line by line.  The columnar pipeline
+(:mod:`repro.engine.families`, ``cell-overlap -> sat-verify ->
+collect``) reuses :func:`voronoi_cells` and decides all its candidate
+pairs at once with :func:`repro.engine.kernels.cells_intersect`, which
+evaluates the same IEEE expressions on the same floats, so its
+decisions are bit-identical to the ones made here and the two pair
+sets are equal.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from repro.geometry.polygon import (
     polygon_bbox,
 )
 from repro.geometry.rect import Rect
+from repro.obs.trace import add_counter
 
 #: Fraction by which the clipping box is expanded beyond the data MBR,
 #: so boundary cells keep their full shared edges.
@@ -128,8 +139,11 @@ def voronoi_cells(
     -----
     Clipping against Delaunay neighbours only is exact: a Voronoi cell
     is the intersection of the bisectors with its Delaunay neighbours,
-    every other bisector being redundant.  Degenerate inputs fall back
-    to all-pairs clipping.
+    every other bisector being redundant.  Degenerate inputs (fewer
+    than five points, a Qhull failure, sites Qhull dropped — exact
+    duplicates among them) fall back to all-pairs clipping, which is
+    quadratic in the side's size; the number of points that took it
+    is the ``cell_fallback`` counter of the enclosing span.
     """
     if not points:
         return []
@@ -146,6 +160,8 @@ def voronoi_cells(
     box = box_polygon(bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax)
 
     neighbors = _delaunay_neighbors(points)
+    if neighbors is None:
+        add_counter("cell_fallback", len(points))
     cells: list[list[Vertex]] = []
     for i, p in enumerate(points):
         if neighbors is None:

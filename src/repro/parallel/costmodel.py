@@ -353,7 +353,8 @@ _FAMILY_PLANS = {
     "cij": (
         "family:cij",
         "pointwise",
-        "the Voronoi construction is a serial geometric step",
+        "each side's Voronoi cells are built whole, and the batched SAT"
+        " verify is small next to them",
     ),
 }
 

@@ -16,6 +16,7 @@ from repro.core.brute import brute_force_rcj
 from repro.core.dynamic import DynamicRCJ, voronoi_neighbours
 from repro.datasets.synthetic import uniform
 from repro.geometry.point import Point
+from repro.obs.trace import trace
 
 from tests.conftest import make_points
 
@@ -145,6 +146,35 @@ class TestDelete:
                 qs = [q for q in qs if q.oid != victim.oid]
                 assert dyn.delete(victim, "Q")
             assert dyn.pair_keys() == _oracle_keys(ps, qs)
+
+    def test_delete_kills_exactly_its_own_pairs(self):
+        # Each delete's ``killed`` counter is the number of pairs the
+        # departed point was in (looked up through the per-side oid
+        # index), and the survivors equal a fresh join after the run.
+        rng = random.Random(11)
+        ps = uniform(80, seed=120)
+        qs = uniform(70, seed=121, start_oid=1000)
+        dyn = DynamicRCJ(ps, qs)
+        for _ in range(40):
+            side = "P" if rng.random() < 0.5 else "Q"
+            live = ps if side == "P" else qs
+            victim = rng.choice(live)
+            slot = 0 if side == "P" else 1
+            before = dyn.pair_keys()
+            own = {k for k in before if k[slot] == victim.oid}
+            with trace("deletes") as root:
+                assert dyn.delete(victim, side)
+            assert root is not None, "the suite needs tracing enabled"
+            (span,) = root.find("dynamic-delete")
+            assert span.counters["killed"] == len(own)
+            assert not own & dyn.pair_keys()
+            if side == "P":
+                ps = [p for p in ps if p.oid != victim.oid]
+            else:
+                qs = [q for q in qs if q.oid != victim.oid]
+        assert dyn.pair_keys() == {
+            pair.key() for pair in DynamicRCJ(ps, qs).pairs
+        } == _oracle_keys(ps, qs)
 
     def test_delete_everything(self):
         ps = uniform(15, seed=108)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -15,12 +17,15 @@ from repro.engine import run_join, run_topk
 from repro.engine.arrays import NonFiniteCoordinateError, PointArray
 from repro.engine.kernels import (
     _arcs_contain,
+    cells_intersect,
     cover_arcs,
     halfplane_prune_pairs,
     knn_candidate_blocks,
+    pack_cells,
     verify_rings_batch,
 )
 from repro.geometry.point import Point
+from repro.geometry.polygon import convex_polygons_intersect
 from repro.obs.trace import counter_totals, trace
 
 
@@ -364,3 +369,178 @@ class TestCandidateGeneration:
         full = PointArray.from_coords([(0.0, 0.0), (1.0, 1.0)])
         assert knn_candidate_blocks(empty, full)[0].size == 0
         assert knn_candidate_blocks(full, empty)[0].size == 0
+
+
+def _sat_pairs(cells_a, cells_b):
+    """The batched SAT decision and the scalar oracle's, for every
+    pair of ``cells_a`` x ``cells_b`` (row-major)."""
+    ia = np.repeat(np.arange(len(cells_a)), len(cells_b))
+    ib = np.tile(np.arange(len(cells_b)), len(cells_a))
+    got = cells_intersect(pack_cells(cells_a), ia, pack_cells(cells_b), ib)
+    want = [
+        convex_polygons_intersect(cells_a[i], cells_b[j])
+        for i, j in zip(ia.tolist(), ib.tolist())
+    ]
+    return got.tolist(), want
+
+
+def _random_convex(rng, count, radius=4.0):
+    """A CCW convex polygon: ``count`` sorted angles on a circle."""
+    cx, cy = rng.uniform(-5, 5), rng.uniform(-5, 5)
+    r = rng.uniform(0.05, radius)
+    angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(count))
+    return [(cx + r * math.cos(a), cy + r * math.sin(a)) for a in angles]
+
+
+def _lattice_cells():
+    """Voronoi cells of a jittered lattice: neighbours share an edge
+    (up to rounding) and diagonal ones touch at a Voronoi vertex."""
+    from repro.joins.common_influence import voronoi_cells
+
+    points = [
+        Point(i + 1e-3 * ((i * 7 + j * 3) % 5), j, i * 5 + j)
+        for i in range(5)
+        for j in range(5)
+    ]
+    exact = [Point(float(i), float(j), 100 + i * 5 + j)
+             for i in range(4) for j in range(4)]
+    return voronoi_cells(points) + voronoi_cells(exact)
+
+
+def _scaled(cells, scale, shift):
+    return [[(x * scale + shift, y * scale + shift) for x, y in c] for c in cells]
+
+
+class TestCellsIntersect:
+    def test_random_convex_polygons(self):
+        rng = random.Random(5)
+        cells = [_random_convex(rng, rng.choice((3, 4, 5, 8, 13)))
+                 for _ in range(120)]
+        got, want = _sat_pairs(cells, cells[:60])
+        assert got == want
+        assert 0 < sum(want) < len(want)
+
+    def test_shared_edges_and_corner_contacts(self):
+        from repro.geometry.polygon import box_polygon
+
+        boxes = [
+            box_polygon(0, 0, 1, 1),
+            box_polygon(1, 0, 2, 1),  # shares an edge
+            box_polygon(1, 1, 2, 2),  # touches at one corner
+            box_polygon(1 + 1e-10, 1 + 1e-10, 2, 2),  # within the slack
+            box_polygon(1 + 1e-8, 0, 2, 1),  # just apart
+        ]
+        got, want = _sat_pairs(boxes, boxes)
+        assert got == want
+        assert want[:5] == [True, True, True, True, False]
+        cells = _lattice_cells()
+        got, want = _sat_pairs(cells, cells)
+        assert got == want
+
+    def test_gap_of_exactly_the_slack_still_touches(self):
+        # min_b == max_a + tol: the test is strict, so the pair joins.
+        from repro.geometry.polygon import box_polygon
+
+        left, right = box_polygon(-1, 0, 0, 1), box_polygon(1e-9, 0, 1, 1)
+        got, want = _sat_pairs([left, right], [left, right])
+        assert got == want == [True, True, True, True]
+
+    def test_edge_norms_match_math_hypot(self):
+        # Long edges whose np.hypot norm differs from math.hypot's in
+        # the last ulp, each with a point near its middle whose scalar
+        # decision flips under np.hypot.
+        cases = [
+            ([(0.0, 0.0), (4829558.0, 8397223.0), (-8397.223, 4829.558)],
+             (1787481.1080675693, 3107919.497546249), False),
+            ([(0.0, 0.0), (3318187.0, 6303658.0), (-6303.658, 3318.187)],
+             (2612742.3909582584, 4963504.008274141), False),
+            ([(0.0, 0.0), (6614402.0, 3679538.0), (-3679.538, 6614.402)],
+             (4350591.383836745, 2420198.5786923566), True),
+        ]
+        for tri, point, joins in cases:
+            got, want = _sat_pairs([tri], [[point]])
+            assert got == want == [joins]
+
+    def test_repeated_vertices_give_zero_length_edges(self):
+        rng = random.Random(8)
+        cells = []
+        for _ in range(40):
+            poly = _random_convex(rng, rng.choice((3, 4, 6)))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(poly))
+                poly.insert(i, poly[i])
+            cells.append(poly)
+        cells.append([(0.0, 0.0)] * 4)  # a cell collapsed to a point
+        got, want = _sat_pairs(cells, cells)
+        assert got == want
+
+    def test_small_and_empty_cells(self):
+        cells = [
+            [],
+            [(0.5, 0.5)],
+            [(3.0, 3.0)],
+            [(0.0, 0.0), (1.0, 1.0)],
+            [(0.0, 1.0), (1.0, 0.0)],
+            [(2.0, 0.0), (2.0, 5.0)],
+            [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+            [],
+        ]
+        got, want = _sat_pairs(cells, cells)
+        assert got == want
+        assert not any(got[:len(cells)])  # the empty cell meets nothing
+        assert got[len(cells) + 6]  # a point inside the square
+
+    @pytest.mark.parametrize("scale, shift", [(1e-6, 0.0), (1e-6, 1e9), (1e9, 0.0), (1.0, 1e9)])
+    def test_extreme_scales(self, scale, shift):
+        rng = random.Random(13)
+        cells = _lattice_cells() + [
+            _random_convex(rng, rng.choice((3, 5, 9))) for _ in range(30)
+        ]
+        cells = _scaled(cells, scale, shift)
+        got, want = _sat_pairs(cells, cells)
+        assert got == want
+
+    def test_no_pairs(self):
+        pack = pack_cells([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]])
+        none = np.empty(0, np.int64)
+        assert cells_intersect(pack, none, pack, none).shape == (0,)
+        empty = pack_cells([])
+        assert empty.count.size == 0 and empty.boxes().shape == (0, 4)
+
+    def test_wide_cell_in_bounded_memory(self):
+        # The cell of a ring's centre has as many vertices as the ring
+        # has points.  Padding every row to its 600 columns, or one
+        # (pair, 600, 600) temporary, takes ~3 MB apiece.
+        rng = random.Random(2)
+        wide = [
+            (math.cos(2.0 * math.pi * i / 600), math.sin(2.0 * math.pi * i / 600))
+            for i in range(600)
+        ]
+        cells = [wide] + [_random_convex(rng, 5, radius=0.3) for _ in range(20)]
+        tracemalloc.start()
+        try:
+            pack = pack_cells(cells)
+            ia = np.repeat(np.arange(len(cells)), len(cells))
+            ib = np.tile(np.arange(len(cells)), len(cells))
+            got = cells_intersect(pack, ia, pack, ib)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert got.tolist() == _sat_pairs(cells, cells)[1]
+
+    def test_bounded_working_set(self):
+        # 60,000 pairs of 12-gons: unchunked, one (pairs, edges,
+        # vertices) temporary alone would take ~70 MB.
+        rng = random.Random(3)
+        cells = [_random_convex(rng, 12) for _ in range(300)]
+        pack = pack_cells(cells)
+        ia = np.repeat(np.arange(300), 200)
+        ib = np.tile(np.arange(200), 300)
+        tracemalloc.start()
+        try:
+            cells_intersect(pack, ia, pack, ib)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -235,6 +235,25 @@ def test_stage_seconds_names_per_family():
         assert set(report.stage_seconds) >= names, family
 
 
+def test_cells_span_counts_all_pairs_cell_fallback():
+    """``cell_fallback`` counts the points whose cell took the
+    quadratic all-pairs path: every point of a side with an exact
+    duplicate (Qhull drops it), none of a side in general position."""
+    from repro.geometry.point import Point
+    from repro.obs.trace import trace
+
+    points_p, points_q = uniform_pair(40, 50, seed=8)
+    twin = Point(points_p[0].x, points_p[0].y, 10_000)
+    for side_p, expected in ((points_p, 0), (points_p + [twin], 41)):
+        with trace("cij") as root:
+            run_family_join(side_p, points_q, "cij", engine="array")
+        assert root is not None, "the suite needs tracing enabled"
+        counted = sum(
+            span.counters.get("cell_fallback", 0) for span in root.find("cells")
+        )
+        assert counted == expected
+
+
 def test_describe_and_explain():
     points_p, points_q = uniform_pair(50, 50, seed=1)
     assert "->" in describe_family_pipeline("epsilon", eps=10.0)

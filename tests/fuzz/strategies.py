@@ -252,6 +252,57 @@ def _malformed_batch(draw, live, next_oid):
     return [point], []  # insert_present: a move without its delete
 
 
+# ----------------------------------------------------------------------
+# common influence join: cells at every scale, explicit or default box
+# ----------------------------------------------------------------------
+@st.composite
+def cij_cases(draw):
+    """Strategy: ``(coords_p, coords_q, bounds)`` for the CIJ.
+
+    The sides come from the bulk fuzz's families, scaled (1e-6 .. 1e9)
+    and shifted together with the clipping box.  ``bounds`` is None
+    (the default box around both sides) or one of :data:`BOUNDS`: the
+    paper's box, the unit box (which leaves most cells of a large
+    family empty) or the first side's own bounding box (cells touching
+    it on an edge or a corner).  Exact and near duplicates ride along:
+    duplicate sites send a side to the all-pairs cell path and leave
+    cells with repeated vertices and zero-length edges.
+    """
+    coords = _family(draw)
+    scale = 10.0 ** draw(st.integers(min_value=-6, max_value=9))
+    shift_x = draw(st.sampled_from((0.0, 1e6, -1e9)))
+    shift_y = draw(st.sampled_from((0.0, 1e3, 1e9)))
+
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if not coords:
+            break
+        x, y = coords[draw(st.integers(0, len(coords) - 1))]
+        near = draw(st.sampled_from(("same", "x", "y")))
+        if near == "x":
+            x = _near(draw, x)
+        elif near == "y":
+            y = _near(draw, y)
+        coords.append((x, y))
+
+    coords_p, coords_q = coords[0::2], coords[1::2]
+    box = draw(st.sampled_from(BOUNDS))
+    if box is None and coords_p and draw(st.booleans()):
+        box = _live_box({"P": dict(enumerate(coords_p))})
+    if box is not None:
+        x0, y0, x1, y1 = box
+        box = (
+            x0 * scale + shift_x,
+            y0 * scale + shift_y,
+            x1 * scale + shift_x,
+            y1 * scale + shift_y,
+        )
+
+    def place(side):
+        return [(x * scale + shift_x, y * scale + shift_y) for x, y in side]
+
+    return place(coords_p), place(coords_q), box
+
+
 @st.composite
 def dynamic_cases(draw):
     """Strategy: ``(coords_p, coords_q, bounds, batches)``.
