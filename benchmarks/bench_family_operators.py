@@ -27,7 +27,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.datasets.fixtures import uniform_pair
-from repro.engine.families import SHARDABLE_FAMILIES, run_family_join
+from repro.engine.families import SHARDABLE_FAMILIES
+from repro.engine.planner import run_join
 from repro.evaluation.report import format_table
 
 from benchmarks.conftest import RESULTS_DIR, emit
@@ -82,7 +83,7 @@ def _best_of(repeats: int, fam_p, fam_q, family, engine, **kwargs):
     """Best-of-``repeats`` run: the report with the smallest wall time."""
     best = None
     for _ in range(repeats):
-        report = run_family_join(fam_p, fam_q, family, engine=engine, **kwargs)
+        report = run_join(fam_p, fam_q, family=family, engine=engine, **kwargs)
         if best is None or report.cpu_seconds < best.cpu_seconds:
             best = report
     return best
@@ -126,10 +127,10 @@ def test_family_operator_bench():
             },
         }
         if family in SHARDABLE_FAMILIES:
-            parallel = run_family_join(
+            parallel = run_join(
                 fam_p,
                 fam_q,
-                family,
+                family=family,
                 engine="array-parallel",
                 workers=WORKERS,
                 min_shard=max(64, len(fam_p) // (2 * WORKERS)),

@@ -9,7 +9,7 @@ import math
 
 from repro.core.gabriel import gabriel_rcj
 from repro.datasets.real import join_combination
-from repro.engine.families import run_family_join
+from repro.engine.planner import run_join
 from repro.evaluation.report import format_series
 from repro.evaluation.resemblance import precision_recall
 
@@ -36,12 +36,13 @@ def _sweep(combo: str, scale_factor: int, engine: str):
     precisions, recalls = [], []
     for m in multipliers:
         eps = unit * m
-        eps_keys = run_family_join(
-            points_p, points_q, "epsilon", engine=engine, eps=eps
+        eps_keys = run_join(
+            points_p, points_q, family="epsilon", engine=engine, eps=eps
         ).pair_keys()
         if engine != "pointwise" and m == 1.0:
-            oracle = run_family_join(
-                points_p, points_q, "epsilon", engine="pointwise", eps=eps
+            oracle = run_join(
+                points_p, points_q, family="epsilon", engine="pointwise",
+                eps=eps,
             ).pair_keys()
             assert eps_keys == oracle
         prec, rec = precision_recall(eps_keys, rcj_keys)

@@ -8,7 +8,7 @@ large circles yet join, so even k = |RCJ| misses many.)
 
 from repro.core.gabriel import gabriel_rcj
 from repro.datasets.real import join_combination
-from repro.engine.families import run_family_join
+from repro.engine.planner import run_join
 from repro.evaluation.report import format_series
 from repro.evaluation.resemblance import precision_recall
 
@@ -28,13 +28,13 @@ def _sweep(combo: str, scale_factor: int, engine: str):
     # One k_max run covers the whole sweep: the result is canonically
     # ordered by (distance, p.oid, q.oid), so the answer for any
     # smaller k is its prefix.
-    report = run_family_join(
-        points_p, points_q, "kcp", engine=engine, k=k_max
+    report = run_join(
+        points_p, points_q, family="kcp", engine=engine, k=k_max
     )
     pairs_in_order = [pair.key() for pair in report.pairs]
     if engine != "pointwise":
-        oracle = run_family_join(
-            points_p, points_q, "kcp", engine="pointwise", k=k_max
+        oracle = run_join(
+            points_p, points_q, family="kcp", engine="pointwise", k=k_max
         )
         assert pairs_in_order == [pair.key() for pair in oracle.pairs]
 

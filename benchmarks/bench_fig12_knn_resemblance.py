@@ -8,7 +8,7 @@ sparse region joins while a near pair with a blocker does not).
 
 from repro.core.gabriel import gabriel_rcj
 from repro.datasets.real import join_combination
-from repro.engine.families import run_family_join
+from repro.engine.planner import run_join
 from repro.evaluation.report import format_series
 from repro.evaluation.resemblance import precision_recall
 
@@ -22,12 +22,12 @@ def _sweep(combo: str, scale_factor: int, engine: str):
     rcj_keys = {r.key() for r in gabriel_rcj(points_p, points_q)}
     precisions, recalls = [], []
     for k in range(1, K_MAX + 1):
-        knn_keys = run_family_join(
-            points_p, points_q, "knn", engine=engine, k=k
+        knn_keys = run_join(
+            points_p, points_q, family="knn", engine=engine, k=k
         ).pair_keys()
         if engine != "pointwise" and k == K_MAX:
-            oracle = run_family_join(
-                points_p, points_q, "knn", engine="pointwise", k=k
+            oracle = run_join(
+                points_p, points_q, family="knn", engine="pointwise", k=k
             ).pair_keys()
             assert knn_keys == oracle
         prec, rec = precision_recall(knn_keys, rcj_keys)

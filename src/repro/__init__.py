@@ -24,7 +24,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 from repro.core.bij import bij
 from repro.core.brute import brute_force_rcj
@@ -38,6 +38,7 @@ from repro.engine import (
     run_join,
     run_topk,
 )
+from repro.engine.planner import AlgorithmName
 from repro.core.metric_rcj import metric_rcj
 from repro.core.obj import obj
 from repro.core.pairs import JoinReport, RCJPair
@@ -64,9 +65,9 @@ from repro.bench.runner import Workload, build_workload, run_algorithm
 
 __version__ = "1.1.0"
 
-Method = Literal[
-    "obj", "bij", "inj", "gabriel", "brute", "array", "array-parallel", "auto"
-]
+#: The methods of :func:`ring_constrained_join`: every RCJ algorithm of
+#: :func:`run_join`.
+Method = AlgorithmName
 
 
 def ring_constrained_join(
@@ -78,10 +79,11 @@ def ring_constrained_join(
 ) -> list[RCJPair]:
     """Compute the ring-constrained join of two pointsets.
 
-    The one-call public API: dispatches through the unified join
-    planner (:func:`repro.engine.run_join`) and returns the result
-    pairs, each carrying its fair middleman location (``pair.center``)
-    and fairness radius (``pair.radius``).
+    The one-call public API: one call into the unified join planner
+    (:func:`repro.engine.run_join`, which accepts the same method
+    names as ``algorithm=``), returning the result pairs, each carrying
+    its fair middleman location (``pair.center``) and fairness radius
+    (``pair.radius``).
 
     Parameters
     ----------

@@ -2,18 +2,17 @@
 
 A :class:`Workload` bundles the two datasets, their bulk-loaded R-trees
 and the shared LRU buffer (sized as a fraction of the summed tree sizes,
-paper default 1 %).  :func:`run_algorithm` executes one of the paper's
-algorithms with fresh counters so each measurement is independent.
+paper default 1 %).  :func:`run_algorithm` runs one bench row through
+the unified planner with fresh counters so each measurement is
+independent.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.core.bij import bij
-from repro.core.inj import inj
 from repro.core.pairs import JoinReport
 from repro.geometry.point import Point
 from repro.rtree.bulk import bulk_load
@@ -24,12 +23,9 @@ from repro.storage.disk import DEFAULT_PAGE_SIZE
 #: Paper default: buffer = 1 % of the sum of both tree sizes.
 DEFAULT_BUFFER_FRACTION = 0.01
 
-#: The paper's three R-tree algorithms, by report label.
-ALGORITHMS: dict[str, Callable[[RTree, RTree], JoinReport]] = {
-    "INJ": lambda tq, tp, **kw: inj(tq, tp, **kw),
-    "BIJ": lambda tq, tp, **kw: bij(tq, tp, symmetric=False, **kw),
-    "OBJ": lambda tq, tp, **kw: bij(tq, tp, symmetric=True, **kw),
-}
+#: The paper's three R-tree algorithms: bench label -> run_join
+#: algorithm name.
+ALGORITHMS = {"INJ": "inj", "BIJ": "bij", "OBJ": "obj"}
 
 
 @dataclass
@@ -92,8 +88,7 @@ def build_workload(
     return Workload(list(points_q), list(points_p), tree_q, tree_p, buffer)
 
 
-#: Engine rows dispatched through the unified planner rather than the
-#: R-tree ALGORITHMS table: bench label -> run_join algorithm name.
+#: The vectorized engine rows: bench label -> run_join algorithm name.
 ENGINE_ROWS = {
     "ARRAY": "array",
     "PARALLEL": "array-parallel",
@@ -109,54 +104,37 @@ TOPK_ROWS = {
 
 
 def run_algorithm(workload: Workload, name: str, **kwargs) -> JoinReport:
-    """Run one algorithm with fresh counters.
+    """Run one bench row with fresh counters.
 
-    ``INJ``/``BIJ``/``OBJ`` execute over the workload's R-trees;
-    ``ARRAY`` (vectorized engine), ``PARALLEL`` (sharded worker pool;
-    pass ``workers=``) and ``AUTO`` (cost-based planner) dispatch the
-    workload's pointsets through :func:`repro.engine.run_join` — their
-    reports carry no I/O-model figures but the same result pairs.
-    ``TOPK-ARRAY``/``TOPK-OBJ``/``TOPK-AUTO`` (pass ``k=``) dispatch
-    through :func:`repro.engine.run_topk`; the OBJ route runs over the
-    workload's own trees and buffer.
+    Every row goes through the unified planner with the workload
+    riding along, so the R-tree routes (``INJ``/``BIJ``/``OBJ``, an
+    ``AUTO`` plan that lands on OBJ, ``TOPK-OBJ``) measure against the
+    bench's own trees and buffer.  ``ARRAY`` (vectorized engine),
+    ``PARALLEL`` (pass ``workers=``) and ``AUTO`` (cost-based planner)
+    carry no I/O-model figures but the same result pairs.  The rows of
+    :data:`ALGORITHMS` and :data:`ENGINE_ROWS` dispatch through
+    :func:`repro.engine.run_join`; ``TOPK-ARRAY``/``TOPK-OBJ``/
+    ``TOPK-AUTO`` (pass ``k=``) through :func:`repro.engine.run_topk`.
     """
+    # Imported lazily: the planner builds Workloads through this module
+    # for the R-tree routes.
+    from repro.engine.planner import run_join, run_topk
+
+    workload.reset()
+    points = (workload.points_p, workload.points_q)
     if name in TOPK_ROWS:
-        from repro.engine.planner import run_topk
-
-        workload.reset()
         return run_topk(
-            workload.points_p,
-            workload.points_q,
-            engine=TOPK_ROWS[name],
-            workload=workload,
-            **kwargs,
+            *points, engine=TOPK_ROWS[name], workload=workload, **kwargs
         )
-    if name in ENGINE_ROWS:
-        # Imported lazily: the planner itself builds Workloads through
-        # this module for the R-tree backend.
-        from repro.engine.planner import run_join
-
-        workload.reset()
-        # The workload rides along so an AUTO plan that lands on the
-        # R-tree backend measures against the bench's own trees and
-        # buffer instead of silently rebuilding them; memory engines
-        # ignore it.
-        return run_join(
-            workload.points_p,
-            workload.points_q,
-            algorithm=ENGINE_ROWS[name],
-            workload=workload,
-            **kwargs,
-        )
-    try:
-        algo = ALGORITHMS[name]
-    except KeyError:
+    algorithm = ALGORITHMS.get(name, ENGINE_ROWS.get(name))
+    if algorithm is None:
         raise ValueError(
             f"unknown algorithm {name!r}; expected one of "
             f"{sorted(ALGORITHMS) + sorted(ENGINE_ROWS) + sorted(TOPK_ROWS)}"
-        ) from None
-    workload.reset()
-    return algo(workload.tree_q, workload.tree_p, **kwargs)
+        )
+    return run_join(
+        *points, algorithm=algorithm, workload=workload, **kwargs
+    )
 
 
 def run_all_algorithms(workload: Workload, **kwargs) -> dict[str, JoinReport]:
@@ -270,7 +248,8 @@ def _smoke_families(
     (ties included); the set-valued families compare key sets.  Returns
     True on divergence (the caller's failure flag convention).
     """
-    from repro.engine.families import SHARDABLE_FAMILIES, run_family_join
+    from repro.engine.families import SHARDABLE_FAMILIES
+    from repro.engine.planner import run_join
 
     # Both CIJ paths build the same Voronoi cells in Python, which
     # dominates at smoke scale; cap its input so the canary stays fast
@@ -284,17 +263,17 @@ def _smoke_families(
     ]
     failed = False
     for family, params, fam_p, fam_q in cases:
-        oracle = run_family_join(
-            fam_p, fam_q, family, engine="pointwise", **params
+        oracle = run_join(
+            fam_p, fam_q, family=family, engine="pointwise", **params
         )
-        runs = {"array": run_family_join(
-            fam_p, fam_q, family, engine="array", **params
+        runs = {"array": run_join(
+            fam_p, fam_q, family=family, engine="array", **params
         )}
         if family in SHARDABLE_FAMILIES:
-            runs["array-parallel"] = run_family_join(
+            runs["array-parallel"] = run_join(
                 fam_p,
                 fam_q,
-                family,
+                family=family,
                 engine="array-parallel",
                 workers=workers,
                 min_shard=min_shard,

@@ -219,8 +219,6 @@ def run_calibration_sweep(
 
             # -- shardable families: serial + one pool size ------------
             if include_families:
-                from repro.engine.families import run_family_join
-
                 family_params = (
                     ("epsilon", {"eps": _sweep_eps(points_p)}),
                     ("knn", {"k": _SWEEP_KNN_K}),
@@ -233,8 +231,8 @@ def run_calibration_sweep(
                         density=density,
                         **params,
                     )
-                    report = run_family_join(
-                        points_p, points_q, family,
+                    report = run_join(
+                        points_p, points_q, family=family,
                         engine="array", **params,
                     )
                     record(
@@ -243,8 +241,8 @@ def run_calibration_sweep(
                     )
                     recorded += 1
                     pool_w = workers_series[0]
-                    report = run_family_join(
-                        points_p, points_q, family,
+                    report = run_join(
+                        points_p, points_q, family=family,
                         engine="array-parallel",
                         workers=pool_w,
                         min_shard=min_shard,

@@ -4,10 +4,10 @@ Usage (installed as ``python -m repro``)::
 
     python -m repro generate --kind uniform -n 1000 --seed 1 -o p.txt
     python -m repro generate --kind gaussian -n 1000 -w 8 --seed 2 -o q.txt
-    python -m repro join p.txt q.txt --method obj -o pairs.txt
+    python -m repro join p.txt q.txt --engine obj -o pairs.txt
     python -m repro join p.txt q.txt --engine array -o pairs.txt
     python -m repro join p.txt q.txt --engine auto --workers 4 --explain
-    python -m repro join p.txt q.txt --mode topk --top-k 10
+    python -m repro join p.txt q.txt --top-k 10
     python -m repro join p.txt q.txt --family epsilon --param 50 --explain
     python -m repro join p.txt q.txt --family knn --param 4 --engine array
     python -m repro selfjoin p.txt -o postboxes.txt
@@ -35,7 +35,7 @@ from typing import Sequence
 from repro.core.selfjoin import self_rcj
 from repro.datasets.io import load_points, save_points
 from repro.datasets.synthetic import gaussian_clusters, uniform
-from repro.engine import ENGINE_NAMES, run_join
+from repro.engine import ALGORITHM_NAMES, run_join
 
 
 def _positive_int(text: str) -> int:
@@ -67,11 +67,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _method_for(args: argparse.Namespace) -> str:
-    """The effective algorithm: a non-pointwise ``--engine`` overrides
-    ``--method``."""
-    engine = args.engine or "pointwise"
-    return args.method if engine == "pointwise" else engine
+def _rcj_algorithm(args: argparse.Namespace) -> str:
+    """The RCJ's algorithm from ``--engine`` (``pointwise`` and no flag
+    mean the paper's OBJ)."""
+    return "obj" if args.engine in (None, "pointwise") else args.engine
 
 
 def _write_output(pairs, args: argparse.Namespace) -> None:
@@ -120,7 +119,9 @@ def _join_and_emit(
     to stderr: the one ``--engine auto`` *would* pick before a
     pinned-engine run, the one that ran (with its measurements) after
     an auto run — never planned twice.  Then the trace diagnostics, the
-    pair lines (``-o`` or stdout) and the one-line stderr summary.
+    pair lines (``-o`` or stdout) and the one-line stderr summary.  A
+    selection the planner refuses (a bulk-only algorithm with
+    ``--top-k``, an RCJ algorithm for another family) exits 2.
     """
     from repro.engine.families import explain_family, explain_plan
 
@@ -135,15 +136,18 @@ def _join_and_emit(
             ),
             file=sys.stderr,
         )
-    report = run_join(
-        points_p,
-        points_q,
-        family=request.family,
-        mode="topk" if request.kind == "topk" else "join",
-        workers=request.workers,
-        **params,
-        **selection,
-    )
+    try:
+        report = run_join(
+            points_p,
+            points_q,
+            family=request.family,
+            workers=request.workers,
+            **params,
+            **selection,
+        )
+    except ValueError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     if args.explain and report.plan is not None:
         print(
             explain_plan(report.plan, request.family, **params),
@@ -177,16 +181,13 @@ def _family_param(args: argparse.Namespace) -> tuple[float | None, int | None]:
 def _cmd_join(args: argparse.Namespace) -> int:
     from repro.engine.request import JoinRequest
 
-    topk = args.mode == "topk" or args.top_k is not None
+    topk = args.top_k is not None
     if topk and args.family != "rcj":
         print(
-            "--mode topk applies to --family rcj only "
+            "--top-k applies to --family rcj only "
             "(use --family kcp for ordered closest pairs)",
             file=sys.stderr,
         )
-        return 2
-    if topk and args.top_k is None:
-        print("--mode topk requires --top-k K", file=sys.stderr)
         return 2
     try:
         eps, k = _family_param(args)
@@ -197,13 +198,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
         print(f"repro join: {exc}", file=sys.stderr)
         return 2
     if args.family == "rcj":
-        method = _method_for(args)
-        # The pointwise top-k algorithm is the R-tree incremental
-        # distance join, whatever --method says about the bulk join.
-        if topk and method not in ("array", "array-parallel", "auto"):
-            method = "obj"
         label = f"top-{k} RCJ" if topk else "RCJ"
-        return _join_and_emit(args, request, label, algorithm=method)
+        return _join_and_emit(
+            args, request, label, algorithm=_rcj_algorithm(args)
+        )
     # Families default to cost-based planning; an explicit --engine
     # (including 'pointwise', the reference oracle) pins the path.
     return _join_and_emit(
@@ -213,7 +211,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 def _cmd_selfjoin(args: argparse.Namespace) -> int:
     points = load_points(args.pointset)
-    method = _method_for(args)
+    method = _rcj_algorithm(args)
     if args.explain:
         # The selfjoin helper returns deduplicated pairs, not a report,
         # so the plan is always computed here — for "auto" it is the
@@ -502,19 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_args(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
-            "--method",
-            choices=("obj", "bij", "inj", "gabriel", "brute"),
-            default="obj",
-        )
-        cmd.add_argument(
             "--engine",
-            choices=ENGINE_NAMES,
+            choices=("pointwise",) + ALGORITHM_NAMES,
             default=None,
-            help="execution engine: the pointwise algorithm selected by "
-            "--method, the vectorized batch engine, the sharded "
-            "multi-process engine, or cost-based auto-selection "
-            "(everything but 'pointwise' overrides --method; default: "
-            "pointwise for RCJ, auto for --family joins)",
+            help="the RCJ's algorithm (the paper's R-tree inj/bij/obj, "
+            "the brute/gabriel comparators, the vectorized array "
+            "engine, the sharded array-parallel engine or cost-based "
+            "auto-selection; 'pointwise' is obj), or for --family "
+            "joins pointwise (the reference oracle), array, "
+            "array-parallel or auto (default: obj for the RCJ, auto "
+            "for --family joins)",
         )
         cmd.add_argument(
             "--workers",
@@ -555,18 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
         "rcj and cij take none",
     )
     join.add_argument(
-        "--mode",
-        choices=("join", "topk"),
-        default="join",
-        help="full join (default) or the --top-k smallest-diameter "
-        "pairs in ascending order",
-    )
-    join.add_argument(
         "--top-k",
         type=_positive_int,
         default=None,
         metavar="K",
-        help="result bound for --mode topk (giving it implies the mode)",
+        help="ordered browsing: only the K smallest-diameter RCJ pairs, "
+        "in ascending order (engines obj, array, auto)",
     )
     join.add_argument(
         "--trace",

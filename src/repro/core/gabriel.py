@@ -36,7 +36,8 @@ comparator for correctness testing and as a main-memory performance
 ablation (it has no I/O model and assumes the data fits in RAM).
 Inputs Qhull cannot triangulate faithfully (fewer than four distinct
 locations, collinear or near-flat sets; see :func:`checked_delaunay`)
-fall back to the brute-force oracle.
+leave every site unresolved: each gets the pruned partner edges of
+:func:`_unresolved_site_pairs`, verified like the triangulation's own.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from repro.core.brute import brute_force_rcj
 from repro.core.pairs import RCJPair
 from repro.geometry.point import Point
 
@@ -142,8 +142,8 @@ def checked_delaunay(sites: np.ndarray) -> Delaunay | None:
     ``QhullError``, and triangulations whose simplices index past the
     framed points (the point at infinity of Qhull's ``Qz`` option
     leaking through on degenerate input).  Callers fall back to an
-    exact route: brute force in :func:`gabriel_rcj`, the exact scan of
-    the array engine (:mod:`repro.engine.kernels`).
+    exact route: every site unresolved in :func:`gabriel_rcj`, the
+    exact scan of the array engine (:mod:`repro.engine.kernels`).
     """
     n = len(sites)
     if n < 4:
@@ -407,19 +407,19 @@ def gabriel_rcj(
 
     sites = np.asarray(coords, dtype=np.float64)
     tri = checked_delaunay(sites)
-    if tri is None:
-        distinct = brute_force_rcj(points_p, points_q, exclude_same_oid)
-        seen = {pair.key() for pair in results}
-        results.extend(p for p in distinct if p.key() not in seen)
-        return results
-
-    edges = set(map(tuple, site_edges(tri).tolist()))
-    circles = triangle_circles(tri)
-    edges |= _cocircular_cluster_pairs(tri, circles)
     kdtree = cKDTree(sites)
-    edges |= _unresolved_site_pairs(
-        sites, unresolved_sites(tri, circles.small), kdtree
-    )
+    if tri is None:
+        # No trustworthy triangulation: every site is unresolved.
+        edges = _unresolved_site_pairs(
+            sites, np.ones(len(sites), dtype=bool), kdtree
+        )
+    else:
+        edges = set(map(tuple, site_edges(tri).tolist()))
+        circles = triangle_circles(tri)
+        edges |= _cocircular_cluster_pairs(tri, circles)
+        edges |= _unresolved_site_pairs(
+            sites, unresolved_sites(tri, circles.small), kdtree
+        )
     for i, j in edges:
         gi = groups[coords[i]]
         gj = groups[coords[j]]

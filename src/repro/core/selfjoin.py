@@ -8,20 +8,14 @@ once (with ``p.oid < q.oid``).
 
 from __future__ import annotations
 
-from typing import Callable, Literal, Sequence
+from typing import Sequence
 
-from repro.core.bij import bij
-from repro.core.brute import brute_force_rcj
-from repro.core.gabriel import gabriel_rcj
-from repro.core.inj import inj
 from repro.core.pairs import RCJPair
+from repro.engine.planner import AlgorithmName, run_join
 from repro.geometry.point import Point
-from repro.rtree.bulk import bulk_load
-from repro.rtree.tree import RTree
 
-SelfAlgorithm = Literal[
-    "inj", "bij", "obj", "brute", "gabriel", "array", "array-parallel", "auto"
-]
+#: The algorithms of :func:`self_rcj`: every one :func:`run_join` runs.
+SelfAlgorithm = AlgorithmName
 
 
 def _dedupe_symmetric(pairs: Sequence[RCJPair]) -> list[RCJPair]:
@@ -41,7 +35,6 @@ def _dedupe_symmetric(pairs: Sequence[RCJPair]) -> list[RCJPair]:
 def self_rcj(
     points: Sequence[Point],
     algorithm: SelfAlgorithm = "obj",
-    tree: RTree | None = None,
     workers: int | None = None,
 ) -> list[RCJPair]:
     """Compute the self-RCJ of a pointset.
@@ -52,13 +45,12 @@ def self_rcj(
         The dataset; ``oid`` values must be unique (they identify the
         endpoints of each reported pair).
     algorithm:
-        One of ``"inj"``, ``"bij"``, ``"obj"`` (R-tree based),
-        ``"brute"``, ``"gabriel"``, ``"array"`` (main memory),
-        ``"array-parallel"`` (the array engine in-process: the RCJ does
-        not shard) or ``"auto"`` (cost-based planner).
-    tree:
-        Optional pre-built index over ``points``; built with STR bulk
-        loading when omitted (only used by the R-tree algorithms).
+        Any RCJ algorithm of :func:`repro.engine.planner.run_join`
+        (:data:`~repro.engine.planner.ALGORITHM_NAMES`): ``"inj"``,
+        ``"bij"``, ``"obj"`` (R-tree based), ``"brute"``, ``"gabriel"``,
+        ``"array"`` (main memory), ``"array-parallel"`` (the array
+        engine in-process: the RCJ does not shard) or ``"auto"``
+        (cost-based planner).
     workers:
         Worker budget of ``"auto"`` planning (``None`` = all cores).
 
@@ -70,40 +62,8 @@ def self_rcj(
     oids = {p.oid for p in points}
     if len(oids) != len(points):
         raise ValueError("self_rcj requires unique oids")
-
-    if algorithm == "brute":
-        return _dedupe_symmetric(
-            brute_force_rcj(points, points, exclude_same_oid=True)
-        )
-    if algorithm == "gabriel":
-        return _dedupe_symmetric(
-            gabriel_rcj(points, points, exclude_same_oid=True)
-        )
-    if algorithm in ("array", "array-parallel", "auto"):
-        # Imported lazily to keep the core layer import-light; the
-        # engine subsystem pulls in numpy/scipy machinery.
-        from repro.engine.planner import run_join
-
-        report = run_join(
-            points,
-            points,
-            algorithm=algorithm,
-            workers=workers,
-            exclude_same_oid=True,
-        )
-        return _dedupe_symmetric(report.pairs)
-
-    if tree is None:
-        tree = bulk_load(points, name="T_self")
-    runner: Callable
-    if algorithm == "inj":
-        runner = lambda: inj(tree, tree, exclude_same_oid=True)  # noqa: E731
-    elif algorithm == "bij":
-        runner = lambda: bij(tree, tree, exclude_same_oid=True)  # noqa: E731
-    elif algorithm == "obj":
-        runner = lambda: bij(  # noqa: E731
-            tree, tree, symmetric=True, exclude_same_oid=True
-        )
-    else:
-        raise ValueError(f"unknown self-join algorithm {algorithm!r}")
-    return _dedupe_symmetric(runner().pairs)
+    report = run_join(
+        points, points, algorithm=algorithm, workers=workers,
+        exclude_same_oid=True,
+    )
+    return _dedupe_symmetric(report.pairs)

@@ -17,21 +17,19 @@ algorithms in :mod:`repro.core`:
 - :mod:`repro.engine.families` — every join declared as such a
   pipeline: the bulk RCJ, the top-k RCJ and the paper's other join
   families (ε-join, kNN-join, k-closest-pairs, common influence),
-  behind :func:`run_family_join` (and ``run_join(family=...)``), with
-  the pointwise implementations in :mod:`repro.joins` kept as
-  reference oracles;
+  behind ``run_join(family=...)``, with the pointwise implementations
+  in :mod:`repro.joins` kept as reference oracles;
 - :mod:`repro.engine.request` — :class:`JoinRequest`, the one
   validated request shape (family, ``k``, ``eps``, self-join mode,
   worker and memory budgets) every front door and planner name builds;
-- :mod:`repro.engine.planner` — :func:`run_join`, the unified planner
-  entry point dispatching across every join implementation (``inj``,
-  ``bij``, ``obj``, ``brute``, ``gabriel`` and the vectorized
-  ``array`` / ``array-parallel`` engines, which run the bulk RCJ
-  pipeline) and returning the ordinary
-  :class:`~repro.core.pairs.JoinReport`; :func:`run_join`,
-  :func:`run_topk` (ordered browsing, ``run_join(mode="topk")``) and
-  :func:`run_family_join` all run on its one executor, and
-  :func:`make_dynamic` builds the shared dynamic backend;
+- :mod:`repro.engine.planner` — :func:`run_join`, the one front door
+  for every join: the RCJ's algorithms (``inj``, ``bij``, ``obj``,
+  ``brute``, ``gabriel`` and the vectorized ``array`` /
+  ``array-parallel`` engines, which run the bulk RCJ pipeline), the
+  top-k RCJ (``k=``; also :func:`run_topk`) and every other family
+  (``family=``), all on one executor that returns the ordinary
+  :class:`~repro.core.pairs.JoinReport`; :func:`make_dynamic` builds
+  the shared dynamic backend;
 - :mod:`repro.engine.streaming` — the canonical ascending-diameter
   order (:func:`sort_pairs_by_diameter`) and :class:`DynamicArrayRCJ`
   (incremental maintenance with batched kernels).
@@ -43,11 +41,7 @@ working unchanged on its reports.
 """
 
 from repro.engine.arrays import NonFiniteCoordinateError, PointArray
-from repro.engine.families import (
-    build_family_pipeline,
-    explain_family,
-    run_family_join,
-)
+from repro.engine.families import build_family_pipeline, explain_family
 from repro.engine.operators import JoinContext, Pipeline
 from repro.engine.planner import (
     ALGORITHM_NAMES,
@@ -74,7 +68,6 @@ __all__ = [
     "build_family_pipeline",
     "explain_family",
     "make_dynamic",
-    "run_family_join",
     "run_join",
     "run_topk",
     "sort_pairs_by_diameter",

@@ -34,10 +34,9 @@ and the paper's RCJ algorithms) — the equivalence suites pin this —
 and every traced run records its per-stage wall times as stage spans
 (:func:`repro.obs.trace.stage_totals`).
 
-:func:`run_family_join` is the family-first front door; it and
-:func:`repro.engine.planner.run_join` (``family=...``) build the same
-:class:`~repro.engine.request.JoinRequest` and run it on the planner's
-one executor.
+:func:`repro.engine.planner.run_join` (``family=...``) is the front
+door: it builds a :class:`~repro.engine.request.JoinRequest` and runs
+it on the planner's one executor.
 """
 
 from __future__ import annotations
@@ -249,68 +248,6 @@ def _pointwise_family(
             common_influence_join(points_p, points_q, bounds=bounds)
         )
     report.candidate_count = len(report.pairs)
-
-
-def run_family_join(
-    points_p: Sequence[Point],
-    points_q: Sequence[Point],
-    family: str,
-    *,
-    engine: str | None = None,
-    eps: float | None = None,
-    k: int | None = None,
-    bounds=None,
-    workers: int | None = None,
-    buffer_budget_bytes: int | None = None,
-    min_shard: int | None = None,
-) -> JoinReport:
-    """Run one join family end to end and return its report.
-
-    Parameters
-    ----------
-    points_p, points_q:
-        The two pointsets (``points_p`` is the neighbour side of the
-        kNN join: pairs are ``<p, q among p's k NNs in Q>``... see each
-        family's oracle for its orientation).
-    family:
-        One of :data:`FAMILY_NAMES` (``"rcj"`` is the bulk RCJ, the
-        same run as :func:`repro.engine.planner.run_join`; it takes no
-        ``k`` — the top-k RCJ is :func:`repro.engine.planner.run_topk`).
-    engine:
-        ``"pointwise"`` (the reference oracle; the paper's OBJ for the
-        RCJ), ``"array"`` (the serial pipeline), ``"array-parallel"``
-        (sharded pool, :data:`SHARDABLE_FAMILIES` only — the others,
-        the RCJ included, coerce to ``"array"``) or ``"auto"``
-        (default: the planner, :func:`repro.parallel.costmodel.plan_join`,
-        whose decision rides on ``report.plan``).
-    eps, k:
-        The family parameter (ε radius / result bound).
-    bounds:
-        CIJ clipping region override (default: the shared
-        :func:`repro.joins.common_influence.cij_bounds`).
-    workers, buffer_budget_bytes:
-        Planner/parallel-engine budgets, as in ``run_join``.
-    min_shard:
-        Shard-granularity override for the parallel engine (tests force
-        real pools on small data with it); dropped for families that do
-        not shard.
-    """
-    from repro.engine.planner import _engine_for, _execute
-
-    if family == "rcj" and k is not None:
-        raise ValueError(
-            "family='rcj' is the full join and takes no k; for the k"
-            " smallest-diameter pairs use run_topk(...) or"
-            " run_join(..., mode='topk', k=...)"
-        )
-    request = JoinRequest(
-        family, k=k, eps=eps, workers=workers, budget_bytes=buffer_budget_bytes
-    )
-    engine = _engine_for(family, "auto" if engine is None else engine)
-    options = {"bounds": bounds}
-    if min_shard is not None:
-        options["min_shard"] = min_shard
-    return _execute(request, points_p, points_q, engine, options=options)
 
 
 def explain_family(

@@ -1,42 +1,40 @@
 """The unified join planner: one request, one planner, one executor.
 
 :func:`run_join` is the single entry point every caller (CLI, bench
-harness, tests, applications) can dispatch through: it takes the two
-pointsets, an algorithm name and an execution backend, runs the join and
-returns the ordinary :class:`~repro.core.pairs.JoinReport` — so
-accounting, evaluation and resemblance tooling work identically whether
-the join ran on the paper's R-tree algorithms, the main-memory
+harness, tests, applications) dispatches through: it takes the two
+pointsets, an algorithm (or engine) name and the join family, runs the
+join and returns the ordinary :class:`~repro.core.pairs.JoinReport` —
+so accounting, evaluation and resemblance tooling work identically
+whether the join ran on the paper's R-tree algorithms, the main-memory
 comparators, or the vectorized array engine.
 
-Algorithms and their backends:
+The RCJ's algorithms (the backend is implied by the name):
 
-================== ========== ==========================================
-algorithm          backend    implementation
-================== ========== ==========================================
-``inj``            ``rtree``  :func:`repro.core.inj.inj`
-``bij``            ``rtree``  :func:`repro.core.bij.bij`
-``obj``            ``rtree``  :func:`repro.core.bij.bij` (symmetric)
-``brute``          ``memory`` :func:`repro.core.brute.brute_force_rcj`
-``gabriel``        ``memory`` :func:`repro.core.gabriel.gabriel_rcj`
-``array``          ``memory`` the bulk RCJ pipeline
-                              (:func:`repro.engine.families.rcj_pipeline`)
-``array-parallel`` ``memory`` the same pipeline, in-process: its
-                              triangulation is global, so the RCJ does
-                              not shard (:mod:`repro.parallel` pools the
-                              ε- and kNN joins)
-``auto``           (planned)  cost-based choice between ``array`` and
-                              ``obj``
-================== ========== ==========================================
+================== ==========================================
+algorithm          implementation
+================== ==========================================
+``inj``            :func:`repro.core.inj.inj` (R-tree)
+``bij``            :func:`repro.core.bij.bij` (R-tree)
+``obj``            :func:`repro.core.bij.bij`, symmetric (R-tree)
+``brute``          :func:`repro.core.brute.brute_force_rcj`
+``gabriel``        :func:`repro.core.gabriel.gabriel_rcj`
+``array``          the bulk RCJ pipeline
+                   (:func:`repro.engine.families.rcj_pipeline`)
+``array-parallel`` the same pipeline, in-process: its
+                   triangulation is global, so the RCJ does
+                   not shard (:mod:`repro.parallel` pools the
+                   ε- and kNN joins)
+``auto``           cost-based choice between ``array`` and
+                   ``obj``
+================== ==========================================
 
-``backend="auto"`` (the default) infers the backend from the algorithm;
-passing an explicit backend that the algorithm cannot run on raises
-``ValueError`` rather than silently substituting an implementation.
-
-The front doors — :func:`run_join` (any family, ``mode="join"`` or
-``"topk"``), :func:`run_topk` and
-:func:`repro.engine.families.run_family_join` — each build one
-validated :class:`~repro.engine.request.JoinRequest` and hand it to one
-executor.  ``engine="auto"`` consults the cost-based planner
+Every front door — :func:`run_join` (any family; the RCJ with ``k`` is
+the top-k RCJ), :func:`run_topk`, :func:`repro.core.selfjoin.self_rcj`,
+:func:`repro.ring_constrained_join`, the bench rows
+(:func:`repro.bench.runner.run_algorithm`) and the CLI — builds one
+validated :class:`~repro.engine.request.JoinRequest` and hands it to
+one executor, :func:`_execute`, the only dispatcher.  ``engine="auto"``
+consults the cost-based planner
 (:func:`repro.parallel.costmodel.plan_join`), whose decision — an
 :class:`~repro.parallel.costmodel.ExecutionPlan` — rides on
 ``report.plan`` (the CLI's ``--explain``).  The columnar engines run
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 from repro.core.bij import bij
 from repro.core.brute import brute_candidate_count, brute_force_rcj
@@ -75,28 +73,13 @@ from repro.obs.trace import add_counter, stage_totals
 from repro.obs.trace import trace as obs_trace
 from repro.storage.stats import CostModel
 
-#: Every algorithm :func:`run_join` can dispatch.
-ALGORITHM_NAMES = (
-    "inj",
-    "bij",
-    "obj",
-    "brute",
-    "gabriel",
-    "array",
-    "array-parallel",
-    "auto",
-)
-
-#: Backend implied by each algorithm.
-_ALGORITHM_BACKEND = {
-    "inj": "rtree",
-    "bij": "rtree",
-    "obj": "rtree",
-    "brute": "memory",
-    "gabriel": "memory",
-    "array": "memory",
-    "array-parallel": "memory",
-}
+#: Every algorithm :func:`run_join` can dispatch for the RCJ — also the
+#: ``method`` of :func:`repro.ring_constrained_join` and the
+#: ``algorithm`` of :func:`repro.core.selfjoin.self_rcj`.
+AlgorithmName = Literal[
+    "inj", "bij", "obj", "brute", "gabriel", "array", "array-parallel", "auto"
+]
+ALGORITHM_NAMES: tuple[str, ...] = get_args(AlgorithmName)
 
 #: ``engine=`` values accepted by every front door (``"pointwise"`` keeps
 #: the RCJ's ``algorithm`` as given and runs the other families'
@@ -111,16 +94,17 @@ TOPK_ENGINE_NAMES = ENGINE_NAMES + ("obj",)
 
 _RTREE_ALGORITHMS = ("inj", "bij", "obj")
 
+#: Keywords :func:`run_join` passes through to the algorithm it runs.
+_OPTION_NAMES = ("search_order", "seed", "verify", "bounds", "min_shard")
+
 
 def run_join(
     points_p: Sequence[Point],
     points_q: Sequence[Point],
     algorithm: str = "obj",
-    backend: str = "auto",
     *,
     engine: str | None = None,
     family: str = "rcj",
-    mode: str = "join",
     k: int | None = None,
     eps: float | None = None,
     workers: int | None = None,
@@ -140,12 +124,9 @@ def run_join(
         loop of the R-tree algorithms, matching
         :func:`repro.ring_constrained_join`).
     algorithm:
-        One of :data:`ALGORITHM_NAMES` (case-insensitive).
-        ``"auto"`` defers the choice to the cost-based planner.
-    backend:
-        ``"auto"`` (infer), ``"rtree"`` (simulated-disk R-trees with
-        full cost accounting) or ``"memory"`` (main-memory engines; the
-        report carries measured CPU time but no I/O model).
+        The RCJ's algorithm, one of :data:`ALGORITHM_NAMES`
+        (case-insensitive); it implies the backend.  ``"auto"`` defers
+        the choice to the cost-based planner.
     engine:
         Execution-strategy override of ``algorithm``: ``"array"``,
         ``"array-parallel"`` (the worker pool for the ε- and kNN joins;
@@ -153,20 +134,19 @@ def run_join(
         and the CIJ it runs the ``"array"`` pipeline in-process),
         ``"auto"`` (cost-based planning) or ``"pointwise"`` (keep
         ``algorithm`` as given; for the other families, the reference
-        oracle).  Mirrors the CLI's ``--engine`` flag.
+        oracle).
     family:
         The join family (:data:`repro.engine.families.FAMILY_NAMES`).
         ``"rcj"`` (default) runs this planner's own algorithms; the
         other families run their pipelines or oracles with the same
         engine selection (default ``"auto"``) — ε-joins need ``eps``,
         kNN and k-closest-pairs need ``k``.
-    mode:
-        ``"join"`` (the full result; default) or ``"topk"`` (the ``k``
-        smallest-diameter pairs in ascending order — the CLI's
-        ``--mode topk``, the same run as :func:`run_topk`).
     k:
-        Result-size bound for ``mode="topk"`` and the kNN /
-        k-closest-pairs families (ignored by the full RCJ).
+        Result-size bound.  For the RCJ it selects ordered browsing:
+        the ``k`` smallest-diameter pairs in ascending order, the same
+        run as :func:`run_topk` (``algorithm`` ``"obj"`` is the R-tree
+        heap, ``"array"`` the band pipeline, ``"auto"`` the planner's
+        choice).  The kNN and k-closest-pairs families require it.
     workers:
         Worker-process budget for the parallel engine and the planner
         (``None`` = all cores; ignored by serial engines and families
@@ -177,33 +157,26 @@ def run_join(
     exclude_same_oid:
         Self-join mode — a point never pairs with itself.
     buffer_fraction:
-        LRU buffer sizing for the R-tree backend (paper default 1 %).
+        LRU buffer sizing for the R-tree algorithms (paper default 1 %).
     cost_model:
-        I/O and CPU charging model for the R-tree backend.
+        I/O and CPU charging model for the R-tree algorithms.
     workload:
         Optional prebuilt :class:`repro.bench.runner.Workload` to reuse
         existing indexes (R-tree routes only); its counters are reset.
     algorithm_kwargs:
-        Passed through to the underlying algorithm (e.g. ``verify``,
-        ``search_order`` for INJ, ``bounds`` / ``min_shard`` for the
-        families).
+        Passed through to the underlying algorithm, one of
+        :data:`_OPTION_NAMES`: ``search_order`` / ``seed`` (INJ),
+        ``verify`` (the R-tree algorithms), ``bounds`` (the CIJ's
+        clipping region), ``min_shard`` (the worker pool's shard
+        floor).  Any other keyword raises ``TypeError``.
     """
-    if mode not in ("join", "topk"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'join' or 'topk'")
-    if family != "rcj":
-        if mode != "join":
-            raise ValueError(
-                f"family={family!r} supports mode='join' only"
-                " (k-closest-pairs IS the family's ordered mode)"
-            )
-        if algorithm != "obj" or backend != "auto":
-            raise ValueError(
-                "family joins take engine=..., not algorithm/backend"
-            )
-    elif mode == "join":
-        k = None  # the full RCJ has no result bound
-    elif k is None:
-        raise ValueError("mode='topk' requires k")
+    unexpected = sorted(set(algorithm_kwargs) - set(_OPTION_NAMES))
+    if unexpected:
+        raise TypeError(
+            f"run_join() got unexpected keyword arguments {unexpected}"
+        )
+    if family != "rcj" and algorithm != "obj":
+        raise ValueError("family joins take engine=..., not algorithm=")
     request = JoinRequest(
         family,
         k=k,
@@ -217,7 +190,6 @@ def run_join(
         points_p,
         points_q,
         _engine_for(family, engine, algorithm),
-        backend=backend,
         workload=workload,
         buffer_fraction=buffer_fraction,
         cost_model=cost_model,
@@ -298,12 +270,10 @@ def _resolve(
     points_p,
     points_q,
     name: str,
-    backend: str,
     trees_prebuilt: bool,
 ):
-    """``(engine, plan)`` for one request: aliases resolved, ``"auto"``
-    planned (:func:`repro.parallel.costmodel.plan_join`), the backend
-    checked against the engine that will run."""
+    """``(engine, plan)`` for one request: aliases resolved and
+    ``"auto"`` planned (:func:`repro.parallel.costmodel.plan_join`)."""
     kind = request.kind
     if kind == "topk":
         if name not in TOPK_ENGINE_NAMES:
@@ -315,40 +285,18 @@ def _resolve(
             name = "obj"
     plan = None
     if name == "auto":
-        if backend != "auto":
-            raise ValueError(
-                "engine='auto' plans its own backend; "
-                f"cannot force backend={backend!r}"
-            )
         # Imported lazily: repro.parallel builds on the engine package.
         from repro.parallel import costmodel
 
-        # One planner body; the bulk RCJ enters it through its
-        # historical name, the hook callers and tests patch.
-        if kind == "join":
-            plan = costmodel.choose_plan(
-                points_p,
-                points_q,
-                workers=request.workers,
-                budget_bytes=request.budget_bytes,
-            )
-        else:
-            plan = costmodel.plan_join(
-                request, points_p, points_q, trees_prebuilt=trees_prebuilt
-            )
+        plan = costmodel.plan_join(
+            request, points_p, points_q, trees_prebuilt=trees_prebuilt
+        )
         name = plan.engine
     if name == "array-parallel" and request.family not in SHARDABLE_FAMILIES:
         name = "array"
-    if kind == "family":
-        return name, plan
-    if name not in _ALGORITHM_BACKEND:
+    if kind == "join" and name not in ALGORITHM_NAMES:
         raise ValueError(
             f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}"
-        )
-    implied = _ALGORITHM_BACKEND[name]
-    if backend not in ("auto", implied):
-        raise ValueError(
-            f"algorithm {name!r} runs on the {implied!r} backend, not {backend!r}"
         )
     return name, plan
 
@@ -363,7 +311,6 @@ def _execute(
     points_q: Sequence[Point],
     engine: str,
     *,
-    backend: str = "auto",
     workload=None,
     buffer_fraction: float | None = None,
     cost_model: CostModel | None = None,
@@ -385,7 +332,7 @@ def _execute(
     if request.family not in SHARDABLE_FAMILIES:
         options.pop("min_shard", None)  # a pool hint; only pools take it
     name, plan = _resolve(
-        request, points_p, points_q, engine, backend, workload is not None
+        request, points_p, points_q, engine, workload is not None
     )
     workers = request.workers if plan is None else plan.workers
 

@@ -1,8 +1,8 @@
 """One join request: the validated shape every front door builds.
 
-:func:`repro.engine.planner.run_join`, :func:`~repro.engine.planner.run_topk`
-and :func:`repro.engine.families.run_family_join` — and the planner's
-``choose_*`` names — all describe a join as the same six values, so they
+:func:`repro.engine.planner.run_join` and
+:func:`~repro.engine.planner.run_topk` — and the planner's ``choose_*``
+names — all describe a join as the same six values, so they
 are checked once, here, with one message per rule.  The top-k RCJ is the
 ``rcj`` family with a ``k``.
 """

@@ -2,7 +2,7 @@
 planning, benchmarking and debugging.
 
 A *trace* is a tree of :class:`Span` records rooted at one planner
-entry point (``run_join`` / ``run_topk`` / ``run_family_join``).  Code
+entry point (``run_join`` / ``run_topk``).  Code
 under an active trace opens child spans with the :func:`span` context
 manager, attaches attributes (``span("pool", workers=4)``) and bumps
 counters (:func:`add_counter`); the per-stage wall times the cost model

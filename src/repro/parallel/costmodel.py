@@ -1,10 +1,9 @@
 """Cost-based execution planning for every join front door.
 
-``engine="auto"`` on :func:`repro.engine.run_join`,
-:func:`repro.engine.run_topk` and :func:`repro.engine.run_family_join`
-asks the planner to pick the execution strategy the way a database
-optimizer would — from data statistics and a resource budget, not from
-a caller-supplied flag.  Each of them describes its join as one
+``engine="auto"`` on :func:`repro.engine.run_join` (any family) and
+:func:`repro.engine.run_topk` asks the planner to pick the execution
+strategy the way a database optimizer would — from data statistics and
+a resource budget, not from a caller-supplied flag.  Each of them describes its join as one
 :class:`~repro.engine.request.JoinRequest`, and :func:`plan_join` is
 the one planner body:
 

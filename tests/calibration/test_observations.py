@@ -166,11 +166,11 @@ class TestRecordPlannedRun:
 
     def test_family_and_topk_runs_record_their_workload(self, store):
         from repro.datasets.fixtures import uniform_pair
-        from repro.engine.families import run_family_join
+        from repro.engine.planner import run_join
         from repro.engine.planner import run_topk
 
         points_p, points_q = uniform_pair(200, 200, seed=43)
-        run_family_join(points_p, points_q, "epsilon", eps=30.0, workers=1)
+        run_join(points_p, points_q, family="epsilon", eps=30.0, workers=1)
         run_topk(points_p, points_q, 5, engine="auto")
         workloads = {o["workload"] for o in load_observations()}
         assert workloads == {"family:epsilon", "topk"}

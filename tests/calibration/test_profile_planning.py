@@ -311,13 +311,13 @@ class TestEndToEndRoundTrip:
             load_observations,
             record_observation,
         )
-        from repro.engine.families import run_family_join
+        from repro.engine.planner import run_join
 
         points_p, points_q = uniform_pair(400, 400, seed=57)
         for seed in (1, 2):
             sub = points_p if seed == 1 else points_p[: len(points_p) // 2]
-            report = run_family_join(
-                sub, points_q, "knn", engine="auto", workers=1, **KNN
+            report = run_join(
+                sub, points_q, family="knn", engine="auto", workers=1, **KNN
             )
             assert report.plan is not None
         recorded = load_observations()
@@ -351,13 +351,13 @@ class TestEndToEndRoundTrip:
         """Satellite: a real pool run must land per-stage seconds on
         the report (and the plan), so parallel observations carry the
         same stage detail serial ones do."""
-        from repro.engine.families import run_family_join
+        from repro.engine.planner import run_join
 
         points_p, points_q = uniform_pair(600, 600, seed=58)
-        report = run_family_join(
+        report = run_join(
             points_p,
             points_q,
-            "knn",
+            family="knn",
             engine="array-parallel",
             workers=2,
             min_shard=64,

@@ -20,6 +20,7 @@ from repro.core.gabriel import (
 )
 from repro.datasets.synthetic import gaussian_clusters
 from repro.datasets.worstcase import collinear, lattice, split_alternating
+from repro.engine import run_join
 from repro.geometry.point import Point
 
 
@@ -64,16 +65,17 @@ class TestDegenerateInputs:
         got = gabriel_rcj([Point(0, 0, 0)], [Point(5, 5, 1)])
         assert [r.key() for r in got] == [(0, 1)]
 
-    def test_two_distinct_sites_brute_fallback(self):
-        # Fewer than 4 distinct coordinates: the brute path runs.
+    def test_two_distinct_sites_untriangulated(self):
+        # Fewer than 4 distinct coordinates: no triangulation, every
+        # site is unresolved.
         p = [Point(0, 0, 0), Point(0, 0, 1)]
         q = [Point(5, 0, 2)]
         got = {r.key() for r in gabriel_rcj(p, q)}
         assert got == {(0, 2), (1, 2)}
 
     def test_all_collinear_falls_back(self):
-        # Collinear sites make Qhull fail; the brute fallback must kick
-        # in and produce the exact result.
+        # Collinear sites make Qhull fail; the every-site-unresolved
+        # route must produce the exact result.
         p = [Point(i, 0, i) for i in range(6)]
         q = [Point(i + 0.5, 0, 100 + i) for i in range(6)]
         got = {r.key() for r in gabriel_rcj(p, q)}
@@ -192,6 +194,25 @@ class TestNearFlatInputs:
         monkeypatch.setattr(gabriel, "Delaunay", LeakyDelaunay)
         sites = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
         assert checked_delaunay(sites) is None
+
+    def test_refused_triangulation_never_runs_brute_force(self, monkeypatch):
+        # A refused triangulation leaves every site unresolved and runs
+        # the usual verify; the quadratic oracle, once the fallback,
+        # had not finished n = 5000 after minutes.
+        import repro.core.brute as brute
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gabriel_rcj fell back to brute force")
+
+        monkeypatch.setattr(gabriel, "brute_force_rcj", refuse, raising=False)
+        monkeypatch.setattr(brute, "brute_force_rcj", refuse)
+        for n, jitter in ((400, 1e-10), (300, 0.0), (3, 0.0)):
+            p, q = split_alternating(collinear(n, jitter=jitter, seed=3))
+            assert checked_delaunay(
+                np.array([(pt.x, pt.y) for pt in p + q])
+            ) is None
+            want = run_join(p, q, engine="array").pair_keys()
+            assert {r.key() for r in gabriel_rcj(p, q)} == want
 
 
 class TestCentredTriangulation:

@@ -243,13 +243,6 @@ class TestPlannerDispatch:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_join(points_p, points_q, algorithm="quantum")
 
-    def test_backend_mismatch(self):
-        points_p, points_q = equivalence_families()["single_point"]
-        with pytest.raises(ValueError, match="backend"):
-            run_join(points_p, points_q, algorithm="array", backend="rtree")
-        with pytest.raises(ValueError, match="backend"):
-            run_join(points_p, points_q, algorithm="inj", backend="memory")
-
     def test_empty_inputs(self):
         points_p, points_q = equivalence_families()["uniform"]
         for engine in ("brute", "array"):

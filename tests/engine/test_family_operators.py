@@ -21,7 +21,7 @@ from repro.datasets.fixtures import (
     equivalence_families,
     uniform_pair,
 )
-from repro.engine import run_family_join, run_join, run_topk
+from repro.engine import run_join, run_topk
 from repro.engine.arrays import PointArray
 from repro.engine.families import (
     FAMILY_NAMES,
@@ -64,11 +64,11 @@ def test_pipeline_matches_pointwise(families, fixture, family, params):
     oracle exactly — same pairs, same canonical order — on every
     dataset family, tie-riddled duplicates included."""
     points_p, points_q = families[fixture]
-    oracle = run_family_join(
-        points_p, points_q, family, engine="pointwise", **params
+    oracle = run_join(
+        points_p, points_q, family=family, engine="pointwise", **params
     )
-    pipeline = run_family_join(
-        points_p, points_q, family, engine="array", **params
+    pipeline = run_join(
+        points_p, points_q, family=family, engine="array", **params
     )
     assert ordered_keys(pipeline) == ordered_keys(oracle)
     assert pipeline.stage_seconds, "pipeline runs must record stage times"
@@ -80,15 +80,15 @@ def test_parallel_matches_serial(family):
     identical to the serial pipeline for one and two workers."""
     points_p, points_q = uniform_pair(300, 340, seed=17)
     params = {"eps": 55.0} if family == "epsilon" else {"k": 3}
-    serial = run_family_join(
-        points_p, points_q, family, engine="array", **params
+    serial = run_join(
+        points_p, points_q, family=family, engine="array", **params
     )
     assert serial.pairs, "fixture must produce pairs for real coverage"
     for workers in (1, 2):
-        parallel = run_family_join(
+        parallel = run_join(
             points_p,
             points_q,
-            family,
+            family=family,
             engine="array-parallel",
             workers=workers,
             min_shard=8,
@@ -104,12 +104,12 @@ def test_unshardable_families_coerce_parallel(family):
     pipeline (no probe-disjoint decomposition exists for them)."""
     points_p, points_q = uniform_pair(80, 90, seed=5)
     params = {"k": 6} if family == "kcp" else {}
-    report = run_family_join(
-        points_p, points_q, family, engine="array-parallel", **params
+    report = run_join(
+        points_p, points_q, family=family, engine="array-parallel", **params
     )
     assert report.algorithm == f"{family.upper()}-ARRAY"
-    oracle = run_family_join(
-        points_p, points_q, family, engine="pointwise", **params
+    oracle = run_join(
+        points_p, points_q, family=family, engine="pointwise", **params
     )
     assert ordered_keys(report) == ordered_keys(oracle)
 
@@ -134,12 +134,12 @@ def test_topk_rtree_route_tie_canonical():
     )
     for k in (1, 7, 40):
         expected = [(p_oid, q_oid) for _d, p_oid, q_oid in brute[:k]]
-        oracle = run_family_join(
-            points_p, points_q, "kcp", engine="pointwise", k=k
+        oracle = run_join(
+            points_p, points_q, family="kcp", engine="pointwise", k=k
         )
         assert ordered_keys(oracle) == expected
-        pipe = run_family_join(
-            points_p, points_q, "kcp", engine="array", k=k
+        pipe = run_join(
+            points_p, points_q, family="kcp", engine="array", k=k
         )
         assert ordered_keys(pipe) == expected
 
@@ -149,11 +149,11 @@ def test_knn_tie_canonical_on_duplicates():
     ascending-oid neighbours in both the oracle and the pipeline."""
     points_p, points_q = duplicate_pair(50, 60, seed=21)
     for k in (1, 3, 6):
-        oracle = run_family_join(
-            points_p, points_q, "knn", engine="pointwise", k=k
+        oracle = run_join(
+            points_p, points_q, family="knn", engine="pointwise", k=k
         )
-        pipe = run_family_join(
-            points_p, points_q, "knn", engine="array", k=k
+        pipe = run_join(
+            points_p, points_q, family="knn", engine="array", k=k
         )
         assert ordered_keys(pipe) == ordered_keys(oracle)
         counts: dict[int, int] = {}
@@ -188,7 +188,7 @@ def test_take_smallest_early_stop():
     take-smallest sink stops it at the chunk that brings its k-th pair
     — far short of the cross product."""
     points_p, points_q = uniform_pair(400, 400, seed=2)
-    report = run_family_join(points_p, points_q, "kcp", engine="array", k=5)
+    report = run_join(points_p, points_q, family="kcp", engine="array", k=5)
     assert report.result_count == 5
     assert report.candidate_count < len(points_p) * len(points_q) // 10
 
@@ -207,8 +207,8 @@ def test_run_join_family_dispatch_and_plan():
     assert knn.algorithm == "KNN-ARRAY"
     assert set(knn.stage_seconds) >= {"knn", "collect"}
 
-    oracle = run_family_join(
-        points_p, points_q, "epsilon", engine="pointwise", eps=40.0
+    oracle = run_join(
+        points_p, points_q, family="epsilon", engine="pointwise", eps=40.0
     )
     assert ordered_keys(report) == ordered_keys(oracle)
 
@@ -225,10 +225,10 @@ def test_stage_seconds_names_per_family():
     }
     params = {"epsilon": {"eps": 35.0}, "knn": {"k": 2}, "kcp": {"k": 9}}
     for family, names in expected.items():
-        report = run_family_join(
+        report = run_join(
             points_p,
             points_q,
-            family,
+            family=family,
             engine="array",
             **params.get(family, {}),
         )
@@ -246,7 +246,7 @@ def test_cells_span_counts_all_pairs_cell_fallback():
     twin = Point(points_p[0].x, points_p[0].y, 10_000)
     for side_p, expected in ((points_p, 0), (points_p + [twin], 41)):
         with trace("cij") as root:
-            run_family_join(side_p, points_q, "cij", engine="array")
+            run_join(side_p, points_q, family="cij", engine="array")
         assert root is not None, "the suite needs tracing enabled"
         counted = sum(
             span.counters.get("cell_fallback", 0) for span in root.find("cells")
@@ -270,32 +270,32 @@ def test_describe_and_explain():
 def test_parameter_validation():
     points_p, points_q = uniform_pair(10, 10, seed=0)
     with pytest.raises(ValueError):
-        run_family_join(points_p, points_q, "epsilon")  # eps missing
+        run_join(points_p, points_q, family="epsilon")  # eps missing
     with pytest.raises(ValueError):
-        run_family_join(points_p, points_q, "knn")  # k missing
+        run_join(points_p, points_q, family="knn")  # k missing
     with pytest.raises(ValueError):
-        run_family_join(points_p, points_q, "cij", k=3)
+        run_join(points_p, points_q, family="cij", k=3)
     with pytest.raises(ValueError):
-        run_family_join(points_p, points_q, "voronoi", k=3)
+        run_join(points_p, points_q, family="voronoi", k=3)
     with pytest.raises(ValueError):
-        run_family_join(
-            points_p, points_q, "epsilon", eps=5.0, engine="gpu"
+        run_join(
+            points_p, points_q, family="epsilon", eps=5.0, engine="gpu"
         )
     with pytest.raises(ValueError):
         run_join(points_p, points_q, eps=5.0)  # eps is family-only
     with pytest.raises(ValueError):
-        run_join(points_p, points_q, family="epsilon", eps=5.0, mode="topk")
+        run_join(points_p, points_q, family="epsilon", eps=5.0, k=3)
 
 
 def test_empty_and_degenerate_inputs():
     points_p, points_q = uniform_pair(20, 20, seed=0)
     for family, params in CASES:
-        empty = run_family_join([], points_q, family, engine="array", **params)
+        empty = run_join([], points_q, family=family, engine="array", **params)
         assert empty.pairs == []
-        empty = run_family_join(points_p, [], family, engine="array", **params)
+        empty = run_join(points_p, [], family=family, engine="array", **params)
         assert empty.pairs == []
     for family in ("knn", "kcp"):
-        zero = run_family_join(
-            points_p, points_q, family, engine="array", k=0
+        zero = run_join(
+            points_p, points_q, family=family, engine="array", k=0
         )
         assert zero.pairs == []

@@ -1,6 +1,6 @@
 """The one join request every front door builds.
 
-``run_join``, ``run_topk``, ``run_family_join`` and the planner's
+``run_join``, ``run_topk`` and the planner's
 ``choose_*`` names validate their parameters through
 :class:`repro.engine.request.JoinRequest`, so a request is accepted or
 rejected — with the same message — whichever name it arrives by, and
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.fixtures import uniform_pair
-from repro.engine import run_family_join, run_join, run_topk
+from repro.engine import ALGORITHM_NAMES, run_join, run_topk
 from repro.engine.request import FAMILY_NAMES, JoinRequest
 from repro.parallel.costmodel import (
     choose_family_plan,
@@ -85,11 +85,11 @@ class TestNonIntegerK:
     @pytest.mark.parametrize("k", [2.5, True])
     def test_k_families(self, points, family, k):
         with pytest.raises(ValueError, match="k must be an integer"):
-            run_family_join(*points, family, k=k, engine="array")
+            run_join(*points, family=family, k=k, engine="array")
 
-    def test_run_join_topk_mode(self, points):
+    def test_run_join_topk(self, points):
         with pytest.raises(ValueError, match="k must be an integer"):
-            run_join(*points, engine="array", mode="topk", k=2.5)
+            run_join(*points, engine="array", k=2.5)
 
     @pytest.mark.parametrize("engine", ["array", "obj"])
     def test_numpy_integer_k_runs_like_int(self, points, engine):
@@ -98,9 +98,9 @@ class TestNonIntegerK:
 
     def test_numpy_integer_k_for_families(self, points):
         for family in ("knn", "kcp"):
-            want = run_family_join(*points, family, k=3, engine="array")
-            got = run_family_join(
-                *points, family, k=np.int32(3), engine="array"
+            want = run_join(*points, family=family, k=3, engine="array")
+            got = run_join(
+                *points, family=family, k=np.int32(3), engine="array"
             )
             assert got.pair_keys() == want.pair_keys()
 
@@ -111,7 +111,6 @@ class TestPlannerAndExecutorAgree:
         messages = []
         for call in (
             lambda: choose_family_plan("epsilon", *points, eps=eps),
-            lambda: run_family_join(*points, "epsilon", eps=eps),
             lambda: run_join(*points, family="epsilon", eps=eps),
         ):
             with pytest.raises(ValueError) as exc:
@@ -127,24 +126,11 @@ class TestPlannerAndExecutorAgree:
             lambda: choose_topk_plan(*points, 5, workers=0),
             lambda: run_join(*points, engine="array", workers=0),
             lambda: run_topk(*points, 5, engine="array", workers=0),
-            lambda: run_family_join(*points, "knn", k=2, workers=0),
+            lambda: run_join(*points, family="knn", k=2, workers=0),
         )
         for call in calls:
             with pytest.raises(ValueError, match="workers must be positive"):
                 call()
-
-    def test_topk_backend_conflict_rejected_like_bulk(self, points):
-        with pytest.raises(ValueError) as bulk:
-            run_join(*points, algorithm="array", backend="rtree")
-        with pytest.raises(ValueError) as topk:
-            run_join(
-                *points, algorithm="array", backend="rtree", mode="topk", k=3
-            )
-        assert str(topk.value) == str(bulk.value)
-
-    def test_topk_auto_with_forced_backend_rejected(self, points):
-        with pytest.raises(ValueError, match="auto"):
-            run_join(*points, algorithm="auto", backend="memory", mode="topk", k=3)
 
 
 #: Requests whose result is empty, one per route of the executor.
@@ -159,13 +145,15 @@ EMPTY_RESULTS = {
     "topk-array-k0": lambda pts: run_topk(*pts, 0, engine="array"),
     "topk-obj-k0": lambda pts: run_topk(*pts, 0, engine="obj"),
     "kcp-array-k0": lambda pts: run_join(*pts, family="kcp", k=0, engine="array"),
-    "knn-array-k0": lambda pts: run_family_join(*pts, "knn", k=0, engine="array"),
-    "knn-auto-k0": lambda pts: run_family_join(*pts, "knn", k=0),
-    "kcp-pointwise-k0": lambda pts: run_family_join(
-        *pts, "kcp", k=0, engine="pointwise"
+    "knn-array-k0": lambda pts: run_join(
+        *pts, family="knn", k=0, engine="array"
     ),
-    "epsilon-array-empty": lambda pts: run_family_join(
-        [], pts[1], "epsilon", eps=5.0, engine="array"
+    "knn-auto-k0": lambda pts: run_join(*pts, family="knn", k=0),
+    "kcp-pointwise-k0": lambda pts: run_join(
+        *pts, family="kcp", k=0, engine="pointwise"
+    ),
+    "epsilon-array-empty": lambda pts: run_join(
+        [], pts[1], family="epsilon", eps=5.0, engine="array"
     ),
 }
 
@@ -183,17 +171,71 @@ def test_empty_results_report_like_every_other_run(points, route):
 @pytest.mark.parametrize("engine", ["array", "pointwise"])
 def test_run_join_forwards_the_cij_clipping_region(engine):
     from repro.geometry.rect import Rect
+    from repro.joins.common_influence import common_influence_join
 
     points_p, points_q = uniform_pair(60, 60, seed=3)
     # A region that clips the Voronoi cells: a different pair set than
     # the default bounds would give.
     bounds = Rect(2500.0, 2500.0, 7500.0, 7500.0)
-    want = run_family_join(
-        points_p, points_q, "cij", engine=engine, bounds=bounds
-    )
+    want = {
+        (p.oid, q.oid)
+        for p, q in common_influence_join(points_p, points_q, bounds=bounds)
+    }
     got = run_join(
         points_p, points_q, family="cij", engine=engine, bounds=bounds
     )
-    assert got.pair_keys() == want.pair_keys()
-    default = run_family_join(points_p, points_q, "cij", engine=engine)
-    assert want.pair_keys() != default.pair_keys()
+    assert set(got.pair_keys()) == want
+    default = run_join(points_p, points_q, family="cij", engine=engine)
+    assert set(default.pair_keys()) != want
+
+
+class TestFrontDoorContract:
+    """Every front door is one call into the planner's executor: the
+    RCJ's ``k`` is ordered browsing, the removed ``backend=`` /
+    ``mode=`` keywords are refused, and every algorithm name gives the
+    brute-force pair set through every door."""
+
+    @pytest.mark.parametrize("engine", ["obj", "array"])
+    def test_rcj_k_is_topk(self, points, engine):
+        want = run_topk(*points, 5, engine=engine)
+        got = run_join(*points, k=5, algorithm=engine)
+        assert [p.key() for p in got.pairs] == [p.key() for p in want.pairs]
+        assert got.algorithm == want.algorithm
+        assert got.candidate_count == want.candidate_count
+
+    @pytest.mark.parametrize(
+        "removed", [{"backend": "rtree"}, {"mode": "topk"}]
+    )
+    def test_removed_keywords_raise_type_error(self, points, removed):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            run_join(*points, algorithm="brute", **removed)
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_every_algorithm_name_through_every_door(
+        self, name, tmp_path, capsys
+    ):
+        from repro import ring_constrained_join, self_rcj
+        from repro.cli import main
+        from repro.datasets.io import save_points
+
+        points_p, points_q = uniform_pair(90, 110, seed=4)
+        want = run_join(points_p, points_q, algorithm="brute").pair_keys()
+        assert run_join(points_p, points_q, algorithm=name).pair_keys() == want
+        assert {
+            pair.key() for pair in ring_constrained_join(
+                points_p, points_q, method=name
+            )
+        } == want
+        self_want = {pair.key() for pair in self_rcj(points_p, "brute")}
+        assert {pair.key() for pair in self_rcj(points_p, name)} == self_want
+
+        files = [str(tmp_path / "p.txt"), str(tmp_path / "q.txt")]
+        save_points(points_p, files[0])
+        save_points(points_q, files[1])
+        capsys.readouterr()
+        assert main(["join", *files, "--engine", name]) == 0
+        printed = {
+            tuple(map(int, line.split()[:2]))
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert printed == want

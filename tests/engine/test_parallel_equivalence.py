@@ -19,7 +19,7 @@ from functools import partial
 
 from repro.core.selfjoin import self_rcj
 from repro.datasets.fixtures import equivalence_families, uniform_pair
-from repro.engine import run_family_join, run_join
+from repro.engine import run_join
 from repro.engine.arrays import PointArray
 from repro.engine.families import build_family_pipeline
 from repro.engine.kernels import canonical_pair_order, rcj_pair_indices
@@ -76,12 +76,6 @@ class TestAutoEquivalence:
         with pytest.raises(ValueError, match="unknown engine"):
             run_join(points_p, points_q, engine="warp")
 
-    @pytest.mark.parametrize("backend", ["rtree", "memory"])
-    def test_auto_with_forced_backend_rejected(self, backend):
-        points_p, points_q = equivalence_families()["single_point"]
-        with pytest.raises(ValueError, match="auto"):
-            run_join(points_p, points_q, algorithm="auto", backend=backend)
-
     def test_rcj_array_parallel_runs_in_process(self):
         # The triangulation is global: the bulk RCJ coerces
         # array-parallel to the serial pipeline, pool hints included.
@@ -121,13 +115,13 @@ class TestParallelEquivalence:
     @pytest.mark.parametrize("join, params", POOLED, ids=[j for j, _ in POOLED])
     def test_parallel_matches_oracle(self, family, workers, join, params):
         points_p, points_q = equivalence_families(seed=0)[family]
-        oracle = run_family_join(
-            points_p, points_q, join, engine="pointwise", **params
+        oracle = run_join(
+            points_p, points_q, family=join, engine="pointwise", **params
         )
         # min_shard=16 pushes even these deliberately small degenerate
         # families through a real multi-shard pool.
-        got = run_family_join(
-            points_p, points_q, join, engine="array-parallel",
+        got = run_join(
+            points_p, points_q, family=join, engine="array-parallel",
             workers=workers, min_shard=16, **params,
         )
         assert got.pair_keys() == oracle.pair_keys(), (

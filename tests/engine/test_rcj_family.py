@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.fixtures import uniform_pair
-from repro.engine import run_family_join, run_join, run_topk
+from repro.engine import run_join, run_topk
 from repro.engine.arrays import PointArray
 from repro.engine.families import (
     build_family_pipeline,
@@ -64,27 +64,31 @@ def test_traced_runs_carry_their_pipeline(points):
     )
 
 
-def test_rcj_family_rejects_k_and_eps(points):
-    with pytest.raises(ValueError, match="run_topk"):
-        run_family_join(*points, "rcj", k=5)
+def test_rcj_family_k_is_topk_and_eps_rejected(points):
+    # ``k`` on the RCJ family is ordered browsing: the run_topk result.
+    want = run_topk(*points, 5, engine="array").pair_keys()
+    assert run_join(
+        *points, family="rcj", k=5, engine="array"
+    ).pair_keys() == want
     with pytest.raises(ValueError, match="eps"):
-        run_family_join(*points, "rcj", eps=10.0)
+        run_join(*points, family="rcj", eps=10.0)
 
 
 def test_rcj_family_runs_array_parallel_in_process(points):
     # The triangulation is global: the RCJ does not shard, so
     # array-parallel coerces to the serial pipeline and a pool hint is
     # dropped.
-    serial = run_family_join(*points, "rcj", engine="array")
-    coerced = run_family_join(
-        *points, "rcj", engine="array-parallel", workers=2, min_shard=16
+    serial = run_join(*points, family="rcj", engine="array")
+    coerced = run_join(
+        *points, family="rcj", engine="array-parallel", workers=2,
+        min_shard=16,
     )
     assert coerced.workers_used == 1
     assert coerced.algorithm == "ARRAY"
     assert [p.key() for p in coerced.pairs] == [p.key() for p in serial.pairs]
     # A pool hint is dropped, not fatal, on engines without a pool.
-    assert run_family_join(
-        *points, "rcj", engine="array", min_shard=16
+    assert run_join(
+        *points, family="rcj", engine="array", min_shard=16
     ).pair_keys() == serial.pair_keys()
     assert run_join(
         *points, engine="auto", workers=1, min_shard=16

@@ -16,7 +16,7 @@ import pytest
 
 import repro.engine.kernels as kernels
 from repro.datasets.fixtures import clustered_pair, uniform_pair
-from repro.engine import run_family_join, run_join, run_topk
+from repro.engine import run_join, run_topk
 from repro.obs.trace import counter_totals, stage_totals
 
 COUNTERS = ("candidates", "verified", "pruned", "bands")
@@ -75,7 +75,7 @@ def _bulk(engine, **kw):
 def _family(family, engine="array", **params):
     if engine == "array-parallel":
         params.update(workers=2, min_shard=MIN_SHARD)
-    return lambda pts: run_family_join(*pts, family, engine=engine, **params)
+    return lambda pts: run_join(*pts, family=family, engine=engine, **params)
 
 
 #: route -> (dataset, report factory)

@@ -26,7 +26,7 @@ from repro.datasets.fixtures import (
 from repro.datasets.synthetic import uniform
 from repro.core.pairs import RCJPair
 from repro.geometry.point import Point
-from repro.engine import operators, run_family_join, run_join, run_topk
+from repro.engine import operators, run_join, run_topk
 from repro.engine.streaming import pair_order_key, sort_pairs_by_diameter
 from repro.obs.trace import counter_totals
 
@@ -149,20 +149,11 @@ class TestRunTopkApi:
         assert via_par.algorithm == "TOPK-ARRAY"
         assert keys_in_order(via_pw.pairs) == keys_in_order(via_par.pairs)
 
-    def test_run_join_mode_topk_routes(self, workload):
+    def test_run_join_k_routes_topk(self, workload):
         points_p, points_q, ref = workload
-        report = run_join(
-            points_p, points_q, engine="array", mode="topk", k=7
-        )
+        report = run_join(points_p, points_q, engine="array", k=7)
         assert report.algorithm == "TOPK-ARRAY"
         assert keys_in_order(report.pairs) == keys_in_order(ref[:7])
-
-    def test_run_join_mode_topk_requires_k(self, workload):
-        points_p, points_q, _ = workload
-        with pytest.raises(ValueError, match="requires k"):
-            run_join(points_p, points_q, mode="topk")
-        with pytest.raises(ValueError, match="mode"):
-            run_join(points_p, points_q, mode="sideways")
 
     def test_auto_attaches_plan_with_measurements(self, workload):
         points_p, points_q, _ = workload
@@ -241,8 +232,8 @@ class TestOverfullBandBisection:
     def test_kcp_equals_sorted_cross_product(self):
         points_p, points_q = uniform_pair(120, 130, seed=49)
         k = 400
-        report = run_family_join(
-            points_p, points_q, "kcp", engine="array", k=k
+        report = run_join(
+            points_p, points_q, family="kcp", engine="array", k=k
         )
         ref = sort_pairs_by_diameter(
             [RCJPair(p, q) for p in points_p for q in points_q]
@@ -265,7 +256,7 @@ class TestOverfullBandBisection:
         )
         deep = run_topk(points_p, points_q, len(full), engine="array")
         assert keys_in_order(deep.pairs) == keys_in_order(full)
-        kcp = run_family_join(points_p, points_q, "kcp", engine="array", k=60)
+        kcp = run_join(points_p, points_q, family="kcp", engine="array", k=60)
         cross = sort_pairs_by_diameter(
             [RCJPair(p, q) for p in points_p for q in points_q]
         )
@@ -323,8 +314,8 @@ class TestTiedRuns:
         # Pairs 66..368 all tie at distance 1, so the k-th pair and its
         # successor tie, and the first chunk (k pairs) ends mid-run.
         assert cross[k - 1].diameter == cross[k].diameter
-        report = run_family_join(
-            points_p, points_q, "kcp", engine="array", k=k
+        report = run_join(
+            points_p, points_q, family="kcp", engine="array", k=k
         )
         assert keys_in_order(report.pairs) == keys_in_order(cross[:k])
 

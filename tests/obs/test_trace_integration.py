@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.fixtures import uniform_pair
-from repro.engine.families import run_family_join
 from repro.engine.planner import run_join, run_topk
 from repro.obs.export import to_chrome, validate_chrome
 from repro.obs.trace import counter_totals, stage_totals
@@ -32,10 +31,10 @@ def pointsets():
 def _run(pointsets, workers):
     """A kNN join on the worker pool (in-process for one worker)."""
     points_p, points_q = pointsets
-    return run_family_join(
+    return run_join(
         points_p,
         points_q,
-        "knn",
+        family="knn",
         k=4,
         engine="array-parallel",
         workers=workers,
@@ -160,8 +159,8 @@ class TestEffectiveWorkers:
     def test_serial_fallback_reports_workers_used_1(self, pointsets):
         points_p, points_q = pointsets
         # Default min_shard (512) makes 600 probes fall back in-process.
-        report = run_family_join(
-            points_p, points_q, "knn", k=4, engine="array-parallel",
+        report = run_join(
+            points_p, points_q, family="knn", k=4, engine="array-parallel",
             workers=4,
         )
         assert report.workers_used == 1
@@ -195,7 +194,7 @@ class TestEffectiveWorkers:
             engine="array-parallel",
             workers=4,
         )
-        monkeypatch.setattr(costmodel, "choose_plan", lambda *a, **k: plan)
+        monkeypatch.setattr(costmodel, "plan_join", lambda *a, **k: plan)
         report = run_join(points_p, points_q, engine="auto")
         assert report.workers_used == 1
         (obs,) = load_observations()
@@ -243,13 +242,11 @@ class TestTracedTopk:
 
 class TestTracedFamilies:
     def test_family_parallel_trace_has_worker_shards(self):
-        from repro.engine.families import run_family_join
-
         points_p, points_q = uniform_pair(400, 400, seed=9)
-        report = run_family_join(
+        report = run_join(
             points_p,
             points_q,
-            "epsilon",
+            family="epsilon",
             eps=120.0,
             engine="array-parallel",
             workers=2,
@@ -263,11 +260,9 @@ class TestTracedFamilies:
         assert report.stage_seconds == stage_totals(root)
 
     def test_family_serial_pipeline_is_traced(self):
-        from repro.engine.families import run_family_join
-
         points_p, points_q = uniform_pair(200, 200, seed=10)
-        report = run_family_join(
-            points_p, points_q, "knn", k=3, engine="array"
+        report = run_join(
+            points_p, points_q, family="knn", k=3, engine="array"
         )
         root = report.trace
         assert root is not None

@@ -23,7 +23,8 @@ import pytest
 import repro.parallel.pool as pool_mod
 from repro.datasets.fixtures import clustered_pair, duplicate_pair, uniform_pair
 from repro.engine.arrays import PointArray
-from repro.engine.families import build_family_pipeline, run_family_join
+from repro.engine.families import build_family_pipeline
+from repro.engine.planner import run_join
 from repro.engine.kernels import rcj_pair_indices
 from repro.engine.operators import JoinContext
 from repro.engine.planner import run_join
@@ -52,9 +53,9 @@ def _knn_join(points_pair):
 
 
 def _epsilon_join(points_pair):
-    run_family_join(
+    run_join(
         *points_pair,
-        "epsilon",
+        family="epsilon",
         eps=300.0,
         engine="array-parallel",
         workers=2,
@@ -68,9 +69,9 @@ POOLED_JOINS = {"knn": _knn_join, "epsilon": _epsilon_join}
 
 
 def _pooled_report(points_pair, workers):
-    return run_family_join(
+    return run_join(
         *points_pair,
-        "knn",
+        family="knn",
         k=4,
         engine="array-parallel",
         workers=workers,
@@ -218,9 +219,9 @@ class TestPoolCorrectness:
     def test_stage_seconds_on_serial_fallback(self):
         # Below the shard threshold the pipeline runs in-process; its
         # stage spans still land in the report.
-        report = run_family_join(
+        report = run_join(
             *uniform_pair(100, 100, seed=29),
-            "knn",
+            family="knn",
             k=4,
             engine="array-parallel",
             workers=4,

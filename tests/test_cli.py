@@ -47,7 +47,7 @@ class TestJoin:
     def test_join_writes_pairs(self, files, tmp_path):
         p, q = files
         out = str(tmp_path / "pairs.txt")
-        assert main(["join", p, q, "--method", "obj", "-o", out]) == 0
+        assert main(["join", p, q, "--engine", "obj", "-o", out]) == 0
         pairs = read_pairs(out)
         assert pairs
         # Output oids come from the two inputs.
@@ -58,7 +58,7 @@ class TestJoin:
         results = {}
         for method in ("obj", "gabriel", "brute"):
             out = str(tmp_path / f"{method}.txt")
-            main(["join", p, q, "--method", method, "-o", out])
+            main(["join", p, q, "--engine", method, "-o", out])
             results[method] = {(a, b) for a, b, *_ in read_pairs(out)}
         assert results["obj"] == results["gabriel"] == results["brute"]
 
@@ -113,7 +113,7 @@ class TestTopK:
         p, q = files
         join_out = str(tmp_path / "all.txt")
         topk_out = str(tmp_path / "topk.txt")
-        main(["join", p, q, "--method", "gabriel", "-o", join_out])
+        main(["join", p, q, "--engine", "gabriel", "-o", join_out])
         main(["topk", p, q, "-k", "5", "-o", topk_out])
         all_pairs = sorted(read_pairs(join_out), key=lambda t: t[4])
         top = read_pairs(topk_out)
@@ -134,17 +134,17 @@ class TestTopK:
             == results["obj"] == results["pointwise"]
         )
 
-    def test_join_mode_topk(self, files, tmp_path, capsys):
+    def test_join_top_k(self, files, tmp_path, capsys):
         p, q = files
-        via_mode = str(tmp_path / "mode.txt")
+        via_join = str(tmp_path / "join.txt")
         via_topk = str(tmp_path / "topk.txt")
-        assert main(["join", p, q, "--mode", "topk", "--top-k", "4",
-                     "--engine", "array", "-o", via_mode]) == 0
+        assert main(["join", p, q, "--top-k", "4",
+                     "--engine", "array", "-o", via_join]) == 0
         assert "top-4" in capsys.readouterr().err
         main(["topk", p, q, "-k", "4", "--engine", "array", "-o", via_topk])
-        assert read_pairs(via_mode) == read_pairs(via_topk)
+        assert read_pairs(via_join) == read_pairs(via_topk)
 
-    def test_top_k_flag_implies_mode(self, files, tmp_path):
+    def test_top_k_flag_alone_selects_ordered_browsing(self, files, tmp_path):
         p, q = files
         out = str(tmp_path / "implied.txt")
         assert main(["join", p, q, "--top-k", "3", "-o", out]) == 0
@@ -153,10 +153,10 @@ class TestTopK:
         radii = [r for *_rest, r in pairs]
         assert radii == sorted(radii)
 
-    def test_mode_topk_requires_top_k(self, files, capsys):
+    def test_top_k_with_a_bulk_only_engine_rejected(self, files, capsys):
         p, q = files
-        assert main(["join", p, q, "--mode", "topk"]) == 2
-        assert "--top-k" in capsys.readouterr().err
+        assert main(["join", p, q, "--top-k", "3", "--engine", "inj"]) == 2
+        assert "unknown top-k engine 'inj'" in capsys.readouterr().err
 
     def test_topk_auto_explain(self, files, capsys):
         p, q = files
@@ -291,9 +291,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_unknown_method_rejected(self, tmp_path):
+    def test_unknown_engine_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["join", "a", "b", "--method", "quantum"])
+            main(["join", "a", "b", "--engine", "quantum"])
+
+    @pytest.mark.parametrize("flag", ["--method", "--mode"])
+    def test_removed_flags_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            main(["join", "a", "b", flag, "obj"])
 
     def test_unknown_resemblance_join_rejected(self):
         with pytest.raises(SystemExit):
@@ -327,7 +332,7 @@ class TestFamilyJoinCLI:
 
     @pytest.mark.parametrize("family", ["epsilon", "knn", "kcp", "cij"])
     def test_stdout_pairs_equal_the_library_run(self, files, family, capsys):
-        from repro.engine import run_family_join
+        from repro.engine import run_join
 
         assert main(self._argv(files, family)) == 0
         printed = [
@@ -337,8 +342,9 @@ class TestFamilyJoinCLI:
             )
         ]
         _param, kwargs = self.PARAMS[family]
-        report = run_family_join(
-            load_points(files[0]), load_points(files[1]), family, **kwargs
+        report = run_join(
+            load_points(files[0]), load_points(files[1]), family=family,
+            **kwargs,
         )
         assert printed == [
             (pr.p.oid, pr.q.oid, *pr.center, pr.radius) for pr in report.pairs
@@ -357,8 +363,8 @@ class TestFamilyJoinCLI:
         assert "plan: engine=" in captured.err
         assert "pipeline:" in captured.err
 
-    def test_topk_mode_rejected_for_kcp(self, files, capsys):
-        assert main(self._argv(files, "kcp", "--mode", "topk")) == 2
+    def test_top_k_rejected_for_kcp(self, files, capsys):
+        assert main(self._argv(files, "kcp", "--top-k", "3")) == 2
         assert "--family rcj only" in capsys.readouterr().err
 
     def test_rcj_takes_no_param(self, files, capsys):
