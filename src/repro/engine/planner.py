@@ -270,7 +270,6 @@ def _resolve(
     points_p,
     points_q,
     name: str,
-    trees_prebuilt: bool,
 ):
     """``(engine, plan)`` for one request: aliases resolved and
     ``"auto"`` planned (:func:`repro.parallel.costmodel.plan_join`)."""
@@ -288,9 +287,7 @@ def _resolve(
         # Imported lazily: repro.parallel builds on the engine package.
         from repro.parallel import costmodel
 
-        plan = costmodel.plan_join(
-            request, points_p, points_q, trees_prebuilt=trees_prebuilt
-        )
+        plan = costmodel.plan_join(request, points_p, points_q)
         name = plan.engine
     if name == "array-parallel" and request.family not in SHARDABLE_FAMILIES:
         name = "array"
@@ -331,9 +328,7 @@ def _execute(
     bounds = options.pop("bounds", None)  # the CIJ's clipping region
     if request.family not in SHARDABLE_FAMILIES:
         options.pop("min_shard", None)  # a pool hint; only pools take it
-    name, plan = _resolve(
-        request, points_p, points_q, engine, workload is not None
-    )
+    name, plan = _resolve(request, points_p, points_q, engine)
     workers = request.workers if plan is None else plan.workers
 
     attrs = {"family": request.family} if kind == "family" else {}

@@ -23,7 +23,7 @@ is judged by and the dynamic backend:
     Kill-sets come from one vectorized evaluation of the exact ring
     predicate over endpoint columns (:class:`_RingColumns`, the
     columnar twin of the pair-circle grid); freed and new pairs come
-    from Voronoi-neighbourhood probes over KD-tree streams; all
+    from Voronoi-neighbourhood probes (see *Probe windows* below); all
     verification goes through
     :func:`~repro.engine.kernels.verify_rings_batch`.  Per-event
     ``insert``/``delete`` keep the columns dense; ``apply_batch``
@@ -33,6 +33,23 @@ is judged by and the dynamic backend:
     exactly, and the one compaction + KD-tree rebuild per side waits
     until the :data:`TOMBSTONE_FRAC` or :data:`BUFFER_CAP` threshold
     trips — at most once per batch, usually far less often.
+
+Probe windows
+-------------
+Each repair gathers its probes (the deleted points, then the inserted
+ones) and answers them with **one** KD query per union source (the
+main tree and the insert-buffer tree of each side) for the whole
+batch: the ``_WINDOW`` nearest rows of every probe.  Dead rows and an
+inserted point's own ``(side, oid)`` read ``+inf``; the sources are
+concatenated in order and one stable ``argsort`` per probe merges
+them, so ties go to the lower source index and then to the KD-tree's
+order, exactly as a ``heapq.merge`` of per-source streams orders them.
+A probe's merged window is complete up to its *cut*, the smallest
+last-window distance over the sources whose window did not cover every
+row.  The clip loop reads the entries strictly nearer than the cut;
+only if it asks for more (a *spill*, counted as ``probe_spills``) does
+the probe continue lazily into doubling per-source KD streams that
+yield the distances ``>= cut``, so no point is skipped or repeated.
 
 Exactness
 ---------
@@ -46,6 +63,8 @@ from __future__ import annotations
 
 import heapq
 import time
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -103,6 +122,12 @@ BUFFER_CAP = 1024
 #: be mapped fresh on every batch: about 1,000 page faults per batch,
 #: measured on the fleet stream.
 _SCAN_CELLS = 1 << 16
+
+#: Nearest rows each source's one batched KD query returns per probe
+#: (:meth:`DynamicArrayRCJ._probe_windows`).  A fleet probe pulls about
+#: 14 points from the merged union, so a 32-row window per source
+#: almost never spills into the per-probe continuation.
+_WINDOW = 32
 
 
 class _SideColumns:
@@ -407,6 +432,21 @@ class _RingColumns:
         return [self._keys[i] for i in np.nonzero(hit)[0].tolist()]
 
 
+class _Source(NamedTuple):
+    """One KD-indexed slice of the final-union view a repair probes:
+    a side's stale main tier or its live insert buffer.  ``point_of``
+    maps a tree row to its point; ``alive`` masks dead rows (None: all
+    rows live); ``oid`` is the rows' oid column."""
+
+    side: Side
+    point_of: Callable[[int], Point]
+    tree: cKDTree
+    xs: np.ndarray
+    ys: np.ndarray
+    alive: np.ndarray | None
+    oid: np.ndarray
+
+
 class DynamicArrayRCJ:
     """The RCJ result maintained under updates, columnar backend.
 
@@ -423,10 +463,11 @@ class DynamicArrayRCJ:
       ring-containment scan, :class:`_RingColumns`);
     - :meth:`_settle` probes each deleted point's Voronoi
       neighbourhood for freed pairs (the object backend's horizon
-      argument, streamed from the per-side KD-trees) and each inserted
-      point's neighbourhood for its new partners, then settles every
-      candidate with one :func:`~repro.engine.kernels.verify_rings_batch`
-      pass against the live union, the engine's exact predicate.
+      argument) and each inserted point's neighbourhood for its new
+      partners, all from one batched KD window per union source, then
+      settles every candidate with one
+      :func:`~repro.engine.kernels.verify_rings_batch` pass against the
+      live union, the engine's exact predicate.
 
     Parameters mirror :class:`~repro.core.dynamic.DynamicRCJ`
     (``bounds`` seeds the deletion clip box; points outside remain
@@ -453,6 +494,8 @@ class DynamicArrayRCJ:
         #: Root span of the last ``apply_batch`` (None when tracing is
         #: off) — the CLI's ``--trace`` sink reads it after each batch.
         self.last_batch_trace = None
+        #: Probes of the current repair that spilled past their window.
+        self._spills = 0
         if len(self._p) and len(self._q):
             parr, qarr = self._p.array(), self._q.array()
             p_idx, q_idx, _ = rcj_pair_indices(parr, qarr)
@@ -610,25 +653,32 @@ class DynamicArrayRCJ:
 
         Candidates are freed pairs around each deleted point
         (``victims``) and new pairs of each inserted point, probed over
-        one final-union view (:meth:`_union_sources`); one exact
-        verification pass against that view settles them all.
+        one final-union view (:meth:`_union_sources`) from one batched
+        KD window per source (:meth:`_probe_windows`: the victims'
+        probes, then the inserts'); one exact verification pass against
+        that view settles them all.
         """
         if not len(self._p) or not len(self._q):
             return
         candidates: dict[tuple[int, int], RCJPair] = {}
         streamed = 0
+        self._spills = 0
         with stage_timer("probe"):
             sources = self._union_sources()
             span = self._live_span(sources)
-            for victim, _side in victims:
+            probes = [(victim, None) for victim, _side in victims]
+            probes += [(point, (side, point.oid)) for point, side in inserts]
+            windows = self._probe_windows(probes, sources)
+            for (victim, _side), window in zip(victims, windows):
                 streamed += self._probe_victim(
-                    victim, sources, span, candidates
+                    victim, window, sources, span, candidates
                 )
-            for point, side in inserts:
+            for (point, side), window in zip(inserts, windows[len(victims):]):
                 streamed += self._probe_insert(
-                    point, side, sources, span, candidates
+                    point, side, window, sources, span, candidates
                 )
         add_counter("streamed", streamed)
+        add_counter("probe_spills", self._spills)
         add_counter("candidates", len(candidates))
         added = 0
         if candidates:
@@ -645,12 +695,14 @@ class DynamicArrayRCJ:
                 added = int(alive.sum())
         add_counter("added", added)
 
-    def _probe_victim(self, victim: Point, sources, span, candidates) -> int:
+    def _probe_victim(
+        self, victim: Point, window, sources, span, candidates
+    ) -> int:
         """Freed-pair candidates of one deleted point over the final
         union view: cross the P/Q split of its Voronoi neighbourhood,
         keep rings it strictly blocked.  Returns the points streamed."""
         neighborhood, streamed = self._voronoi_neighbours(
-            victim, sources, span, stop_on_coincident=True
+            victim, window, sources, span, stop_on_coincident=True
         )
         if neighborhood is None:
             # A coincident live point remains: every ring that contained
@@ -678,7 +730,7 @@ class DynamicArrayRCJ:
         return streamed
 
     def _probe_insert(
-        self, point: Point, side: Side, sources, span, candidates
+        self, point: Point, side: Side, window, sources, span, candidates
     ) -> int:
         """New-pair candidates of one inserted point: its opposite-side
         Voronoi neighbours over the final union view (a verified pair's
@@ -687,6 +739,7 @@ class DynamicArrayRCJ:
         the points streamed."""
         neighborhood, streamed = self._voronoi_neighbours(
             point,
+            window,
             sources,
             span,
             stop_on_coincident=False,
@@ -703,27 +756,31 @@ class DynamicArrayRCJ:
             candidates[key] = pair
         return streamed
 
-    def _union_sources(self) -> list[tuple]:
+    def _union_sources(self) -> list[_Source]:
         """The composite final-union view every repair probes and
         verifies against: per side, the stale main tree with its
-        liveness mask, plus a KD-tree over the live insert buffer.  A
-        source is ``(side, point_of, tree, xs, ys, alive)``: ``point_of``
-        maps a tree row to its point, ``alive`` masks dead rows (None:
-        all rows live)."""
-        sources: list[tuple] = []
+        liveness mask, plus a KD-tree over the live insert buffer."""
+        sources: list[_Source] = []
         for side, cols in (("P", self._p), ("Q", self._q)):
             tree = cols.main_tree()
             if tree is not None:
                 arr = cols.main_array()
                 sources.append(
-                    (side, cols.point, tree, arr.x, arr.y, cols.alive_main())
+                    _Source(
+                        side, cols.point, tree, arr.x, arr.y,
+                        cols.alive_main(), arr.oid,
+                    )
                 )
             buf = cols.buffer_points()
             if buf:
-                bx = np.fromiter((p.x for p in buf), np.float64, count=len(buf))
-                by = np.fromiter((p.y for p in buf), np.float64, count=len(buf))
+                n = len(buf)
+                bx = np.fromiter((p.x for p in buf), np.float64, count=n)
+                by = np.fromiter((p.y for p in buf), np.float64, count=n)
+                oid = np.fromiter((p.oid for p in buf), np.int64, count=n)
                 tree = cKDTree(np.column_stack((bx, by)))
-                sources.append((side, buf.__getitem__, tree, bx, by, None))
+                sources.append(
+                    _Source(side, buf.__getitem__, tree, bx, by, None, oid)
+                )
         return sources
 
     def _verify_sources(self, px, py, qx, qy, sources) -> np.ndarray:
@@ -732,13 +789,14 @@ class DynamicArrayRCJ:
         dead rows masked — exactly one verification against the full
         live union."""
         alive = np.ones(len(px), dtype=bool)
-        for _side, _point_of, tree, xs, ys, mask in sources:
+        for src in sources:
             if not alive.any():
                 break
+            mask = src.alive
             if mask is not None and not mask.any():
                 continue
             alive &= verify_rings_batch(
-                px, py, qx, qy, tree, xs, ys,
+                px, py, qx, qy, src.tree, src.xs, src.ys,
                 blocker_alive=None if mask is None or mask.all() else mask,
             )
         return alive
@@ -754,31 +812,95 @@ class DynamicArrayRCJ:
             self.bounds.xmax,
             self.bounds.ymax,
         ]
-        for _side, _point_of, _tree, xs, ys, _alive in sources:
-            span[0] = min(span[0], float(xs.min()))
-            span[1] = min(span[1], float(ys.min()))
-            span[2] = max(span[2], float(xs.max()))
-            span[3] = max(span[3], float(ys.max()))
+        for src in sources:
+            span[0] = min(span[0], float(src.xs.min()))
+            span[1] = min(span[1], float(src.ys.min()))
+            span[2] = max(span[2], float(src.xs.max()))
+            span[3] = max(span[3], float(src.ys.max()))
         return span
+
+    @staticmethod
+    def _probe_windows(probes, sources) -> list[tuple]:
+        """Every probe's nearest live union points, from one KD query
+        per source for the whole batch.
+
+        ``probes`` is a list of ``(point, exclude)``; ``exclude`` is an
+        inserted point's own ``(side, oid)`` or None.  Each source
+        answers one ``query(probe_xy, k=min(_WINDOW, n))``; dead rows
+        and excluded points read ``+inf``; the sources concatenate in
+        order and one stable ``argsort`` per row merges them — ties go
+        to the lower source index, then to the KD-tree's own order,
+        exactly what ``heapq.merge`` of the per-source streams gives.
+
+        A probe's merged window is complete up to its *cut*: the
+        smallest last-window distance over the sources whose window
+        did not cover every row (``+inf`` when all did), since no row
+        left out of a window is nearer than that window's last entry.
+        Returns one ``(dists, source_indices, rows, cut)`` per probe,
+        holding the entries strictly nearer than the cut in merged
+        order; :meth:`_probe_stream` continues past it.
+        """
+        m = len(probes)
+        if not m:
+            return []
+        xy = np.array([(x.x, x.y) for x, _ex in probes], dtype=np.float64)
+        ex_oid = np.array(
+            [ex[1] if ex else 0 for _x, ex in probes], dtype=np.int64
+        )
+        ex_side = [ex[0] if ex else None for _x, ex in probes]
+        own = {
+            side: np.array([s == side for s in ex_side], dtype=bool)
+            for side in ("P", "Q")
+        }
+        cut = np.full(m, np.inf)
+        dists, rows, owner = [], [], []
+        for s, src in enumerate(sources):
+            n = src.tree.n
+            k = min(_WINDOW, n)
+            d, idx = src.tree.query(xy, k=k)
+            d = d.reshape(m, k)
+            idx = idx.reshape(m, k)
+            if k < n:
+                np.minimum(cut, d[:, -1], out=cut)
+            if src.alive is not None:
+                d[~src.alive[idx]] = np.inf
+            if own[src.side].any():
+                d[
+                    own[src.side][:, None]
+                    & (src.oid[idx] == ex_oid[:, None])
+                ] = np.inf
+            dists.append(d)
+            rows.append(idx)
+            owner.append(np.full(k, s))
+        d = np.hstack(dists)
+        order = np.argsort(d, axis=1, kind="stable")
+        d = np.take_along_axis(d, order, axis=1)
+        rows = np.take_along_axis(np.hstack(rows), order, axis=1)
+        owner = np.concatenate(owner)[order]
+        counts = (d < cut[:, None]).sum(axis=1).tolist()
+        return [
+            (d[j, :n].tolist(), owner[j, :n].tolist(), rows[j, :n].tolist(), c)
+            for j, (n, c) in enumerate(zip(counts, cut.tolist()))
+        ]
 
     def _voronoi_neighbours(
         self,
         x: Point,
+        window,
         sources,
         span: list[float],
         stop_on_coincident: bool,
         exclude: tuple[Side, int] | None = None,
     ) -> tuple[list[tuple[Point, Side]] | None, int]:
-        """Voronoi neighbourhood of ``x`` over the composite view —
-        ascending-distance streams from each source, heap-merged into
-        the shared clip loop — and the number of points it pulled.
-        ``span`` is the repair's :meth:`_live_span`; ``exclude`` drops
-        one ``(side, oid)`` (an inserted point probing for its own
-        partners)."""
-        streams = [self._stream(x, src, exclude) for src in sources]
+        """Voronoi neighbourhood of ``x`` over the composite view — its
+        batched window (:meth:`_probe_windows`), continued lazily past
+        the cut (:meth:`_probe_stream`), fed to the shared clip loop —
+        and the number of points it pulled.  ``span`` is the repair's
+        :meth:`_live_span`; ``exclude`` drops one ``(side, oid)`` (an
+        inserted point probing for its own partners)."""
         return voronoi_neighbours(
             x,
-            heapq.merge(*streams, key=lambda t: t[0]),
+            self._probe_stream(x, window, sources, exclude),
             [
                 min(span[0], x.x),
                 min(span[1], x.y),
@@ -788,33 +910,59 @@ class DynamicArrayRCJ:
             stop_on_coincident=stop_on_coincident,
         )
 
+    def _probe_stream(self, x: Point, window, sources, exclude):
+        """``x``'s live union points in ascending distance: the window's
+        entries (all strictly nearer than its cut), then — only if the
+        clip loop asks for more, a *spill* — the merged per-source
+        :meth:`_stream` continuations from the cut on, so no point is
+        skipped or repeated."""
+        dists, owner, rows, cut = window
+        for d, s, row in zip(dists, owner, rows):
+            src = sources[s]
+            yield d, src.point_of(row), src.side
+        if cut < np.inf:
+            self._spills += 1
+            yield from heapq.merge(
+                *(self._stream(x, src, exclude, cut) for src in sources),
+                key=itemgetter(0),
+            )
+
     @staticmethod
-    def _stream(x: Point, src, exclude):
-        """One source's live points in ascending distance from ``x``
-        (doubling-k KD queries, dead rows skipped)."""
-        side, point_of, tree, _xs, _ys, mask = src
-        n = tree.n
-        done = 0
-        k = 32
+    def _stream(x: Point, src: _Source, exclude, cut: float):
+        """One source's live points at distance ``>= cut`` from ``x``,
+        ascending — a probe's continuation past its window.
+
+        Doubling-k KD queries from twice the window.  Each query
+        re-reads the rows of the previous ones; ``last`` (the farthest
+        distance read so far) and ``seen`` (the rows read at exactly
+        ``last``) skip them, so a run of equal distances that straddles
+        the end of a query is neither repeated nor dropped, whatever
+        order the KD-tree gives equal distances."""
+        n = src.tree.n
+        k = 2 * _WINDOW
+        last, seen = cut, set()
         while True:
             kk = min(k, n)
-            dist, idx = tree.query([x.x, x.y], k=kk)
-            dist = np.atleast_1d(dist)
-            idx = np.atleast_1d(idx)
-            for d, row in zip(dist[done:].tolist(), idx[done:].tolist()):
-                if mask is not None and not mask[row]:
+            dist, idx = src.tree.query([x.x, x.y], k=kk)
+            for d, row in zip(
+                np.atleast_1d(dist).tolist(), np.atleast_1d(idx).tolist()
+            ):
+                if d < last or (d == last and row in seen):
                     continue
-                z = point_of(row)
+                if d > last:
+                    last, seen = d, set()
+                seen.add(row)
+                if src.alive is not None and not src.alive[row]:
+                    continue
                 if (
                     exclude is not None
-                    and side == exclude[0]
-                    and z.oid == exclude[1]
+                    and src.side == exclude[0]
+                    and src.oid[row] == exclude[1]
                 ):
                     continue
-                yield float(d), z, side
+                yield d, src.point_of(row), src.side
             if kk == n:
                 return
-            done = kk
             k *= 2
 
     def _maybe_compact(self) -> int:

@@ -20,8 +20,8 @@ the one planner body:
   EMBANKS-style regime: stream through a bounded buffer rather than
   materialize columns and KD-trees).
 
-The top-k RCJ keeps its own static rules (the R-tree heap for tiny
-``k`` over small or prebuilt indexes), and so does the dynamic backend
+The top-k RCJ keeps its own static rule (the band pipeline, unless
+the working set overflows the budget), and so does the dynamic backend
 choice (:func:`choose_dynamic_backend`); a fitted calibration profile
 (:mod:`repro.calibration`) settles all of them by predicted seconds
 through one comparison.  ``choose_plan``, ``choose_family_plan`` and
@@ -404,8 +404,6 @@ def plan_join(
     request: JoinRequest,
     points_p,
     points_q,
-    *,
-    trees_prebuilt: bool = False,
 ) -> ExecutionPlan:
     """Pick the execution engine for one join request.
 
@@ -440,8 +438,8 @@ def plan_join(
 
     if request.kind == "topk":
         return _topk_plan(
-            request.k, n_p + n_q, serial_mem, budget, trees_prebuilt,
-            est_cand, reasons, decide,
+            request.k, n_p + n_q, serial_mem, budget, est_cand, reasons,
+            decide,
         )
     return _pooled_plan(
         request.family, n_p, n_q, est_cand, probe_volume, serial_mem,
@@ -529,15 +527,6 @@ def _pooled_plan(
 # ordered browsing (top-k) rules
 # ----------------------------------------------------------------------
 
-#: Above this ``k`` the lazy R-tree route loses its point: per-pair
-#: Python verification descends from the roots once per result, while
-#: the streamed array engine amortizes whole radius bands per batch.
-TOPK_OBJ_MAX_K = 64
-
-#: Above this many total points, building (or even walking) the object
-#: R-trees costs more Python time than the whole streamed-array run.
-TOPK_OBJ_MAX_POINTS = 5_000
-
 #: How many candidate pairs a radius band is expected to enumerate per
 #: requested result on uniform-like data (bands overshoot ``k`` so the
 #: sorted emission is contiguous).
@@ -545,13 +534,15 @@ _TOPK_OVERSCAN = 4
 
 
 def _topk_plan(
-    k, n_points, serial_mem, budget, trees_prebuilt, est_cand, reasons,
-    decide,
+    k, n_points, serial_mem, budget, est_cand, reasons, decide,
 ) -> ExecutionPlan:
     """The streamed-array band pipeline or the R-tree heap: a working
     set beyond the budget forces the heap; a fitted profile compares
-    the two; otherwise tiny ``k`` over small (or prebuilt) indexes
-    takes the heap."""
+    the two; otherwise the band pipeline runs.  The heap loses at every
+    ``k`` and size measured without a profile, prebuilt R-trees or not
+    (``uniform_pair(..., seed=11)``, median of 3 on a 2-vCPU host:
+    12 vs 0.9 ms at 200 x 250 and ``k=5``; 708 vs 12 ms over prebuilt
+    4000 x 5000 R-trees at ``k=1``)."""
     if serial_mem > budget:
         reasons.append(
             f"estimated working set {serial_mem} B exceeds the {budget} B "
@@ -572,15 +563,6 @@ def _topk_plan(
             reasons.extend(lines)
             return decide(engine, predicted=predicted)
 
-    small_data = trees_prebuilt or n_points <= TOPK_OBJ_MAX_POINTS
-    if k <= TOPK_OBJ_MAX_K and small_data:
-        reasons.append(
-            f"k={k} <= {TOPK_OBJ_MAX_K} over "
-            + ("prebuilt indexes" if trees_prebuilt else f"{n_points} points")
-            + ": the incremental R-tree heap reads only the answer's"
-            " neighbourhood"
-        )
-        return decide("obj")
     reasons.append(
         f"k={k}, |P|+|Q|={n_points}: streamed radius bands amortize"
         " candidate generation and verification over whole batches"
@@ -640,27 +622,20 @@ def choose_topk_plan(
     k: int,
     workers: int | None = None,
     budget_bytes: int | None = None,
-    trees_prebuilt: bool = False,
 ) -> ExecutionPlan:
     """The top-k RCJ's plan (:func:`plan_join` of ``family="rcj"`` with
     ``k``): the ``rcj`` family's band pipeline
     (:func:`repro.engine.families.build_family_pipeline`) or the R-tree
     incremental distance join (:func:`repro.core.topk.top_k_rcj`).
 
-    Tiny ``k`` over small (or already-indexed) datasets favours the
-    lazy R-tree heap — it touches work proportional to the answer's
-    neighbourhood and nothing else; everything larger favours the
-    band pipeline, whose KD-tree/column setup is linear but whose
-    per-band work is vectorized; a working set beyond the memory budget
-    forces the R-tree route regardless.  ``trees_prebuilt`` widens the
-    R-tree regime: when the caller already holds bulk-loaded indexes
-    (a bench workload, a dynamic deployment), the object route starts
-    with its main cost already paid.
+    The band pipeline runs unless the working set exceeds the memory
+    budget, which forces the lazy R-tree route, or a fitted
+    calibration profile predicts the heap faster.  Its KD-tree/column
+    setup is linear but its per-band work is vectorized, so it beats
+    the heap's per-pair Python even at ``k=1`` over prebuilt R-trees.
     """
     request = JoinRequest(k=k, workers=workers, budget_bytes=budget_bytes)
-    return plan_join(
-        request, points_p, points_q, trees_prebuilt=trees_prebuilt
-    )
+    return plan_join(request, points_p, points_q)
 
 
 # ----------------------------------------------------------------------

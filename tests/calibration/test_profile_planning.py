@@ -272,22 +272,22 @@ class TestCalibratedFamilyAndTopk:
         assert (plan.engine, plan.workers) == ("array-parallel", 2)
         assert plan.predicted_seconds is not None
 
-    def test_topk_profile_flips_obj_to_array(self, store):
-        # Static rule: tiny k over small data → the R-tree heap.  A
-        # profile that measured the stream faster overrides it.
+    def test_topk_profile_flips_array_to_obj(self, store):
+        # Static rule: the band pipeline whenever it fits the budget.
+        # A profile that measured the R-tree heap faster overrides it.
         points_p, points_q = uniform_pair(300, 300, seed=56)
         static = choose_topk_plan(points_p, points_q, k=5, budget_bytes=BIG)
-        assert static.engine == "obj"
+        assert static.engine == "array"
         save_profile(
             _profile(
                 {
-                    "topk/array": EngineModel(0.005, 1e-7, 4),
-                    "topk/obj": EngineModel(0.2, 5e-5, 4),
+                    "topk/array": EngineModel(0.2, 5e-5, 4),
+                    "topk/obj": EngineModel(0.005, 1e-7, 4),
                 }
             )
         )
         plan = choose_topk_plan(points_p, points_q, k=5, budget_bytes=BIG)
-        assert plan.engine == "array"
+        assert plan.engine == "obj"
         assert plan.predicted_seconds is not None
         assert any("calibrated" in r for r in plan.reasons)
 
@@ -295,9 +295,9 @@ class TestCalibratedFamilyAndTopk:
         # Both routes must be modelled to compare; one-sided knowledge
         # keeps the static rules.
         points_p, points_q = uniform_pair(300, 300, seed=56)
-        save_profile(_profile({"topk/array": EngineModel(0.005, 1e-7, 4)}))
+        save_profile(_profile({"topk/obj": EngineModel(0.005, 1e-7, 4)}))
         plan = choose_topk_plan(points_p, points_q, k=5, budget_bytes=BIG)
-        assert plan.engine == "obj"
+        assert plan.engine == "array"
         assert plan.predicted_seconds is None
 
 

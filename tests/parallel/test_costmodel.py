@@ -10,7 +10,6 @@ from repro.engine.arrays import PointArray
 from repro.parallel.costmodel import (
     DEFAULT_BUDGET_BYTES,
     PLANNED_FAMILY_NAMES,
-    TOPK_OBJ_MAX_K,
     ExecutionPlan,
     choose_dynamic_backend,
     choose_family_plan,
@@ -219,17 +218,32 @@ class TestEstimatesAndExplain:
 
 
 class TestTopkPlan:
-    def test_small_k_small_data_goes_obj(self):
+    @pytest.mark.parametrize("workload", [False, True])
+    def test_small_k_goes_array_with_or_without_prebuilt_trees(
+        self, workload
+    ):
+        # The R-tree heap lost to the band pipeline at every small k
+        # measured, over prebuilt trees too; only the budget or a
+        # fitted profile sends top-k to it.
+        from repro.bench.runner import build_workload
+        from repro.engine.planner import run_topk
+
         points_p, points_q = uniform_pair(300, 300, seed=20)
         plan = choose_topk_plan(points_p, points_q, k=5, budget_bytes=BIG)
-        assert plan.engine == "obj"
+        assert plan.engine == "array"
         assert plan.reasons
+        report = run_topk(
+            points_p,
+            points_q,
+            5,
+            engine="auto",
+            workload=build_workload(points_q, points_p) if workload else None,
+        )
+        assert report.plan.engine == "array"
 
     def test_large_k_goes_array(self):
         points_p, points_q = uniform_pair(300, 300, seed=20)
-        plan = choose_topk_plan(
-            points_p, points_q, k=TOPK_OBJ_MAX_K + 1, budget_bytes=BIG
-        )
+        plan = choose_topk_plan(points_p, points_q, k=65, budget_bytes=BIG)
         assert plan.engine == "array"
 
     def test_large_data_goes_array_even_for_tiny_k(self):
@@ -241,14 +255,6 @@ class TestTopkPlan:
             budget_bytes=BIG,
         )
         assert plan.engine == "array"
-
-    def test_prebuilt_trees_widen_the_obj_regime(self):
-        points_p, points_q = uniform_pair(400, 400, seed=21)
-        big_p, big_q = _fake_big(points_p, 100), _fake_big(points_q, 100)
-        plan = choose_topk_plan(
-            big_p, big_q, k=5, budget_bytes=BIG, trees_prebuilt=True
-        )
-        assert plan.engine == "obj"
 
     def test_budget_overflow_forces_obj(self):
         points_p, points_q = uniform_pair(500, 500, seed=22)

@@ -151,19 +151,13 @@ def _cases(planner: str):
                             )
                         )
                 else:  # topk
-                    for prebuilt in (False, True):
-                        yield f"topk|{tag}|prebuilt={prebuilt}", lambda p=points_p, q=points_q, w=workers, m=budget, t=prebuilt: (
-                            _plan_fields(
-                                choose_topk_plan(
-                                    p,
-                                    q,
-                                    TOPK_K,
-                                    workers=w,
-                                    budget_bytes=m,
-                                    trees_prebuilt=t,
-                                )
+                    yield f"topk|{tag}", lambda p=points_p, q=points_q, w=workers, m=budget: (
+                        _plan_fields(
+                            choose_topk_plan(
+                                p, q, TOPK_K, workers=w, budget_bytes=m
                             )
                         )
+                    )
 
 
 def _same(got, want) -> bool:
