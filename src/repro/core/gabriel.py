@@ -9,7 +9,8 @@ in main memory by:
 1. building the Delaunay triangulation of the distinct coordinates of
    ``P ∪ Q`` (scipy/Qhull, on centred coordinates inside a far
    triangular frame; see :func:`checked_delaunay`) and keeping its
-   edges between sites (:func:`site_edges`);
+   edges between sites, each read once off ``tri.neighbors``
+   (:func:`site_edges`);
 2. keeping the Delaunay edges whose diameter circle is empty — blocker
    candidates come from a slightly inflated KD-tree ball query and are
    confirmed with the exact dot-product predicate shared with the
@@ -169,17 +170,27 @@ def framed_sites(tri: Delaunay) -> np.ndarray:
 
 def site_edges(tri: Delaunay) -> np.ndarray:
     """The triangulation's distinct edges between sites, as an
-    ``(m, 2)`` array of ``(low, high)`` site indices; edges touching a
-    frame vertex are dropped."""
+    ``(m, 2)`` array of ``(low, high)`` site indices in no particular
+    order; edges touching a frame vertex are dropped.
+
+    The edges are read off ``tri.neighbors`` without a dedupe: slot
+    ``k`` of simplex ``i`` emits the edge opposite vertex ``k`` iff
+    ``neighbors[i, k] < i``.  An inner edge is shared by two simplices
+    and only the higher-numbered one emits it; a hull slot holds
+    ``-1``, so its simplex always does.  Each edge appears exactly
+    once.
+    """
     n = len(framed_sites(tri))
     simp = tri.simplices
-    edges = np.concatenate(
-        (simp[:, (0, 1)], simp[:, (0, 2)], simp[:, (1, 2)])
-    ).astype(np.int64)
-    edges = edges[edges.max(axis=1) < n]
-    edges.sort(axis=1)
-    keys = np.unique(edges[:, 0] * np.int64(n) + edges[:, 1])
-    return np.column_stack((keys // n, keys % n))
+    own = tri.neighbors < np.arange(len(simp))[:, None]
+    parts = []
+    for k in range(3):
+        rows = own[:, k]
+        a = simp[rows, (k + 1) % 3]
+        b = simp[rows, (k + 2) % 3]
+        parts.append(np.column_stack((np.minimum(a, b), np.maximum(a, b))))
+    edges = np.concatenate(parts).astype(np.int64)
+    return edges[edges[:, 1] < n]
 
 
 def circumcircles(

@@ -40,6 +40,16 @@ equal circumcircles (:func:`_cocircular_site_pairs`); and coincident
 ``P``/``Q`` sites, whose radius-zero ring is trivially empty, are
 emitted directly.
 
+The stage is one Qhull run plus linear passes over sorted arrays
+(:func:`_delaunay_candidates`).  One stable sort of ``P ∪ Q`` by
+``(x, y)`` yields the distinct sites, each point's site and the CSR
+membership lists (which ``P`` rows and which ``Q`` rows sit at each
+site, :func:`_site_groups`); the triangulation's edges are read off
+its neighbour table once each
+(:func:`repro.core.gabriel.site_edges`); the candidate keys are
+deduplicated by one sort.  The pairs leave in canonical order, so the
+result sink has nothing to sort (:func:`canonical_pair_order`).
+
 Qhull triangulates the *centred* sites
 (:func:`repro.core.gabriel.checked_delaunay`): far from the origin,
 raw coordinates spend their low bits on the offset, and Qhull then
@@ -147,6 +157,18 @@ def _coord_scale(*arrays: np.ndarray) -> float:
         if len(arr):
             scale = max(scale, float(np.abs(arr).max()))
     return scale
+
+
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D integer array, ascending.
+
+    One sort and an adjacent-difference mask: the same result as
+    ``np.unique``, which costs many times more on these key arrays.
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _flatten_ball_lists(lists, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +378,7 @@ def knn_candidate_blocks(
             out_p.append(unresolved_p[rows])
         q_idx = np.concatenate(out_q)
         p_idx = np.concatenate(out_p)
-        key = np.unique(q_idx * np.int64(n_p) + p_idx)
+        key = _distinct_sorted(q_idx * np.int64(n_p) + p_idx)
     return key // n_p, key % n_p
 
 
@@ -458,6 +480,29 @@ def _cross_emit(
     return p_idx, q_idx
 
 
+def _site_groups(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct sites of the points ``(x, y)`` and who lives where.
+
+    One stable sort by ``(x, y)``; a new site starts wherever a
+    coordinate changes.  Returns ``(sites, member_site, order)``: the
+    ``(s, 2)`` sites in ascending ``(x, y)`` order, each point's site
+    index, and the sort permutation, which lists the points grouped by
+    site and by index within a site.  The sites and ``member_site``
+    are those of ``np.unique(..., axis=0, return_inverse=True)``; both
+    merge ``-0.0`` with ``0.0``, and here a site keeps its first
+    point's sign of zero, which no exact predicate reads.
+    """
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    member_site = np.empty(order.size, dtype=np.int64)
+    member_site[order] = np.cumsum(first) - 1
+    return np.column_stack((xs[first], ys[first])), member_site, order
+
+
 def _delaunay_candidates(
     parr: PointArray, qarr: PointArray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -480,9 +525,9 @@ def _delaunay_candidates(
     (:func:`repro.core.gabriel.checked_delaunay`).
     """
     n_p = len(parr)
-    coords = np.concatenate((parr.coords(), qarr.coords()))
-    sites, member_site = np.unique(coords, axis=0, return_inverse=True)
-    member_site = member_site.ravel()
+    sites, member_site, order = _site_groups(
+        np.concatenate((parr.x, qarr.x)), np.concatenate((parr.y, qarr.y))
+    )
     n_sites = len(sites)
     tri = checked_delaunay(sites)
     if tri is None:
@@ -495,11 +540,12 @@ def _delaunay_candidates(
     if len(extra):
         edges = np.concatenate((edges, extra))
 
-    # CSR membership: which P rows / probe rows live at each site.
-    p_flat = np.argsort(member_site[:n_p], kind="stable").astype(np.int64)
+    # CSR membership: which P rows / probe rows live at each site, read
+    # off the stable site order (by site, then by row).
+    p_flat = order[order < n_p]
     p_off = np.zeros(n_sites + 1, dtype=np.int64)
     np.cumsum(np.bincount(member_site[:n_p], minlength=n_sites), out=p_off[1:])
-    q_flat = np.argsort(member_site[n_p:], kind="stable").astype(np.int64)
+    q_flat = order[order >= n_p] - n_p
     q_off = np.zeros(n_sites + 1, dtype=np.int64)
     np.cumsum(np.bincount(member_site[n_p:], minlength=n_sites), out=q_off[1:])
 
@@ -562,7 +608,7 @@ def _cocircular_site_pairs(
     flag_tol = 1e3 * circles.tol
     flagged = np.zeros(len(radius), dtype=bool)
     simplices, neighbors, points = tri.simplices, tri.neighbors, tri.points
-    vertex_sum = simplices.sum(axis=1)
+    vertex_sum = simplices[:, 0] + simplices[:, 1] + simplices[:, 2]
     for slot in range(3):
         j = neighbors[:, slot]
         j_safe = np.maximum(j, 0)
@@ -913,7 +959,13 @@ def canonical_pair_order(p_idx: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
     results in this order, which is what makes parallel output
     byte-identical across worker counts: shard boundaries change which
     worker finds a pair, never where the pair sorts.
+
+    Pairs already in that order (the Delaunay source emits them so)
+    get the identity permutation after one linear check, no sort.
     """
+    dq = np.diff(q_idx)
+    if ((dq > 0) | ((dq == 0) & (np.diff(p_idx) >= 0))).all():
+        return np.arange(len(q_idx))
     return np.lexsort((p_idx, q_idx))
 
 

@@ -66,6 +66,7 @@ from scipy.spatial import cKDTree
 from repro.engine.arrays import PointArray
 from repro.engine.kernels import (
     _coord_scale,
+    _distinct_sorted,
     _flatten_ball_lists,
     canonical_pair_order,
     cells_intersect,
@@ -720,7 +721,7 @@ class PsiPruneFilter(Stage):
             return block
         parr, qarr = ctx.parr, ctx.qarr
         k_pr = min(_PRUNERS, len(parr))
-        probes = np.unique(block.q_idx)
+        probes = _distinct_sorted(block.q_idx)
         nd, ni = ctx.tree_p().query(
             np.column_stack((qarr.x[probes], qarr.y[probes])), k=k_pr
         )
@@ -838,7 +839,8 @@ class CollectCanonical(CollectAll):
     """Every surviving pair in the bulk RCJ's result order,
     :func:`repro.engine.kernels.canonical_pair_order` (probe row, then
     partner row) — the order that makes pooled output byte-identical
-    for every sharding."""
+    for every sharding.  The Delaunay source's single block arrives in
+    that order already, and then the order check is the only work."""
 
     def _order(
         self, ctx: JoinContext, p_idx: np.ndarray, q_idx: np.ndarray

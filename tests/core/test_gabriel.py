@@ -19,7 +19,12 @@ from repro.core.gabriel import (
     unresolved_sites,
 )
 from repro.datasets.synthetic import gaussian_clusters
-from repro.datasets.worstcase import collinear, lattice, split_alternating
+from repro.datasets.worstcase import (
+    cocircular,
+    collinear,
+    lattice,
+    split_alternating,
+)
 from repro.engine import run_join
 from repro.geometry.point import Point
 
@@ -356,3 +361,62 @@ class TestFramedTriangulation:
         got = set(map(tuple, site_edges(tri).tolist()))
         want = _gabriel_edges(sites)
         assert want <= got
+
+
+def unique_site_edges(tri):
+    """The construction ``site_edges`` replaced: every simplex side,
+    frame edges dropped, deduplicated with ``np.unique``."""
+    n = len(framed_sites(tri))
+    simp = tri.simplices
+    edges = np.concatenate(
+        (simp[:, (0, 1)], simp[:, (0, 2)], simp[:, (1, 2)])
+    ).astype(np.int64)
+    edges = edges[edges.max(axis=1) < n]
+    edges.sort(axis=1)
+    keys = np.unique(edges[:, 0] * np.int64(n) + edges[:, 1])
+    return np.column_stack((keys // n, keys % n))
+
+
+def assert_edges_read_once(tri):
+    """``site_edges`` holds exactly the old construction's edges, each
+    once as ``(low, high)``."""
+    edges = site_edges(tri)
+    assert edges.shape[1] == 2 and edges.dtype == np.int64
+    assert (edges[:, 0] < edges[:, 1]).all()
+    rows = list(map(tuple, edges.tolist()))
+    assert len(set(rows)) == len(rows), "an edge was emitted twice"
+    assert set(rows) == set(map(tuple, unique_site_edges(tri).tolist()))
+
+
+def _coincident_heavy_sites():
+    # Integer draws from a 6x6 grid collapse onto few sites, and sites
+    # a few ulps (or 1e-127) off a grid point are left out of every
+    # simplex by Qhull (tri.coplanar).
+    rng = random.Random(3)
+    coords = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(200)]
+    coords += [(np.nextafter(2.0, 3.0), 2.0), (3.0, 1e-127), (4.0, 4.0 + 1e-15)]
+    return _distinct_sites([Point(x, y, 0) for x, y in coords])
+
+
+SITE_FAMILIES = {
+    "uniform": lambda: _distinct_sites(random_points(500, seed=17)),
+    "clamped": _clamped_sites,
+    "lattice": lambda: _distinct_sites(lattice(100)),
+    "small": lambda: np.array([
+        (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+        (0.5, 0.5), (0.5 + 1e-7, 0.5), (0.5, 0.5 + 1e-7),
+    ]),
+    "cocircular": lambda: _distinct_sites(cocircular(64)),
+    "cocircular_far_from_origin": lambda: _distinct_sites(
+        [Point(p.x + 1e9, p.y - 1e9, 0) for p in cocircular(40) + lattice(25)]
+    ),
+    "coincident_heavy": _coincident_heavy_sites,
+}
+
+
+class TestSiteEdges:
+    @pytest.mark.parametrize("family", sorted(SITE_FAMILIES))
+    def test_each_edge_read_once_off_the_neighbours(self, family):
+        tri = checked_delaunay(SITE_FAMILIES[family]())
+        assert tri is not None
+        assert_edges_read_once(tri)

@@ -17,6 +17,7 @@ from repro.engine import run_join, run_topk
 from repro.engine.arrays import NonFiniteCoordinateError, PointArray
 from repro.engine.kernels import (
     _arcs_contain,
+    _site_groups,
     cells_intersect,
     cover_arcs,
     halfplane_prune_pairs,
@@ -369,6 +370,65 @@ class TestCandidateGeneration:
         full = PointArray.from_coords([(0.0, 0.0), (1.0, 1.0)])
         assert knn_candidate_blocks(empty, full)[0].size == 0
         assert knn_candidate_blocks(full, empty)[0].size == 0
+
+    def test_candidates_leave_in_canonical_order(self):
+        # Lattice sites are cocircular and the coincident pile is
+        # scanned: the triangulation's edges, the cluster pairs and the
+        # scanned rows all merge into one (q_index, p_index) order.
+        points_p, points_q = worstcase.split_alternating(
+            worstcase.lattice(64) + worstcase.coincident(6)
+        )
+        q_idx, p_idx = knn_candidate_blocks(
+            PointArray.from_points(points_p), PointArray.from_points(points_q)
+        )
+        assert q_idx.size
+        assert np.array_equal(np.lexsort((p_idx, q_idx)), np.arange(q_idx.size))
+
+
+#: Inputs of the site dedupe, as ``(x, y)`` lists: exact duplicates
+#: across P and Q, both signs of zero in either coordinate, and one to
+#: three distinct sites.
+SITE_GROUP_CASES = {
+    "duplicates_across_sides": [
+        (3.0, 3.0), (1.0, 2.0), (3.0, 3.0), (1.0, 2.0), (1.0, 2.0),
+        (0.5, 7.0), (3.0, 3.0),
+    ],
+    "signed_zeros": [
+        (0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0), (-0.0, -0.0),
+        (0.0, 0.0), (-0.0, 0.0), (2.0, 2.0), (0.0, -0.0),
+    ],
+    "one_site": [(5.0, 5.0)] * 4,
+    "one_point": [(5.0, -0.0)],
+    "two_sites": [(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)],
+    "three_sites": [(0.0, 0.0), (2.0, 0.0), (-0.0, 0.0), (0.0, 2.0)],
+}
+
+
+class TestSiteGroups:
+    @pytest.mark.parametrize("case", sorted(SITE_GROUP_CASES))
+    def test_matches_np_unique(self, case):
+        coords = np.array(SITE_GROUP_CASES[case])
+        sites, member_site, order = _site_groups(coords[:, 0], coords[:, 1])
+        want, inverse = np.unique(coords, axis=0, return_inverse=True)
+        # Same sites up to the sign of zero (== ignores it), same
+        # grouping of the points.
+        assert sites.shape == want.shape and (sites == want).all()
+        assert np.array_equal(member_site, inverse.ravel())
+        # The order lists the points by site, then by index.
+        assert np.array_equal(
+            order, np.lexsort((np.arange(len(coords)), member_site))
+        )
+
+    def test_signed_zero_and_duplicate_join_matches_brute(self):
+        from repro.core.brute import brute_force_rcj
+
+        coords = SITE_GROUP_CASES["signed_zeros"] + [
+            (3.0, -0.0), (-0.0, 3.0), (3.0, 3.0), (1.5, 1.5), (1.5, 1.5),
+        ]
+        points_p = [Point(x, y, i) for i, (x, y) in enumerate(coords[0::2])]
+        points_q = [Point(x, y, i) for i, (x, y) in enumerate(coords[1::2])]
+        got = run_join(points_p, points_q, engine="array").pair_keys()
+        assert got == {r.key() for r in brute_force_rcj(points_p, points_q)}
 
 
 def _sat_pairs(cells_a, cells_b):

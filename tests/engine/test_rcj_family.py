@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets import worstcase
 from repro.datasets.fixtures import uniform_pair
 from repro.engine import run_join, run_topk
 from repro.engine.arrays import PointArray
@@ -21,7 +22,8 @@ from repro.engine.families import (
     explain_family,
 )
 from repro.engine.kernels import rcj_pair_indices
-from repro.engine.operators import JoinContext
+from repro.engine.operators import CandidateBlock, CollectCanonical, JoinContext
+from repro.engine.streaming import DynamicArrayRCJ
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,51 @@ def test_bulk_pipeline_is_rcj_pair_indices(points):
     assert np.array_equal(block.p_idx, p_idx)
     assert np.array_equal(block.q_idx, q_idx)
     assert ctx.counters["candidates"] == candidates
+
+
+def _collect_canonical(points, blocks):
+    sink = CollectCanonical()
+    ctx = JoinContext(
+        PointArray.from_points(points[0]), PointArray.from_points(points[1])
+    )
+    for p_idx, q_idx in blocks:
+        sink.collect(ctx, CandidateBlock(np.array(p_idx), np.array(q_idx)))
+    out = sink.finish(ctx)
+    return list(zip(out.q_idx.tolist(), out.p_idx.tolist()))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        # Two blocks, each in order, the second sorting first.
+        [([0, 2, 1], [5, 5, 6]), ([3, 0, 4], [1, 2, 2])],
+        # One block out of order, with ties on the probe row.
+        [([1, 3, 0, 2, 0], [2, 0, 2, 1, 1])],
+        # One block in order: the order check lets it through as is.
+        [([4, 1, 7, 0], [0, 3, 3, 9])],
+    ],
+)
+def test_collect_canonical_sorts_whatever_arrives(points, blocks):
+    want = sorted((q, p) for p_idx, q_idx in blocks for p, q in zip(p_idx, q_idx))
+    assert _collect_canonical(points, blocks) == want
+
+
+def test_dynamic_backend_starts_from_the_canonical_join():
+    # The columnar dynamic backend seeds its pairs from the bulk join:
+    # they arrive in canonical (q row, p row) order on degenerate input
+    # too (cocircular lattice cells, a coincident pile).
+    points_p, points_q = worstcase.split_alternating(
+        worstcase.lattice(49) + worstcase.coincident(4)
+    )
+    parr = PointArray.from_points(points_p)
+    qarr = PointArray.from_points(points_q)
+    p_idx, q_idx, _ = rcj_pair_indices(parr, qarr)
+    assert np.array_equal(np.lexsort((p_idx, q_idx)), np.arange(len(p_idx)))
+    dyn = DynamicArrayRCJ(points_p, points_q)
+    assert [pair.key() for pair in dyn.pairs] == [
+        (int(parr.oid[p]), int(qarr.oid[q]))
+        for p, q in zip(p_idx.tolist(), q_idx.tolist())
+    ]
 
 
 def test_describe_prints_the_pipelines_that_run():

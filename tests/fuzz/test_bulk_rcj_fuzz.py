@@ -2,7 +2,11 @@
 
 Every drawn input (:func:`tests.fuzz.strategies.bulk_rcj_cases`) must
 give the same pair set from the array engine (the Delaunay-first
-pipeline), the Gabriel comparator and the brute-force oracle.  Tier-1
+pipeline), the Gabriel comparator and the brute-force oracle.  On the
+same inputs the candidate stage's sort-based pieces must agree with
+the ``np.unique`` constructions they replaced: the site dedupe
+(grouping, and sites up to the sign of zero) and the triangulation's
+edges read off its neighbour table (each edge once).  Tier-1
 runs the suite's default example budget; CI also runs a deep profile
 (``--hypothesis-profile=fuzz-deep``).  Shrunk failures are committed
 below as named regression cases.
@@ -10,14 +14,17 @@ below as named regression cases.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from repro.core.brute import brute_force_rcj
-from repro.core.gabriel import gabriel_rcj
+from repro.core.gabriel import checked_delaunay, gabriel_rcj
 from repro.datasets.fixtures import clustered_pair
 from repro.engine import run_join
+from repro.engine.kernels import _site_groups
 from repro.geometry.point import Point
+from tests.core.test_gabriel import assert_edges_read_once
 from tests.fuzz.strategies import bulk_rcj_cases
 
 
@@ -45,6 +52,19 @@ def _assert_engines_agree(coords_p, coords_q, exclude_same_oid):
 @given(bulk_rcj_cases())
 def test_array_gabriel_and_brute_agree(case):
     _assert_engines_agree(*case)
+
+
+@given(bulk_rcj_cases())
+def test_sites_and_edges_match_the_np_unique_constructions(case):
+    coords_p, coords_q, _exclude = case
+    coords = np.array(coords_p + coords_q, dtype=np.float64).reshape(-1, 2)
+    sites, member_site, _order = _site_groups(coords[:, 0], coords[:, 1])
+    want, inverse = np.unique(coords, axis=0, return_inverse=True)
+    assert sites.shape == want.shape and (sites == want).all()
+    assert np.array_equal(member_site, inverse.ravel())
+    tri = checked_delaunay(sites)
+    if tri is not None:
+        assert_edges_read_once(tri)
 
 
 #: Shrunk failures, each named after its input: ``(coords_p, coords_q,
