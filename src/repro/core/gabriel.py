@@ -180,17 +180,40 @@ def site_edges(tri: Delaunay) -> np.ndarray:
     ``-1``, so its simplex always does.  Each edge appears exactly
     once.
     """
+    return site_edge_slots(tri)[0]
+
+
+def site_edge_slots(
+    tri: Delaunay,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`site_edges` with the slot that emitted each edge:
+    ``(edges, simplex, slot)``.
+
+    Edge ``e`` is the side of simplex ``simplex[e]`` opposite its
+    vertex ``tri.simplices[simplex[e], slot[e]]``, shared with the
+    neighbour ``tri.neighbors[simplex[e], slot[e]]`` (``-1`` on the
+    hull): the two simplices next to the edge and its two opposite
+    vertices, the local Gabriel test's inputs
+    (:mod:`repro.engine.kernels`).
+    """
     n = len(framed_sites(tri))
     simp = tri.simplices
     own = tri.neighbors < np.arange(len(simp))[:, None]
-    parts = []
+    edges, simplex, slot = [], [], []
     for k in range(3):
-        rows = own[:, k]
+        rows = np.flatnonzero(own[:, k])
         a = simp[rows, (k + 1) % 3]
         b = simp[rows, (k + 2) % 3]
-        parts.append(np.column_stack((np.minimum(a, b), np.maximum(a, b))))
-    edges = np.concatenate(parts).astype(np.int64)
-    return edges[edges[:, 1] < n]
+        keep = np.maximum(a, b) < n
+        a, b, rows = a[keep], b[keep], rows[keep]
+        edges.append(np.column_stack((np.minimum(a, b), np.maximum(a, b))))
+        simplex.append(rows)
+        slot.append(np.full(rows.size, k, dtype=np.int64))
+    return (
+        np.concatenate(edges).astype(np.int64),
+        np.concatenate(simplex),
+        np.concatenate(slot),
+    )
 
 
 def circumcircles(

@@ -77,8 +77,10 @@ SHARDABLE_FAMILIES = ("epsilon", "knn")
 
 def rcj_pipeline(exclude_same_oid: bool = False) -> Pipeline:
     """The bulk RCJ: Delaunay candidates (the exact scan for what Qhull
-    cannot settle and the self-join filter inside the source) -> batch
-    ring verification -> every pair in canonical index order."""
+    cannot settle and the self-join filter inside the source; most rows
+    already settled by the local Gabriel lemma) -> batch ring
+    verification of the unsettled rows -> every pair in canonical index
+    order."""
     return Pipeline(
         DelaunaySource(exclude_same_oid=exclude_same_oid),
         [VerifyRings()],

@@ -5,11 +5,14 @@ process one probe point — or one leaf — at a time through Python
 objects.  The kernels here process whole pointsets through numpy
 arrays:
 
-- :func:`knn_candidate_blocks` — candidate generation: the bichromatic
+- :func:`rcj_candidates` — candidate generation: the bichromatic
   edges of one Delaunay triangulation of the distinct sites of
   ``P ∪ Q`` (the Gabriel argument below), plus an exact per-probe scan
-  for what Qhull cannot settle.
-- :func:`verify_rings_batch` — batch ring-emptiness verification: the
+  for what Qhull cannot settle.  Each row carries a verdict: the local
+  Gabriel lemma (below) settles almost every Delaunay edge from its
+  two opposite vertices.
+- :func:`verify_rings_batch` — batch ring-emptiness verification of
+  the rows left unsettled: the
   per-circle loop of :mod:`repro.core.verification` is replaced by a
   nearest-blocker pass.  One KD-tree query fetches the few union points
   nearest every candidate midpoint, and one vectorized evaluation of
@@ -87,6 +90,69 @@ What Qhull cannot settle takes the exact route, a per-probe scan
   must be empty of the whole union.  The extra cost grows with the
   number of unresolved sites only.
 
+Verification: the local Gabriel lemma
+-------------------------------------
+Let ``ab`` be an edge of a Delaunay triangulation, with adjacent
+triangles ``abc`` and ``abd``.  Then ``ab`` is a Gabriel edge (its
+ring holds no site strictly inside) iff neither ``c`` nor ``d`` is
+strictly inside the ring.  Proof: a point ``x`` lies strictly inside
+the ring iff the angle ``axb`` exceeds 90°, and a point ``x`` on
+``c``'s side of the line ``ab`` lies strictly inside the circumcircle
+of ``abc`` iff ``axb`` exceeds ``acb`` (inscribed angles over the
+chord ``ab``; points of the open chord lie inside both).  If ``c`` is
+not inside the ring, ``acb <= 90°``, so the half of the ring on
+``c``'s side lies inside that circumcircle, which holds no site.  The
+same holds on ``d``'s side, and a side without a triangle is outside
+the hull, where there are no sites.  A frame vertex is never inside a
+site pair's ring (:func:`repro.core.gabriel.checked_delaunay`), so it
+never blocks.
+
+:func:`_local_gabriel` applies the lemma to every site edge, with the
+oracle's own predicate ``(s - a) . (s - b) < 0`` on the raw site
+coordinates (the expression :func:`verify_rings_batch` evaluates, and
+IEEE products commute, so the edge's orientation does not matter).
+The opposite vertices are read off ``tri.neighbors``
+(:func:`repro.core.gabriel.site_edge_slots`; the neighbour's far
+vertex is its vertex sum minus the shared edge's).  A *dead* verdict
+is exact on its own: the blocker is a real site.  An *alive* verdict
+rests on the triangulation being Delaunay in the raw coordinates,
+which Qhull guarantees only up to its resolution, so it is settled
+only when three guards hold; otherwise the row is left to
+:func:`verify_rings_batch`:
+
+(a) *No unresolved site* (:func:`repro.core.gabriel.unresolved_sites`:
+    none left out of every simplex, no simplex below Qhull's
+    resolution), else nothing is settled.  A dropped site is no
+    triangle's vertex, so no empty-circle property speaks for it: in
+    ``tests/engine/test_arrays_kernels.py::NEAR_COINCIDENT`` a site one
+    ulp from another is dropped and blocks a ring whose edge touches
+    neither (``t = -2.13e-14``).  Leaving only the edges that touch an
+    unresolved site to verification settled 172 of 11,446 edges
+    wrongly over 704 fuzz cases.
+(b) *The local Delaunay self-check*, else nothing is settled: no
+    neighbour's far vertex lies inside a simplex's circumcircle by more
+    than 1000 times the circle's on-circle tolerance
+    (:func:`repro.core.gabriel.triangle_circles`), and no such offset
+    is nan (a degenerate simplex).  By the Delaunay lemma, a
+    triangulation that is locally Delaunay at every edge is Delaunay;
+    the check is three distance tests per simplex
+    (:func:`_neighbour_ties`).
+(c) *Neither simplex next to the edge is tied*: no far vertex of its
+    neighbours lies within that tolerance of its circle.  Inside the
+    band the computation cannot tell inside from outside, and a
+    cocircular face may be carved either way: on a regular 26-gon
+    (the shrunk fuzz case in ``TestLocalGabriel``) a chord's blocker is
+    neither of its opposite vertices.  Without (c), 34 edges were
+    settled wrongly over 6,060 fuzz cases; with (a)-(c), none of
+    33,928 settled edges.  The same flags pick the simplices
+    :func:`_cocircular_site_pairs` probes for clusters.
+
+Coincident ``P``/``Q`` rows are settled alive (a ring of radius zero
+holds nothing), and the cocircular extras and scanned rows are never
+settled.  On ``uniform_pair(20000, 25000, seed=1)`` the lemma settles
+all but 140 of 66,473 rows, and the verify stage builds its union KD-tree
+only when some row is unsettled.
+
 Exactness
 ---------
 The engine is *filter conservative, verify exact*.  Filtering (the
@@ -98,10 +164,11 @@ a candidate.  The final batch verification then evaluates the *same
 IEEE form* as the brute-force oracle (:mod:`repro.core.brute`) and the
 object-level geometry (:mod:`repro.geometry.ring`): differences first,
 two products, one sum, strict comparison against zero — bit-for-bit
-the oracle's test.  Together the two halves make the array engine
+the oracle's test, as is the local Gabriel lemma's predicate on the
+rows it settles.  Together the two halves make the array engine
 return result sets identical to the pointwise algorithms; the
 cross-algorithm equivalence suite and the differential fuzz suite pin
-this.
+this, the fuzz row by row for the settled verdicts.
 """
 
 from __future__ import annotations
@@ -119,15 +186,23 @@ from repro.core.gabriel import (
     framed_sites,
     recover_cocircular_pairs,
     recoverable_radius_bound,
-    site_edges,
+    site_edge_slots,
     triangle_circles,
     unresolved_sites,
 )
 from repro.engine.arrays import PointArray
-from repro.obs.trace import add_counter, stage_timer
+from repro.obs.trace import add_counter, set_attr, stage_timer
 
 #: Neighbour window of the exact route's per-probe scan.
 DEFAULT_K0 = 64
+
+#: Verdicts of candidate rows (:func:`rcj_candidates`): decided by the
+#: local Gabriel lemma (dead or alive), or left to
+#: :func:`verify_rings_batch`.  The order matters: a row emitted twice
+#: keeps its smallest verdict, so a settled one wins.
+SETTLED_DEAD = 0
+SETTLED_ALIVE = 1
+UNSETTLED = 2
 
 #: Safety factor of the coverage certificate: a neighbour's cone is
 #: computed from ``r_i / 0.95`` instead of ``r_i``, giving every
@@ -317,13 +392,29 @@ def knn_candidate_blocks(
     k0: int = DEFAULT_K0,
     tree_p: cKDTree | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate generation: ``(q_index, p_index)`` candidate pair arrays.
+    """Candidate generation: ``(q_index, p_index)`` candidate pair
+    arrays, the rows of :func:`rcj_candidates` without their
+    verdicts."""
+    q_idx, p_idx, _verdict = rcj_candidates(parr, qarr, k0, tree_p)
+    return q_idx, p_idx
+
+
+def rcj_candidates(
+    parr: PointArray,
+    qarr: PointArray,
+    k0: int = DEFAULT_K0,
+    tree_p: cKDTree | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate generation: ``(q_index, p_index, verdict)`` arrays.
 
     The returned pair set is a superset of every true RCJ pair ``<p, q>``
-    with ``p`` from ``parr`` and ``q`` from ``qarr``; final ring
-    verification against the full union is :func:`verify_rings_batch`'s
-    job.  Duplicates are removed and the pairs sorted by ``q_index``,
-    then ``p_index``.
+    with ``p`` from ``parr`` and ``q`` from ``qarr``.  Duplicates are
+    removed and the pairs sorted by ``q_index``, then ``p_index``.
+    Each row carries a verdict (:data:`SETTLED_DEAD`,
+    :data:`SETTLED_ALIVE` or :data:`UNSETTLED`): the local Gabriel
+    lemma decides most Delaunay edges (see the module docstring), and
+    :func:`verify_rings_batch` must decide the unsettled rest against
+    the full union.
 
     The candidates are the bichromatic edges of one Delaunay
     triangulation of the distinct sites of ``parr ∪ qarr``
@@ -346,18 +437,26 @@ def knn_candidate_blocks(
     Under an active trace the wall time lands in the ``candidate``
     stage span (:func:`repro.obs.trace.stage_timer`), with counters
     ``sites`` (distinct sites triangulated) and ``scanned_rows`` (rows
-    sent to the exact scan).
+    sent to the exact scan).  When the lemma settles nothing, the
+    span's ``settle_off`` attribute says why: ``"refused"`` (no
+    triangulation), ``"unresolved-sites"`` (guard (a)) or
+    ``"local-delaunay-violation"`` (guard (b)).
     """
     n_p, n_q = len(parr), len(qarr)
     if n_p == 0 or n_q == 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64))
+        none = np.empty(0, np.int64)
+        return none, none, np.empty(0, np.int8)
     r_floor = 1e-12 * _coord_scale(parr.x, parr.y, qarr.x, qarr.y)
     with stage_timer("candidate"):
         found = _delaunay_candidates(parr, qarr)
         if found is None:  # refused: every probe takes the exact scan
+            set_attr(settle_off="refused")
             none = np.empty(0, np.int64)
-            found = (none, none, none, np.arange(n_q, dtype=np.int64))
-        q_idx, p_idx, unresolved_p, unresolved_q = found
+            found = (
+                none, none, np.empty(0, np.int8), none,
+                np.arange(n_q, dtype=np.int64),
+            )
+        q_idx, p_idx, verdict, unresolved_p, unresolved_q = found
         add_counter("scanned_rows", unresolved_p.size + unresolved_q.size)
         out_q, out_p = [q_idx], [p_idx]
         if unresolved_q.size:
@@ -378,8 +477,17 @@ def knn_candidate_blocks(
             out_p.append(unresolved_p[rows])
         q_idx = np.concatenate(out_q)
         p_idx = np.concatenate(out_p)
-        key = _distinct_sorted(q_idx * np.int64(n_p) + p_idx)
-    return key // n_p, key % n_p
+        codes = np.full(q_idx.size, UNSETTLED, dtype=np.int64)
+        codes[: verdict.size] = verdict  # the scan's rows stay unsettled
+        # One sort of the keys with the verdict in their two low bits:
+        # the first row of each key keeps its smallest verdict.
+        packed = np.sort((q_idx * np.int64(n_p) + p_idx) * 4 + codes)
+        key = packed >> 2
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+        verdict = (packed[first] & 3).astype(np.int8)
+    return key // n_p, key % n_p, verdict
 
 
 def _scan_candidates(
@@ -451,33 +559,36 @@ def _scan_candidates(
 def _cross_emit(
     a_sites: np.ndarray,
     b_sites: np.ndarray,
+    tags: np.ndarray,
     p_flat: np.ndarray,
     p_off: np.ndarray,
     q_flat: np.ndarray,
     q_off: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand site pairs into all (P member, Q member) index pairs.
 
     ``p_flat``/``q_flat`` hold member indices grouped by site (CSR
     layout with offset arrays ``p_off``/``q_off``).  For every site pair
     ``(a, b)`` the full cross product of ``a``'s P members with ``b``'s
-    Q members is emitted, fully vectorized.
+    Q members is emitted, fully vectorized, each row with its site
+    pair's entry of ``tags``.
     """
     na = p_off[a_sites + 1] - p_off[a_sites]
     nb = q_off[b_sites + 1] - q_off[b_sites]
     sizes = na * nb
     keep = sizes > 0
-    a_sites, b_sites = a_sites[keep], b_sites[keep]
+    a_sites, b_sites, tags = a_sites[keep], b_sites[keep], tags[keep]
     na, nb, sizes = na[keep], nb[keep], sizes[keep]
     total = int(sizes.sum())
     if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        none = np.empty(0, np.int64)
+        return none, none, tags[:0]
     edge = np.repeat(np.arange(sizes.size), sizes)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     local = np.arange(total) - offsets[edge]
     p_idx = p_flat[p_off[a_sites[edge]] + local // nb[edge]]
     q_idx = q_flat[q_off[b_sites[edge]] + local % nb[edge]]
-    return p_idx, q_idx
+    return p_idx, q_idx, tags[edge]
 
 
 def _site_groups(
@@ -505,9 +616,11 @@ def _site_groups(
 
 def _delaunay_candidates(
     parr: PointArray, qarr: PointArray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+) -> (
+    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+):
     """Candidate superset from one Delaunay triangulation of the
-    distinct sites of ``parr ∪ qarr``.
+    distinct sites of ``parr ∪ qarr``, with the local Gabriel verdicts.
 
     A true pair's ring is empty over the union, so the pair is a
     Gabriel edge of its sites and (up to cocircular degeneracies,
@@ -516,9 +629,12 @@ def _delaunay_candidates(
     them.  Coincident P/Q sites, whose radius-zero ring is trivially
     empty, are emitted directly.
 
-    Returns ``(q_index, p_index, unresolved_p, unresolved_q)``: the
-    candidate pairs the triangulation settles, plus the ``parr`` and
-    ``qarr`` rows at the sites it cannot settle
+    Returns ``(q_index, p_index, verdict, unresolved_p, unresolved_q)``:
+    the candidate pairs the triangulation settles, each with its row
+    verdict (:func:`_local_gabriel` on Delaunay edges, alive on
+    coincident sites, unsettled on cocircular extras; every row
+    unsettled when guard (a) or (b) fails, see the module docstring),
+    plus the ``parr`` and ``qarr`` rows at the sites it cannot settle
     (:func:`repro.core.gabriel.unresolved_sites`), whose pairs the
     caller must find another way.  Returns ``None`` when the
     triangulation cannot be trusted
@@ -534,11 +650,28 @@ def _delaunay_candidates(
         return None
     add_counter("sites", n_sites)
 
-    edges = site_edges(tri)
     circles = triangle_circles(tri)
-    extra = _cocircular_site_pairs(tri, circles)
+    far, tied, violated = _neighbour_ties(tri, circles)
+    unresolved = unresolved_sites(tri, circles.small)
+    edges, simplex, slot = site_edge_slots(tri)
+    settle_off = (
+        "unresolved-sites" if unresolved.any()
+        else "local-delaunay-violation" if violated
+        else None
+    )
+    if settle_off is None:
+        verdict = _local_gabriel(sites, tri, edges, simplex, slot, far, tied)
+        coincident = SETTLED_ALIVE
+    else:
+        set_attr(settle_off=settle_off)
+        verdict = np.full(len(edges), UNSETTLED, dtype=np.int8)
+        coincident = UNSETTLED
+    extra = _cocircular_site_pairs(tri, circles, tied)
     if len(extra):
         edges = np.concatenate((edges, extra))
+        verdict = np.concatenate(
+            (verdict, np.full(len(extra), UNSETTLED, dtype=np.int8))
+        )
 
     # CSR membership: which P rows / probe rows live at each site, read
     # off the stable site order (by site, then by row).
@@ -551,27 +684,119 @@ def _delaunay_candidates(
 
     out_p: list[np.ndarray] = []
     out_q: list[np.ndarray] = []
-    for a, b in (
-        (edges[:, 0], edges[:, 1]),
-        (edges[:, 1], edges[:, 0]),
-        # Coincident P/Q sites: the degenerate self-"edge".
-        (np.arange(n_sites, dtype=np.int64),) * 2,
+    out_v: list[np.ndarray] = []
+    for a, b, tags in (
+        (edges[:, 0], edges[:, 1], verdict),
+        (edges[:, 1], edges[:, 0], verdict),
+        # Coincident P/Q sites: the degenerate self-"edge", whose ring
+        # of radius zero nothing can block.
+        (
+            np.arange(n_sites, dtype=np.int64),
+            np.arange(n_sites, dtype=np.int64),
+            np.full(n_sites, coincident, dtype=np.int8),
+        ),
     ):
-        pi, qi = _cross_emit(a, b, p_flat, p_off, q_flat, q_off)
+        pi, qi, vi = _cross_emit(a, b, tags, p_flat, p_off, q_flat, q_off)
         out_p.append(pi)
         out_q.append(qi)
+        out_v.append(vi)
 
-    unresolved = unresolved_sites(tri, circles.small)[member_site]
+    unresolved = unresolved[member_site]
     return (
         np.concatenate(out_q),
         np.concatenate(out_p),
+        np.concatenate(out_v),
         np.flatnonzero(unresolved[:n_p]),
         np.flatnonzero(unresolved[n_p:]),
     )
 
 
-def _cocircular_site_pairs(
+def _neighbour_ties(
     tri: Delaunay, circles: TriangleCircles
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Where each simplex's circle stands against its neighbours' far
+    vertices: ``(far, tied, violated)``.
+
+    ``far[i, k]`` is the vertex of the neighbour across slot ``k`` of
+    simplex ``i`` that ``i`` does not share (its vertex sum minus the
+    shared edge's; 0 where there is no neighbour).  With ``off`` that
+    vertex's distance from ``i``'s circumcircle (negative inside) and
+    ``tol`` 1000 times the circle's on-circle tolerance, ``tied[i]``
+    marks a simplex with some far vertex within ``tol`` of its circle
+    (guard (c), and the cocircular flag of
+    :func:`_cocircular_site_pairs`), and ``violated`` says that some
+    far vertex lies inside a circle by more than ``tol``, or that some
+    offset is nan: the triangulation fails the local Delaunay
+    self-check (guard (b)).  Circles live in the triangulation's
+    centred coordinates.
+    """
+    simplices, neighbors, points = tri.simplices, tri.neighbors, tri.points
+    has = neighbors >= 0
+    vertex_sum = simplices[:, 0] + simplices[:, 1] + simplices[:, 2]
+    far = np.where(
+        has,
+        vertex_sum[np.maximum(neighbors, 0)] - vertex_sum[:, None] + simplices,
+        0,
+    )
+    with np.errstate(invalid="ignore"):
+        off = (
+            np.hypot(
+                points[far, 0] - circles.ux[:, None],
+                points[far, 1] - circles.uy[:, None],
+            )
+            - circles.radius[:, None]
+        )
+    tol = 1e3 * circles.tol[:, None]
+    tied = (has & (np.abs(off) <= tol)).any(axis=1)
+    violated = bool((has & ~(off >= -tol)).any())
+    return far, tied, violated
+
+
+def _local_gabriel(
+    sites: np.ndarray,
+    tri: Delaunay,
+    edges: np.ndarray,
+    simplex: np.ndarray,
+    slot: np.ndarray,
+    far: np.ndarray,
+    tied: np.ndarray,
+) -> np.ndarray:
+    """Per-edge verdicts of the local Gabriel lemma (module docstring).
+
+    ``edges, simplex, slot`` come from
+    :func:`repro.core.gabriel.site_edge_slots`, ``far, tied`` from
+    :func:`_neighbour_ties`.  An edge whose opposite site (in either
+    simplex next to it) satisfies the oracle's predicate
+    ``(s - a) . (s - b) < 0`` on the raw ``sites`` is dead; otherwise
+    it is alive unless a simplex next to it is tied, and then
+    unsettled.  Frame vertices and missing neighbours never block.
+    """
+    n = len(sites)
+    sx, sy = sites[:, 0], sites[:, 1]
+    a, b = edges[:, 0], edges[:, 1]
+    ax, ay, bx, by = sx[a], sy[a], sx[b], sy[b]
+    nbr = tri.neighbors[simplex, slot]
+    own_far = tri.simplices[simplex, slot]
+    nbr_far = far[simplex, slot]
+    blocked = np.zeros(len(edges), dtype=bool)
+    for v, real in (
+        (own_far, own_far < n),
+        (nbr_far, (nbr >= 0) & (nbr_far < n)),
+    ):
+        # A stand-in endpoint gives t == 0, which never blocks.
+        v = np.where(real, v, a)
+        vx, vy = sx[v], sy[v]
+        t = (vx - ax) * (vx - bx) + (vy - ay) * (vy - by)
+        blocked |= t < 0.0
+    calm = ~tied[simplex] & ~((nbr >= 0) & tied[nbr])
+    verdict = np.full(len(edges), UNSETTLED, dtype=np.int8)
+    verdict[calm] = SETTLED_ALIVE
+    verdict[blocked] = SETTLED_DEAD
+    return verdict
+
+
+def _cocircular_site_pairs(
+    tri: Delaunay, circles: TriangleCircles, tied: np.ndarray
 ) -> np.ndarray:
     """Extra site pairs hidden inside cocircular Delaunay faces.
 
@@ -583,43 +808,26 @@ def _cocircular_site_pairs(
     triangle circumcircles.  A cocircular face is carved into two or
     more *adjacent* simplices sharing one circumcircle, so only
     simplices whose circumcircle passes by a neighbour's far vertex
-    (within 1000 times the on-circle tolerance — false flags are
-    filtered by the on-circle test, and false candidate pairs by
-    verification) are probed with a ball query and per-cluster Python.
-    On
-    general-position data nothing is flagged and the whole pass is
-    three distance tests per simplex.  Circumcircles live in the
-    triangulation's centred coordinates; clusters hold sites only, and
-    small simplices are left to the unresolved-site route.
+    (``tied`` from :func:`_neighbour_ties`: within 1000 times the
+    on-circle tolerance — false flags are filtered by the on-circle
+    test, and false candidate pairs by verification) are probed with a
+    ball query and per-cluster Python.  Next to a near-coincident pair
+    of sites the neighbour's own circle is ill-conditioned, and only
+    the vertex shows the tie.  On general-position data nothing is
+    flagged and the pass costs nothing beyond ``tied``.  Circumcircles
+    live in the triangulation's centred coordinates; clusters hold
+    sites only, and small simplices are left to the unresolved-site
+    route.
     """
     sites = framed_sites(tri)
     ux, uy, radius = circles.ux, circles.uy, circles.radius
-    finite = (
-        np.isfinite(ux)
+    flagged = (
+        tied
+        & np.isfinite(ux)
         & np.isfinite(uy)
         & ~circles.small
         & (radius <= recoverable_radius_bound(sites))
     )
-
-    # Flag simplices whose circle passes by a Delaunay neighbour's far
-    # vertex.  A neighbour sharing the circle has its far vertex on it;
-    # next to a near-coincident pair of sites the neighbour's own
-    # circle is ill-conditioned, and only the vertex shows the tie.
-    flag_tol = 1e3 * circles.tol
-    flagged = np.zeros(len(radius), dtype=bool)
-    simplices, neighbors, points = tri.simplices, tri.neighbors, tri.points
-    vertex_sum = simplices[:, 0] + simplices[:, 1] + simplices[:, 2]
-    for slot in range(3):
-        j = neighbors[:, slot]
-        j_safe = np.maximum(j, 0)
-        # The far vertex of j: its vertex sum minus the shared edge's
-        # (any vertex where there is no neighbour).
-        far = np.where(
-            j >= 0, vertex_sum[j_safe] - vertex_sum + simplices[:, slot], 0
-        )
-        with np.errstate(invalid="ignore"):
-            off = np.hypot(points[far, 0] - ux, points[far, 1] - uy) - radius
-        flagged |= (j >= 0) & finite & (np.abs(off) <= flag_tol)
     probe = np.nonzero(flagged)[0]
     if probe.size == 0:
         return np.empty((0, 2), dtype=np.int64)

@@ -10,8 +10,9 @@ blocked Ψ− pruning, batch verification):
 ========================== ===========================================
 operator                   role
 ========================== ===========================================
-:class:`DelaunaySource`    bichromatic Delaunay edges of ``P ∪ Q``
-                           (bulk RCJ)
+:class:`DelaunaySource`    bichromatic Delaunay edges of ``P ∪ Q``,
+                           most settled by the local Gabriel
+                           lemma (bulk RCJ)
 :class:`RangeSource`       candidates within a radius (ε-join)
 :class:`KnnSource`         tie-canonical k-NN candidates (kNN-join)
 :class:`BandSource`        every pair in canonical ascending-distance
@@ -21,7 +22,8 @@ operator                   role
                            influence join)
 :class:`DistanceFilter`    exact ``d² <= ε²`` cut over a block
 :class:`PsiPruneFilter`    blocked Ψ− half-plane pruning
-:class:`VerifyRings`       batch ring-emptiness verification
+:class:`VerifyRings`       batch ring-emptiness verification (of
+                           the rows the source left unsettled)
 :class:`PolygonIntersectVerify` batched exact convex-SAT verification
                            (CIJ)
 :class:`CollectAll`        sink: all pairs, canonical ``(p.oid, q.oid)``
@@ -65,14 +67,16 @@ from scipy.spatial import cKDTree
 
 from repro.engine.arrays import PointArray
 from repro.engine.kernels import (
+    SETTLED_ALIVE,
+    UNSETTLED,
     _coord_scale,
     _distinct_sorted,
     _flatten_ball_lists,
     canonical_pair_order,
     cells_intersect,
     halfplane_prune_pairs,
-    knn_candidate_blocks,
     pack_cells,
+    rcj_candidates,
     verify_rings_batch,
 )
 from repro.obs.trace import add_counter, stage_timer
@@ -108,11 +112,18 @@ class CandidateBlock:
     ``p_idx`` / ``q_idx`` are aligned row indices into the context's
     ``parr`` / ``qarr``.  ``d_sq`` (optional) carries the exact squared
     pair distances ``dx*dx + dy*dy`` when a stage has computed them.
+    ``verdict`` (optional) carries each row's ring verdict as far as
+    the source could settle it (``SETTLED_DEAD``, ``SETTLED_ALIVE`` or
+    ``UNSETTLED`` of :mod:`repro.engine.kernels`, from
+    :func:`repro.engine.kernels.rcj_candidates`); :class:`VerifyRings`
+    verifies only the unsettled rows.  A block without one is wholly
+    unsettled.
     """
 
     p_idx: np.ndarray
     q_idx: np.ndarray
     d_sq: np.ndarray | None = None
+    verdict: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.p_idx)
@@ -123,6 +134,7 @@ class CandidateBlock:
             self.p_idx[rows],
             self.q_idx[rows],
             None if self.d_sq is None else self.d_sq[rows],
+            None if self.verdict is None else self.verdict[rows],
         )
 
     @staticmethod
@@ -436,12 +448,16 @@ class KnnSource(Source):
 class DelaunaySource(Source):
     """The bulk RCJ's candidate generator: the bichromatic edges of one
     Delaunay triangulation of ``P ∪ Q``, with the exact scan for what
-    Qhull cannot settle (:func:`repro.engine.kernels.knn_candidate_blocks`),
+    Qhull cannot settle (:func:`repro.engine.kernels.rcj_candidates`),
     followed by the self-join identity filter.
 
-    The triangulation is global, so the source emits one block and has
-    no probe side: the bulk RCJ does not shard, and the worker pool
-    runs it in-process.  Timed as the ``candidate`` stage.
+    The block carries each row's ``verdict``: the local Gabriel lemma
+    (see :mod:`repro.engine.kernels`) settles almost every Delaunay
+    edge from its two opposite vertices, so :class:`VerifyRings` runs
+    the KD-tree verification on the rest only.  The triangulation is
+    global, so the source emits one block and has no probe side: the
+    bulk RCJ does not shard, and the worker pool runs it in-process.
+    Timed as the ``candidate`` stage.
     """
 
     name = "candidate"
@@ -456,11 +472,11 @@ class DelaunaySource(Source):
         parr, qarr = ctx.parr, ctx.qarr
         if len(parr) == 0 or len(qarr) == 0:
             return
-        q_idx, p_idx = knn_candidate_blocks(parr, qarr)
+        q_idx, p_idx, verdict = rcj_candidates(parr, qarr)
+        block = CandidateBlock(p_idx, q_idx, verdict=verdict)
         if self.exclude_same_oid:
-            keep = parr.oid[p_idx] != qarr.oid[q_idx]
-            p_idx, q_idx = p_idx[keep], q_idx[keep]
-        yield CandidateBlock(p_idx, q_idx)
+            block = block[parr.oid[p_idx] != qarr.oid[q_idx]]
+        yield block
 
 
 class BandSource(Source):
@@ -740,26 +756,49 @@ class PsiPruneFilter(Stage):
 
 
 class VerifyRings(Stage):
-    """Batch ring-emptiness verification against the union pointset —
+    """Ring-emptiness verification against the union pointset.
+
+    Rows the source settled (a block's ``verdict``, from the local
+    Gabriel lemma) keep their verdict; the others — every row of a
+    verdict-less block, such as the top-k band's — go through
     :func:`repro.engine.kernels.verify_rings_batch`, the engine's exact
-    final predicate."""
+    final predicate.  The union KD-tree is built only when some row is
+    unsettled.  Every row still passes through this stage, so the
+    ``candidates``, ``pruned`` and ``verified`` counters do not depend
+    on who settled it; the ``settled`` counter of the span counts the
+    rows the source settled.
+    """
 
     name = "verify"
 
     def apply(self, ctx: JoinContext, block: CandidateBlock) -> CandidateBlock:
         if not len(block):
             return block
+        if block.verdict is None:
+            return block[self._verify(ctx, block.p_idx, block.q_idx)]
+        alive = block.verdict == SETTLED_ALIVE
+        rows = np.flatnonzero(block.verdict == UNSETTLED)
+        add_counter("settled", len(block) - rows.size)
+        if rows.size:
+            alive[rows] = self._verify(
+                ctx, block.p_idx[rows], block.q_idx[rows]
+            )
+        return block[alive]
+
+    @staticmethod
+    def _verify(
+        ctx: JoinContext, p_idx: np.ndarray, q_idx: np.ndarray
+    ) -> np.ndarray:
         union_tree, ux, uy = ctx.union()
-        alive = verify_rings_batch(
-            ctx.parr.x[block.p_idx],
-            ctx.parr.y[block.p_idx],
-            ctx.qarr.x[block.q_idx],
-            ctx.qarr.y[block.q_idx],
+        return verify_rings_batch(
+            ctx.parr.x[p_idx],
+            ctx.parr.y[p_idx],
+            ctx.qarr.x[q_idx],
+            ctx.qarr.y[q_idx],
             union_tree,
             ux,
             uy,
         )
-        return block[alive]
 
 
 class PolygonIntersectVerify(Stage):

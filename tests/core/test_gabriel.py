@@ -347,7 +347,8 @@ class TestFramedTriangulation:
         assert len(edges) and edges.max() < n
         assert unresolved_sites(tri, circles.small).shape == (n,)
         clusters = gabriel._cocircular_cluster_pairs(tri, circles)
-        vectorized = kernels._cocircular_site_pairs(tri, circles)
+        _far, tied, _violated = kernels._neighbour_ties(tri, circles)
+        vectorized = kernels._cocircular_site_pairs(tri, circles, tied)
         assert all(j < n for pair in clusters for j in pair)
         assert vectorized.size == 0 or vectorized.max() < n
         if family == "lattice":

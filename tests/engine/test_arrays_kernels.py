@@ -16,6 +16,9 @@ from repro.datasets.fixtures import uniform_pair
 from repro.engine import run_join, run_topk
 from repro.engine.arrays import NonFiniteCoordinateError, PointArray
 from repro.engine.kernels import (
+    SETTLED_ALIVE,
+    SETTLED_DEAD,
+    UNSETTLED,
     _arcs_contain,
     _site_groups,
     cells_intersect,
@@ -23,7 +26,13 @@ from repro.engine.kernels import (
     halfplane_prune_pairs,
     knn_candidate_blocks,
     pack_cells,
+    rcj_candidates,
     verify_rings_batch,
+)
+from repro.engine.operators import (
+    CandidateBlock,
+    JoinContext,
+    VerifyRings,
 )
 from repro.geometry.point import Point
 from repro.geometry.polygon import convex_polygons_intersect
@@ -383,6 +392,147 @@ class TestCandidateGeneration:
         )
         assert q_idx.size
         assert np.array_equal(np.lexsort((p_idx, q_idx)), np.arange(q_idx.size))
+
+
+def _arrays(coords_p, coords_q) -> tuple[PointArray, PointArray]:
+    return (
+        PointArray.from_coords(np.array(coords_p, float).reshape(-1, 2)),
+        PointArray.from_coords(np.array(coords_q, float).reshape(-1, 2)),
+    )
+
+
+def _ring_verdicts(parr, qarr, p_idx, q_idx) -> np.ndarray:
+    """``verify_rings_batch`` over the whole union for the given rows."""
+    ux = np.concatenate((parr.x, qarr.x))
+    uy = np.concatenate((parr.y, qarr.y))
+    return verify_rings_batch(
+        parr.x[p_idx], parr.y[p_idx], qarr.x[q_idx], qarr.y[q_idx],
+        cKDTree(np.column_stack((ux, uy))), ux, uy,
+    )
+
+
+def settled_row_errors(coords_p, coords_q) -> tuple[int, int]:
+    """``(wrong, settled)`` over the candidate rows of two coordinate
+    lists: the rows whose settled verdict differs from
+    ``verify_rings_batch`` over the union, and all settled rows."""
+    parr, qarr = _arrays(coords_p, coords_q)
+    q_idx, p_idx, verdict = rcj_candidates(parr, qarr)
+    if not q_idx.size:
+        return 0, 0
+    settled = verdict != UNSETTLED
+    truth = _ring_verdicts(parr, qarr, p_idx, q_idx)
+    wrong = settled & ((verdict == SETTLED_ALIVE) != truth)
+    return int(wrong.sum()), int(settled.sum())
+
+
+def _coords(points) -> list[tuple[float, float]]:
+    return [(p.x, p.y) for p in points]
+
+
+#: Five sites 1e6 from the origin.  Qhull drops site 3 (it is one ulp
+#: from site 2 in x), yet site 3 blocks the ring of sites 2 and 4:
+#: ``t = -2.13e-14``.  P holds sites 2 and 0, Q sites 4, 1 and 3.  A
+#: settle rule that leaves only the edges touching an unresolved site
+#: to verification lets the pair ``(0, 0)`` through.
+NEAR_COINCIDENT_SITES = [
+    (1001.0019785460406, 1000005.077354005),
+    (1001.0207398638802, 1000005.0812713425),
+    (1009.0149231581356, 1000004.8480566649),
+    (1009.014923158136, 1000004.8480566649),
+    (1009.0774183292891, 1000004.8661024959),
+]
+NEAR_COINCIDENT = (
+    [NEAR_COINCIDENT_SITES[i] for i in (2, 0)],
+    [NEAR_COINCIDENT_SITES[i] for i in (4, 1, 3)],
+)
+
+
+class TestLocalGabriel:
+    """The candidate stage's local Gabriel verdicts: every settled row
+    agrees with ring verification over the whole union, and each guard
+    has a fixture that a rule without it gets wrong."""
+
+    @staticmethod
+    def _join_matches_brute(coords_p, coords_q):
+        from repro.core.brute import brute_force_rcj
+
+        points_p = [Point(x, y, i) for i, (x, y) in enumerate(coords_p)]
+        points_q = [Point(x, y, i) for i, (x, y) in enumerate(coords_q)]
+        got = sorted(run_join(points_p, points_q, engine="array").pair_keys())
+        want = sorted(r.key() for r in brute_force_rcj(points_p, points_q))
+        assert got == want
+        return got
+
+    def test_a_dropped_site_turns_settling_off(self):
+        # Guard (a): Qhull left site 3 out, so no edge may be settled
+        # alive — not even those that do not touch it.
+        assert self._join_matches_brute(*NEAR_COINCIDENT) == [
+            (0, 1), (0, 2), (1, 1),
+        ]
+        assert settled_row_errors(*NEAR_COINCIDENT) == (0, 0)
+
+    def test_both_opposite_vertices_are_tested(self):
+        # Some rings of these edges are blocked only by the vertex
+        # opposite the edge in the emitting simplex, some only by the
+        # one in its neighbour: testing either alone settles a dead
+        # row alive.
+        coords_p, coords_q = map(_coords, uniform_pair(8, 8, seed=2))
+        wrong, settled = settled_row_errors(coords_p, coords_q)
+        assert wrong == 0 and settled > 0
+        parr, qarr = _arrays(coords_p, coords_q)
+        _q, _p, verdict = rcj_candidates(parr, qarr)
+        assert (verdict == SETTLED_DEAD).any()
+        self._join_matches_brute(coords_p, coords_q)
+
+    def test_a_tied_simplex_leaves_its_edges_unsettled(self):
+        # Guard (c), on a case the fuzz shrank: a regular 26-gon of
+        # radius 4e4, split alternately.  Every simplex inside it is
+        # tied.  The ring of a diameter passes through every other
+        # vertex; rounding puts some of them strictly inside, but
+        # neither of the diameter's opposite vertices, so settling the
+        # edges of tied simplices lets that dead row through.
+        coords = [(10.0 * p.x, 10.0 * p.y) for p in worstcase.cocircular(26)]
+        coords_p, coords_q = coords[0::2], coords[1::2]
+        wrong, settled = settled_row_errors(coords_p, coords_q)
+        assert wrong == 0 and settled > 0
+        self._join_matches_brute(coords_p, coords_q)
+
+    def test_coincident_rows_are_settled_alive(self):
+        coords = _coords(uniform_pair(30, 1, seed=8)[0])
+        parr, qarr = _arrays(coords, coords[:5])
+        q_idx, p_idx, verdict = rcj_candidates(parr, qarr)
+        same = p_idx == q_idx
+        assert same.sum() == 5
+        assert (verdict[same] == SETTLED_ALIVE).all()
+
+    def test_union_tree_is_built_only_for_unsettled_rows(self):
+        from repro.engine.families import rcj_pipeline
+
+        for points, settles_all in (
+            (uniform_pair(200, 220, seed=3), True),
+            (worstcase.split_alternating(worstcase.lattice(100)), False),
+        ):
+            parr = PointArray.from_points(points[0])
+            qarr = PointArray.from_points(points[1])
+            _q, _p, verdict = rcj_candidates(parr, qarr)
+            assert (verdict != UNSETTLED).all() == settles_all
+            ctx = JoinContext(parr, qarr)
+            result = rcj_pipeline().run(ctx)
+            assert (ctx._union is None) == settles_all
+            assert len(result) == _ring_verdicts(parr, qarr, _p, _q).sum()
+
+    def test_verdictless_block_is_verified_whole(self):
+        parr, qarr = _arrays(*map(_coords, uniform_pair(40, 40, seed=4)))
+        q_idx, p_idx, verdict = rcj_candidates(parr, qarr)
+        truth = _ring_verdicts(parr, qarr, p_idx, q_idx)
+        for block in (
+            CandidateBlock(p_idx, q_idx),
+            CandidateBlock(p_idx, q_idx, verdict=np.full_like(verdict, UNSETTLED)),
+            CandidateBlock(p_idx, q_idx, verdict=verdict),
+        ):
+            out = VerifyRings().apply(JoinContext(parr, qarr), block)
+            assert np.array_equal(out.p_idx, p_idx[truth])
+            assert np.array_equal(out.q_idx, q_idx[truth])
 
 
 #: Inputs of the site dedupe, as ``(x, y)`` lists: exact duplicates

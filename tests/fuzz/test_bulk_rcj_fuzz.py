@@ -6,7 +6,11 @@ pipeline), the Gabriel comparator and the brute-force oracle.  On the
 same inputs the candidate stage's sort-based pieces must agree with
 the ``np.unique`` constructions they replaced: the site dedupe
 (grouping, and sites up to the sign of zero) and the triangulation's
-edges read off its neighbour table (each edge once).  Tier-1
+edges read off its neighbour table (each edge once).  Row by row, each
+candidate the local Gabriel lemma settles must carry the verdict ring
+verification over the whole union gives it.  The array top-k must be
+a prefix of the full join in canonical ascending-diameter order, for
+several ``k``.  Tier-1
 runs the suite's default example budget; CI also runs a deep profile
 (``--hypothesis-profile=fuzz-deep``).  Shrunk failures are committed
 below as named regression cases.
@@ -21,10 +25,12 @@ from hypothesis import given
 from repro.core.brute import brute_force_rcj
 from repro.core.gabriel import checked_delaunay, gabriel_rcj
 from repro.datasets.fixtures import clustered_pair
-from repro.engine import run_join
+from repro.engine import run_join, run_topk
 from repro.engine.kernels import _site_groups
+from repro.engine.streaming import pair_order_key
 from repro.geometry.point import Point
 from tests.core.test_gabriel import assert_edges_read_once
+from tests.engine.test_arrays_kernels import settled_row_errors
 from tests.fuzz.strategies import bulk_rcj_cases
 
 
@@ -65,6 +71,28 @@ def test_sites_and_edges_match_the_np_unique_constructions(case):
     tri = checked_delaunay(sites)
     if tri is not None:
         assert_edges_read_once(tri)
+
+
+@given(bulk_rcj_cases())
+def test_settled_rows_match_ring_verification(case):
+    coords_p, coords_q, _exclude = case
+    wrong, _settled = settled_row_errors(coords_p, coords_q)
+    assert wrong == 0
+
+
+@given(bulk_rcj_cases())
+def test_topk_is_a_prefix_of_the_sorted_join(case):
+    coords_p, coords_q, exclude_same_oid = case
+    points_p, points_q = _points(coords_p), _points(coords_q)
+    full = sorted(
+        map(pair_order_key, brute_force_rcj(points_p, points_q, exclude_same_oid))
+    )
+    for k in sorted({1, 2, 5, len(full), len(full) + 1} - {0}):
+        report = run_topk(
+            points_p, points_q, k, engine="array",
+            exclude_same_oid=exclude_same_oid,
+        )
+        assert [pair_order_key(pair) for pair in report.pairs] == full[:k], k
 
 
 #: Shrunk failures, each named after its input: ``(coords_p, coords_q,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.brute import brute_force_rcj
 from repro.datasets.fixtures import uniform_pair
 from repro.engine.planner import run_join, run_topk
 from repro.obs.export import to_chrome, validate_chrome
@@ -221,6 +222,59 @@ class TestRingFallbackCounter:
 
         points = worstcase.lattice(400)
         assert self._fallback(*worstcase.split_alternating(points)) > 0
+
+
+class TestLocalSettling:
+    """The ``verify`` span counts the rows the local Gabriel lemma
+    settled; the ``candidate`` span says why it settled none."""
+
+    @staticmethod
+    def _spans(points_p, points_q):
+        report = run_join(points_p, points_q, engine="array")
+        (candidate,) = report.trace.find("candidate")
+        (verify,) = report.trace.find("verify")
+        return report, candidate, verify
+
+    def test_uniform_join_settles_almost_every_row(self, pointsets):
+        report, candidate, verify = self._spans(*pointsets)
+        assert verify.counters["settled"] > 0.99 * report.candidate_count
+        assert "settle_off" not in candidate.attrs
+
+    def test_near_coincident_input_reports_why_settling_is_off(self):
+        from repro.geometry.point import Point
+        from tests.engine.test_arrays_kernels import NEAR_COINCIDENT
+
+        coords_p, coords_q = NEAR_COINCIDENT
+        _report, candidate, verify = self._spans(
+            [Point(x, y, i) for i, (x, y) in enumerate(coords_p)],
+            [Point(x, y, i) for i, (x, y) in enumerate(coords_q)],
+        )
+        assert candidate.attrs["settle_off"] == "unresolved-sites"
+        assert verify.counters["settled"] == 0
+
+    def test_refused_triangulation_reports_why_settling_is_off(self):
+        from repro.datasets import worstcase
+
+        points = worstcase.collinear(40)
+        _report, candidate, verify = self._spans(
+            *worstcase.split_alternating(points)
+        )
+        assert candidate.attrs["settle_off"] == "refused"
+        assert verify.counters["settled"] == 0
+
+    def test_local_delaunay_violation_turns_settling_off(self, monkeypatch):
+        import repro.engine.kernels as kernels
+
+        ties = kernels._neighbour_ties
+        monkeypatch.setattr(
+            kernels, "_neighbour_ties",
+            lambda tri, circles: (*ties(tri, circles)[:2], True),
+        )
+        points = uniform_pair(50, 50, seed=3)
+        report, candidate, verify = self._spans(*points)
+        assert candidate.attrs["settle_off"] == "local-delaunay-violation"
+        assert verify.counters["settled"] == 0
+        assert report.pair_keys() == {r.key() for r in brute_force_rcj(*points)}
 
 
 class TestTracedTopk:
