@@ -7,7 +7,7 @@ triangulation, so it does not pool) — over paper-class 50k–200k
 uniform points (scaled by ``REPRO_SCALE``; run with
 ``REPRO_BENCH_N=100000`` for the full-size measurement) through
 ``run_join(family="knn", engine="array-parallel")`` with 1, 2 and 4
-worker processes.
+worker threads.
 
 Assertions: every worker count returns the serial engine's *identical*
 pair list (in order — determinism is a correctness property here, not

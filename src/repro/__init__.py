@@ -102,7 +102,7 @@ def ring_constrained_join(
         methods only).
     workers:
         Worker budget of ``"auto"`` planning (``None`` = all cores;
-        the RCJ itself always runs in one process).
+        the RCJ itself always runs on one thread).
 
     Returns
     -------

@@ -24,8 +24,7 @@ models are fitted from traced runs alone.  The steps:
   ``REPRO_CALIBRATION=0`` disables the whole loop.
 - :mod:`repro.calibration.refit` — least-squares fit of per-engine cost
   constants (fixed setup seconds plus seconds per estimated candidate,
-  per observed worker count for the parallel engine, and the derived
-  pool startup / per-worker overhead) from the accumulated
+  per observed worker count for the parallel engine) from the accumulated
   observations, persisted as a per-host profile JSON.
 - :mod:`repro.calibration.profile` — the fitted
   :class:`CalibrationProfile` the planner loads: ``choose_plan``,
@@ -54,7 +53,6 @@ from repro.calibration.observations import (
 from repro.calibration.profile import (
     CalibrationProfile,
     EngineModel,
-    PoolModel,
     cached_profile,
     load_profile,
     profile_path,
@@ -66,7 +64,6 @@ from repro.calibration.sweep import run_calibration_sweep
 __all__ = [
     "CalibrationProfile",
     "EngineModel",
-    "PoolModel",
     "cached_profile",
     "calibration_dir",
     "calibration_enabled",

@@ -14,11 +14,6 @@ runs (:mod:`repro.calibration.refit`), keyed by workload and engine:
 ``"topk/array"`` / ``"topk/obj"``, ``"family:epsilon/array"``, …
     The same shape for the other planned workloads.
 
-``pools`` carries the derived pool overhead constants (startup seconds
-plus per-worker seconds, least-squares over the parallel residuals
-against the serial model) — surfaced in ``--explain`` and useful for
-diagnosis, while predictions stay on the per-worker-count models.
-
 Profiles persist as ``profile-<host key>.json`` next to the
 observation store, so every host class keeps its own constants.
 """
@@ -55,17 +50,6 @@ class EngineModel:
 
 
 @dataclass(frozen=True)
-class PoolModel:
-    """Derived pool overhead: ``startup + per_worker * w`` seconds of
-    fixed cost the parallel engine pays beyond its share of the serial
-    work."""
-
-    startup_seconds: float
-    per_worker_seconds: float
-    n_obs: int
-
-
-@dataclass(frozen=True)
 class CalibrationProfile:
     """Every fitted constant of one host, ready for plan prediction."""
 
@@ -73,7 +57,6 @@ class CalibrationProfile:
     fitted_at: str
     n_observations: int
     models: dict[str, EngineModel] = field(default_factory=dict)
-    pools: dict[str, PoolModel] = field(default_factory=dict)
 
     # -- prediction ----------------------------------------------------
 
@@ -127,12 +110,6 @@ class CalibrationProfile:
                 f"{model.per_candidate_seconds:.3e}s/cand"
                 f"+{model.base_seconds * 1000.0:.1f}ms"
             )
-        pool = self.pools.get(workload)
-        if pool is not None:
-            parts.append(
-                f"pool: {pool.startup_seconds * 1000.0:.1f}ms"
-                f"+{pool.per_worker_seconds * 1000.0:.1f}ms/worker"
-            )
         return "; ".join(parts) if parts else "no fitted constants"
 
     def describe(self) -> str:
@@ -153,14 +130,6 @@ class CalibrationProfile:
                 f"+ {model.base_seconds * 1000.0:7.2f} ms base "
                 f"({model.n_obs} obs)"
             )
-        for key in sorted(self.pools):
-            pool = self.pools[key]
-            lines.append(
-                f"  {key + ' pool overhead':<28} "
-                f"{pool.startup_seconds * 1000.0:.2f} ms startup + "
-                f"{pool.per_worker_seconds * 1000.0:.2f} ms/worker "
-                f"({pool.n_obs} obs)"
-            )
         return "\n".join(lines)
 
     # -- (de)serialization ---------------------------------------------
@@ -179,18 +148,12 @@ class CalibrationProfile:
                 }
                 for key, model in self.models.items()
             },
-            "pools": {
-                key: {
-                    "startup_seconds": pool.startup_seconds,
-                    "per_worker_seconds": pool.per_worker_seconds,
-                    "n_obs": pool.n_obs,
-                }
-                for key, pool in self.pools.items()
-            },
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibrationProfile":
+        # Profiles written before the thread pool also carry a "pools"
+        # entry (process-startup constants); it is ignored.
         models = {
             key: EngineModel(
                 base_seconds=float(entry["base_seconds"]),
@@ -199,20 +162,11 @@ class CalibrationProfile:
             )
             for key, entry in (doc.get("models") or {}).items()
         }
-        pools = {
-            key: PoolModel(
-                startup_seconds=float(entry["startup_seconds"]),
-                per_worker_seconds=float(entry["per_worker_seconds"]),
-                n_obs=int(entry.get("n_obs", 0)),
-            )
-            for key, entry in (doc.get("pools") or {}).items()
-        }
         return cls(
             host=dict(doc.get("host") or {}),
             fitted_at=str(doc.get("fitted_at", "")),
             n_observations=int(doc.get("n_observations", 0)),
             models=models,
-            pools=pools,
         )
 
 

@@ -16,9 +16,7 @@ Parallel groups are fitted **per observed worker count** (no assumption
 that work divides by ``w``): the fitted line at ``w = 2`` on a 1-core
 host sits strictly above the serial line in both coefficients, which is
 precisely what makes the calibrated planner stop planning
-``array-parallel`` there.  From the parallel residuals against the
-serial model the refit also derives the classic pool constants
-(``startup + per_worker * w``) for explain output.
+``array-parallel`` there.
 
 Per-stage constants (seconds per estimated candidate for the
 ``candidate`` / ``prune`` / ``verify`` stages) are fitted the same way
@@ -38,11 +36,7 @@ from repro.calibration.observations import (
     host_fingerprint,
     load_observations,
 )
-from repro.calibration.profile import (
-    CalibrationProfile,
-    EngineModel,
-    PoolModel,
-)
+from repro.calibration.profile import CalibrationProfile, EngineModel
 
 #: Stages whose per-candidate constants are fitted individually
 #: (the join/topk pipeline stages plus the dynamic batch path's
@@ -82,46 +76,6 @@ def _engine_label(engine: str, workers: int) -> str:
     return engine
 
 
-def _fit_pool_constants(
-    observations: list[dict], serial: EngineModel
-) -> PoolModel | None:
-    """``startup + per_worker * w`` from parallel residuals against the
-    serial model (clamped non-negative)."""
-    ws, residuals = [], []
-    for obs in observations:
-        w = max(int(obs.get("workers", 1)), 1)
-        residual = float(obs["total_seconds"]) - serial.predict(
-            int(obs.get("est_candidates", 0))
-        ) / w
-        ws.append(float(w))
-        residuals.append(residual)
-    if not ws:
-        return None
-    ws_arr = np.asarray(ws)
-    res_arr = np.asarray(residuals)
-    if len(ws_arr) >= 2 and float(np.ptp(ws_arr)) > 0.0:
-        design = np.column_stack((np.ones_like(ws_arr), ws_arr))
-        (startup, per_worker), *_ = np.linalg.lstsq(
-            design, res_arr, rcond=None
-        )
-        startup, per_worker = float(startup), float(per_worker)
-        if per_worker < 0.0:
-            startup, per_worker = float(res_arr.mean()), 0.0
-        if startup < 0.0:
-            startup = 0.0
-            per_worker = max(
-                float(np.dot(ws_arr, res_arr) / np.dot(ws_arr, ws_arr)), 0.0
-            )
-    else:
-        startup = max(float(res_arr.mean()), 0.0)
-        per_worker = 0.0
-    return PoolModel(
-        startup_seconds=max(startup, 0.0),
-        per_worker_seconds=max(per_worker, 0.0),
-        n_obs=len(ws),
-    )
-
-
 def refit_profile(
     observations: list[dict] | None = None,
     *,
@@ -158,13 +112,10 @@ def refit_profile(
         )
 
     groups: dict[str, list[dict]] = {}
-    parallel_groups: dict[str, list[dict]] = {}
     for obs in usable:
         workload = str(obs["workload"])
         label = _engine_label(str(obs["engine"]), int(obs.get("workers", 1)))
         groups.setdefault(f"{workload}/{label}", []).append(obs)
-        if label.startswith("array-parallel@"):
-            parallel_groups.setdefault(workload, []).append(obs)
 
     models: dict[str, EngineModel] = {}
     for key, members in groups.items():
@@ -202,19 +153,9 @@ def refit_profile(
             n_obs=len(samples),
         )
 
-    pools: dict[str, PoolModel] = {}
-    for workload, members in parallel_groups.items():
-        serial = models.get(f"{workload}/array")
-        if serial is None:
-            continue
-        pool = _fit_pool_constants(members, serial)
-        if pool is not None:
-            pools[workload] = pool
-
     return CalibrationProfile(
         host=host,
         fitted_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
         n_observations=len(usable),
         models=models,
-        pools=pools,
     )

@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             default=None,
             metavar="N",
-            help="worker processes for array-parallel/auto "
+            help="worker threads for array-parallel/auto "
             "(default: all cores)",
         )
         cmd.add_argument(

@@ -128,7 +128,7 @@ class JoinReport:
     #: and for the R-tree backend, whose cost accounting is the paper's
     #: node/fault model instead.
     stage_seconds: dict = field(default_factory=dict)
-    #: Worker processes that actually executed the join: 1 for every
+    #: Worker threads that actually executed the join: 1 for every
     #: serial engine *and* for parallel requests that fell back to the
     #: in-process path — distinct from the requested/planned count,
     #: which is what makes calibration observations honest.

@@ -126,26 +126,6 @@ class PointArray:
         """The empty pointset."""
         return cls(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
 
-    @classmethod
-    def _wrap(
-        cls, x: np.ndarray, y: np.ndarray, oid: np.ndarray
-    ) -> "PointArray":
-        """Zero-copy constructor over caller-managed column storage.
-
-        Used by :mod:`repro.parallel` to view columns living in shared
-        memory without duplicating them per worker process.  The caller
-        guarantees dtype (``float64``/``int64``), contiguity, aligned
-        lengths and finite coordinates (nothing is checked); the views
-        are frozen read-only here, which only affects this process's
-        view objects, never the backing block.
-        """
-        arr = cls.__new__(cls)
-        for name, col in (("x", x), ("y", y), ("oid", oid)):
-            view = col.view()
-            view.setflags(write=False)
-            object.__setattr__(arr, name, view)
-        return arr
-
     def to_points(self) -> list[Point]:
         """Materialise as a list of :class:`Point` objects."""
         return [

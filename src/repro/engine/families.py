@@ -65,7 +65,7 @@ from repro.engine.operators import (
 from repro.engine.request import FAMILY_NAMES, JoinRequest  # noqa: F401
 from repro.geometry.point import Point
 
-#: Families whose probe loop shards across processes.  The RCJ's
+#: Families whose probe loop shards across threads.  The RCJ's
 #: candidates come from one global triangulation (bulk) or globally
 #: ordered bands (top-k), k-closest-pairs streams globally ordered
 #: bands too, and the CIJ needs each side's whole Voronoi diagram (its
@@ -162,10 +162,9 @@ def run_array_pipeline(
 ) -> tuple[list[RCJPair], int, int]:
     """Run one pipeline over two point lists on the columnar engine.
 
-    ``build(probes=None)`` returns a fresh pipeline; it must pickle
-    (a module-level function or a ``functools.partial`` of one), since
-    pool workers call it per shard.  With ``workers > 1`` (``None``:
-    every core) the pipeline is sharded over the worker pool
+    ``build(probes=None)`` returns a fresh pipeline; pool threads call
+    it once per shard.  With ``workers > 1`` (``None``: every core)
+    the pipeline is sharded over the thread pool
     (:func:`repro.parallel.pool.run_sharded`), otherwise it runs
     in-process.  Pairs are materialized over the *original*
     :class:`Point` objects (identity preserved, not reconstructed).

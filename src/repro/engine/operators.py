@@ -59,6 +59,7 @@ worker pool (:mod:`repro.parallel.pool`) shards any such pipeline.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -150,10 +151,10 @@ class JoinContext:
 
     Holds the two columnar pointsets, lazily built (and cached) query
     structures, the candidate counters and ``workers``, the number of
-    processes that ran the join (set by
-    :func:`repro.parallel.pool.run_sharded`).  A pool worker keeps one
-    per process, so its query structures outlive the shards, and
-    resets the counters per shard.  For the common-influence pipeline
+    threads that ran the join (set by
+    :func:`repro.parallel.pool.run_sharded`).  Each pool shard runs on
+    its own :meth:`view`, which shares the columns and the cached
+    query structures but counts alone.  For the common-influence pipeline
     it also carries the object-level pointsets (Voronoi construction is
     geometric, not columnar) and the packed cells.  Stage times live
     only in the trace.
@@ -176,6 +177,15 @@ class JoinContext:
         self._tree_q: cKDTree | None = None
         self._union: tuple[cKDTree, np.ndarray, np.ndarray] | None = None
         self.extra: dict = {}
+
+    def view(self) -> "JoinContext":
+        """A context over the same columns and cached query structures
+        with fresh counters (one per pool shard: concurrent shards
+        share the trees, never a counter dict)."""
+        view = copy.copy(self)
+        view.counters = {}
+        view.extra = {}
+        return view
 
     # -- lazy query structures (built inside the requesting stage's
     # timer, so construction cost lands on the stage that needed it) --

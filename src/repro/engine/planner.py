@@ -148,7 +148,7 @@ def run_join(
         heap, ``"array"`` the band pipeline, ``"auto"`` the planner's
         choice).  The kNN and k-closest-pairs families require it.
     workers:
-        Worker-process budget for the parallel engine and the planner
+        Worker-thread budget for the parallel engine and the planner
         (``None`` = all cores; ignored by serial engines and families
         that do not shard).
     buffer_budget_bytes:

@@ -151,6 +151,7 @@ class _SideColumns:
     def __init__(self, points):
         self._xs: list[float] = []
         self._ys: list[float] = []
+        self._oids: list[int] = []
         self._points: list[Point] = []
         self._row_of: dict[int, int] = {}
         self._dead: set[int] = set()
@@ -178,6 +179,7 @@ class _SideColumns:
         self._row_of[point.oid] = len(self._points)
         self._xs.append(point.x)
         self._ys.append(point.y)
+        self._oids.append(point.oid)
         self._points.append(point)
         self._main_n = len(self._points)
         self._arr = self._tree = self._alive = None
@@ -193,9 +195,11 @@ class _SideColumns:
             mover = self._points[last]
             self._xs[row] = self._xs[last]
             self._ys[row] = self._ys[last]
+            self._oids[row] = self._oids[last]
             self._points[row] = mover
             self._row_of[mover.oid] = row
-        del self._xs[last], self._ys[last], self._points[last]
+        del self._xs[last], self._ys[last], self._oids[last]
+        del self._points[last]
         self._main_n = len(self._points)
         self._arr = self._tree = self._alive = None
         return victim
@@ -232,6 +236,7 @@ class _SideColumns:
         self._row_of[point.oid] = len(self._points)
         self._xs.append(point.x)
         self._ys.append(point.y)
+        self._oids.append(point.oid)
         self._points.append(point)
 
     def main_array(self) -> PointArray | None:
@@ -252,13 +257,23 @@ class _SideColumns:
             self._alive = mask
         return self._alive
 
-    def buffer_points(self) -> list[Point]:
-        """Live buffered inserts (rows past ``_main_n``)."""
-        return [
-            self._points[row]
-            for row in range(self._main_n, len(self._points))
-            if row not in self._dead
-        ]
+    def buffer_columns(
+        self,
+    ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Live buffered inserts (rows past ``_main_n``) as
+        ``(rows, x, y, oid)``, read off the side's own columns."""
+        lo = self._main_n
+        rows = list(range(lo, len(self._points)))
+        x = np.array(self._xs[lo:], dtype=np.float64)
+        y = np.array(self._ys[lo:], dtype=np.float64)
+        oid = np.array(self._oids[lo:], dtype=np.int64)
+        dead = [row - lo for row in self._dead if row >= lo]
+        if dead:
+            live = np.ones(len(rows), dtype=bool)
+            live[dead] = False
+            rows = [row for row, keep in zip(rows, live.tolist()) if keep]
+            x, y, oid = x[live], y[live], oid[live]
+        return rows, x, y, oid
 
     @property
     def main_count(self) -> int:
@@ -295,6 +310,7 @@ class _SideColumns:
             ]
             self._xs = [self._xs[row] for row in keep]
             self._ys = [self._ys[row] for row in keep]
+            self._oids = [self._oids[row] for row in keep]
             self._points = [self._points[row] for row in keep]
             self._row_of = {
                 p.oid: row for row, p in enumerate(self._points)
@@ -317,9 +333,7 @@ class _SideColumns:
             self._arr = PointArray(
                 np.fromiter(self._xs, np.float64, count=n),
                 np.fromiter(self._ys, np.float64, count=n),
-                np.fromiter(
-                    (p.oid for p in self._points[:n]), np.int64, count=n
-                ),
+                np.fromiter(self._oids, np.int64, count=n),
             )
         return self._arr
 
@@ -771,15 +785,15 @@ class DynamicArrayRCJ:
                         cols.alive_main(), arr.oid,
                     )
                 )
-            buf = cols.buffer_points()
-            if buf:
-                n = len(buf)
-                bx = np.fromiter((p.x for p in buf), np.float64, count=n)
-                by = np.fromiter((p.y for p in buf), np.float64, count=n)
-                oid = np.fromiter((p.oid for p in buf), np.int64, count=n)
+            rows, bx, by, oid = cols.buffer_columns()
+            if rows:
                 tree = cKDTree(np.column_stack((bx, by)))
                 sources.append(
-                    _Source(side, buf.__getitem__, tree, bx, by, None, oid)
+                    _Source(
+                        side,
+                        lambda i, cols=cols, rows=rows: cols.point(rows[i]),
+                        tree, bx, by, None, oid,
+                    )
                 )
         return sources
 

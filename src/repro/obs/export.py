@@ -40,6 +40,7 @@ def span_records(root: Span) -> list[dict]:
                 "wall": node.wall,
                 "seconds": node.seconds,
                 "proc": node.proc,
+                "tid": node.tid,
                 "attrs": dict(node.attrs),
                 "counters": dict(node.counters),
             }
@@ -94,8 +95,9 @@ def to_chrome(root: Span) -> dict:
     """Chrome trace-event JSON for one trace tree.
 
     Complete events (``ph="X"``) on a timeline relative to the root's
-    wall-clock start; each OS process becomes a trace-event *pid* so
-    worker shards render as their own named tracks in Perfetto.
+    wall-clock start; each OS process becomes a trace-event *pid* and
+    each thread a *tid*, so pool shards, which overlap on threads,
+    render as their own tracks in Perfetto instead of mis-nesting.
     """
     events: list[dict] = []
     procs: dict[int, str] = {}
@@ -115,7 +117,7 @@ def to_chrome(root: Span) -> dict:
                 "ts": max(0.0, (node.wall - root.wall) * 1e6),
                 "dur": node.seconds * 1e6,
                 "pid": node.proc,
-                "tid": node.proc,
+                "tid": node.tid,
                 "args": args,
             }
         )

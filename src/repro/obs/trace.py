@@ -12,11 +12,10 @@ stages and the calibration observation records are all *derived* from
 the trace tree (:func:`stage_totals`) — the tree is the only record of
 how a run executed.
 
-Worker processes root their own ``"shard"`` traces
-(:mod:`repro.parallel.pool`), serialize them with :meth:`Span.to_dict`
-through the result pickle, and the coordinator re-parents them under
-its pool span with :meth:`Span.from_dict` — one tree spans the whole
-execution, processes included.
+Pool threads root their own ``"shard"`` traces
+(:mod:`repro.parallel.pool`) and the coordinator appends the finished
+shard spans under its pool span — one tree spans the whole execution,
+threads included.
 
 Overhead discipline
 -------------------
@@ -56,14 +55,17 @@ class Span:
 
     ``seconds`` is the monotonic (``perf_counter``) duration; ``wall``
     is the epoch start time (``time.time()``), which is what makes
-    spans from different processes line up on one export timeline.
-    ``attrs`` describe the work (engine, shard range, worker count),
-    ``counters`` count it (candidates, verified pairs, bytes shipped).
+    spans from different threads and processes line up on one export
+    timeline.  ``proc`` is the process id and ``tid`` the native id of
+    the thread that ran the span (shards overlap on threads, so the
+    export gives each thread its own track).  ``attrs`` describe the
+    work (engine, shard range, worker count), ``counters`` count it
+    (candidates, verified pairs).
     """
 
     __slots__ = (
         "name", "kind", "attrs", "counters", "children",
-        "wall", "seconds", "proc",
+        "wall", "seconds", "proc", "tid",
     )
 
     def __init__(
@@ -72,6 +74,7 @@ class Span:
         kind: str = "span",
         attrs: dict | None = None,
         proc: int | None = None,
+        tid: int | None = None,
     ):
         self.name = name
         self.kind = kind
@@ -81,6 +84,7 @@ class Span:
         self.wall = time.time()
         self.seconds = 0.0
         self.proc = os.getpid() if proc is None else proc
+        self.tid = threading.get_native_id() if tid is None else tid
 
     # ------------------------------------------------------------------
     # mutation under an open span
@@ -116,10 +120,10 @@ class Span:
         )
 
     # ------------------------------------------------------------------
-    # serialization (the worker -> coordinator seam, and the JSONL sink)
+    # serialization (the JSONL sink)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-data form of the subtree (picklable, JSON-able)."""
+        """Plain-data form of the subtree (JSON-able)."""
         return {
             "name": self.name,
             "kind": self.kind,
@@ -128,6 +132,7 @@ class Span:
             "wall": self.wall,
             "seconds": self.seconds,
             "proc": self.proc,
+            "tid": self.tid,
             "children": [child.to_dict() for child in self.children],
         }
 
@@ -142,17 +147,12 @@ class Span:
         span.wall = float(data.get("wall", 0.0))
         span.seconds = float(data.get("seconds", 0.0))
         span.proc = int(data.get("proc", 0))
+        # Older records carry no thread id: one track per process.
+        span.tid = int(data.get("tid", span.proc))
         span.children = [
             cls.from_dict(child) for child in data.get("children") or ()
         ]
         return span
-
-    def adopt(self, data: dict) -> "Span":
-        """Re-parent a serialized subtree (a worker's shard trace)
-        under this span; returns the adopted child."""
-        child = Span.from_dict(data)
-        self.children.append(child)
-        return child
 
 
 # ----------------------------------------------------------------------
@@ -170,17 +170,6 @@ def current_span() -> Span | None:
     """The innermost open span of this thread's trace (None outside)."""
     stack = _stack()
     return stack[-1] if stack else None
-
-
-def reset() -> None:
-    """Drop any active trace on this thread.
-
-    Pool initializers call this: ``fork``-started workers inherit the
-    coordinator's thread-local stack, and without a reset a worker's
-    :func:`trace` would degrade to a child span of the *coordinator's*
-    tree (wrong process id, lost subtree) instead of rooting its own.
-    """
-    _STATE.stack = None
 
 
 @contextmanager
@@ -226,7 +215,9 @@ def span(name: str, *, kind: str = "span", **attrs):
     if not stack:
         yield None
         return
-    node = Span(name, kind=kind, attrs=attrs, proc=stack[0].proc)
+    node = Span(
+        name, kind=kind, attrs=attrs, proc=stack[0].proc, tid=stack[0].tid
+    )
     stack[-1].children.append(node)
     stack.append(node)
     t0 = time.perf_counter()
@@ -285,7 +276,7 @@ def stage_totals(root: Span) -> dict[str, float]:
 
 
 def counter_totals(root: Span) -> dict:
-    """Every counter summed over the tree (worker spans included)."""
+    """Every counter summed over the tree (shard spans included)."""
     totals: dict = {}
     for node in root.walk():
         for key, value in node.counters.items():

@@ -6,14 +6,12 @@ engine automatically:
 
 - :mod:`repro.parallel.shards` — Hilbert-order spatial shards of the
   probe set (deterministic, spatially coherent ranges);
-- :mod:`repro.parallel.sharedmem` — one shared-memory block carrying
-  the join columns to every worker, exception-safe cleanup included;
-- :mod:`repro.parallel.pool` — one persistent worker stack and one
-  driver (:func:`~repro.parallel.pool.run_sharded`) running any
-  shardable engine pipeline per shard — the ε-join and the kNN join
-  (the RCJ's candidates come from one global triangulation, so it
-  runs in-process) — and merging shard results with the pipeline's
-  own sink;
+- :mod:`repro.parallel.pool` — one driver
+  (:func:`~repro.parallel.pool.run_sharded`) running any shardable
+  engine pipeline per shard on a thread pool over the caller's own
+  columns — the ε-join and the kNN join (the RCJ's candidates come
+  from one global triangulation, so it runs in-process) — and merging
+  shard results with the pipeline's own sink;
 - :mod:`repro.parallel.costmodel` — the cost-based planner behind
   every ``engine="auto"`` run (:func:`~repro.parallel.costmodel.plan_join`):
   chooses ``array-parallel`` / ``array`` / ``obj`` (``pointwise`` for
@@ -33,11 +31,9 @@ from repro.parallel.costmodel import (
 )
 from repro.parallel.pool import default_workers
 from repro.parallel.shards import ShardPlan, hilbert_shard_keys, plan_shards
-from repro.parallel.sharedmem import SharedArrays
 
 __all__ = [
     "ExecutionPlan",
-    "SharedArrays",
     "ShardPlan",
     "choose_plan",
     "default_workers",

@@ -7,13 +7,13 @@ a resource budget, not from a caller-supplied flag.  Each of them describes its 
 :class:`~repro.engine.request.JoinRequest`, and :func:`plan_join` is
 the one planner body:
 
-- ``array-parallel`` — the sharded multi-process engine
+- ``array-parallel`` — the sharded thread-pool engine
   (:mod:`repro.parallel.pool`), when the estimated probe volume is
-  large enough to amortize pool startup, more than one core is
+  large enough to amortize the fan-out, more than one core is
   available and the family shards (the ε-join and the kNN join; not
   the RCJ, k-closest-pairs or the CIJ);
 - ``array`` — the serial vectorized engine, when the join is too small
-  for process fan-out but fits in memory;
+  for thread fan-out but fits in memory;
 - ``obj`` (the RCJ) / ``pointwise`` (the other families) — the
   paper's best R-tree algorithm or the family's reference oracle, when
   the estimated in-memory working set exceeds the memory budget (the
@@ -53,7 +53,7 @@ from repro.parallel.pool import MIN_PARALLEL_PROBES, default_workers
 #: ``REPRO_MEMORY_BUDGET_MB`` environment variable says otherwise.
 DEFAULT_BUDGET_BYTES = 1 << 30
 
-#: Estimated candidate volume below which a process pool costs more
+#: Estimated candidate volume below which the thread pool costs more
 #: than it saves.
 MIN_PARALLEL_CANDIDATES = 64_000
 
@@ -170,7 +170,8 @@ def estimate_bytes(
     (~48 bytes/point for the tree over ``P`` plus the union tree and
     its coordinate copies), and the candidate index/verification
     buffers (three 8-byte arrays).  First-order, like every figure in
-    this module.
+    this module, and conservative for the thread pool, whose shards
+    share one tree.
     """
     columns = 24 * (n_p + n_q)
     per_worker = 48 * n_p + 64 * (n_p + n_q)
@@ -197,7 +198,7 @@ class ExecutionPlan:
     """The planner's decision plus everything it was based on."""
 
     engine: str  #: ``"array-parallel"`` | ``"array"`` | ``"obj"``
-    workers: int  #: processes the engine will use (1 for serial plans)
+    workers: int  #: threads the engine will use (1 for serial plans)
     n_p: int
     n_q: int
     density_factor: float
@@ -457,7 +458,7 @@ def _pooled_plan(
     if serial_mem > budget:
         reasons.append(
             f"estimated working set {serial_mem} B exceeds the "
-            f"{budget} B budget even single-process: "
+            f"{budget} B budget even serially: "
             + _OVERFLOW_ROUTES[overflow]
         )
         return decide(overflow)
@@ -491,12 +492,12 @@ def _pooled_plan(
 
     if probe_volume < MIN_PARALLEL_PROBES or est_cand < MIN_PARALLEL_CANDIDATES:
         reasons.append(
-            f"probe volume too small to amortize a process pool "
+            f"probe volume too small to amortize a thread pool "
             f"({probe_volume} probes, est. candidates {est_cand})"
         )
         return decide("array")
 
-    # Scale workers to the work: no point holding 16 processes on a
+    # Scale workers to the work: no point holding 16 threads on a
     # join whose candidate volume keeps two busy.
     by_work = max(2, est_cand // MIN_PARALLEL_CANDIDATES)
     chosen = min(requested, by_work)

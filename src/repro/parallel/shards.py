@@ -30,7 +30,7 @@ from repro.geometry.rect import Rect
 SHARD_CURVE_ORDER = 12
 
 #: Probes below which an extra shard is not worth its fixed overhead
-#: (sub-array construction, task pickling, result merge).
+#: (sub-array construction, task dispatch, result merge).
 DEFAULT_MIN_SHARD = 1024
 
 

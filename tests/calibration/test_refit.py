@@ -135,18 +135,27 @@ class TestRefitProfile:
         # Unknown stage names are ignored, not modelled.
         assert "join/stage:merge" not in profile.models
 
-    def test_pool_constants_derived(self):
+    def test_profile_with_old_pools_entry_loads(self):
+        # Profiles fitted before the thread pool carry process-startup
+        # constants under "pools"; they load, and the entry is dropped.
         observations = [
             _obs(est=10_000, total=0.02),
             _obs(est=40_000, total=0.08),
             _obs(engine="array-parallel", workers=2, est=10_000, total=0.10),
             _obs(engine="array-parallel", workers=4, est=10_000, total=0.16),
         ]
-        profile = refit_profile(observations)
-        pool = profile.pools["join"]
-        assert pool.startup_seconds >= 0.0
-        assert pool.per_worker_seconds >= 0.0
-        assert pool.n_obs == 2
+        doc = refit_profile(observations).to_dict()
+        assert "pools" not in doc
+        doc["pools"] = {
+            "join": {
+                "startup_seconds": 0.05,
+                "per_worker_seconds": 0.01,
+                "n_obs": 2,
+            }
+        }
+        profile = CalibrationProfile.from_dict(doc)
+        assert profile.parallel_worker_counts("join") == (2, 4)
+        assert "pool" not in profile.constants_line("join")
 
     def test_other_hosts_filtered_out(self):
         alien = dict(host_fingerprint())

@@ -92,11 +92,6 @@ class TestNonFiniteCoordinates:
             PointArray.from_points(points)
         assert issubclass(NonFiniteCoordinateError, ValueError)
 
-    def test_wrap_stays_unchecked(self):
-        col = np.array([np.nan, 1.0])
-        arr = PointArray._wrap(col, col, np.arange(2, dtype=np.int64))
-        assert np.isnan(arr.x[0])
-
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("side", ("p", "q"))
     def test_run_join_and_run_topk_reject(self, bad, side):

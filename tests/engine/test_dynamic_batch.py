@@ -281,6 +281,30 @@ class TestCompactionThresholds:
         assert dyn._p.buffered == 0
         assert dyn._p.main_count == 25
 
+    def test_deleted_buffer_rows_leave_the_buffer_source(self, monkeypatch):
+        # Lazy tiers only: a buffered insert deleted by a later batch is
+        # tombstoned inside the buffer, and the repair's buffer source
+        # must skip its row.
+        monkeypatch.setattr(streaming, "TOMBSTONE_FRAC", 100.0)
+        monkeypatch.setattr(streaming, "BUFFER_CAP", 100000)
+        dyn, ps, qs = self._grid_backend(20)
+        extra = [Point(7.0 * i + 1.5, 250.0, 5000 + i) for i in range(6)]
+        dyn.apply_batch(inserts=[(p, "P") for p in extra])
+        dyn.apply_batch(
+            inserts=[(Point(33.0, 240.0, 6000), "P")],
+            deletes=[(extra[1], "P"), (extra[4], "P")],
+        )
+        assert dyn.stats["rebuilds"] == 0
+        rows, x, y, oid = dyn._p.buffer_columns()
+        live = [p for i, p in enumerate(extra) if i not in (1, 4)]
+        live.append(Point(33.0, 240.0, 6000))
+        assert oid.tolist() == [p.oid for p in live]
+        assert x.tolist() == [p.x for p in live]
+        assert y.tolist() == [p.y for p in live]
+        assert [dyn._p.point(row) for row in rows] == live
+        scratch = run_join(ps + live, qs, engine="array").pair_keys()
+        assert dyn.pair_keys() == scratch
+
     def test_tiny_thresholds_preserve_equivalence(self, monkeypatch):
         """Compacting nearly every batch lands on the same pair sets."""
         monkeypatch.setattr(streaming, "TOMBSTONE_FRAC", 0.05)

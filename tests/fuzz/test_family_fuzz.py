@@ -1,0 +1,86 @@
+"""Differential fuzz suite for the sharded join families.
+
+The ε-join and the kNN join are the families the thread pool shards
+(:mod:`repro.parallel.pool`).  Over the bulk RCJ's adversarial inputs
+(:func:`tests.fuzz.strategies.bulk_rcj_cases`: near-coincident sites,
+far outliers, extreme scales and offsets, cross-side duplicates), the
+pooled pipeline at one and two workers must give the same pair list,
+in order, as the serial array pipeline and as the pointwise oracle.
+``min_shard=2`` makes every input with four or more probes shard.  ε is
+drawn from the case's own pair distances, so the exact ``d <= ε``
+boundary is always in play; kNN ``k`` is drawn from {1, 2, 5}, which
+straddles the tie-escalation window on small sides.  Tier-1 runs the
+default example budget; CI also runs the deep profile
+(``--hypothesis-profile=fuzz-deep``).  The pooled runs'
+``candidate_count``, summed over shards, must equal the serial one.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.engine import run_join
+from repro.geometry.point import Point
+from tests.fuzz.strategies import bulk_rcj_cases
+
+
+def _points(coords) -> list[Point]:
+    return [Point(x, y, i) for i, (x, y) in enumerate(coords)]
+
+
+def _keys(report) -> list[tuple[int, int]]:
+    return [pair.key() for pair in report.pairs]
+
+
+def _draw_family(data, family, coords_p, coords_q) -> dict:
+    """The family's parameters: ε from the case's own pair distances
+    (so some pair sits exactly on the boundary), kNN ``k`` from
+    {1, 2, 5}."""
+    if family == "knn":
+        return {"family": "knn", "k": data.draw(st.sampled_from((1, 2, 5)))}
+    distances = [
+        math.sqrt((px - qx) ** 2 + (py - qy) ** 2)
+        for px, py in coords_p
+        for qx, qy in coords_q
+    ]
+    eps = data.draw(st.sampled_from(distances)) if distances else 1.0
+    return {"family": "epsilon", "eps": eps}
+
+
+def _pooled(points_p, points_q, workers, family):
+    return run_join(
+        points_p, points_q, engine="array-parallel", workers=workers,
+        min_shard=2, **family,
+    )
+
+
+FAMILIES = pytest.mark.parametrize("family", ["epsilon", "knn"])
+
+
+@FAMILIES
+@given(case=bulk_rcj_cases(), data=st.data())
+def test_routes_give_the_oracle_pair_list(family, case, data):
+    coords_p, coords_q, _exclude = case
+    args = _draw_family(data, family, coords_p, coords_q)
+    points_p, points_q = _points(coords_p), _points(coords_q)
+    want = _keys(run_join(points_p, points_q, engine="pointwise", **args))
+    array = _keys(run_join(points_p, points_q, engine="array", **args))
+    assert array == want, "array != pointwise"
+    for workers in (1, 2):
+        pooled = _pooled(points_p, points_q, workers, args)
+        assert _keys(pooled) == want, f"array-parallel@{workers} != pointwise"
+
+
+@FAMILIES
+@given(case=bulk_rcj_cases(), data=st.data())
+def test_pooled_candidate_count_matches_serial(family, case, data):
+    coords_p, coords_q, _exclude = case
+    args = _draw_family(data, family, coords_p, coords_q)
+    points_p, points_q = _points(coords_p), _points(coords_q)
+    serial = run_join(points_p, points_q, engine="array", **args)
+    pooled = _pooled(points_p, points_q, 2, args)
+    assert pooled.candidate_count == serial.candidate_count

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -108,15 +109,13 @@ class TestSpanTree:
         assert rebuilt.children[0].counters == {"candidates": 3}
         assert rebuilt.children[0].seconds == child.seconds
         assert rebuilt.proc == root.proc
+        assert rebuilt.tid == root.tid == threading.get_native_id()
 
-    def test_adopt_reparents_a_serialized_tree(self):
-        with trace("shard") as shard:
-            with span("verify"):
-                pass
-        parent = Span("pool")
-        child = parent.adopt(shard.to_dict())
-        assert child in parent.children
-        assert child.find("verify")
+    def test_from_dict_without_tid_uses_one_track_per_process(self):
+        # Records written before spans carried a thread id.
+        data = Span("join").to_dict()
+        del data["tid"]
+        assert Span.from_dict(data).tid == data["proc"]
 
 
 class TestKillSwitch:
@@ -205,6 +204,21 @@ class TestJsonlSink:
         ]
         assert counter_totals(rebuilt) == counter_totals(root)
         assert stage_totals(rebuilt) == stage_totals(root)
+        assert [s.tid for s in rebuilt.walk()] == [s.tid for s in root.walk()]
+
+    def test_older_records_without_tid_load(self, tmp_path):
+        # A sink written before spans carried thread ids: every span
+        # lands on its process's track.
+        path = tmp_path / "old.jsonl"
+        records = span_records(self._sample())
+        with open(path, "w", encoding="utf-8") as sink:
+            for record in records:
+                del record["tid"]
+                sink.write(json.dumps(record) + "\n")
+        (rebuilt,) = read_jsonl(str(path))
+        assert len(rebuilt) == len(records)
+        assert {s.tid for s in rebuilt.walk()} == {rebuilt.proc}
+        validate_chrome(to_chrome(rebuilt))
 
     def test_appends_runs(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -260,6 +274,45 @@ class TestChromeExport:
             f"coordinator-{root.proc}",
             f"worker-{worker.proc}",
         }
+
+    def test_threads_get_their_own_tid(self):
+        # Pool shards root their traces on their own threads; their
+        # overlapping events must land on their threads' tracks.
+        shards: list[Span] = []
+
+        def shard(lo):
+            with trace("shard", lo=lo) as node:
+                with stage_timer("knn"):
+                    pass
+            shards.append(node)
+
+        with trace("join") as root:
+            with span("pool") as pool:
+                threads = [
+                    threading.Thread(target=shard, args=(lo,))
+                    for lo in (0, 1)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                pool.children.extend(shards)
+        doc = to_chrome(root)
+        validate_chrome(doc)
+        tids = {
+            e["name"] + str(e["args"].get("lo", "")): e["tid"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "X" and e["name"] in ("join", "pool", "shard")
+        }
+        assert tids["join"] == tids["pool"] == threading.get_native_id()
+        assert tids["shard0"] != tids["join"]
+        assert tids["shard1"] != tids["join"]
+        # A shard's stage span shares its shard's track.
+        assert all(n.tid == s.tid for s in shards for n in s.walk())
+        knn = {e["tid"] for e in doc["traceEvents"] if e["name"] == "knn"}
+        assert knn == {tids["shard0"], tids["shard1"]}
+        pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert pids == {root.proc}
 
     def test_counters_become_args(self):
         with trace("join") as root:
