@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -70,6 +76,62 @@ class RCJPair:
             f"center=({self.circle.cx:.2f}, {self.circle.cy:.2f}), "
             f"r={self.circle.r:.2f})"
         )
+
+
+#: Guards the collector pause shared by concurrent
+#: :func:`pairs_from_indices` calls: the first pause records the
+#: collector's state and the last one puts it back, so an interleaving
+#: of callers can neither leave it off nor switch it on early.
+_pause_lock = threading.Lock()
+_pause = {"depth": 0, "was_enabled": False}
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for the body; restore its prior state
+    afterwards, also when the body raises."""
+    with _pause_lock:
+        if _pause["depth"] == 0:
+            _pause["was_enabled"] = gc.isenabled()
+            gc.disable()
+        _pause["depth"] += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause["depth"] -= 1
+            if _pause["depth"] == 0 and _pause["was_enabled"]:
+                gc.enable()
+
+
+def pairs_from_indices(
+    points_p: Sequence[Point],
+    points_q: Sequence[Point],
+    p_idx: np.ndarray,
+    q_idx: np.ndarray,
+) -> list[RCJPair]:
+    """Result pairs over the caller's own points, row by row.
+
+    ``p_idx`` / ``q_idx`` are aligned row indices into ``points_p`` /
+    ``points_q`` (a columnar join's result block); pair ``i`` holds
+    ``points_p[p_idx[i]]`` and ``points_q[q_idx[i]]`` themselves, not
+    copies.  The points are gathered through object arrays and the
+    pairs built by one ``map``, with the cyclic collector paused for
+    that loop alone: every new pair is tracked by the collector, and a
+    result of a few hundred thousand pairs would otherwise set off
+    hundreds of collections, a few of them full, that free nothing.
+    The collector's prior state is put back afterwards, also when the
+    loop raises, so a caller's own ``gc.disable()`` is left as it was;
+    concurrent calls share one pause (:func:`_collector_paused`).
+    """
+    if not len(p_idx):
+        return []
+    side_p = np.fromiter(points_p, dtype=object, count=len(points_p))
+    side_q = np.fromiter(points_q, dtype=object, count=len(points_q))
+    gathered_p = side_p[p_idx].tolist()
+    gathered_q = side_q[q_idx].tolist()
+    with _collector_paused():
+        return list(map(RCJPair, gathered_p, gathered_q))
 
 
 class Candidate:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.pairs import JoinReport, RCJPair
+from repro.core.pairs import JoinReport, RCJPair, pairs_from_indices
 from repro.engine.arrays import PointArray
 from repro.engine.operators import (
     BandSource,
@@ -64,6 +64,7 @@ from repro.engine.operators import (
 )
 from repro.engine.request import FAMILY_NAMES, JoinRequest  # noqa: F401
 from repro.geometry.point import Point
+from repro.obs.trace import span
 
 #: Families whose probe loop shards across threads.  The RCJ's
 #: candidates come from one global triangulation (bulk) or globally
@@ -167,7 +168,11 @@ def run_array_pipeline(
     the pipeline is sharded over the thread pool
     (:func:`repro.parallel.pool.run_sharded`), otherwise it runs
     in-process.  Pairs are materialized over the *original*
-    :class:`Point` objects (identity preserved, not reconstructed).
+    :class:`Point` objects (identity preserved, not reconstructed) by
+    :func:`repro.core.pairs.pairs_from_indices` — one object-array
+    gather with the cyclic collector paused — under a plain
+    ``materialize`` span (not a stage: ``stage_seconds`` keeps the
+    pipeline's own operators).
 
     Returns ``(pairs, candidate_count, workers_used)``.
     """
@@ -184,10 +189,10 @@ def run_array_pipeline(
     )
     kwargs = {} if min_shard is None else {"min_shard": min_shard}
     result = run_sharded(build, ctx, workers=workers, **kwargs)
-    pairs = [
-        RCJPair(points_p[pi], points_q[qi])
-        for pi, qi in zip(result.p_idx.tolist(), result.q_idx.tolist())
-    ]
+    with span("materialize", pairs=len(result)):
+        pairs = pairs_from_indices(
+            points_p, points_q, result.p_idx, result.q_idx
+        )
     return pairs, int(ctx.counters.get("candidates", 0)), ctx.workers
 
 

@@ -266,6 +266,11 @@ class Sink(Operator):
 
     name = "collect"
 
+    #: False on a pool shard's sink: its rows only feed the
+    #: coordinator's sink, which orders the merged rows, so ``finish``
+    #: may hand them back in arrival order.
+    ordered = True
+
     def check_source(self, source: Source) -> None:
         """Reject a source whose stream this sink cannot consume
         (called when a pipeline is declared)."""
@@ -847,7 +852,17 @@ class CollectAll(Sink):
     """Accumulate every surviving pair; finish in canonical
     ``(p.oid, q.oid)`` order.  Sources emit disjoint blocks (per-probe
     partitions or cursor-disjoint bands), so no deduplication is
-    needed."""
+    needed.
+
+    The order is one stable sort of a single packed int64 key,
+    ``rank_p[p_idx] * len(qarr) + rank_q[q_idx]``, where a side's rank
+    is its oid's position in the side's sorted oid column
+    (:func:`oid_ranks`): equal oids share a rank, so ties keep their
+    arrival order exactly as ``np.lexsort((q_oid, p_oid))`` would, and
+    the key stays below ``len(parr) * len(qarr)`` whatever the oid
+    values.  A pool shard's sink (:attr:`Sink.ordered` off) hands back
+    its rows unsorted; the coordinator's sink sorts them once.
+    """
 
     def __init__(self):
         self._p: list[np.ndarray] = []
@@ -870,6 +885,8 @@ class CollectAll(Sink):
             p_idx = np.concatenate(self._p)
             q_idx = np.concatenate(self._q)
             d_sq = np.concatenate(self._d) if self._has_d and self._d else None
+            if not self.ordered:
+                return CandidateBlock(p_idx, q_idx, d_sq)
             order = self._order(ctx, p_idx, q_idx)
             return CandidateBlock(
                 p_idx[order],
@@ -877,11 +894,18 @@ class CollectAll(Sink):
                 None if d_sq is None else d_sq[order],
             )
 
-
     def _order(
         self, ctx: JoinContext, p_idx: np.ndarray, q_idx: np.ndarray
     ) -> np.ndarray:
-        return np.lexsort((ctx.qarr.oid[q_idx], ctx.parr.oid[p_idx]))
+        key = oid_ranks(ctx.parr.oid)[p_idx] * len(ctx.qarr)
+        key += oid_ranks(ctx.qarr.oid)[q_idx]
+        return np.argsort(key, kind="stable")
+
+
+def oid_ranks(oid: np.ndarray) -> np.ndarray:
+    """Each row's rank in the sorted ``oid`` column (int64): rows with
+    equal oids share a rank, and ranks order as the oids do."""
+    return np.searchsorted(np.sort(oid), oid).astype(np.int64, copy=False)
 
 
 class CollectCanonical(CollectAll):

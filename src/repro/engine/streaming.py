@@ -75,7 +75,7 @@ from repro.core.dynamic import (
     validate_batch,
     voronoi_neighbours,
 )
-from repro.core.pairs import RCJPair
+from repro.core.pairs import RCJPair, pairs_from_indices
 from repro.engine.arrays import PointArray
 from repro.engine.kernels import rcj_pair_indices, verify_rings_batch
 from repro.geometry.point import Point
@@ -327,6 +327,10 @@ class _SideColumns:
     def point(self, row: int) -> Point:
         return self._points[row]
 
+    def points(self) -> list[Point]:
+        """Every row's point by row index (dead rows included)."""
+        return self._points
+
     def _main_array(self) -> PointArray:
         if self._arr is None:
             n = self._main_n
@@ -513,9 +517,12 @@ class DynamicArrayRCJ:
         if len(self._p) and len(self._q):
             parr, qarr = self._p.array(), self._q.array()
             p_idx, q_idx, _ = rcj_pair_indices(parr, qarr)
-            for pi, qi in zip(p_idx.tolist(), q_idx.tolist()):
-                pair = RCJPair(self._p.point(pi), self._q.point(qi))
-                self._pairs[pair.key()] = pair
+            self._pairs = dict(zip(
+                zip(parr.oid[p_idx].tolist(), qarr.oid[q_idx].tolist()),
+                pairs_from_indices(
+                    self._p.points(), self._q.points(), p_idx, q_idx
+                ),
+            ))
             self._rings.extend(
                 list(self._pairs),
                 np.stack(

@@ -12,10 +12,10 @@ range of the Hilbert-ordered probe permutation
 (:mod:`repro.parallel.shards`); it runs ``build(probes=...)`` through
 ``Pipeline.run`` on its own :meth:`JoinContext.view
 <repro.engine.operators.JoinContext.view>` — the caller's columns and
-that tree, fresh counters — and the coordinator merges the surviving
-pair indices with the pipeline's own sink.  The KD-tree queries and
-the numpy kernels release the GIL, so the threads overlap without
-copying a column.
+that tree, fresh counters — and hands back its surviving pair indices
+unordered; the coordinator merges them with the pipeline's own sink,
+which orders them once.  The KD-tree queries and the numpy kernels
+release the GIL, so the threads overlap without copying a column.
 
 Shards outnumber workers (:data:`SHARDS_PER_WORKER`) so a dense patch
 of the plane cannot serialize the join behind one straggler.
@@ -71,14 +71,18 @@ def _run_shard(
     build, ctx: JoinContext, probes: np.ndarray, lo: int, hi: int, traced: bool
 ):
     """One shard: the request's pipeline restricted to ``probes``, on a
-    fresh view of ``ctx``.  Returns ``(block, candidates, span)``; with
-    ``traced`` the shard roots its own trace on this thread and hands
-    the finished span tree — its stage spans included — to the
-    coordinator, which is how pooled runs feed the report's stage
-    split and calibration like serial ones."""
+    fresh view of ``ctx``.  The shard's sink hands its rows back
+    unordered (:attr:`~repro.engine.operators.Sink.ordered` off): the
+    coordinator's sink orders the merged rows once.  Returns
+    ``(block, candidates, span)``; with ``traced`` the shard roots its
+    own trace on this thread and hands the finished span tree — its
+    stage spans included — to the coordinator, which is how pooled runs
+    feed the report's stage split and calibration like serial ones."""
     view = ctx.view()
     with trace("shard", lo=lo, hi=hi) if traced else nullcontext(None) as root:
-        block = build(probes=probes).run(view)
+        pipeline = build(probes=probes)
+        pipeline.sink.ordered = False
+        block = pipeline.run(view)
     return block, int(view.counters.get("candidates", 0)), root
 
 

@@ -1,8 +1,15 @@
 """Unit tests for RCJ result/accounting types."""
 
+import gc
 import math
+import sys
+import threading
 
-from repro.core.pairs import Candidate, JoinReport, RCJPair
+import numpy as np
+import pytest
+
+import repro.core.pairs as pairs_module
+from repro.core.pairs import Candidate, JoinReport, RCJPair, pairs_from_indices
 from repro.geometry.point import Point
 
 
@@ -60,3 +67,98 @@ class TestJoinReport:
             RCJPair(Point(0, 0, 3), Point(1, 1, 4)),
         ]
         assert report.pair_keys() == {(1, 2), (3, 4)}
+
+
+class TestPairsFromIndices:
+    P = [Point(i, -i, 100 - i) for i in range(5)]
+    Q = [Point(2 * i, i, 7 * i) for i in range(4)]
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        """A failing case must not leave the collector off for the
+        rest of the session."""
+        yield
+        gc.enable()
+
+    def _pairs(self, p_idx, q_idx):
+        return pairs_from_indices(
+            self.P, self.Q, np.asarray(p_idx, np.int64), np.asarray(q_idx, np.int64)
+        )
+
+    def test_pairs_hold_the_callers_points(self):
+        p_idx, q_idx = [4, 0, 0, 2, 4], [1, 3, 0, 2, 1]
+        pairs = self._pairs(p_idx, q_idx)
+        assert len(pairs) == len(p_idx)
+        for pair, pi, qi in zip(pairs, p_idx, q_idx):
+            assert type(pair) is RCJPair
+            assert pair.p is self.P[pi]
+            assert pair.q is self.Q[qi]
+
+    def test_empty(self):
+        assert self._pairs([], []) == []
+
+    def test_gc_enabled_after_success(self):
+        assert gc.isenabled()
+        self._pairs([1, 2], [3, 0])
+        assert gc.isenabled()
+
+    def test_gc_paused_during_the_loop_and_back_after_a_raise(
+        self, monkeypatch
+    ):
+        seen = []
+
+        def flaky(p, q):
+            seen.append(gc.isenabled())
+            if len(seen) == 3:
+                raise RuntimeError("boom")
+            return RCJPair(p, q)
+
+        monkeypatch.setattr(pairs_module, "RCJPair", flaky)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="boom"):
+            self._pairs([0, 1, 2, 3], [0, 1, 2, 3])
+        assert seen == [False, False, False]
+        assert gc.isenabled()
+
+    def test_callers_disabled_gc_is_left_disabled(self):
+        gc.disable()
+        try:
+            pairs = self._pairs([3], [2])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert pairs[0].key() == (97, 14)
+
+    def test_bad_index_raises_and_leaves_gc_alone(self):
+        with pytest.raises(IndexError):
+            self._pairs([5], [0])
+        assert gc.isenabled()
+
+    def test_concurrent_callers_leave_gc_enabled(self):
+        """Threads pausing the collector at once: every result is right
+        and the collector ends up on, whatever the interleaving."""
+        p_idx = np.arange(2000, dtype=np.int64) % len(self.P)
+        q_idx = np.arange(2000, dtype=np.int64) % len(self.Q)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(40):
+                    pairs = pairs_from_indices(self.P, self.Q, p_idx, q_idx)
+                    assert pairs[7].p is self.P[2] and pairs[7].q is self.Q[3]
+            except Exception as exc:  # reported to the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert gc.isenabled()

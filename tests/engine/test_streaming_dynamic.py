@@ -48,6 +48,17 @@ class TestConstruction:
         arr, obj = both_backends(ps, qs)
         assert arr.pair_keys() == obj.pair_keys() == scratch_keys(ps, qs)
 
+    def test_initial_pairs_hold_the_callers_points(self):
+        ps = uniform(90, seed=502)
+        qs = uniform(80, seed=503, start_oid=5000)
+        dyn = DynamicArrayRCJ(ps, qs)
+        p_of = {p.oid: p for p in ps}
+        q_of = {q.oid: q for q in qs}
+        assert dyn.pair_keys() == scratch_keys(ps, qs)
+        for key, pair in dyn._pairs.items():
+            assert key == pair.key()
+            assert pair.p is p_of[pair.p.oid] and pair.q is q_of[pair.q.oid]
+
     def test_satisfies_protocol(self):
         arr, obj = both_backends()
         assert isinstance(arr, DynamicBackend)

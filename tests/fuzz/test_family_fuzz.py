@@ -6,7 +6,10 @@ The ε-join and the kNN join are the families the thread pool shards
 far outliers, extreme scales and offsets, cross-side duplicates), the
 pooled pipeline at one and two workers must give the same pair list,
 in order, as the serial array pipeline and as the pointwise oracle.
-``min_shard=2`` makes every input with four or more probes shard.  ε is
+``min_shard=2`` makes every input with four or more probes shard.
+Each side's oids are either its row numbers or drawn unique,
+non-contiguous and in shuffled order (as low as ``-2**62``, as high as
+``2**62``), so an order keyed by row instead of by oid shows.  ε is
 drawn from the case's own pair distances, so the exact ``d <= ε``
 boundary is always in play; kNN ``k`` is drawn from {1, 2, 5}, which
 straddles the tie-escalation window on small sides.  Tier-1 runs the
@@ -28,8 +31,19 @@ from repro.geometry.point import Point
 from tests.fuzz.strategies import bulk_rcj_cases
 
 
-def _points(coords) -> list[Point]:
-    return [Point(x, y, i) for i, (x, y) in enumerate(coords)]
+#: Drawn oids: unique, spread over most of the int64 range.
+OIDS = st.integers(min_value=-(2**62), max_value=2**62)
+
+
+def _points(data, coords) -> list[Point]:
+    """One side's points: oids are the row numbers, or drawn."""
+    if data.draw(st.booleans(), label="drawn oids"):
+        oids = data.draw(
+            st.lists(OIDS, min_size=len(coords), max_size=len(coords), unique=True)
+        )
+    else:
+        oids = range(len(coords))
+    return [Point(x, y, oid) for (x, y), oid in zip(coords, oids)]
 
 
 def _keys(report) -> list[tuple[int, int]]:
@@ -66,7 +80,7 @@ FAMILIES = pytest.mark.parametrize("family", ["epsilon", "knn"])
 def test_routes_give_the_oracle_pair_list(family, case, data):
     coords_p, coords_q, _exclude = case
     args = _draw_family(data, family, coords_p, coords_q)
-    points_p, points_q = _points(coords_p), _points(coords_q)
+    points_p, points_q = _points(data, coords_p), _points(data, coords_q)
     want = _keys(run_join(points_p, points_q, engine="pointwise", **args))
     array = _keys(run_join(points_p, points_q, engine="array", **args))
     assert array == want, "array != pointwise"
@@ -80,7 +94,7 @@ def test_routes_give_the_oracle_pair_list(family, case, data):
 def test_pooled_candidate_count_matches_serial(family, case, data):
     coords_p, coords_q, _exclude = case
     args = _draw_family(data, family, coords_p, coords_q)
-    points_p, points_q = _points(coords_p), _points(coords_q)
+    points_p, points_q = _points(data, coords_p), _points(data, coords_q)
     serial = run_join(points_p, points_q, engine="array", **args)
     pooled = _pooled(points_p, points_q, 2, args)
     assert pooled.candidate_count == serial.candidate_count

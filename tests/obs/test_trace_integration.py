@@ -323,6 +323,30 @@ class TestTracedFamilies:
         assert counter_totals(root)["verified"] == len(report.pairs)
 
 
+class TestTracedMaterialize:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"family": "knn", "k": 3, "engine": "array"},
+            {"family": "epsilon", "eps": 150.0, "engine": "array"},
+            {"family": "cij", "engine": "array"},
+            {"family": "rcj", "engine": "array"},
+            {
+                "family": "knn", "k": 3, "engine": "array-parallel",
+                "workers": 2, "min_shard": 32,
+            },
+        ],
+    )
+    def test_materialize_is_a_plain_span(self, args):
+        points_p, points_q = uniform_pair(200, 210, seed=11)
+        report = run_join(points_p, points_q, **args)
+        (node,) = report.trace.find("materialize")
+        assert node.kind != "stage"
+        assert node.attrs["pairs"] == len(report.pairs)
+        assert "materialize" not in report.stage_seconds
+        assert report.stage_seconds == stage_totals(report.trace)
+
+
 class TestTracedDynamicBatch:
     def test_batch_observation_stages_come_from_the_trace(
         self, tmp_path, monkeypatch
