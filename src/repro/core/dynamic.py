@@ -45,9 +45,11 @@ columnar backend is equivalence-tested against);
 per-event and batched updates alike and absorbs a batch with tombstone
 masks and an insert buffer, compacting at most once.  Both backends
 share batch validation (:func:`validate_batch`, so malformed batches
-fail identically — *before* any mutation), the Voronoi-neighbourhood
-clip (:func:`voronoi_neighbours`) and the calibration hook
-(:func:`record_batch`).
+fail identically — *before* any mutation), the clip box and touch
+slack of a Voronoi probe (:data:`_SPAN_MARGIN`, :data:`_TOUCH_SLACK`)
+and the calibration hook (:func:`record_batch`).  This class probes
+with the scalar clip :func:`voronoi_neighbours`; the columnar backend
+decides all of a repair's probes in one batched bisector kernel.
 """
 
 from __future__ import annotations
@@ -205,6 +207,11 @@ def record_batch(
 #: the float error of a witness centre computed at the span's edge.
 _SPAN_MARGIN = 1e-6
 
+#: Touch slack of a Voronoi probe, relative to the span's largest
+#: coordinate magnitude: a bisector missing the cell by less than this
+#: counts as touching it, and the horizon reaches this much farther.
+_TOUCH_SLACK = 1e-9
+
 
 def voronoi_neighbours(
     x: Point,
@@ -213,6 +220,13 @@ def voronoi_neighbours(
     stop_on_coincident: bool = True,
 ) -> tuple[list[tuple[Point, Side]] | None, int]:
     """Clip ``x``'s Voronoi cell against an ascending-distance stream.
+
+    This scalar clip serves the object backend (:class:`DynamicRCJ`),
+    and it is the reference the columnar backend's batched bisector
+    kernel (:func:`repro.engine.streaming.bisector_cells`) is argued
+    and fuzzed against: the kernel emits the rows whose bisectors reach
+    the *exact* cell, a subset of what this loop emits from its
+    intermediate cells, and both contain every partner a repair needs.
 
     ``stream`` yields ``(distance, point, side)`` in ascending distance
     over some pointset; ``span`` is a bounding box that must cover every
@@ -266,7 +280,7 @@ def voronoi_neighbours(
     # clipped cell vertices (scaled to the coordinate magnitude).  The
     # horizon gets the same slack: a partner diametrically opposite a
     # witness centre that is the farthest vertex sits exactly on it.
-    slack = 1e-9 * max(
+    slack = _TOUCH_SLACK * max(
         abs(span[0]), abs(span[1]), abs(span[2]), abs(span[3]), 1.0
     )
 

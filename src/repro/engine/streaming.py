@@ -23,8 +23,8 @@ is judged by and the dynamic backend:
     Kill-sets come from one vectorized evaluation of the exact ring
     predicate over endpoint columns (:class:`_RingColumns`, the
     columnar twin of the pair-circle grid); freed and new pairs come
-    from Voronoi-neighbourhood probes (see *Probe windows* below); all
-    verification goes through
+    from Voronoi-neighbourhood probes (see *Probe neighbourhoods*
+    below); all verification goes through
     :func:`~repro.engine.kernels.verify_rings_batch`.  Per-event
     ``insert``/``delete`` keep the columns dense; ``apply_batch``
     absorbs a whole update batch with *amortized* maintenance: deletes
@@ -34,22 +34,26 @@ is judged by and the dynamic backend:
     until the :data:`TOMBSTONE_FRAC` or :data:`BUFFER_CAP` threshold
     trips — at most once per batch, usually far less often.
 
-Probe windows
--------------
+Probe neighbourhoods
+--------------------
 Each repair gathers its probes (the deleted points, then the inserted
-ones) and answers them with **one** KD query per union source (the
-main tree and the insert-buffer tree of each side) for the whole
-batch: the ``_WINDOW`` nearest rows of every probe.  Dead rows and an
-inserted point's own ``(side, oid)`` read ``+inf``; the sources are
-concatenated in order and one stable ``argsort`` per probe merges
-them, so ties go to the lower source index and then to the KD-tree's
-order, exactly as a ``heapq.merge`` of per-source streams orders them.
-A probe's merged window is complete up to its *cut*, the smallest
-last-window distance over the sources whose window did not cover every
-row.  The clip loop reads the entries strictly nearer than the cut;
-only if it asks for more (a *spill*, counted as ``probe_spills``) does
-the probe continue lazily into doubling per-source KD streams that
-yield the distances ``>= cut``, so no point is skipped or repeated.
+ones) and answers them all in one batched pass: no probe runs Python
+of its own.  One KD query per union source (the main tree and the
+insert-buffer tree of each side) reads the ``_WINDOW`` nearest rows of
+every probe, and one stable ``argsort`` merges them into padded
+matrices (:meth:`DynamicArrayRCJ._probe_windows`).  A window is
+complete up to its *cut*, the smallest last-window distance over the
+sources whose window did not cover every row.  The bisector kernel
+(:func:`bisector_cells`) then decides, for every window row at once,
+whether its bisector with the probe meets the probe's Voronoi cell
+within the widened live span.  The constraint rows are chosen so that
+the cell is the exact one: the cell of the :data:`_FIRST_CELL` nearest
+rows bounds a horizon, and every row within it constrains the final
+cell.  A probe whose horizon reaches its cut is re-queried with twice
+the rows per source, together with the other such probes (a *spill*,
+counted once per probe as ``probe_spills``); ``streamed`` counts the
+rows within each probe's final horizon.  Both counts, and the emitted
+neighbourhoods, do not depend on the window size.
 
 Exactness
 ---------
@@ -61,19 +65,19 @@ from-scratch join after every update.
 
 from __future__ import annotations
 
-import heapq
 import time
-from operator import itemgetter
+from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.core.dynamic import (
+    _SPAN_MARGIN,
+    _TOUCH_SLACK,
     Side,
     record_batch,
     validate_batch,
-    voronoi_neighbours,
 )
 from repro.core.pairs import RCJPair, pairs_from_indices
 from repro.engine.arrays import PointArray
@@ -123,11 +127,22 @@ BUFFER_CAP = 1024
 #: measured on the fleet stream.
 _SCAN_CELLS = 1 << 16
 
-#: Nearest rows each source's one batched KD query returns per probe
-#: (:meth:`DynamicArrayRCJ._probe_windows`).  A fleet probe pulls about
-#: 14 points from the merged union, so a 32-row window per source
-#: almost never spills into the per-probe continuation.
+#: Nearest rows each source's first batched KD query returns per probe
+#: (:meth:`DynamicArrayRCJ._probe_windows`).  A fleet probe's final
+#: horizon holds about 16 rows of the merged union, so a 32-row window
+#: per source almost never spills into a re-query.  The emitted
+#: neighbourhoods do not depend on it.
 _WINDOW = 32
+
+#: Nearest rows whose Voronoi cell bounds a probe's first horizon; every
+#: row within that horizon then constrains the exact cell.
+_FIRST_CELL = 16
+
+#: Cells (constraint row × candidate row × probe) per temporary of the
+#: bisector kernel: 256 KB of float64.  A fleet repair's programs fit
+#: in one or two blocks; a probe whose horizon takes in thousands of
+#: rows is cut into many.
+_LP_CELLS = 1 << 15
 
 
 class _SideColumns:
@@ -450,6 +465,131 @@ class _RingColumns:
         return [self._keys[i] for i in np.nonzero(hit)[0].tolist()]
 
 
+def bisector_cells(zx, zy, near, n, box, slack):
+    """Which rows' bisectors meet each probe's Voronoi cell: one batched
+    linear program per (probe, row).
+
+    Coordinates are relative to the probe ``x``.  Row ``j`` of probe
+    ``i`` sits at ``(zx[i, j], zy[i, j])``; its first ``n[i]`` rows,
+    sorted by distance, are both the candidates and the constraints.
+    ``near`` marks the rows within the touch slack of ``x`` (coincident
+    ones included): they are emitted without a program and constrain
+    nothing, since a bisector that close to ``x`` may cut off witnesses
+    the exact ring predicate accepts.  ``box`` holds each probe's
+    widened live span ``(xmin, ymin, xmax, ymax)``, relative to ``x``;
+    ``slack`` its touch slack.
+
+    The witness centres of row ``z`` lie on its bisector with ``x``,
+    ``c(s) = z/2 + s·perp(z)``.  Constraint row ``w`` keeps ``c`` in
+    ``x``'s cell, ``2c·w <= |w|² + 2·slack·|w|``, which reads
+    ``a·s <= b`` with ``a = 2·perp(z)·w`` and
+    ``b = |w|² + 2·slack·|w| − z·w``; the box bounds ``s`` twice per
+    axis.  Row ``z`` is emitted iff the largest lower bound is at most
+    the smallest upper bound.
+
+    Why the emitted rows hold every partner a repair needs: each such
+    partner has a witness centre on its bisector with ``x`` (see
+    :func:`~repro.core.dynamic.voronoi_neighbours`).  The centre is a
+    convex combination of live points, so it lies in the live span;
+    no live point is nearer to it than ``x``, so it lies in ``x``'s cell
+    with respect to *any* subset of the live points.  So the partner's
+    program is feasible whatever the constraint rows, and its distance
+    is at most twice the centre's.
+
+    Returns ``(emitted, far)``: the emitted rows, and per probe the
+    largest distance from ``x`` to its cell, over the feasible interval
+    endpoints and the box corners inside the cell.  Every vertex of the
+    cell of the constraint rows lies on such an interval or is such a
+    corner, so the whole cell, and every witness centre, lies within
+    ``far`` of ``x``; no row farther than ``2·(far + slack)`` (the
+    *horizon*) can be a neighbour or cut the cell.  Probes are
+    bucketed by row count, powers of two from :data:`_FIRST_CELL`, so
+    padding stays small.
+    """
+    emitted = np.zeros(zx.shape, dtype=bool)
+    far = np.zeros(len(n))
+    bucket = np.ceil(np.log2(np.maximum(n, _FIRST_CELL) / _FIRST_CELL))
+    for b in np.unique(bucket).tolist():
+        rows = np.nonzero(bucket == b)[0]
+        r = int(n[rows].max())
+        emitted[rows, :r], far[rows] = _cells(
+            zx[rows, :r], zy[rows, :r], near[rows, :r], n[rows],
+            box[rows], slack[rows],
+        )
+    return emitted, far
+
+
+def _cells(zx, zy, near, n, box, slack):
+    """:func:`bisector_cells` over one bucket of equal-width rows.
+
+    The programs run constraint-major, ``(constraint, candidate,
+    probe)``: every broadcast's inner loop runs along the probes, and
+    every reduction is an elementwise pass over the constraint axis.
+    """
+    m, r = zx.shape
+    valid = np.arange(r) < n[:, None]
+    con = valid & ~near
+    zxt, zyt = np.ascontiguousarray(zx.T), np.ascontiguousarray(zy.T)
+    wx = np.where(con.T, zxt, 0.0)[:, None, :]
+    wy = np.where(con.T, zyt, 0.0)[:, None, :]
+    ww = wx * wx + wy * wy
+    bw = ww + 2.0 * slack * np.sqrt(ww)
+    wx2, wy2 = 2.0 * wx, 2.0 * wy
+    lo = np.empty((r, m))
+    hi = np.empty((r, m))
+    step = max(1, _LP_CELLS // max(r * m, 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(0, r, step):
+            block = slice(j, j + step)
+            cx, cy = zxt[None, block], zyt[None, block]
+            a = cx * wy2
+            a -= cy * wx2
+            a += 0.0  # no -0.0: a parallel constraint reads a == +0
+            b = cx * wx
+            b += cy * wy
+            np.subtract(bw, b, out=b)
+            q = b / a
+            # +inf where a < 0 (q bounds s from below), -inf elsewhere.
+            # A parallel constraint (a == 0, padding rows too) reads
+            # q = +inf, -inf or NaN (b == 0) as it excludes none, all
+            # or, touching, none of the bisector; fmin skips the NaN.
+            sign = np.copysign(np.inf, -a)
+            lo[block] = np.fmin(q, sign).max(axis=0)
+            hi[block] = np.fmin.reduce(
+                np.maximum(q, sign), axis=0, initial=np.inf
+            )
+        lo, hi = lo.T, hi.T
+        # The box: c(s) = c0 + s·g on each axis stays in [low, high].
+        for c0, g, low, high in (
+            (0.5 * zx, -zy, box[:, 0:1], box[:, 2:3]),
+            (0.5 * zy, zx, box[:, 1:2], box[:, 3:4]),
+        ):
+            t1 = (low - c0) / g
+            t2 = (high - c0) / g
+            flat = g == 0.0
+            inside = (low <= c0) & (c0 <= high)
+            lo = np.maximum(lo, np.where(flat, -np.inf, np.minimum(t1, t2)))
+            hi = np.minimum(
+                hi,
+                np.where(
+                    flat,
+                    np.where(inside, np.inf, -np.inf),
+                    np.maximum(t1, t2),
+                ),
+            )
+        ok = con & (lo <= hi)
+        # |c(s)|² = |z|²·(1/4 + s²): perp(z) is orthogonal to z.
+        s2 = np.maximum(lo * lo, hi * hi)
+        far2 = np.where(ok, (zx * zx + zy * zy) * (0.25 + s2), 0.0).max(
+            axis=1, initial=0.0
+        )
+    cx = box[:, [0, 2, 0, 2]].T[None]
+    cy = box[:, [1, 1, 3, 3]].T[None]
+    inside = (2.0 * (cx * wx + cy * wy) <= bw).all(axis=0)
+    corner2 = np.where(inside, cx[0] ** 2 + cy[0] ** 2, 0.0).max(axis=0)
+    return ok | (valid & near), np.sqrt(np.maximum(far2, corner2))
+
+
 class _Source(NamedTuple):
     """One KD-indexed slice of the final-union view a repair probes:
     a side's stale main tier or its live insert buffer.  ``point_of``
@@ -463,6 +603,47 @@ class _Source(NamedTuple):
     ys: np.ndarray
     alive: np.ndarray | None
     oid: np.ndarray
+
+
+class _Union(NamedTuple):
+    """The union sources of one repair, concatenated: a row's *global*
+    id is its source's ``start`` plus its row in that source."""
+
+    sources: list[_Source]
+    start: list[int]
+    x: np.ndarray
+    y: np.ndarray
+    oid: np.ndarray
+    is_q: np.ndarray
+
+    @classmethod
+    def of(cls, sources: list[_Source]) -> "_Union":
+        sizes = [len(src.xs) for src in sources]
+        return cls(
+            sources,
+            np.cumsum([0] + sizes[:-1]).tolist(),
+            np.concatenate([src.xs for src in sources]),
+            np.concatenate([src.ys for src in sources]),
+            np.concatenate([src.oid for src in sources]),
+            np.repeat([src.side == "Q" for src in sources], sizes),
+        )
+
+    def point(self, row: int) -> Point:
+        s = bisect_right(self.start, row) - 1
+        return self.sources[s].point_of(row - self.start[s])
+
+
+class _Windows(NamedTuple):
+    """Every probe's merged KD window, as padded matrices sorted by
+    distance: the first ``count`` rows of a probe are the live union
+    rows strictly nearer than its ``cut``."""
+
+    dist: np.ndarray
+    row: np.ndarray  # global union row ids
+    zx: np.ndarray  # coordinates relative to the probe
+    zy: np.ndarray
+    count: np.ndarray
+    cut: np.ndarray
 
 
 class DynamicArrayRCJ:
@@ -480,12 +661,14 @@ class DynamicArrayRCJ:
       ring strictly contains an inserted point (one vectorized
       ring-containment scan, :class:`_RingColumns`);
     - :meth:`_settle` probes each deleted point's Voronoi
-      neighbourhood for freed pairs (the object backend's horizon
-      argument) and each inserted point's neighbourhood for its new
-      partners, all from one batched KD window per union source, then
-      settles every candidate with one
-      :func:`~repro.engine.kernels.verify_rings_batch` pass against the
-      live union, the engine's exact predicate.
+      neighbourhood for freed pairs and each inserted point's
+      neighbourhood for its new partners (the witness-centre argument
+      of :func:`bisector_cells`), all probes of the repair in one
+      batched pass with a fixed number of NumPy calls — windows, the
+      bisector kernel, candidate columns — then settles every candidate
+      with one :func:`~repro.engine.kernels.verify_rings_batch` pass
+      against the live union, the engine's exact predicate.  Pair
+      objects are built only for the candidates that verify.
 
     Parameters mirror :class:`~repro.core.dynamic.DynamicRCJ`
     (``bounds`` seeds the deletion clip box; points outside remain
@@ -673,109 +856,54 @@ class DynamicArrayRCJ:
         """Add every pair the updates made valid.
 
         Candidates are freed pairs around each deleted point
-        (``victims``) and new pairs of each inserted point, probed over
-        one final-union view (:meth:`_union_sources`) from one batched
-        KD window per source (:meth:`_probe_windows`: the victims'
-        probes, then the inserts'); one exact verification pass against
-        that view settles them all.
+        (``victims``) and new pairs of each inserted point.  All probes
+        of the repair (the victims, then the inserts) are answered over
+        one final-union view (:meth:`_union_sources`) in one batched
+        pass: windows (:meth:`_probe_windows`), neighbourhoods
+        (:meth:`_neighbourhoods`), candidate columns
+        (:meth:`_candidates`), and one exact verification against that
+        view.  Pairs are built only for the candidates that verify.
         """
         if not len(self._p) or not len(self._q):
             return
-        candidates: dict[tuple[int, int], RCJPair] = {}
-        streamed = 0
-        self._spills = 0
+        nv = len(victims)
+        probes = [victim for victim, _side in victims]
+        probes += [point for point, _side in inserts]
+        before = len(self._pairs)
         with stage_timer("probe"):
-            sources = self._union_sources()
-            span = self._live_span(sources)
-            probes = [(victim, None) for victim, _side in victims]
-            probes += [(point, (side, point.oid)) for point, side in inserts]
-            windows = self._probe_windows(probes, sources)
-            for (victim, _side), window in zip(victims, windows):
-                streamed += self._probe_victim(
-                    victim, window, sources, span, candidates
-                )
-            for (point, side), window in zip(inserts, windows[len(victims):]):
-                streamed += self._probe_insert(
-                    point, side, window, sources, span, candidates
-                )
+            union = _Union.of(self._union_sources())
+            xy = np.array(
+                [(x.x, x.y) for x in probes], dtype=np.float64
+            ).reshape(-1, 2)
+            oid = np.array([x.oid for x in probes], dtype=np.int64)
+            # An inserted point's own row is excluded from its probe.
+            own = np.array(
+                [-1] * nv + [side == "Q" for _point, side in inserts],
+                dtype=np.int64,
+            )
+            probe, row, streamed, spills = self._neighbourhoods(
+                xy, own, oid, nv, union, self._live_span(union)
+            )
+            # Endpoint ids past the union's rows name the probes.
+            eoid = np.concatenate((union.oid, oid))
+            pe, qe = self._candidates(xy, own, nv, probe, row, union, eoid)
         add_counter("streamed", streamed)
-        add_counter("probe_spills", self._spills)
-        add_counter("candidates", len(candidates))
-        added = 0
-        if candidates:
+        add_counter("probe_spills", spills)
+        add_counter("candidates", len(pe))
+        if len(pe):
             with stage_timer("verify"):
-                pairs = list(candidates.values())
-                m = len(pairs)
-                px = np.fromiter((pr.p.x for pr in pairs), np.float64, count=m)
-                py = np.fromiter((pr.p.y for pr in pairs), np.float64, count=m)
-                qx = np.fromiter((pr.q.x for pr in pairs), np.float64, count=m)
-                qy = np.fromiter((pr.q.y for pr in pairs), np.float64, count=m)
-                alive = self._verify_sources(px, py, qx, qy, sources)
-                for j in np.nonzero(alive)[0].tolist():
-                    self._store(pairs[j])
-                added = int(alive.sum())
-        add_counter("added", added)
-
-    def _probe_victim(
-        self, victim: Point, window, sources, span, candidates
-    ) -> int:
-        """Freed-pair candidates of one deleted point over the final
-        union view: cross the P/Q split of its Voronoi neighbourhood,
-        keep rings it strictly blocked.  Returns the points streamed."""
-        neighborhood, streamed = self._voronoi_neighbours(
-            victim, window, sources, span, stop_on_coincident=True
-        )
-        if neighborhood is None:
-            # A coincident live point remains: every ring that contained
-            # the victim still contains that point — nothing is freed.
-            return streamed
-        near_p = [z for z, z_side in neighborhood if z_side == "P"]
-        near_q = [z for z, z_side in neighborhood if z_side == "Q"]
-        if not near_p or not near_q:
-            return streamed
-        px = np.fromiter((z.x for z in near_p), np.float64, count=len(near_p))
-        py = np.fromiter((z.y for z in near_p), np.float64, count=len(near_p))
-        qx = np.fromiter((z.x for z in near_q), np.float64, count=len(near_q))
-        qy = np.fromiter((z.y for z in near_q), np.float64, count=len(near_q))
-        n_pn, n_qn = len(near_p), len(near_q)
-        pi = np.repeat(np.arange(n_pn), n_qn)
-        qi = np.tile(np.arange(n_qn), n_pn)
-        blocked = (victim.x - px[pi]) * (victim.x - qx[qi]) + (
-            victim.y - py[pi]
-        ) * (victim.y - qy[qi]) < 0.0
-        for a, b in zip(pi[blocked].tolist(), qi[blocked].tolist()):
-            key = (near_p[a].oid, near_q[b].oid)
-            if key in self._pairs or key in candidates:
-                continue
-            candidates[key] = RCJPair(near_p[a], near_q[b])
-        return streamed
-
-    def _probe_insert(
-        self, point: Point, side: Side, window, sources, span, candidates
-    ) -> int:
-        """New-pair candidates of one inserted point: its opposite-side
-        Voronoi neighbours over the final union view (a verified pair's
-        ring is empty of the final union, so its endpoints are Delaunay
-        neighbours there — the neighbourhood is a superset).  Returns
-        the points streamed."""
-        neighborhood, streamed = self._voronoi_neighbours(
-            point,
-            window,
-            sources,
-            span,
-            stop_on_coincident=False,
-            exclude=(side, point.oid),
-        )
-        other_side: Side = "Q" if side == "P" else "P"
-        for z, z_side in neighborhood:
-            if z_side != other_side:
-                continue
-            pair = RCJPair(point, z) if side == "P" else RCJPair(z, point)
-            key = pair.key()
-            if key in self._pairs or key in candidates:
-                continue
-            candidates[key] = pair
-        return streamed
+                ex = np.concatenate((union.x, xy[:, 0]))
+                ey = np.concatenate((union.y, xy[:, 1]))
+                px, py, qx, qy = ex[pe], ey[pe], ex[qe], ey[qe]
+                alive = self._verify_sources(
+                    px, py, qx, qy, union.sources
+                )
+                self._store(
+                    pe[alive], qe[alive], probes, union,
+                    np.stack((px, py, qx, qy))[:, alive],
+                    np.stack((eoid[pe], eoid[qe]))[:, alive],
+                )
+        add_counter("added", len(self._pairs) - before)
 
     def _union_sources(self) -> list[_Source]:
         """The composite final-union view every repair probes and
@@ -822,169 +950,192 @@ class DynamicArrayRCJ:
             )
         return alive
 
-    def _live_span(self, sources) -> list[float]:
-        """Bounding box of the domain and every source's rows — the
-        clip box each probe of one repair shares.  Dead main rows only
-        enlarge it (:func:`~repro.core.dynamic.voronoi_neighbours`
-        needs every live point covered)."""
-        span = [
-            self.bounds.xmin,
-            self.bounds.ymin,
-            self.bounds.xmax,
-            self.bounds.ymax,
-        ]
-        for src in sources:
-            span[0] = min(span[0], float(src.xs.min()))
-            span[1] = min(span[1], float(src.ys.min()))
-            span[2] = max(span[2], float(src.xs.max()))
-            span[3] = max(span[3], float(src.ys.max()))
-        return span
+    def _live_span(self, union: _Union) -> np.ndarray:
+        """Bounding box of the domain and every union row — the clip
+        box each probe of one repair shares.  Dead main rows only
+        enlarge it (a probe's cell needs every live point covered)."""
+        b = self.bounds
+        return np.array([
+            min(b.xmin, float(union.x.min())),
+            min(b.ymin, float(union.y.min())),
+            max(b.xmax, float(union.x.max())),
+            max(b.ymax, float(union.y.max())),
+        ])
 
     @staticmethod
-    def _probe_windows(probes, sources) -> list[tuple]:
-        """Every probe's nearest live union points, from one KD query
-        per source for the whole batch.
+    def _neighbourhoods(xy, own, oid, nv, union, span):
+        """Every probe's Voronoi neighbourhood over ``union``, batched.
 
-        ``probes`` is a list of ``(point, exclude)``; ``exclude`` is an
-        inserted point's own ``(side, oid)`` or None.  Each source
-        answers one ``query(probe_xy, k=min(_WINDOW, n))``; dead rows
-        and excluded points read ``+inf``; the sources concatenate in
-        order and one stable ``argsort`` per row merges them — ties go
-        to the lower source index, then to the KD-tree's own order,
-        exactly what ``heapq.merge`` of the per-source streams gives.
+        ``xy`` holds the probes, the first ``nv`` of them deleted points
+        (*victims*); ``own``/``oid`` name an inserted probe's own row
+        (side 0/1, -1 for a victim).  Each probe's clip box and touch
+        slack are built from ``span`` and the probe exactly as
+        :func:`~repro.core.dynamic.voronoi_neighbours` builds them.
 
-        A probe's merged window is complete up to its *cut*: the
-        smallest last-window distance over the sources whose window
-        did not cover every row (``+inf`` when all did), since no row
-        left out of a window is nearer than that window's last entry.
-        Returns one ``(dists, source_indices, rows, cut)`` per probe,
-        holding the entries strictly nearer than the cut in merged
-        order; :meth:`_probe_stream` continues past it.
+        Per round, on the probes still open:
+
+        1. the cell of the :data:`_FIRST_CELL` nearest rows bounds a
+           horizon ``H1`` (:func:`bisector_cells`);
+        2. if ``H1`` is below the cut, every row within ``H1`` (and
+           those nearest rows) constrains the exact cell, whose feasible
+           rows are emitted;
+        3. otherwise every row below the cut does, and a probe whose
+           horizon still reaches its cut is re-queried in the next
+           round, with twice the rows per source, until its horizon is
+           below the cut or the window covers every source.
+
+        A victim with a live coincident twin frees nothing: every ring
+        that held it still holds the twin, so it emits no row.  Returns
+        ``(probe, row, streamed, spills)``: the emitted rows as probe
+        indices and global union rows (ascending probe index), the rows
+        within the final horizons, and the probes re-queried.
         """
-        m = len(probes)
-        if not m:
-            return []
-        xy = np.array([(x.x, x.y) for x, _ex in probes], dtype=np.float64)
-        ex_oid = np.array(
-            [ex[1] if ex else 0 for _x, ex in probes], dtype=np.int64
+        lo = np.minimum(span[:2], xy)
+        hi = np.maximum(span[2:], xy)
+        margin = _SPAN_MARGIN * np.maximum((hi - lo).max(axis=1), 1.0)
+        slack = _TOUCH_SLACK * np.maximum(
+            np.abs(np.hstack((lo, hi))).max(axis=1), 1.0
         )
-        ex_side = [ex[0] if ex else None for _x, ex in probes]
-        own = {
-            side: np.array([s == side for s in ex_side], dtype=bool)
-            for side in ("P", "Q")
-        }
+        box = np.hstack((lo - margin[:, None], hi + margin[:, None]))
+        box -= np.hstack((xy, xy))
+        victim = np.arange(len(xy)) < nv
+        probes, rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        streamed = spills = 0
+        todo = np.arange(len(xy))
+        k = _WINDOW
+        while len(todo):
+            win = DynamicArrayRCJ._probe_windows(
+                xy[todo], own[todo], oid[todo], union, k
+            )
+            sl, bx = slack[todo], box[todo]
+            near = win.dist <= sl[:, None]
+            n1 = np.minimum(win.count, _FIRST_CELL)
+            f = slice(0, _FIRST_CELL)
+            emitted = np.zeros(win.dist.shape, dtype=bool)
+            emitted[:, f], far = bisector_cells(
+                win.zx[:, f], win.zy[:, f], near[:, f], n1, bx, sl
+            )
+            h1 = 2.0 * (far + sl)
+            within = (win.dist <= h1[:, None]).sum(axis=1)
+            within = np.minimum(within, win.count)
+            n = np.where(h1 < win.cut, np.maximum(n1, within), win.count)
+            # Where no row joins the first cell, that cell is the last.
+            grow = np.nonzero(n > n1)[0]
+            if len(grow):
+                emitted[grow], far[grow] = bisector_cells(
+                    win.zx[grow], win.zy[grow], near[grow], n[grow],
+                    bx[grow], sl[grow],
+                )
+            h = 2.0 * (far + sl)
+            done = (h < win.cut) | (win.cut == np.inf)
+            valid = np.arange(win.dist.shape[1]) < win.count[:, None]
+            twin = victim[todo] & (
+                valid & (win.zx == 0.0) & (win.zy == 0.0)
+            ).any(axis=1)
+            streamed += int((win.dist[done] <= h[done, None]).sum())
+            i, j = np.nonzero(emitted & (done & ~twin)[:, None])
+            probes.append(todo[i])
+            rows.append(win.row[i, j])
+            if k == _WINDOW:
+                spills = int((~done).sum())
+            todo = todo[~done]
+            k *= 2
+        probe = np.concatenate(probes)
+        order = np.argsort(probe, kind="stable")
+        return probe[order], np.concatenate(rows)[order], streamed, spills
+
+    @staticmethod
+    def _probe_windows(xy, own, oid, union, k) -> _Windows:
+        """Every probe's nearest live union rows, from one KD query per
+        source for the whole batch.
+
+        Each source answers one ``query(xy, k=min(k, n))``; dead rows
+        and an inserted probe's own row (``own`` side, ``oid``) read
+        ``+inf``; the sources concatenate in order and one stable
+        ``argsort`` per probe merges them.  A probe's merged window is
+        complete up to its *cut*: the smallest last-window distance over
+        the sources whose window did not cover every row (``+inf`` when
+        all did), since no row left out of a window is nearer than that
+        window's last entry.  Returns padded matrices of the merged
+        distances, global union rows and probe-relative coordinates,
+        plus each probe's count of rows strictly nearer than its cut.
+        """
+        m = len(xy)
         cut = np.full(m, np.inf)
-        dists, rows, owner = [], [], []
-        for s, src in enumerate(sources):
-            n = src.tree.n
-            k = min(_WINDOW, n)
-            d, idx = src.tree.query(xy, k=k)
-            d = d.reshape(m, k)
-            idx = idx.reshape(m, k)
-            if k < n:
+        dists, rows = [], []
+        for src, start in zip(union.sources, union.start):
+            n = len(src.xs)
+            kk = min(k, n)
+            d, idx = src.tree.query(xy, k=kk)
+            d = d.reshape(m, kk)
+            idx = idx.reshape(m, kk)
+            if kk < n:
                 np.minimum(cut, d[:, -1], out=cut)
             if src.alive is not None:
                 d[~src.alive[idx]] = np.inf
-            if own[src.side].any():
-                d[
-                    own[src.side][:, None]
-                    & (src.oid[idx] == ex_oid[:, None])
-                ] = np.inf
+            mine = own == (src.side == "Q")
+            if mine.any():
+                d[mine[:, None] & (src.oid[idx] == oid[:, None])] = np.inf
             dists.append(d)
-            rows.append(idx)
-            owner.append(np.full(k, s))
+            rows.append(idx + start)
         d = np.hstack(dists)
         order = np.argsort(d, axis=1, kind="stable")
+        count = (d < cut[:, None]).sum(axis=1)
+        width = int(count.max(initial=0))
+        order = order[:, :width]
         d = np.take_along_axis(d, order, axis=1)
-        rows = np.take_along_axis(np.hstack(rows), order, axis=1)
-        owner = np.concatenate(owner)[order]
-        counts = (d < cut[:, None]).sum(axis=1).tolist()
-        return [
-            (d[j, :n].tolist(), owner[j, :n].tolist(), rows[j, :n].tolist(), c)
-            for j, (n, c) in enumerate(zip(counts, cut.tolist()))
-        ]
-
-    def _voronoi_neighbours(
-        self,
-        x: Point,
-        window,
-        sources,
-        span: list[float],
-        stop_on_coincident: bool,
-        exclude: tuple[Side, int] | None = None,
-    ) -> tuple[list[tuple[Point, Side]] | None, int]:
-        """Voronoi neighbourhood of ``x`` over the composite view — its
-        batched window (:meth:`_probe_windows`), continued lazily past
-        the cut (:meth:`_probe_stream`), fed to the shared clip loop —
-        and the number of points it pulled.  ``span`` is the repair's
-        :meth:`_live_span`; ``exclude`` drops one ``(side, oid)`` (an
-        inserted point probing for its own partners)."""
-        return voronoi_neighbours(
-            x,
-            self._probe_stream(x, window, sources, exclude),
-            [
-                min(span[0], x.x),
-                min(span[1], x.y),
-                max(span[2], x.x),
-                max(span[3], x.y),
-            ],
-            stop_on_coincident=stop_on_coincident,
+        row = np.take_along_axis(np.hstack(rows), order, axis=1)
+        return _Windows(
+            d,
+            row,
+            union.x[row] - xy[:, :1],
+            union.y[row] - xy[:, 1:],
+            count,
+            cut,
         )
 
-    def _probe_stream(self, x: Point, window, sources, exclude):
-        """``x``'s live union points in ascending distance: the window's
-        entries (all strictly nearer than its cut), then — only if the
-        clip loop asks for more, a *spill* — the merged per-source
-        :meth:`_stream` continuations from the cut on, so no point is
-        skipped or repeated."""
-        dists, owner, rows, cut = window
-        for d, s, row in zip(dists, owner, rows):
-            src = sources[s]
-            yield d, src.point_of(row), src.side
-        if cut < np.inf:
-            self._spills += 1
-            yield from heapq.merge(
-                *(self._stream(x, src, exclude, cut) for src in sources),
-                key=itemgetter(0),
-            )
-
     @staticmethod
-    def _stream(x: Point, src: _Source, exclude, cut: float):
-        """One source's live points at distance ``>= cut`` from ``x``,
-        ascending — a probe's continuation past its window.
+    def _candidates(xy, own, nv, probe, row, union, eoid):
+        """Candidate pairs of the emitted rows, as P and Q endpoint ids
+        (a global union row, or the union's row count plus a probe
+        index for an inserted probe itself), deduplicated by their oid
+        keys (``eoid`` is indexed by endpoint id).
 
-        Doubling-k KD queries from twice the window.  Each query
-        re-reads the rows of the previous ones; ``last`` (the farthest
-        distance read so far) and ``seen`` (the rows read at exactly
-        ``last``) skip them, so a run of equal distances that straddles
-        the end of a query is neither repeated nor dropped, whatever
-        order the KD-tree gives equal distances."""
-        n = src.tree.n
-        k = 2 * _WINDOW
-        last, seen = cut, set()
-        while True:
-            kk = min(k, n)
-            dist, idx = src.tree.query([x.x, x.y], k=kk)
-            for d, row in zip(
-                np.atleast_1d(dist).tolist(), np.atleast_1d(idx).tolist()
-            ):
-                if d < last or (d == last and row in seen):
-                    continue
-                if d > last:
-                    last, seen = d, set()
-                seen.add(row)
-                if src.alive is not None and not src.alive[row]:
-                    continue
-                if (
-                    exclude is not None
-                    and src.side == exclude[0]
-                    and src.oid[row] == exclude[1]
-                ):
-                    continue
-                yield d, src.point_of(row), src.side
-            if kk == n:
-                return
-            k *= 2
+        A victim's freed-pair candidates cross its emitted P and Q rows
+        (one ragged repeat) and keep the rings it strictly blocked, by
+        the exact ring predicate.  An insert pairs with its emitted
+        opposite-side rows.  None of them is in the result already: a
+        ring that held a victim was not a pair, and every pair of an
+        inserted oid was killed or never existed.
+        """
+        side_q = union.is_q[row]
+        v = probe < nv
+        p_probe, p_row = probe[v & ~side_q], row[v & ~side_q]
+        q_probe, q_row = probe[v & side_q], row[v & side_q]
+        nq = np.bincount(q_probe, minlength=nv)
+        reps = nq[p_probe]
+        a = np.repeat(np.arange(len(p_probe)), reps)
+        b = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
+        b += (np.cumsum(nq) - nq)[p_probe[a]]
+        pv, qv = p_row[a], q_row[b]
+        vx, vy = xy[p_probe[a], 0], xy[p_probe[a], 1]
+        blocked = (vx - union.x[pv]) * (vx - union.x[qv]) + (
+            vy - union.y[pv]
+        ) * (vy - union.y[qv]) < 0.0
+        i_probe, i_row = probe[~v], row[~v]
+        i_q = own[i_probe] == 1
+        opposite = side_q[~v] != i_q
+        i_probe, i_row, i_q = i_probe[opposite], i_row[opposite], i_q[opposite]
+        self_id = len(union.x) + i_probe
+        pe = np.concatenate((pv[blocked], np.where(i_q, i_row, self_id)))
+        qe = np.concatenate((qv[blocked], np.where(i_q, self_id, i_row)))
+        po, qo = eoid[pe], eoid[qe]
+        order = np.lexsort((qo, po))
+        po, qo = po[order], qo[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (po[1:] != po[:-1]) | (qo[1:] != qo[:-1])
+        order = order[first]
+        return pe[order], qe[order]
 
     def _maybe_compact(self) -> int:
         """Flush a side's lazy state when it crossed a threshold — the
@@ -1016,12 +1167,21 @@ class DynamicArrayRCJ:
             return self._q, self._p
         raise ValueError(f"side must be 'P' or 'Q', got {side!r}")
 
-    def _store(self, pair: RCJPair) -> None:
-        key = pair.key()
-        if key in self._pairs:
-            return
-        self._pairs[key] = pair
-        self._rings.add(key, pair)
+    def _store(self, pe, qe, probes, union, xy, oid) -> None:
+        """Add verified pairs, given as endpoint ids (see
+        :meth:`_candidates`) with their ``(4, m)`` endpoint columns
+        (px, py, qx, qy) and ``(2, m)`` oid keys."""
+        n = len(union.x)
+
+        def point(e: int) -> Point:
+            return probes[e - n] if e >= n else union.point(e)
+
+        keys = list(zip(*oid.tolist()))
+        self._pairs.update(zip(keys, [
+            RCJPair(point(a), point(b))
+            for a, b in zip(pe.tolist(), qe.tolist())
+        ]))
+        self._rings.extend(keys, xy, oid)
 
     def _drop(self, key: tuple[int, int]) -> None:
         if self._pairs.pop(key, None) is not None:

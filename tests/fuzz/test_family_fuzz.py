@@ -7,6 +7,11 @@ far outliers, extreme scales and offsets, cross-side duplicates), the
 pooled pipeline at one and two workers must give the same pair list,
 in order, as the serial array pipeline and as the pointwise oracle.
 ``min_shard=2`` makes every input with four or more probes shard.
+The k-closest-pairs join has no pooled route; its array pipeline must
+give the pointwise R-tree join's pair list, in order, for ``k`` drawn
+from {1, 2, 5, |P|·|Q|}: equal distances are common in these inputs
+(lattices, duplicates, cross-side copies), and both routes break such
+ties by ``(p.oid, q.oid)``.
 Each side's oids are either its row numbers or drawn unique,
 non-contiguous and in shuffled order (as low as ``-2**62``, as high as
 ``2**62``), so an order keyed by row instead of by oid shows.  ε is
@@ -98,3 +103,14 @@ def test_pooled_candidate_count_matches_serial(family, case, data):
     serial = run_join(points_p, points_q, engine="array", **args)
     pooled = _pooled(points_p, points_q, 2, args)
     assert pooled.candidate_count == serial.candidate_count
+
+
+@given(case=bulk_rcj_cases(), data=st.data())
+def test_kcp_array_gives_the_oracle_pair_list(case, data):
+    coords_p, coords_q, _exclude = case
+    points_p, points_q = _points(data, coords_p), _points(data, coords_q)
+    everything = max(len(points_p) * len(points_q), 1)
+    k = data.draw(st.sampled_from((1, 2, 5, everything)))
+    want = run_join(points_p, points_q, engine="pointwise", family="kcp", k=k)
+    array = run_join(points_p, points_q, engine="array", family="kcp", k=k)
+    assert _keys(array) == _keys(want)
